@@ -152,12 +152,12 @@ def resolve_config(raw: dict | None) -> dict:
             "must be a nonempty list")
     for i, name in enumerate(c["methods"]):
         _expect(name in M.ALL_METHODS, f"compare.methods[{i}]", "unknown method")
-    for key in ("sigma_n", "R_omega"):
+    for key, low in (("sigma_n", 0), ("R_omega", 1)):
         _expect(isinstance(c[key], list) and c[key], f"compare.{key}",
                 "must be a nonempty list of numbers")
         for i, value in enumerate(c[key]):
-            _expect(_is_number(value) and value >= 0, f"compare.{key}[{i}]",
-                    "must be a number >= 0")
+            _expect(_is_number(value) and value >= low, f"compare.{key}[{i}]",
+                    f"must be a number >= {low}")
 
     s = cfg["sweep"]
     _expect(isinstance(s["alphas"], list) and s["alphas"], "sweep.alphas",

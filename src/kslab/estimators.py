@@ -228,14 +228,40 @@ class AffinePerPattern(Estimator):
         cot = as_kspace(cotangent, self.q)
         idx, _ = self._resolve(m_in)
         grad = np.zeros_like(self.theta)
-        q = self.q
-        seg = grad[idx * self.block_size:(idx + 1) * self.block_size]
-        outer = np.outer(np.conj(cot), arr)  # d Re<c, A y> / dA = conj pairing
-        seg[:q * q] = outer.real.ravel()
-        seg[q * q:2 * q * q] = -outer.imag.ravel()
-        seg[2 * q * q:2 * q * q + q] = cot.real
-        seg[2 * q * q + q:] = cot.imag
+        grad[idx * self.block_size:(idx + 1) * self.block_size] = _block_grads(cot, arr)
         return grad
+
+    def forward_batch(self, y_in, member) -> "AffineBatch":
+        """Apply the maps to stacked inputs y_in (n, q) with input patterns member (n, q).
+
+        Rows are grouped by pattern and each distinct pattern is resolved
+        once, with the nearest-pattern fallback and warning of ``forward``.
+        The returned batch holds the outputs and sums gradients per group.
+        """
+        arr = np.asarray(y_in, dtype=np.complex128)
+        member = np.asarray(member, dtype=bool)
+        if arr.ndim != 2 or arr.shape[1] != self.q or member.shape != arr.shape:
+            raise DimensionError(f"expected (n, {self.q}) inputs and patterns, "
+                                 f"got {arr.shape} and {member.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValidationError("k-space batch contains NaN or Inf")
+        patterns, inverse = np.unique(member, axis=0, return_inverse=True)
+        inverse = inverse.reshape(-1)
+        order = np.argsort(inverse, kind="stable")
+        bounds = np.cumsum(np.bincount(inverse, minlength=len(patterns)))[:-1]
+        out = np.empty_like(arr)
+        groups = []
+        for pattern, rows in zip(patterns, np.split(order, bounds)):
+            idx, fallback = self._resolve(SamplingMask(pattern, np.ones(self.q)))
+            if fallback:
+                warnings.warn(
+                    "input pattern not enrolled; using nearest enrolled pattern",
+                    PatternFallbackWarning, stacklevel=2,
+                )
+            a, b = self._block(idx)
+            out[rows] = arr[rows] @ a.T + b
+            groups.append((idx, rows))
+        return AffineBatch(self, arr, groups, out)
 
     def to_checkpoint(self) -> dict:
         return {
@@ -257,6 +283,45 @@ class AffinePerPattern(Estimator):
             raise ValidationError("checkpoint theta length does not match patterns")
         est.theta = theta
         return est
+
+
+def _block_grads(cot: np.ndarray, arr: np.ndarray) -> np.ndarray:
+    """Block gradient of Re <cot, A arr + b>, per row for stacked (n, q) inputs.
+
+    Block layout: Re A, Im A (row-major), Re b, Im b.
+    """
+    outer = np.conj(cot)[..., :, None] * arr[..., None, :]  # d Re<c, A y> / dA = conj pairing
+    lead = outer.shape[:-2]
+    return np.concatenate([outer.real.reshape(lead + (-1,)), -outer.imag.reshape(lead + (-1,)),
+                           cot.real, cot.imag], axis=-1)
+
+
+class AffineBatch:
+    """Outputs of an ``AffinePerPattern`` on stacked inputs, rows grouped by pattern."""
+
+    def __init__(self, est: AffinePerPattern, y_in: np.ndarray, groups: list, out: np.ndarray):
+        self._est = est
+        self._y_in = y_in
+        self._groups = groups  # (block index, row indices) per distinct pattern
+        self.out = out
+
+    def vjp_moments(self, cotangent) -> tuple[np.ndarray, np.ndarray]:
+        """Sums over rows of the per-row vjp and of its elementwise square.
+
+        Gradients are formed one pattern group at a time, so no
+        (rows x parameters) matrix is built.
+        """
+        cot = np.asarray(cotangent, dtype=np.complex128)
+        if cot.shape != self._y_in.shape:
+            raise DimensionError(f"cotangent shape {cot.shape} != input shape {self._y_in.shape}")
+        bs = self._est.block_size
+        total = np.zeros_like(self._est.theta)
+        total_sq = np.zeros_like(self._est.theta)
+        for idx, rows in self._groups:
+            g = _block_grads(cot[rows], self._y_in[rows])
+            total[idx * bs:(idx + 1) * bs] += g.sum(axis=0)
+            total_sq[idx * bs:(idx + 1) * bs] += (g * g).sum(axis=0)
+        return total, total_sq
 
 
 class TinyNet(Estimator):

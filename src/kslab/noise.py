@@ -33,8 +33,11 @@ class NoiseSpec:
             raise ValidationError(f"alpha must be finite and positive, got {self.alpha}")
 
 
-def complex_gaussian(q: int, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """Draw CN(0, sigma^2 I): i.i.d. with total complex variance sigma^2 per entry."""
+def complex_gaussian(q: int | tuple, sigma: float, rng: np.random.Generator) -> np.ndarray:
+    """Draw CN(0, sigma^2 I): i.i.d. with total complex variance sigma^2 per entry.
+
+    ``q`` is a length or an array shape such as (count, q).
+    """
     if sigma < 0.0:
         raise ValidationError("sigma must be >= 0")
     scale = sigma / np.sqrt(2.0)

@@ -14,26 +14,28 @@ independent route:
 
 Monte Carlo checks use the uniform statistical tolerance of three combined
 standard errors and always report the standard error alongside the
-estimate. Sampling is sharded with per-shard derived seeds and reduced in
+estimate. Sampling is sharded: each shard of ``SHARD_SIZE`` draws comes
+from its own derived substream as stacked arrays, and shards are reduced in
 a fixed order, so results are reproducible.
 """
 
 import math
 from dataclasses import dataclass, field
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
 from . import methods as M
+from . import training
 from .errors import ConfigError, ValidationError
 from .estimators import AffinePerPattern, Estimator, closed_form_affine_fit
-from .inference import MODE_THEORY, reconstruct
+from .inference import _corrected
 from .kspace import SamplingMask, apply_mask, as_kspace, mask_algebra
 from .noise import NoiseSpec, complex_gaussian
 from .rng import stream
 from .sampling import COLUMN_POLYNOMIAL, MaskDistribution, compute_P, compute_k, validate_mask_conditions
 from .synthetic import MeasurementModel, gaussian_ground_truth
-from .training import TrainItem, TrainSpec, loss_and_grad
 
 TARGET_Y0 = "y0"
 TARGET_Y0_PLUS_N = "y0_plus_n"
@@ -42,6 +44,8 @@ COND_ON_YTILDE = "on_ytilde"
 
 N_SIGMA = 3.0
 PATTERN_ENUM_CAP = 12  # exhaustive enumeration up to 2^12 patterns
+SHARD_SIZE = 4096  # Monte Carlo draws per shard, each shard from its own substream
+CROSSCHECK_RTOL = 1e-12  # batched vs per-draw library gradients
 
 
 @dataclass
@@ -318,22 +322,67 @@ def analytic_posterior_mse(model: MeasurementModel, method: str) -> float:
     return total
 
 
+class _Draws(NamedTuple):
+    """One shard of joint draws from a measurement model, one row per draw."""
+
+    y0: np.ndarray      # (count, q) ground truth
+    noise: np.ndarray   # (count, q) measurement noise n
+    omega: np.ndarray   # (count, q) first-level membership
+    lam: np.ndarray     # (count, q) second-level membership
+    ntilde: np.ndarray  # (count, q) further noise
+    y: np.ndarray       # (count, q) measured data M_Omega (y0 + n)
+
+
+def _draw_shard(model: MeasurementModel, rng: np.random.Generator, count: int) -> _Draws:
+    """``count`` joint draws, taken from ``rng`` as whole arrays in field order."""
+    shape = (count, model.q)
+    y0 = gaussian_ground_truth(model, rng, count)
+    n = complex_gaussian(shape, model.noise.sigma_n, rng)
+    omega = model.omega_dist.draw_members(rng, count)
+    lam = model.lambda_dist.draw_members(rng, count)
+    ntilde = complex_gaussian(shape, model.noise.alpha * model.noise.sigma_n, rng)
+    return _Draws(y0, n, omega, lam, ntilde, np.where(omega, y0 + n, 0.0 + 0.0j))
+
+
+def _shards(seed: int, label: str, samples: int):
+    """(substream, draw count) of each shard of a Monte Carlo run."""
+    for shard, start in enumerate(range(0, samples, SHARD_SIZE)):
+        yield stream(seed, label, shard), min(SHARD_SIZE, samples - start)
+
+
+def _require_affine(est: Estimator) -> None:
+    if not isinstance(est, AffinePerPattern):
+        raise ConfigError("Monte Carlo oracles run on an affine_per_pattern estimator")
+
+
+def _theory_inputs(method: str, draws: _Draws) -> tuple[np.ndarray, np.ndarray]:
+    """Further-corrupted network input per draw and its pattern, the corrected set."""
+    if method in (M.NOISIER2FULL, M.NOISIER2FULL_UNWEIGHTED):
+        return draws.y + np.where(draws.omega, draws.ntilde, 0.0 + 0.0j), draws.omega
+    m_in = draws.omega & draws.lam
+    return np.where(m_in, draws.y + draws.ntilde, 0.0 + 0.0j), m_in
+
+
+def _mse_errors(method: str, est: AffinePerPattern, model: MeasurementModel,
+                draws: _Draws) -> np.ndarray:
+    """Per-draw || theory-mode corrected reconstruction - ground truth ||^2."""
+    y_in, m_in = _theory_inputs(method, draws)
+    est_y = _corrected(est.forward_batch(y_in, m_in).out, y_in, m_in, model.noise.alpha)
+    return np.sum(np.abs(est_y - draws.y0) ** 2, axis=1)
+
+
 def mc_corrected_mse(method: str, est: Estimator, model: MeasurementModel,
                      samples: int, seed: int) -> tuple[float, float]:
     """Theory-mode reconstruction MSE over fresh draws (mean, standard error)."""
+    if method not in M.CORRECTED_METHODS:
+        raise ConfigError(f"{method!r} applies no correction")
+    _require_affine(est)
     total = 0.0
     total_sq = 0.0
-    for i in range(samples):
-        rng = stream(seed, "mse", i)
-        y0 = gaussian_ground_truth(model, rng)
-        n = complex_gaussian(model.q, model.noise.sigma_n, rng)
-        omega = model.omega_dist.draw(rng)
-        y = apply_mask(omega, y0 + n)
-        est_y = reconstruct(method, est, y, omega, model.noise, model.lambda_dist,
-                            MODE_THEORY, rng)
-        err = float(np.sum(np.abs(est_y - y0) ** 2))
-        total += err
-        total_sq += err * err
+    for rng, count in _shards(seed, "mse", samples):
+        err = _mse_errors(method, est, model, _draw_shard(model, rng, count))
+        total += float(err.sum())
+        total_sq += float(np.dot(err, err))
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0)
     return mean, math.sqrt(var / samples)
@@ -407,23 +456,94 @@ def _oracle_gradient(method: str, est: Estimator, model: MeasurementModel,
                      lam: SamplingMask | None, ntilde: np.ndarray) -> np.ndarray:
     """Per-draw gradient of || corrected estimate - ground truth ||^2."""
     alpha = model.noise.alpha
-    scale = (1.0 + alpha ** 2) / alpha ** 2
     if method in (M.NOISIER2FULL, M.NOISIER2FULL_UNWEIGHTED):
-        y_tilde = y + apply_mask(omega, ntilde)
         m_in = omega
-        corrected_member = omega.member
+        y_tilde = y + apply_mask(omega, ntilde)
     else:
-        inter = mask_algebra(omega, lam).intersect
-        y_tilde = apply_mask(inter, y + ntilde)
-        m_in = inter
-        corrected_member = inter.member
-    f = est.forward(y_tilde, m_in)
-    est_y = f.copy()
-    est_y[corrected_member] = (
-        (1.0 + alpha ** 2) * f[corrected_member] - y_tilde[corrected_member]
-    ) / alpha ** 2
-    d = np.where(corrected_member, scale, 1.0)
+        m_in = mask_algebra(omega, lam).intersect
+        y_tilde = apply_mask(m_in, y + ntilde)
+    est_y = _corrected(est.forward(y_tilde, m_in), y_tilde, m_in.member, alpha)
+    d = np.where(m_in.member, (1.0 + alpha ** 2) / alpha ** 2, 1.0)
     return 2.0 * est.vjp(y_tilde, m_in, d * (est_y - y0))
+
+
+def _surrogate_w2(claim: str, model: MeasurementModel,
+                  draws: _Draws) -> tuple[np.ndarray, np.ndarray]:
+    """Squared loss weights per draw, and the first draw of each (Omega, Lambda) pair.
+
+    The weights come from the training module, one call per distinct pair.
+    """
+    q = model.q
+    p, pt = model.omega_probs(), model.lambda_probs()
+    pairs, first, inverse = np.unique(np.concatenate([draws.omega, draws.lam], axis=1),
+                                      axis=0, return_index=True, return_inverse=True)
+    P = training.compute_P(p, pt) if claim == M.ROBUST_SSDU else None
+    w = np.empty((len(pairs), q))
+    for k, pair in enumerate(pairs):
+        omega = SamplingMask(pair[:q], p)
+        if claim == M.NOISIER2FULL:
+            w[k] = training.weight_noisier2full(omega, model.noise.alpha)
+        else:
+            w[k] = training.weight_robust_ssdu(omega, SamplingMask(pair[q:], pt),
+                                               model.noise.alpha, P)
+    return (w ** 2)[inverse.reshape(-1)], first
+
+
+def _gradient_moments(claim: str, est: AffinePerPattern, model: MeasurementModel,
+                      draws: _Draws) -> tuple[dict, dict, float]:
+    """Sums and sums of squares of the per-draw surrogate, oracle and difference gradients.
+
+    The first draw of each distinct (Omega, Lambda) pair is recomputed
+    through ``training.loss_and_grad`` and ``_oracle_gradient``; the third
+    value is the largest relative deviation of the batched gradients from
+    those per-draw library gradients. The batched side is the shard's own
+    pattern grouping and per-group reduction, applied to the shard's
+    cotangents with every other row zeroed: its sum and sum of squares must
+    match those of the per-draw gradients, so a wrong cotangent, a row put
+    in the wrong group or a wrong reduction shows up as a deviation.
+    """
+    alpha = model.noise.alpha
+    y_in, m_in = _theory_inputs(claim, draws)
+    batch = est.forward_batch(y_in, m_in)
+    f = batch.out
+    target = draws.y0 + draws.noise if claim == M.NOISIER2FULL else draws.y
+    w2, first = _surrogate_w2(claim, model, draws)
+    est_y = _corrected(f, y_in, m_in, alpha)
+    d = np.where(m_in, (1.0 + alpha ** 2) / alpha ** 2, 1.0)
+    cots = {"surr": 2.0 * w2 * (f - target), "oracle": 2.0 * d * (est_y - draws.y0)}
+    cots["diff"] = cots["surr"] - cots["oracle"]
+    sums, sums_sq = {}, {}
+    for key, cot in cots.items():
+        sums[key], sums_sq[key] = batch.vjp_moments(cot)
+
+    spec = training.TrainSpec(method=claim, alpha=alpha)
+    p, pt = model.omega_probs(), model.lambda_probs()
+    ref_sum = {key: np.zeros_like(est.theta) for key in ("surr", "oracle")}
+    ref_sum_sq = {key: np.zeros_like(est.theta) for key in ("surr", "oracle")}
+    ref_abs = {key: np.zeros_like(est.theta) for key in ("surr", "oracle")}
+    for i in first:
+        omega = SamplingMask(draws.omega[i], p)
+        lam = SamplingMask(draws.lam[i], pt)
+        item = training.TrainItem(y=draws.y[i], omega=omega, y0=draws.y0[i],
+                                  noise=draws.noise[i], lam=lam, ntilde=draws.ntilde[i])
+        refs = {"surr": training.loss_and_grad(spec, est, item)[1],
+                "oracle": _oracle_gradient(claim, est, model, draws.y0[i], draws.y[i],
+                                           omega, lam, draws.ntilde[i])}
+        for key, ref in refs.items():
+            ref_sum[key] += ref
+            ref_sum_sq[key] += ref * ref
+            ref_abs[key] += np.abs(ref)
+    keep = np.zeros((f.shape[0], 1), dtype=bool)
+    keep[first] = True
+    worst = 0.0
+    for key in ref_sum:
+        got_sum, got_sum_sq = batch.vjp_moments(np.where(keep, cots[key], 0.0))
+        for got, ref, scale in ((got_sum, ref_sum[key], ref_abs[key]),
+                                (got_sum_sq, ref_sum_sq[key], ref_sum_sq[key])):
+            top = float(scale.max())
+            if top > 0.0:
+                worst = max(worst, float(np.abs(got - ref).max()) / top)
+    return sums, sums_sq, worst
 
 
 def gradient_check_model(sigma_n: float, alpha: float, q: int = 2) -> MeasurementModel:
@@ -446,8 +566,7 @@ def gradient_check_model(sigma_n: float, alpha: float, q: int = 2) -> Measuremen
 
 
 def check_gradient_equivalence(claim: str, est: Estimator, model: MeasurementModel,
-                               samples: int, seed: int,
-                               shard_size: int = 4096) -> OracleReport:
+                               samples: int, seed: int) -> OracleReport:
     """Monte Carlo test that the weighted surrogate loss has the oracle gradient.
 
     Averages, over fresh draws of ground truth, noises and masks, the
@@ -457,36 +576,28 @@ def check_gradient_equivalence(claim: str, est: Estimator, model: MeasurementMod
     standard errors of zero; the maximum standardized discrepancy is
     reported. Use a model with moderate inclusion probabilities (see
     ``gradient_check_model``) so every pattern is well sampled.
+
+    Draws are evaluated a shard at a time; in each shard one draw per
+    distinct (Omega, Lambda) pair is recomputed through the per-draw
+    training code, and the check fails if the batched gradients deviate
+    from it by more than ``CROSSCHECK_RTOL`` relative.
     """
     if claim not in (M.NOISIER2FULL, M.ROBUST_SSDU):
         raise ConfigError("gradient equivalence is claimed for the weighted methods")
-    if isinstance(est, AffinePerPattern):
-        for pattern, _ in enumerate_patterns(model, input_level(claim)):
-            est.ensure_pattern(pattern)
-    spec = TrainSpec(method=claim, alpha=model.noise.alpha, seed=seed)
+    _require_affine(est)
+    for pattern, _ in enumerate_patterns(model, input_level(claim)):
+        est.ensure_pattern(pattern)
     n_params = est.theta.shape[0]
     sums = {k: np.zeros(n_params) for k in ("surr", "oracle", "diff")}
     sums_sq = {k: np.zeros(n_params) for k in ("surr", "oracle", "diff")}
-    done = 0
-    shard = 0
-    while done < samples:
-        count = min(shard_size, samples - done)
-        rng = stream(seed, "gradeq", shard)
-        for _ in range(count):
-            y0 = gaussian_ground_truth(model, rng)
-            n = complex_gaussian(model.q, model.noise.sigma_n, rng)
-            omega = model.omega_dist.draw(rng)
-            lam = model.lambda_dist.draw(rng)
-            ntilde = complex_gaussian(model.q, model.noise.alpha * model.noise.sigma_n, rng)
-            y = apply_mask(omega, y0 + n)
-            item = TrainItem(y=y, omega=omega, y0=y0, noise=n, lam=lam, ntilde=ntilde)
-            _, g_surr = loss_and_grad(spec, est, item)
-            g_oracle = _oracle_gradient(claim, est, model, y0, y, omega, lam, ntilde)
-            for key, g in (("surr", g_surr), ("oracle", g_oracle), ("diff", g_surr - g_oracle)):
-                sums[key] += g
-                sums_sq[key] += g * g
-        done += count
-        shard += 1
+    crosscheck = 0.0
+    for rng, count in _shards(seed, "gradeq", samples):
+        shard_sums, shard_sums_sq, worst_rel = _gradient_moments(
+            claim, est, model, _draw_shard(model, rng, count))
+        crosscheck = max(crosscheck, worst_rel)
+        for key in sums:
+            sums[key] += shard_sums[key]
+            sums_sq[key] += shard_sums_sq[key]
 
     def moments(key):
         mean = sums[key] / samples
@@ -512,10 +623,11 @@ def check_gradient_equivalence(claim: str, est: Estimator, model: MeasurementMod
         vals = np.abs(mean[alive]) / se[alive]
         return float(vals.max()) if vals.size else 0.0
 
-    return OracleReport(
+    report = OracleReport(
         name=f"gradient_equivalence[{claim}]",
         estimate=worst, reference=0.0, tolerance=N_SIGMA,
-        standard_error=float(combined.max()) if n_params else 0.0, passed=ok,
+        standard_error=float(combined.max()) if n_params else 0.0,
+        passed=ok and crosscheck <= CROSSCHECK_RTOL,
         notes={"samples": samples, "components": int(n_params),
                "checked_components": int(np.count_nonzero(live)),
                "max_paired_standardized": float(paired.max()) if n_params else 0.0,
@@ -524,6 +636,11 @@ def check_gradient_equivalence(claim: str, est: Estimator, model: MeasurementMod
                "surrogate_mean_standardized": stream_std(mean_s, se_s),
                "oracle_mean_standardized": stream_std(mean_o, se_o)},
     )
+    if crosscheck > CROSSCHECK_RTOL:
+        report.notes["crosscheck_failure"] = (
+            f"batched gradients deviate from the per-draw training and oracle "
+            f"gradients by {crosscheck:.3e} relative (tolerance {CROSSCHECK_RTOL:g})")
+    return report
 
 
 # ---------------------------------------------------------------------------

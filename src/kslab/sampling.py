@@ -159,13 +159,16 @@ class MaskDistribution:
 
     def draw(self, rng: np.random.Generator) -> SamplingMask:
         """Draw one mask. Column-kind 2-D masks decide per column and broadcast."""
+        return _mask_unchecked(self.draw_members(rng, 1)[0], self.probs())
+
+    def draw_members(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """Membership rows of ``count`` independent masks, shape (count, q)."""
         site = self.site_probs()
-        picked = rng.random(site.shape[0]) < site
+        picked = rng.random((count, site.shape[0])) < site
         if self.kind == COLUMN_POLYNOMIAL and self.shape is not None:
             nx, ny = self.shape
-            member = np.broadcast_to(picked, (nx, ny)).ravel()
-            return _mask_unchecked(member, self.probs())
-        return _mask_unchecked(picked, site)
+            return np.broadcast_to(picked[:, None, :], (count, nx, ny)).reshape(count, self.q)
+        return picked
 
 
 @lru_cache(maxsize=64)

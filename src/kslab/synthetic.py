@@ -77,11 +77,18 @@ class MeasurementModel:
         return self.lambda_dist.probs()
 
 
-def gaussian_ground_truth(model: MeasurementModel, rng: np.random.Generator) -> np.ndarray:
-    """Sample the ground truth: zero-mean complex Gaussian with the prior covariance."""
+def gaussian_ground_truth(model: MeasurementModel, rng: np.random.Generator,
+                          count: int | None = None) -> np.ndarray:
+    """Sample the ground truth: zero-mean complex Gaussian with the prior covariance.
+
+    One length-q vector, or ``count`` independent draws as (count, q) rows.
+    """
     scale = 1.0 / np.sqrt(2.0)
-    white = scale * (rng.standard_normal(model.q) + 1j * rng.standard_normal(model.q))
-    return model._sqrt_factor @ white
+    shape = model.q if count is None else (count, model.q)
+    white = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    if count is None:
+        return model._sqrt_factor @ white
+    return white @ model._sqrt_factor.T
 
 
 def phantom_ground_truth(q: int, n_blocks: int, rng: np.random.Generator) -> np.ndarray:

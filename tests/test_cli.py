@@ -57,6 +57,14 @@ def test_config_bad_value_has_path():
         resolve_config({"model": {"preset": "fastmri"}})
 
 
+def test_config_compare_acceleration_below_one_names_key():
+    # Accelerations in [0, 1) would otherwise fail later inside the mask law
+    # with a message that does not name the config key.
+    with pytest.raises(ConfigError, match=r"compare.R_omega\[1\].*>= 1"):
+        resolve_config({"compare": {"R_omega": [2.0, 0.5]}})
+    assert resolve_config({"compare": {"R_omega": [1.0]}})["compare"]["R_omega"] == [1.0]
+
+
 def test_cli_exit_code_on_bad_config(tmp_path):
     path = write_cfg(tmp_path, {"train": {"epochs": 0}})
     assert main(["verify", "--config", path, "--out", str(tmp_path)]) == 2

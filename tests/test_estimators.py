@@ -106,6 +106,13 @@ def test_affine_fallback_warns_and_uses_nearest():
     with pytest.warns(PatternFallbackWarning):
         out = est.forward(y, probe)
     assert np.allclose(out, 2.0 * y)
+    # batched: the fallback row and the enrolled row share one block
+    with pytest.warns(PatternFallbackWarning):
+        batch = est.forward_batch(np.stack([y, y]), np.stack([probe.member, near.member]))
+    assert np.allclose(batch.out, 2.0 * np.stack([y, y]))
+    cot = np.stack([rand_vec(q, 7), rand_vec(q, 8)])
+    total, _ = batch.vjp_moments(cot)
+    assert np.allclose(total, est.vjp(y, probe, cot[0]) + est.vjp(y, near, cot[1]))
 
 
 def test_affine_no_patterns_raises():

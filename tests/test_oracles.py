@@ -7,7 +7,7 @@ import pytest
 
 from kslab import methods as M
 from kslab.errors import ConfigError, ValidationError
-from kslab.estimators import AffinePerPattern, closed_form_affine_fit
+from kslab.estimators import AffinePerPattern, TinyNet, closed_form_affine_fit
 from kslab.kspace import SamplingMask, apply_mask, full_mask
 from kslab.noise import NoiseSpec, complex_gaussian
 from kslab.oracles import (
@@ -34,8 +34,14 @@ from kslab.oracles import (
     posterior_error_trace,
     sample_patterns,
     two_point_noise_grid,
+    _draw_shard,
+    _gradient_moments,
+    _mse_errors,
     _oracle_gradient,
 )
+from kslab import training
+from kslab.inference import MODE_THEORY, correct_noisier2full, correct_robust_ssdu
+from kslab.kspace import mask_algebra
 from kslab.rng import stream
 from kslab.sampling import MaskDistribution, compute_P
 from kslab.synthetic import MeasurementModel, banded_prior_cov, model_preset
@@ -307,6 +313,146 @@ def test_corrected_mse_matches_analytic():
     mc, se = mc_corrected_mse(M.ROBUST_SSDU, est, model, 20_000, seed=3)
     analytic = analytic_posterior_mse(model, M.ROBUST_SSDU)
     assert abs(mc - analytic) <= 0.02 * analytic
+
+
+def _draw_masks(model, draws, i):
+    return (SamplingMask(draws.omega[i], model.omega_probs()),
+            SamplingMask(draws.lam[i], model.lambda_probs()))
+
+
+@pytest.mark.parametrize("method", [M.NOISIER2FULL, M.ROBUST_SSDU])
+def test_batched_mse_matches_per_draw_library_path(method):
+    """The vectorized corrected-MSE oracle equals, draw by draw, the
+    per-draw forward pass plus the library correction on the same draws."""
+    model = model_preset("banded", sigma_n=0.3, alpha=0.75)
+    est = AffinePerPattern(model.q)
+    for pattern, _ in enumerate_patterns(model, input_level(method)):
+        closed_form_affine_fit(model, method, pattern, into=est)
+    draws = _draw_shard(model, stream(17, "batch_vs_draw"), 200)
+    batched = _mse_errors(method, est, model, draws)
+    alpha = model.noise.alpha
+    ref = np.empty(200)
+    for i in range(200):
+        omega, lam = _draw_masks(model, draws, i)
+        if method == M.NOISIER2FULL:
+            y_in = draws.y[i] + apply_mask(omega, draws.ntilde[i])
+            est_y = correct_noisier2full(est.forward(y_in, omega), y_in, omega, alpha)
+        else:
+            inter = mask_algebra(omega, lam).intersect
+            y_in = apply_mask(inter, draws.y[i] + draws.ntilde[i])
+            est_y = correct_robust_ssdu(est.forward(y_in, inter), y_in, omega, lam,
+                                        alpha, MODE_THEORY)
+        ref[i] = np.sum(np.abs(est_y - draws.y0[i]) ** 2)
+    assert np.all(np.abs(batched - ref) <= 1e-12 * ref)
+
+
+@pytest.mark.parametrize("claim", [M.NOISIER2FULL, M.ROBUST_SSDU])
+def test_batched_gradients_match_per_draw_library_path(claim):
+    """The vectorized gradient sums equal the sums of the per-draw training
+    gradients (loss_and_grad) and oracle gradients on the same draws."""
+    model = gradient_check_model(0.5, 0.75)
+    est = AffinePerPattern(model.q)
+    for pattern, _ in enumerate_patterns(model, input_level(claim)):
+        est.ensure_pattern(pattern)
+    est.theta = stream(18, "th", claim).standard_normal(est.theta.shape[0]) * 0.4
+    draws = _draw_shard(model, stream(19, "batch_vs_draw"), 200)
+    sums, sums_sq, crosscheck = _gradient_moments(claim, est, model, draws)
+    assert crosscheck <= 1e-12
+
+    spec = TrainSpec(method=claim, alpha=model.noise.alpha)
+    ref = {k: np.zeros_like(est.theta) for k in ("surr", "oracle", "diff")}
+    ref_sq = {k: np.zeros_like(est.theta) for k in ("surr", "oracle", "diff")}
+    for i in range(200):
+        omega, lam = _draw_masks(model, draws, i)
+        item = TrainItem(y=draws.y[i], omega=omega, y0=draws.y0[i], noise=draws.noise[i],
+                         lam=lam, ntilde=draws.ntilde[i])
+        g_surr = loss_and_grad(spec, est, item)[1]
+        g_orac = _oracle_gradient(claim, est, model, draws.y0[i], draws.y[i], omega, lam,
+                                  draws.ntilde[i])
+        for key, g in (("surr", g_surr), ("oracle", g_orac), ("diff", g_surr - g_orac)):
+            ref[key] += g
+            ref_sq[key] += g * g
+    for key in ref:
+        for got, want in ((sums[key], ref[key]), (sums_sq[key], ref_sq[key])):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _weight_defect(name):
+    """Monkeypatch targets in the training module for one injected defect."""
+    compute_p = training.compute_P
+    weight = training.weight_robust_ssdu
+
+    def p_one(p, pt):
+        return np.ones_like(compute_p(p, pt))
+
+    def p_squared(p, pt):
+        return compute_p(p, pt) ** 2
+
+    def linear_intersect_weight(omega, lam, alpha, P):
+        w = weight(omega, lam, alpha, P)
+        w[omega.member & lam.member] = (1.0 + alpha) / alpha
+        return w
+
+    return {"P_to_one": ("compute_P", p_one),
+            "P_to_P_squared": ("compute_P", p_squared),
+            "intersect_weight_linear": ("weight_robust_ssdu", linear_intersect_weight)}[name]
+
+
+@pytest.mark.parametrize("defect", [None, "P_to_one", "P_to_P_squared",
+                                    "intersect_weight_linear"])
+def test_gradient_equivalence_catches_training_weight_defects(defect, monkeypatch):
+    """The check tests the training module's weighting: each injected
+    defect there fails it on statistics alone (the batched and per-draw
+    paths still agree), while the clean code passes. Settings are those of
+    the verify suite at seed 7."""
+    if defect is not None:
+        monkeypatch.setattr(training, *_weight_defect(defect))
+    model = gradient_check_model(0.5, 0.75)
+    est = AffinePerPattern(model.q)
+    for pattern, _ in enumerate_patterns(model, input_level(M.ROBUST_SSDU)):
+        est.ensure_pattern(pattern)
+    est.theta = stream(7, "gradeq_theta", M.ROBUST_SSDU).standard_normal(
+        est.theta.shape[0]) * 0.3
+    report = check_gradient_equivalence(M.ROBUST_SSDU, est, model, 20_000, seed=7)
+    assert "crosscheck_failure" not in report.notes
+    if defect is None:
+        assert report.passed is True
+    else:
+        assert report.passed is False
+        assert report.estimate > 3.0
+
+
+@pytest.mark.parametrize("claim", [M.NOISIER2FULL, M.ROBUST_SSDU])
+def test_gradient_crosscheck_catches_misgrouped_rows(claim, monkeypatch):
+    """A batch whose rows sit in the wrong pattern group (outputs still
+    right) fails the cross-check against the per-draw training code."""
+    forward_batch = AffinePerPattern.forward_batch
+
+    def swapped_groups(self, y_in, member):
+        batch = forward_batch(self, y_in, member)
+        (i0, rows0), (i1, rows1) = batch._groups[:2]
+        batch._groups[:2] = [(i1, rows0), (i0, rows1)]
+        return batch
+
+    monkeypatch.setattr(AffinePerPattern, "forward_batch", swapped_groups)
+    model = gradient_check_model(0.5, 0.75)
+    est = AffinePerPattern(model.q)
+    for pattern, _ in enumerate_patterns(model, input_level(claim)):
+        est.ensure_pattern(pattern)
+    est.theta = stream(7, "gradeq_theta", claim).standard_normal(est.theta.shape[0]) * 0.3
+    report = check_gradient_equivalence(claim, est, model, 4096, seed=7)
+    assert report.passed is False
+    assert "crosscheck_failure" in report.notes
+
+
+def test_monte_carlo_oracles_reject_unsupported_inputs():
+    model = gradient_check_model(0.5, 0.75)
+    with pytest.raises(ConfigError):
+        mc_corrected_mse(M.ROBUST_SSDU, TinyNet(model.q), model, 1000, seed=0)
+    with pytest.raises(ConfigError):
+        mc_corrected_mse(M.STANDARD_SSDU, AffinePerPattern(model.q), model, 1000, seed=0)
+    with pytest.raises(ConfigError):
+        check_gradient_equivalence(M.ROBUST_SSDU, TinyNet(model.q), model, 1000, seed=0)
 
 
 def test_posterior_error_trace_empty_pattern_is_prior_energy():

@@ -56,6 +56,27 @@ def test_column_kind_2d_broadcasts_columns():
     assert np.all(probs == probs[0])
 
 
+@pytest.mark.parametrize("dist", [
+    MaskDistribution("column_polynomial", 16, 2.0, 2),
+    MaskDistribution("column_polynomial", 24, 2.0, 2, shape=(4, 6)),
+    MaskDistribution("bernoulli2d_polynomial", 64, 3.0, 4, shape=(8, 8)),
+])
+def test_draw_members_rows_match_single_draws(dist):
+    """Batched membership rows keep the per-mask stream layout: the rows of
+    one batch are consecutive single draws (one uniform per site, compared
+    with the site probability, broadcast over rows in the column kind)."""
+    rows = dist.draw_members(stream(2, "rows"), 5)
+    assert rows.shape == (5, dist.q) and rows.dtype == bool
+    rng = stream(2, "rows")
+    for row in rows:
+        picked = rng.random(dist.site_probs().shape[0]) < dist.site_probs()
+        if dist.shape is not None and dist.kind == "column_polynomial":
+            picked = np.broadcast_to(picked, dist.shape).ravel()
+        assert np.array_equal(row, picked)
+    assert np.array_equal(dist.draw(stream(3, "one")).member,
+                          dist.draw_members(stream(3, "one"), 1)[0])
+
+
 def test_draw_mask_full_probs():
     mask = draw_mask(np.ones(8), stream(1, "d"))
     assert mask.indices == tuple(range(8))
