@@ -25,7 +25,7 @@ from .config import ALPHA_DEFAULTS, config_json, load_config
 from .errors import ConfigError, ValidationError
 from .estimators import AFFINE_PER_PATTERN, make_estimator, load_checkpoint
 from .inference import reconstruct
-from .kspace import magnitude_image
+from .kspace import kspace_to_json, magnitude_image
 from .metrics import mean_and_se, nmse, ssim
 from .oracles import run_oracle_suite
 from .rng import stream
@@ -121,7 +121,7 @@ def _train_cell(cfg, method, sigma, alpha, R_omega, master, tag):
     dataset = build_dataset(model, cfg["train"]["n_train"], seed, label="train")
     spec = _train_spec(cfg, method, alpha, seed)
     est = _build_estimator(cfg, model.q)
-    train(spec, est, dataset, model, validate_every=max(1, spec.epochs))
+    train(spec, est, dataset, model, validate_every=0)
     return model, est
 
 
@@ -256,6 +256,11 @@ def run_train(cfg: dict, out_dir: Path) -> Path:
 def run_reconstruct(cfg: dict, checkpoint_path: Path, out_dir: Path) -> Path:
     with open(checkpoint_path) as fh:
         checkpoint = json.load(fh)
+    trained = checkpoint["config"]["model"]
+    for key in ("preset", "q", "sigma_n"):
+        if trained[key] != cfg["model"][key]:
+            raise ConfigError(f"model.{key}: the checkpoint was trained with "
+                              f"{trained[key]!r}, this run has {cfg['model'][key]!r}")
     method = checkpoint["method"]
     est = load_checkpoint(checkpoint["estimator"])
     master = cfg["seed"]
@@ -272,7 +277,7 @@ def run_reconstruct(cfg: dict, checkpoint_path: Path, out_dir: Path) -> Path:
                      ssim(magnitude_image(rec, model.shape),
                           magnitude_image(item.y0, model.shape))])
         estimates.append({
-            "estimate": [[float(z.real), float(z.imag)] for z in rec],
+            "estimate": kspace_to_json(rec),
             "omega": item.omega.to_json(),
         })
     out = out_dir / "reconstructions.csv"

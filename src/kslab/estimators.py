@@ -18,6 +18,7 @@ calculus.
   reconstruction network on unsampled ones.
 """
 
+import base64
 import warnings
 from dataclasses import dataclass
 
@@ -33,6 +34,8 @@ AFFINE_PER_PATTERN = "affine_per_pattern"
 TINY_NET = "tiny_net"
 TOY_CASCADE = "toy_cascade"
 
+THETA_DTYPE = "<f8"
+
 
 class PatternFallbackWarning(UserWarning):
     """An affine estimator saw an unknown pattern and used the nearest one."""
@@ -45,6 +48,35 @@ def complex_to_real(z: np.ndarray) -> np.ndarray:
 def real_to_complex(x: np.ndarray) -> np.ndarray:
     q = x.shape[0] // 2
     return x[:q] + 1j * x[q:]
+
+
+def encode_theta(theta: np.ndarray) -> dict:
+    """Checkpoint form of a parameter vector: base64 of its little-endian float64 bytes."""
+    raw = np.ascontiguousarray(theta, dtype=THETA_DTYPE).tobytes()
+    return {"dtype": THETA_DTYPE, "base64": base64.b64encode(raw).decode("ascii")}
+
+
+def decode_theta(payload, n_params: int) -> np.ndarray:
+    """Inverse of ``encode_theta``; rejects malformed payloads and wrong lengths."""
+    if isinstance(payload, list):
+        raise ValidationError("checkpoint theta is a list of numbers, an older checkpoint "
+                              "format; re-run `kslab train` to write a current checkpoint")
+    if not isinstance(payload, dict):
+        raise ValidationError("checkpoint theta must be an object {dtype, base64}")
+    if payload.get("dtype") != THETA_DTYPE:
+        raise ValidationError(f"checkpoint theta dtype must be {THETA_DTYPE!r}, "
+                              f"got {payload.get('dtype')!r}")
+    try:
+        raw = base64.b64decode(payload.get("base64"), validate=True)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"checkpoint theta is not valid base64: {exc}") from None
+    if len(raw) % 8:
+        raise ValidationError(f"checkpoint theta has {len(raw)} bytes, not a multiple of 8")
+    if len(raw) // 8 != n_params:
+        raise ValidationError(f"checkpoint theta has {len(raw) // 8} parameters, "
+                              f"the estimator needs {n_params}")
+    # astype copies: the buffer is read-only and training updates theta in place
+    return np.frombuffer(raw, dtype=THETA_DTYPE).astype(np.float64)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -268,7 +300,7 @@ class AffinePerPattern(Estimator):
             "family": self.family,
             "q": self.q,
             "patterns": [sorted(int(j) for j in np.nonzero(m)[0]) for m in self._members],
-            "theta": self.theta.tolist(),
+            "theta": encode_theta(self.theta),
         }
 
     @staticmethod
@@ -278,10 +310,7 @@ class AffinePerPattern(Estimator):
             member = np.zeros(data["q"], dtype=bool)
             member[np.asarray(idx_list, dtype=int)] = True
             est.ensure_pattern(SamplingMask(member, np.ones(data["q"])))
-        theta = np.asarray(data["theta"], dtype=np.float64)
-        if theta.shape[0] != est.theta.shape[0]:
-            raise ValidationError("checkpoint theta length does not match patterns")
-        est.theta = theta
+        est.theta = decode_theta(data["theta"], est.theta.shape[0])
         return est
 
 
@@ -364,13 +393,15 @@ class TinyNet(Estimator):
             "hidden_layers": self.hidden_layers,
             "width_factor": self.width_factor,
             "seed": self.seed,
-            "theta": self.theta.tolist(),
+            "theta": encode_theta(self.theta),
         }
 
     @staticmethod
     def from_checkpoint(data: dict) -> "TinyNet":
-        return TinyNet(data["q"], data["hidden_layers"], data["width_factor"],
-                       data["seed"], np.asarray(data["theta"], dtype=np.float64))
+        est = TinyNet(data["q"], data["hidden_layers"], data["width_factor"],
+                      data["seed"], theta=np.zeros(0))
+        est.theta = decode_theta(data["theta"], est.mlp.n_params)
+        return est
 
 
 class ToyCascade(Estimator):
@@ -449,13 +480,14 @@ class ToyCascade(Estimator):
             "q": self.q,
             "cascades": self.cascades,
             "seed": self.seed,
-            "theta": self.theta.tolist(),
+            "theta": encode_theta(self.theta),
         }
 
     @staticmethod
     def from_checkpoint(data: dict) -> "ToyCascade":
-        return ToyCascade(data["q"], data["cascades"], data["seed"],
-                          np.asarray(data["theta"], dtype=np.float64))
+        est = ToyCascade(data["q"], data["cascades"], data["seed"], theta=np.zeros(0))
+        est.theta = decode_theta(data["theta"], est.cascades * est.block)
+        return est
 
 
 def make_estimator(family: str, q: int, **opts) -> Estimator:

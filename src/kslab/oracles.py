@@ -230,9 +230,22 @@ def _expected_coefficients(method: str, model: MeasurementModel,
     raise ConfigError(f"no proven population target for {method!r}")
 
 
+def fit_all_patterns(model: MeasurementModel, method: str) -> AffinePerPattern:
+    """Closed-form fit of the method's loss at every enumerated input pattern."""
+    est = AffinePerPattern(model.q)
+    for pattern, _ in enumerate_patterns(model, input_level(method)):
+        closed_form_affine_fit(model, method, pattern, into=est)
+    return est
+
+
 def check_population_minimizer(method: str, model: MeasurementModel,
-                               tol: float = 1e-8) -> OracleReport:
-    """Closed-form loss minimizer vs the method's proven conditional-mean target."""
+                               tol: float = 1e-8,
+                               fit: AffinePerPattern | None = None) -> OracleReport:
+    """Closed-form loss minimizer vs the method's proven conditional-mean target.
+
+    ``fit`` is the method's ``fit_all_patterns`` result; it is computed when
+    not given.
+    """
     if method == M.NOISE2RECON_SS:
         return OracleReport(
             name=f"population_minimizer[{method}]",
@@ -240,13 +253,13 @@ def check_population_minimizer(method: str, model: MeasurementModel,
             notes={"descriptive": "no population-minimizer proof; the method "
                                   "applies no inference correction"},
         )
-    level = input_level(method)
-    patterns = enumerate_patterns(model, level)
+    if fit is None:
+        fit = fit_all_patterns(model, method)
+    patterns = enumerate_patterns(model, input_level(method))
     worst = 0.0
     n_unconstrained = 0
     for pattern, _ in patterns:
-        est = closed_form_affine_fit(model, method, pattern)
-        a_fit, _b = est.get_block(pattern)
+        a_fit, _b = fit.get_block(pattern)
         expected, compare = _expected_coefficients(method, model, pattern)
         n_unconstrained += int(np.count_nonzero(~compare))
         diff = np.abs(a_fit[compare] - expected[compare])
@@ -275,16 +288,21 @@ def corrected_coefficients(a_fit: np.ndarray, pattern: SamplingMask,
 
 
 def check_correction_identity(method: str, model: MeasurementModel,
-                              tol: float = 1e-8) -> OracleReport:
-    """Fitted map composed with the correction vs the clean conditional mean."""
+                              tol: float = 1e-8,
+                              fit: AffinePerPattern | None = None) -> OracleReport:
+    """Fitted map composed with the correction vs the clean conditional mean.
+
+    ``fit`` is as in ``check_population_minimizer``.
+    """
     if method not in (M.NOISIER2FULL, M.ROBUST_SSDU):
         raise ConfigError("correction identity applies to the corrected methods")
     alpha = model.noise.alpha
+    if fit is None:
+        fit = fit_all_patterns(model, method)
     patterns = enumerate_patterns(model, input_level(method))
     worst = 0.0
     for pattern, _ in patterns:
-        est = closed_form_affine_fit(model, method, pattern)
-        a_fit, _ = est.get_block(pattern)
+        a_fit, _ = fit.get_block(pattern)
         corrected = corrected_coefficients(a_fit, pattern, alpha)
         target = gaussian_conditional_mean(model, pattern, TARGET_Y0, COND_ON_YTILDE)
         worst = max(worst, float(np.abs(corrected - target).max()))
@@ -801,14 +819,13 @@ def run_oracle_suite(model: MeasurementModel, seed: int = 0,
     """All oracle checks on one model; descriptive reports carry passed=None."""
     reports = [check_appendix_identity(100, seed)]
     reports.append(check_correction_algebra(model))
+    fits = {method: fit_all_patterns(model, method)
+            for method in (M.NOISIER2FULL, M.ROBUST_SSDU)}
     for method in M.ALL_METHODS:
-        reports.append(check_population_minimizer(method, model))
-    for method in (M.NOISIER2FULL, M.ROBUST_SSDU):
-        reports.append(check_correction_identity(method, model))
-        est = AffinePerPattern(model.q)
-        for pattern, _ in enumerate_patterns(model, input_level(method)):
-            closed_form_affine_fit(model, method, pattern, into=est)
-        mc_mean, mc_se = mc_corrected_mse(method, est, model, mse_samples, seed)
+        reports.append(check_population_minimizer(method, model, fit=fits.get(method)))
+    for method, fit in fits.items():
+        reports.append(check_correction_identity(method, model, fit=fit))
+        mc_mean, mc_se = mc_corrected_mse(method, fit, model, mse_samples, seed)
         analytic = analytic_posterior_mse(model, method)
         rel = abs(mc_mean - analytic) / analytic if analytic > 0 else 0.0
         reports.append(OracleReport(

@@ -245,7 +245,11 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> np.ndar
     """One bias-corrected Adam update; params are updated in place and returned.
 
     Moment vectors are zero-padded if the parameter vector has grown since
-    the previous step (lazy pattern enrollment).
+    the previous step (lazy pattern enrollment). The moments and params are
+    updated in place through two scratch vectors, in the operation order of
+    ``m = b1 m + (1 - b1) g``, ``v = b2 v + ((1 - b2) g) g`` and
+    ``params -= (lr m_hat) / (sqrt(v_hat) + eps)``, so the result is the same
+    to the bit as that out-of-place formula.
     """
     n = params.shape[0]
     if grad.shape[0] != n:
@@ -255,11 +259,21 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> np.ndar
         state.m = np.concatenate([state.m, np.zeros(pad)])
         state.v = np.concatenate([state.v, np.zeros(pad)])
     state.t += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    m_hat = state.m / (1.0 - state.beta1 ** state.t)
-    v_hat = state.v / (1.0 - state.beta2 ** state.t)
-    params -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    m, v = state.m, state.v
+    s1 = np.multiply(grad, 1.0 - state.beta1)
+    m *= state.beta1
+    m += s1
+    np.multiply(grad, 1.0 - state.beta2, out=s1)
+    s1 *= grad
+    v *= state.beta2
+    v += s1
+    s2 = np.divide(v, 1.0 - state.beta2 ** state.t)
+    np.sqrt(s2, out=s2)
+    s2 += state.eps
+    np.divide(m, 1.0 - state.beta1 ** state.t, out=s1)
+    s1 *= state.lr
+    s1 /= s2
+    params -= s1
     return params
 
 
@@ -273,7 +287,7 @@ def train(spec: TrainSpec, est: Estimator, dataset: list[TrainItem],
     is taken per batch (per-item losses are summed within a batch). The
     history records the mean per-item train loss and, when ground truth is
     available, the validation NMSE of the practical-mode reconstruction
-    every ``validate_every`` epochs.
+    every ``validate_every`` epochs (never when it is 0).
 
     Everything is a deterministic function of the seed.
     """
@@ -282,6 +296,8 @@ def train(spec: TrainSpec, est: Estimator, dataset: list[TrainItem],
 
     if not dataset:
         raise ConfigError("dataset must be nonempty")
+    if validate_every < 0:
+        raise ConfigError("validate_every must be >= 0")
     seed = spec.seed if master_seed is None else master_seed
     history = []
     state = AdamState.from_spec(spec)
@@ -310,7 +326,7 @@ def train(spec: TrainSpec, est: Estimator, dataset: list[TrainItem],
                     grad = grad + g
             adam_step(state, est.theta, grad)
         row = {"epoch": epoch, "train_loss": total / n}
-        if has_truth and epoch % validate_every == 0:
+        if has_truth and validate_every and epoch % validate_every == 0:
             val = 0.0
             for i, item in enumerate(dataset):
                 est_y = reconstruct(spec.method, est, item.y, item.omega, model.noise,

@@ -1,5 +1,6 @@
 """Configuration validation and the command-line pipelines."""
 
+import base64
 import json
 
 import numpy as np
@@ -146,6 +147,58 @@ def test_train_then_reconstruct_roundtrip(tmp_path):
     assert len(recon["items"]) == 3
     first = recon["items"][0]["estimate"]
     assert len(first) == 8 and len(first[0]) == 2
+
+
+CKPT_CFG = {
+    "model": {"preset": "banded", "sigma_n": 0.2, "alpha": 1.0},
+    "estimator": {"family": "tiny_net", "width_factor": 1},
+    "train": {"method": M.ROBUST_SSDU, "epochs": 1, "n_train": 2},
+    "eval": {"n_test": 2},
+    "seed": 6,
+}
+
+
+@pytest.fixture(scope="module")
+def trained_checkpoint(tmp_path_factory):
+    out = tmp_path_factory.mktemp("ckpt")
+    assert main(["train", "--config", write_cfg(out, CKPT_CFG), "--out", str(out)]) == 0
+    return json.loads((out / "checkpoint.json").read_text())
+
+
+def _theta_b64(n_bytes):
+    return base64.b64encode(bytes(n_bytes)).decode("ascii")
+
+
+@pytest.mark.parametrize("theta,message", [
+    ({"dtype": ">f8", "base64": _theta_b64(16)}, "dtype"),
+    ({"dtype": "<f8", "base64": _theta_b64(16)[:4] + "\n" + _theta_b64(16)[4:]},
+     "base64"),
+    ({"dtype": "<f8", "base64": _theta_b64(12)}, "multiple of 8"),
+    ([0.0, 1.0], "re-run `kslab train`"),
+])
+def test_reconstruct_rejects_malformed_theta(tmp_path, capsys, trained_checkpoint,
+                                             theta, message):
+    checkpoint = json.loads(json.dumps(trained_checkpoint))
+    checkpoint["estimator"]["theta"] = theta
+    ckpt = tmp_path / "checkpoint.json"
+    ckpt.write_text(json.dumps(checkpoint))
+    code = main(["reconstruct", "--config", write_cfg(tmp_path, CKPT_CFG),
+                 "--checkpoint", str(ckpt), "--out", str(tmp_path)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_reconstruct_rejects_checkpoint_from_another_model(tmp_path, capsys,
+                                                           trained_checkpoint):
+    ckpt = tmp_path / "checkpoint.json"
+    ckpt.write_text(json.dumps(trained_checkpoint))
+    cfg = json.loads(json.dumps(CKPT_CFG))
+    cfg["model"]["sigma_n"] = 0.3
+    code = main(["reconstruct", "--config", write_cfg(tmp_path, cfg),
+                 "--checkpoint", str(ckpt), "--out", str(tmp_path)])
+    assert code == 2
+    assert "model.sigma_n" in capsys.readouterr().err
+    assert not (tmp_path / "reconstructions.csv").exists()
 
 
 def test_cli_seed_and_mode_overrides(tmp_path):

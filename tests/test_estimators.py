@@ -1,5 +1,7 @@
 """Estimator families: forward semantics, exact gradients, rank checks, fits."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from kslab.estimators import (
     TinyNet,
     ToyCascade,
     closed_form_affine_fit,
+    decode_theta,
+    encode_theta,
     jacobian_rank_check,
     load_checkpoint,
     make_estimator,
@@ -252,7 +256,29 @@ def test_checkpoint_round_trip(family, opts):
     est.ensure_pattern(m)
     if est.theta.shape[0]:
         est.theta = est.theta + 0.1 * stream(12, "t").standard_normal(est.theta.shape[0])
-    back = load_checkpoint(est.to_checkpoint())
+    back = load_checkpoint(json.loads(json.dumps(est.to_checkpoint())))
+    assert np.array_equal(back.theta, est.theta)
     y = rand_vec(q, 13)
-    assert np.allclose(back.forward(y, m), est.forward(y, m))
+    assert np.array_equal(back.forward(y, m), est.forward(y, m))
     assert back.family == est.family
+    back.theta += 1.0  # the loaded vector is writable (training updates it in place)
+
+
+@pytest.mark.parametrize("family,opts", [
+    ("affine_per_pattern", {}),
+    ("tiny_net", {"hidden_layers": 1, "width_factor": 2, "seed": 2}),
+    ("toy_cascade", {"cascades": 2, "seed": 3}),
+])
+def test_checkpoint_rejects_wrong_theta_length(family, opts):
+    est = make_estimator(family, 3, **opts)
+    est.ensure_pattern(make_mask(3, [0, 2]))
+    data = est.to_checkpoint()
+    data["theta"] = encode_theta(est.theta[:-1])
+    with pytest.raises(ValidationError, match="parameters"):
+        load_checkpoint(data)
+
+
+def test_encode_theta_is_bit_exact():
+    theta = np.array([0.1, -0.0, 1e-310, np.pi, -2.5e300, np.nextafter(1.0, 2.0)])
+    back = decode_theta(json.loads(json.dumps(encode_theta(theta))), theta.size)
+    assert back.tobytes() == theta.tobytes()

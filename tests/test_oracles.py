@@ -114,6 +114,29 @@ def test_correction_identity(method, preset):
     assert report.estimate <= 1e-8
 
 
+def test_oracle_suite_fits_each_pattern_once(monkeypatch):
+    import kslab.oracles as oracles_mod
+
+    model = model_preset("banded", sigma_n=0.3, alpha=0.75)
+    fitted = []
+    orig = oracles_mod.closed_form_affine_fit
+
+    def counting_fit(model, method, pattern, into=None):
+        fitted.append((method, pattern.key()))
+        return orig(model, method, pattern, into=into)
+
+    monkeypatch.setattr(oracles_mod, "closed_form_affine_fit", counting_fit)
+    reports = oracles_mod.run_oracle_suite(model, seed=1, gradient_samples=200,
+                                           slope_samples=2000, mse_samples=200)
+    assert len(fitted) == len(set(fitted))
+    expected = sum(len(enumerate_patterns(model, input_level(method)))
+                   for method in M.ALL_METHODS if method != M.NOISE2RECON_SS)
+    assert len(fitted) == expected
+    names = [r.name for r in reports]
+    assert f"correction_identity[{M.ROBUST_SSDU}]" in names
+    assert f"corrected_mse[{M.NOISIER2FULL}]" in names
+
+
 def test_correction_algebra_exact():
     model = model_preset("banded", sigma_n=0.5, alpha=1.25)
     report = check_correction_algebra(model)

@@ -200,6 +200,52 @@ def test_adam_state_grows_with_params():
     assert state.m.shape == (5,)
 
 
+def test_adam_step_matches_out_of_place_formula_bitwise():
+    """The in-place step reproduces the out-of-place update to the bit."""
+
+    def reference(state, params, grad):
+        n = params.shape[0]
+        if state["m"].shape[0] < n:
+            pad = np.zeros(n - state["m"].shape[0])
+            state["m"] = np.concatenate([state["m"], pad])
+            state["v"] = np.concatenate([state["v"], pad])
+        state["t"] += 1
+        b1, b2 = 0.9, 0.999
+        state["m"] = b1 * state["m"] + (1.0 - b1) * grad
+        state["v"] = b2 * state["v"] + (1.0 - b2) * grad * grad
+        m_hat = state["m"] / (1.0 - b1 ** state["t"])
+        v_hat = state["v"] / (1.0 - b2 ** state["t"])
+        return params - 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
+
+    state = AdamState(lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
+    ref_state = {"m": np.zeros(0), "v": np.zeros(0), "t": 0}
+    params = stream(7, "p").standard_normal(6)
+    ref = params.copy()
+    for step in range(8):
+        if step == 3:  # lazy pattern enrollment grows the parameter vector
+            params = np.concatenate([params, np.zeros(4)])
+            ref = np.concatenate([ref, np.zeros(4)])
+        grad = stream(7, "g", step).standard_normal(params.shape[0]) * 10.0 ** (step - 4)
+        out = adam_step(state, params, grad)
+        ref = reference(ref_state, ref, grad)
+        assert out is params
+        assert params.tobytes() == ref.tobytes()
+        assert state.m.tobytes() == ref_state["m"].tobytes()
+        assert state.v.tobytes() == ref_state["v"].tobytes()
+
+
+def test_train_validate_every_zero_skips_validation():
+    model = model_preset("scalar", sigma_n=0.1, alpha=1.0)
+    spec = TrainSpec(method=M.FULLY_SUPERVISED, epochs=2, lr=1e-3, seed=0)
+    _, hist = train(spec, AffinePerPattern(model.q), build_dataset(model, 3, seed=0),
+                    model, validate_every=0)
+    assert len(hist) == 2
+    assert all("val_nmse" not in row for row in hist)
+    with pytest.raises(ConfigError, match="validate_every"):
+        train(spec, AffinePerPattern(model.q), build_dataset(model, 3, seed=0),
+              model, validate_every=-1)
+
+
 def test_train_rejects_zero_epochs():
     with pytest.raises(ConfigError):
         TrainSpec(method=M.FULLY_SUPERVISED, epochs=0)
