@@ -22,7 +22,7 @@ from .kspace import (
     magnitude_image,
     mask_algebra,
 )
-from .noise import NoiseSpec, add_complex_noise, corrupt_noisier2full, corrupt_robust_ssdu, whiten
+from .noise import NoiseSpec, add_complex_noise, whiten
 from .sampling import MaskDistribution, build_density, compute_P, compute_k, draw_mask
 from .synthetic import MeasurementModel, gaussian_ground_truth, model_preset, phantom_ground_truth
 from .estimators import (
@@ -48,8 +48,7 @@ from .training import (
 from .inference import (
     MODE_PRACTICAL,
     MODE_THEORY,
-    correct_noisier2full,
-    correct_robust_ssdu,
+    correct,
     reconstruct,
 )
 from .metrics import nmse, ssim

@@ -87,12 +87,10 @@ def _build_estimator(cfg: dict, q: int):
 
 def _train_spec(cfg: dict, method: str, alpha: float, seed: int) -> TrainSpec:
     t = cfg["train"]
-    model_cfg = cfg["model"]
     return TrainSpec(
         method=method, epochs=t["epochs"], lr=t["lr"], beta1=t["beta1"],
         beta2=t["beta2"], eps=t["eps"], batch_size=t["batch_size"], seed=seed,
         lambda_n2r=t["lambda_n2r"], alpha=alpha,
-        R_omega=model_cfg["R_omega"] or 0.0, R_lambda=model_cfg["R_lambda"] or 0.0,
     )
 
 
@@ -253,9 +251,23 @@ def run_train(cfg: dict, out_dir: Path) -> Path:
     return out
 
 
+def _read_checkpoint(path: Path) -> dict:
+    """A checkpoint written by ``run_train``; ConfigError naming the file otherwise."""
+    try:
+        with open(path) as fh:
+            checkpoint = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"checkpoint {path}: cannot be read as JSON ({exc})") from None
+    missing = [key for key in ("config", "method", "alpha", "estimator")
+               if not isinstance(checkpoint, dict) or key not in checkpoint]
+    if missing:
+        raise ConfigError(f"checkpoint {path}: missing {', '.join(missing)}; "
+                          f"re-run `kslab train` to write a complete checkpoint")
+    return checkpoint
+
+
 def run_reconstruct(cfg: dict, checkpoint_path: Path, out_dir: Path) -> Path:
-    with open(checkpoint_path) as fh:
-        checkpoint = json.load(fh)
+    checkpoint = _read_checkpoint(checkpoint_path)
     trained = checkpoint["config"]["model"]
     for key in ("preset", "q", "sigma_n"):
         if trained[key] != cfg["model"][key]:

@@ -1,11 +1,11 @@
 """Estimator families with exact reverse-mode gradients.
 
-Three families share one interface: ``forward(y_in, m_in)`` maps a length-q
-complex input to a length-q complex output, and ``vjp(y_in, m_in, cot)``
-returns the gradient of ``Re <cot, forward(y_in, m_in)>`` with respect to
-the flat real parameter vector ``theta``. Complex parameters are stored as
-real/imaginary pairs, so all losses and gradients live in ordinary real
-calculus.
+Three families share one interface: ``forward_vjp(y_in, m_in)`` maps a
+length-q complex input to a length-q complex output ``out`` and returns it
+with a pullback: ``pullback(cot)`` is the gradient of ``Re <cot, out>`` with
+respect to the flat real parameter vector ``theta``. ``forward`` and ``vjp``
+are built on it. Complex parameters are stored as real/imaginary pairs, so
+all losses and gradients live in ordinary real calculus.
 
 * affine_per_pattern - one affine map per input support pattern, enrolled
   lazily during training. Quadratic losses then have closed-form population
@@ -97,7 +97,12 @@ class Mlp:
 
     def __init__(self, sizes):
         self.sizes = tuple(int(s) for s in sizes)
-        self.n_params = sum(o * i + o for i, o in zip(self.sizes[:-1], self.sizes[1:]))
+        self.offsets = []  # start of each layer's W in the segment
+        off = 0
+        for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):
+            self.offsets.append(off)
+            off += fan_out * fan_in + fan_out
+        self.n_params = off
 
     def init(self, rng: np.random.Generator) -> np.ndarray:
         theta = np.zeros(self.n_params)
@@ -109,13 +114,10 @@ class Mlp:
         return theta
 
     def _layers(self, theta: np.ndarray):
-        off = 0
-        for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):
+        for off, fan_in, fan_out in zip(self.offsets, self.sizes[:-1], self.sizes[1:]):
             n_w = fan_out * fan_in
             w = theta[off:off + n_w].reshape(fan_out, fan_in)
-            b = theta[off + n_w:off + n_w + fan_out]
-            off += n_w + fan_out
-            yield w, b
+            yield w, theta[off + n_w:off + n_w + fan_out]
 
     def forward(self, theta: np.ndarray, x: np.ndarray):
         layers = list(self._layers(theta))
@@ -135,17 +137,12 @@ class Mlp:
         hs, zs = cache
         layers = list(self._layers(theta))
         grad = np.zeros(self.n_params)
-        offsets = []
-        off = 0
-        for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):
-            offsets.append(off)
-            off += fan_out * fan_in + fan_out
         g = gy
         for k in range(len(layers) - 1, -1, -1):
             w, _ = layers[k]
             if k < len(layers) - 1:
                 g = g * _sigmoid(zs[k])
-            o = offsets[k]
+            o = self.offsets[k]
             n_w = w.size
             grad[o:o + n_w] = np.outer(g, hs[k]).ravel()
             grad[o + n_w:o + n_w + w.shape[0]] = g
@@ -162,11 +159,15 @@ class Estimator:
         self.q = int(q)
         self.theta = np.asarray(theta, dtype=np.float64)
 
-    def forward(self, y_in, m_in: SamplingMask) -> np.ndarray:
+    def forward_vjp(self, y_in, m_in: SamplingMask):
+        """Output on (y_in, m_in) and its pullback: cot -> d Re<cot, out> / d theta."""
         raise NotImplementedError
 
+    def forward(self, y_in, m_in: SamplingMask) -> np.ndarray:
+        return self.forward_vjp(y_in, m_in)[0]
+
     def vjp(self, y_in, m_in: SamplingMask, cotangent) -> np.ndarray:
-        raise NotImplementedError
+        return self.forward_vjp(y_in, m_in)[1](cotangent)
 
     def ensure_pattern(self, m_in: SamplingMask) -> None:
         """Hook for families that key parameters on the input pattern."""
@@ -240,28 +241,23 @@ class AffinePerPattern(Estimator):
             raise ValidationError("pattern not enrolled")
         return self._block(idx)
 
-    def forward_info(self, y_in, m_in: SamplingMask):
+    def forward_vjp(self, y_in, m_in: SamplingMask):
         arr = self._check_input(y_in, m_in)
         idx, fallback = self._resolve(m_in)
-        a, b = self._block(idx)
-        return a @ arr + b, fallback
-
-    def forward(self, y_in, m_in: SamplingMask) -> np.ndarray:
-        out, fallback = self.forward_info(y_in, m_in)
         if fallback:
             warnings.warn(
                 "input pattern not enrolled; using nearest enrolled pattern",
-                PatternFallbackWarning, stacklevel=2,
+                PatternFallbackWarning, stacklevel=3,
             )
-        return out
+        a, b = self._block(idx)
 
-    def vjp(self, y_in, m_in: SamplingMask, cotangent) -> np.ndarray:
-        arr = self._check_input(y_in, m_in)
-        cot = as_kspace(cotangent, self.q)
-        idx, _ = self._resolve(m_in)
-        grad = np.zeros_like(self.theta)
-        grad[idx * self.block_size:(idx + 1) * self.block_size] = _block_grads(cot, arr)
-        return grad
+        def pullback(cotangent) -> np.ndarray:
+            grad = np.zeros_like(self.theta)
+            grad[idx * self.block_size:(idx + 1) * self.block_size] = _block_grads(
+                as_kspace(cotangent, self.q), arr)
+            return grad
+
+        return a @ arr + b, pullback
 
     def forward_batch(self, y_in, member) -> "AffineBatch":
         """Apply the maps to stacked inputs y_in (n, q) with input patterns member (n, q).
@@ -374,17 +370,16 @@ class TinyNet(Estimator):
             theta = self.mlp.init(stream(self.seed, "tiny_net_init"))
         super().__init__(q, theta)
 
-    def forward(self, y_in, m_in: SamplingMask) -> np.ndarray:
+    def forward_vjp(self, y_in, m_in: SamplingMask):
         arr = self._check_input(y_in, m_in)
-        out, _ = self.mlp.forward(self.theta, complex_to_real(arr))
-        return real_to_complex(out)
+        theta = self.theta
+        out, cache = self.mlp.forward(theta, complex_to_real(arr))
 
-    def vjp(self, y_in, m_in: SamplingMask, cotangent) -> np.ndarray:
-        arr = self._check_input(y_in, m_in)
-        cot = as_kspace(cotangent, self.q)
-        _, cache = self.mlp.forward(self.theta, complex_to_real(arr))
-        grad, _ = self.mlp.backward(self.theta, cache, complex_to_real(cot))
-        return grad
+        def pullback(cotangent) -> np.ndarray:
+            cot = as_kspace(cotangent, self.q)
+            return self.mlp.backward(theta, cache, complex_to_real(cot))[0]
+
+        return real_to_complex(out), pullback
 
     def to_checkpoint(self) -> dict:
         return {
@@ -450,29 +445,27 @@ class ToyCascade(Estimator):
             caches.append((d_cache, r_cache))
         return states, caches, mvec
 
-    def forward(self, y_in, m_in: SamplingMask) -> np.ndarray:
+    def forward_vjp(self, y_in, m_in: SamplingMask):
         arr = self._check_input(y_in, m_in)
-        states, _, _ = self._run(arr, m_in)
-        return real_to_complex(states[-1])
-
-    def vjp(self, y_in, m_in: SamplingMask, cotangent) -> np.ndarray:
-        arr = self._check_input(y_in, m_in)
-        cot = as_kspace(cotangent, self.q)
+        theta = self.theta
         states, caches, mvec = self._run(arr, m_in)
-        x = states[0]
-        grad = np.zeros_like(self.theta)
-        a = complex_to_real(cot)
-        for k in range(self.cascades - 1, -1, -1):
-            i_eta, (d0, d1), (r0, r1) = self._segments(k)
-            s_k = states[k]
-            d_cache, r_cache = caches[k]
-            grad[i_eta] = -np.dot(a, mvec * (s_k - x))
-            g_d, ax_d = self.net.backward(self.theta[d0:d1], d_cache, mvec * a)
-            g_r, ax_r = self.net.backward(self.theta[r0:r1], r_cache, (1.0 - mvec) * a)
-            grad[d0:d1] = g_d
-            grad[r0:r1] = g_r
-            a = a * (1.0 - self.theta[i_eta] * mvec) + ax_d + ax_r
-        return grad
+
+        def pullback(cotangent) -> np.ndarray:
+            x = states[0]
+            grad = np.zeros_like(theta)
+            a = complex_to_real(as_kspace(cotangent, self.q))
+            for k in range(self.cascades - 1, -1, -1):
+                i_eta, (d0, d1), (r0, r1) = self._segments(k)
+                d_cache, r_cache = caches[k]
+                grad[i_eta] = -np.dot(a, mvec * (states[k] - x))
+                g_d, ax_d = self.net.backward(theta[d0:d1], d_cache, mvec * a)
+                g_r, ax_r = self.net.backward(theta[r0:r1], r_cache, (1.0 - mvec) * a)
+                grad[d0:d1] = g_d
+                grad[r0:r1] = g_r
+                a = a * (1.0 - theta[i_eta] * mvec) + ax_d + ax_r
+            return grad
+
+        return real_to_complex(states[-1]), pullback
 
     def to_checkpoint(self) -> dict:
         return {

@@ -1,4 +1,4 @@
-"""Alpha-based correction operators and the assembled reconstruction entry point.
+"""The alpha-based correction and the assembled reconstruction entry point.
 
 Two modes:
 
@@ -15,82 +15,62 @@ import numpy as np
 from . import methods as M
 from .errors import ConfigError, ValidationError
 from .estimators import Estimator
-from .kspace import SamplingMask, as_kspace, mask_algebra
-from .noise import corrupt_noisier2full, corrupt_robust_ssdu
+from .kspace import SamplingMask, as_kspace
+from .noise import complex_gaussian
 
 MODE_THEORY = "theory"
 MODE_PRACTICAL = "practical"
 MODES = (MODE_THEORY, MODE_PRACTICAL)
 
 
-def _corrected(f_out: np.ndarray, input_used: np.ndarray, member: np.ndarray,
-               alpha: float) -> np.ndarray:
-    """((1 + a^2) f - input) / a^2 on the given set, f elsewhere (bit-for-bit)."""
+def correct(f_out, input_used, member, alpha: float) -> np.ndarray:
+    """((1 + a^2) f - input) / a^2 on the set ``member``, f elsewhere (bit-for-bit).
+
+    Row by row: one output (q,) or a stack (n, q) with matching inputs and sets.
+    """
+    if alpha == 0.0:
+        raise ValidationError("alpha must be nonzero for the correction")
     out = f_out.copy()
     out[member] = ((1.0 + alpha ** 2) * f_out[member] - input_used[member]) / alpha ** 2
     return out
 
 
-def correct_noisier2full(f_out, input_used, omega: SamplingMask, alpha: float) -> np.ndarray:
-    """Additive correction on the sampled set Omega."""
-    if alpha == 0.0:
-        raise ValidationError("alpha must be nonzero for the correction")
-    f = as_kspace(f_out, omega.q)
-    y_in = as_kspace(input_used, omega.q)
-    return _corrected(f, y_in, omega.member, alpha)
-
-
-def correct_robust_ssdu(f_out, input_used, omega: SamplingMask, lam: SamplingMask | None,
-                        alpha: float, mode: str = MODE_PRACTICAL) -> np.ndarray:
-    """Correction on Lambda ∩ Omega (theory mode) or on Omega (practical mode)."""
-    if alpha == 0.0:
-        raise ValidationError("alpha must be nonzero for the correction")
-    if mode not in MODES:
-        raise ConfigError(f"unknown mode {mode!r}")
-    f = as_kspace(f_out, omega.q)
-    y_in = as_kspace(input_used, omega.q)
-    if mode == MODE_THEORY:
-        if lam is None:
-            raise ValidationError("theory mode requires the second-level mask")
-        member = mask_algebra(omega, lam).intersect.member
-    else:
-        member = omega.member
-    return _corrected(f, y_in, member, alpha)
+def _require_supported(y: np.ndarray, omega: SamplingMask) -> None:
+    off = ~omega.member
+    if np.any(y[off] != 0.0):
+        j = int(np.nonzero(off & (y != 0.0))[0][0])
+        raise ValidationError(f"measurements nonzero off the sampling set (index {j})")
 
 
 def reconstruct(method: str, est: Estimator, y, omega: SamplingMask, noise_spec,
                 lambda_dist=None, mode: str = MODE_PRACTICAL,
                 rng: np.random.Generator | None = None) -> np.ndarray:
-    """Method-dispatched estimate of the ground truth from measured data.
+    """Estimate of the ground truth from measured data, as the method's row prescribes.
 
-    Theory mode draws a fresh second-level mask and further noise for the
-    input (requires lambda_dist and rng); practical mode ignores them.
+    Methods whose training input carries the further noise are corrected.
+    Theory mode feeds such a method a fresh input of its training kind: a
+    second-level mask drawn from lambda_dist (Lambda ∩ Omega inputs only),
+    then further noise, both from rng; practical mode feeds the data itself
+    and corrects on Omega.
     """
-    if method not in M.ALL_METHODS:
-        raise ConfigError(f"unknown method {method!r}")
+    row = M.row(method)
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}")
     arr = as_kspace(y, omega.q)
-
-    if method not in M.CORRECTED_METHODS:
+    if not row.input.further_noise:
         return est.forward(arr, omega)
-
     alpha = noise_spec.alpha
     if mode == MODE_PRACTICAL:
-        f = est.forward(arr, omega)
-        return correct_noisier2full(f, arr, omega, alpha)
+        return correct(est.forward(arr, omega), arr, omega.member, alpha)
 
     if rng is None:
         raise ConfigError("theory mode requires an rng for the fresh corruption draws")
-    if method in (M.NOISIER2FULL, M.NOISIER2FULL_UNWEIGHTED):
-        y_tilde = corrupt_noisier2full(arr, omega, noise_spec, rng)
-        f = est.forward(y_tilde, omega)
-        return correct_noisier2full(f, y_tilde, omega, alpha)
-    # robust_ssdu rows
-    if lambda_dist is None:
-        raise ConfigError("theory mode for robust ssdu requires lambda_dist")
-    lam = lambda_dist.draw(rng)
-    y_tilde = corrupt_robust_ssdu(arr, omega, lam, noise_spec, rng)
-    m_in = mask_algebra(omega, lam).intersect
-    f = est.forward(y_tilde, m_in)
-    return correct_robust_ssdu(f, y_tilde, omega, lam, alpha, MODE_THEORY)
+    lam = None
+    if row.input.on_intersect:
+        if lambda_dist is None:
+            raise ConfigError("theory mode for a Lambda ∩ Omega input requires lambda_dist")
+        lam = lambda_dist.draw(rng)
+    _require_supported(arr, omega)
+    ntilde = complex_gaussian(omega.q, alpha * noise_spec.sigma_n, rng)
+    y_in, m_in = row.input.build_masked(arr, omega, lam, ntilde)
+    return correct(est.forward(y_in, m_in), y_in, m_in.member, alpha)

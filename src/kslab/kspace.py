@@ -134,8 +134,6 @@ def apply_mask(mask: SamplingMask, v) -> np.ndarray:
 class MaskAlgebra(NamedTuple):
     intersect: SamplingMask            # Lambda ∩ Omega
     omega_minus_lambda: SamplingMask   # Omega \ Lambda
-    complement_intersect: SamplingMask  # (Lambda ∩ Omega)^c
-    complement_omega: SamplingMask     # Omega^c
 
 
 def mask_algebra(omega: SamplingMask, lam: SamplingMask) -> MaskAlgebra:
@@ -150,9 +148,7 @@ def mask_algebra(omega: SamplingMask, lam: SamplingMask) -> MaskAlgebra:
     both = omega.member & lam.member
     inter = _mask_unchecked(both, p * pt)
     minus = _mask_unchecked(omega.member & ~lam.member, p * (1.0 - pt))
-    inter_c = _mask_unchecked(~both, 1.0 - p * pt)
-    omega_c = _mask_unchecked(~omega.member, 1.0 - p)
-    return MaskAlgebra(inter, minus, inter_c, omega_c)
+    return MaskAlgebra(inter, minus)
 
 
 @lru_cache(maxsize=16)

@@ -1,9 +1,9 @@
-"""Complex Gaussian measurement noise and the two further-corruption operators.
+"""Complex Gaussian measurement noise, its specification, and whitening.
 
 Noise follows the circularly-symmetric convention: a complex variance of
-sigma^2 means each real channel has variance sigma^2 / 2. The two corruption
-operators build the training inputs of the self-supervised methods: further
-noise on the sampled indices, and further noise plus further sub-sampling.
+sigma^2 means each real channel has variance sigma^2 / 2. The network inputs
+that carry the further noise are built from the method table
+(``methods.Input.build``).
 """
 
 from dataclasses import dataclass
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .kspace import SamplingMask, apply_mask, as_kspace, mask_algebra
+from .kspace import as_kspace
 
 
 @dataclass(frozen=True)
@@ -94,29 +94,3 @@ def colored_complex_gaussian(cov, rng: np.random.Generator) -> np.ndarray:
     evals, evecs = _check_spd(cov)
     white = complex_gaussian(cov.shape[0], 1.0, rng)
     return evecs @ (np.sqrt(evals) * (evecs.conj().T @ white))
-
-
-def _require_supported(y: np.ndarray, omega: SamplingMask) -> None:
-    off = ~omega.member
-    if np.any(y[off] != 0.0):
-        j = int(np.nonzero(off & (y != 0.0))[0][0])
-        raise ValidationError(f"measurements nonzero off the sampling set (index {j})")
-
-
-def corrupt_noisier2full(y, omega: SamplingMask, spec: NoiseSpec,
-                         rng: np.random.Generator) -> np.ndarray:
-    """Further noise on the sampled indices: y + M_Omega ntilde."""
-    arr = as_kspace(y, omega.q)
-    _require_supported(arr, omega)
-    ntilde = complex_gaussian(omega.q, spec.alpha * spec.sigma_n, rng)
-    return arr + apply_mask(omega, ntilde)
-
-
-def corrupt_robust_ssdu(y, omega: SamplingMask, lam: SamplingMask, spec: NoiseSpec,
-                        rng: np.random.Generator) -> np.ndarray:
-    """Further sub-sampled and further noisy input: M_{Lambda ∩ Omega} (y + ntilde)."""
-    arr = as_kspace(y, omega.q)
-    _require_supported(arr, omega)
-    ntilde = complex_gaussian(omega.q, spec.alpha * spec.sigma_n, rng)
-    intersect = mask_algebra(omega, lam).intersect
-    return apply_mask(intersect, arr + ntilde)

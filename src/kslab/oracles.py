@@ -30,7 +30,7 @@ from . import methods as M
 from . import training
 from .errors import ConfigError, ValidationError
 from .estimators import AffinePerPattern, Estimator, closed_form_affine_fit
-from .inference import _corrected
+from .inference import correct
 from .kspace import SamplingMask, apply_mask, as_kspace, mask_algebra
 from .noise import NoiseSpec, complex_gaussian
 from .rng import stream
@@ -161,7 +161,7 @@ def _level_probs(model: MeasurementModel, level: str) -> np.ndarray:
 
 
 def input_level(method: str) -> str:
-    return LEVEL_OMEGA if method in M.TASK_A_METHODS else LEVEL_INTERSECT
+    return LEVEL_INTERSECT if M.row(method).input.on_intersect else LEVEL_OMEGA
 
 
 def enumerate_patterns(model: MeasurementModel, level: str):
@@ -373,26 +373,18 @@ def _require_affine(est: Estimator) -> None:
         raise ConfigError("Monte Carlo oracles run on an affine_per_pattern estimator")
 
 
-def _theory_inputs(method: str, draws: _Draws) -> tuple[np.ndarray, np.ndarray]:
-    """Further-corrupted network input per draw and its pattern, the corrected set."""
-    if method in (M.NOISIER2FULL, M.NOISIER2FULL_UNWEIGHTED):
-        return draws.y + np.where(draws.omega, draws.ntilde, 0.0 + 0.0j), draws.omega
-    m_in = draws.omega & draws.lam
-    return np.where(m_in, draws.y + draws.ntilde, 0.0 + 0.0j), m_in
-
-
 def _mse_errors(method: str, est: AffinePerPattern, model: MeasurementModel,
                 draws: _Draws) -> np.ndarray:
     """Per-draw || theory-mode corrected reconstruction - ground truth ||^2."""
-    y_in, m_in = _theory_inputs(method, draws)
-    est_y = _corrected(est.forward_batch(y_in, m_in).out, y_in, m_in, model.noise.alpha)
+    y_in, m_in = M.row(method).input.build(draws.y, draws.omega, draws.lam, draws.ntilde)
+    est_y = correct(est.forward_batch(y_in, m_in).out, y_in, m_in, model.noise.alpha)
     return np.sum(np.abs(est_y - draws.y0) ** 2, axis=1)
 
 
 def mc_corrected_mse(method: str, est: Estimator, model: MeasurementModel,
                      samples: int, seed: int) -> tuple[float, float]:
     """Theory-mode reconstruction MSE over fresh draws (mean, standard error)."""
-    if method not in M.CORRECTED_METHODS:
+    if not M.row(method).input.further_noise:
         raise ConfigError(f"{method!r} applies no correction")
     _require_affine(est)
     total = 0.0
@@ -480,7 +472,7 @@ def _oracle_gradient(method: str, est: Estimator, model: MeasurementModel,
     else:
         m_in = mask_algebra(omega, lam).intersect
         y_tilde = apply_mask(m_in, y + ntilde)
-    est_y = _corrected(est.forward(y_tilde, m_in), y_tilde, m_in.member, alpha)
+    est_y = correct(est.forward(y_tilde, m_in), y_tilde, m_in.member, alpha)
     d = np.where(m_in.member, (1.0 + alpha ** 2) / alpha ** 2, 1.0)
     return 2.0 * est.vjp(y_tilde, m_in, d * (est_y - y0))
 
@@ -495,15 +487,10 @@ def _surrogate_w2(claim: str, model: MeasurementModel,
     p, pt = model.omega_probs(), model.lambda_probs()
     pairs, first, inverse = np.unique(np.concatenate([draws.omega, draws.lam], axis=1),
                                       axis=0, return_index=True, return_inverse=True)
-    P = training.compute_P(p, pt) if claim == M.ROBUST_SSDU else None
     w = np.empty((len(pairs), q))
     for k, pair in enumerate(pairs):
-        omega = SamplingMask(pair[:q], p)
-        if claim == M.NOISIER2FULL:
-            w[k] = training.weight_noisier2full(omega, model.noise.alpha)
-        else:
-            w[k] = training.weight_robust_ssdu(omega, SamplingMask(pair[q:], pt),
-                                               model.noise.alpha, P)
+        w[k] = training.loss_weight(M.row(claim), SamplingMask(pair[:q], p),
+                                    SamplingMask(pair[q:], pt), model.noise.alpha)
     return (w ** 2)[inverse.reshape(-1)], first
 
 
@@ -521,12 +508,13 @@ def _gradient_moments(claim: str, est: AffinePerPattern, model: MeasurementModel
     in the wrong group or a wrong reduction shows up as a deviation.
     """
     alpha = model.noise.alpha
-    y_in, m_in = _theory_inputs(claim, draws)
+    method = M.row(claim)
+    y_in, m_in = method.input.build(draws.y, draws.omega, draws.lam, draws.ntilde)
     batch = est.forward_batch(y_in, m_in)
     f = batch.out
-    target = draws.y0 + draws.noise if claim == M.NOISIER2FULL else draws.y
+    target = draws.y0 + draws.noise if method.target == M.TARGET_Y0_PLUS_N else draws.y
     w2, first = _surrogate_w2(claim, model, draws)
-    est_y = _corrected(f, y_in, m_in, alpha)
+    est_y = correct(f, y_in, m_in, alpha)
     d = np.where(m_in, (1.0 + alpha ** 2) / alpha ** 2, 1.0)
     cots = {"surr": 2.0 * w2 * (f - target), "oracle": 2.0 * d * (est_y - draws.y0)}
     cots["diff"] = cots["surr"] - cots["oracle"]

@@ -1,9 +1,9 @@
 """Training losses, loss weightings, the Adam optimizer, and the epoch loop.
 
 Each method's loss is the squared l2 norm of a (possibly weighted) complex
-residual, summed over entries: ``sum_j W_jj^2 |f_j - t_j|^2``. Weights
-multiply the residual before squaring. Gradients are exact, assembled from
-the estimator's vjp.
+residual, summed over entries: ``sum_j W_jj^2 |f_j - t_j|^2``, with the
+input, target and weight read from the method table. Weights multiply the
+residual before squaring. Gradients are exact, from the estimator's pullback.
 
 The epoch loop follows the simulation protocol: the first-level mask and
 measurement noise of each item are fixed once, while the second-level mask
@@ -26,7 +26,7 @@ from .synthetic import MeasurementModel, gaussian_ground_truth
 
 @dataclass(frozen=True)
 class TrainSpec:
-    """One row of the method table plus optimizer settings."""
+    """A training method (a row of ``methods.METHODS``) plus optimizer settings."""
 
     method: str
     epochs: int = 300
@@ -38,8 +38,6 @@ class TrainSpec:
     seed: int = 0
     lambda_n2r: float = 1.0
     alpha: float = 1.0
-    R_omega: float = 2.0
-    R_lambda: float = 2.0
 
     def __post_init__(self):
         if self.method not in M.ALL_METHODS:
@@ -117,9 +115,18 @@ def weight_robust_ssdu(omega: SamplingMask, lam: SamplingMask, alpha: float,
     return w
 
 
-def _weighted_residual_grad(est: Estimator, y_in, m_in, residual, weight_sq) -> np.ndarray:
-    """Gradient of sum_j weight_sq_j |f_j - t_j|^2 given residual f - t."""
-    return 2.0 * est.vjp(y_in, m_in, weight_sq * residual)
+def loss_weight(method: M.Method, omega: SamplingMask, lam: SamplingMask | None,
+                alpha: float) -> np.ndarray:
+    """Diagonal of the method's loss weight W for one item."""
+    if method.weight == M.WEIGHT_ONE:
+        return np.ones(omega.q)
+    if method.weight == M.WEIGHT_NOISIER2FULL:
+        return weight_noisier2full(omega, alpha)
+    if method.weight == M.WEIGHT_ROBUST_SSDU:
+        return weight_robust_ssdu(omega, lam, alpha, compute_P(omega.probs, lam.probs))
+    if method.weight == M.WEIGHT_HELD_OUT:
+        return (omega.member & ~lam.member).astype(np.float64)
+    return omega.member.astype(np.float64)  # WEIGHT_OMEGA
 
 
 def _require(item: TrainItem, attr: str, method: str):
@@ -138,92 +145,47 @@ def regenerate_second_level(item: TrainItem, model: MeasurementModel,
 
 
 def loss_and_grad(spec: TrainSpec, est: Estimator, item: TrainItem) -> tuple[float, np.ndarray]:
-    """Per-item loss and exact parameter gradient for the selected method."""
-    method = spec.method
-    alpha = spec.alpha
+    """Per-item loss and exact parameter gradient for the selected method.
+
+    The method's row gives the network input, the target t and the weight
+    W; one forward pass f and its pullback give the loss
+    ``sum_j W_jj^2 |f_j - t_j|^2`` and its gradient. Noise2Recon-SS adds
+    ``lambda_n2r ||f_c - f||^2`` for the output f_c on its consistency input.
+    """
+    name = spec.method
+    method = M.row(name)
     y = as_kspace(item.y)
     omega = item.omega
+    lam = _require(item, "lam", name) if method.input.on_intersect else None
+    ntilde = None
+    if method.input.further_noise or method.consistency is not None:
+        ntilde = as_kspace(_require(item, "ntilde", name))
 
-    if method == M.FULLY_SUPERVISED:
-        y0 = as_kspace(_require(item, "y0", method))
-        est.ensure_pattern(omega)
-        f = est.forward(y, omega)
-        r = f - y0
-        w2 = np.ones(omega.q)
-        loss = float(np.sum(np.abs(r) ** 2))
-        return loss, _weighted_residual_grad(est, y, omega, r, w2)
+    if method.target == M.TARGET_Y:
+        target = y
+    else:
+        target = as_kspace(_require(item, "y0", name))
+        if method.target == M.TARGET_Y0_PLUS_N:
+            target = target + as_kspace(_require(item, "noise", name))
+    w2 = loss_weight(method, omega, lam, spec.alpha) ** 2
 
-    if method == M.SUPERVISED_WO_DENOISING:
-        target = as_kspace(_require(item, "y0", method)) + as_kspace(_require(item, "noise", method))
-        est.ensure_pattern(omega)
-        f = est.forward(y, omega)
-        r = f - target
-        loss = float(np.sum(np.abs(r) ** 2))
-        return loss, _weighted_residual_grad(est, y, omega, r, np.ones(omega.q))
+    y_in, m_in = method.input.build_masked(y, omega, lam, ntilde)
+    est.ensure_pattern(m_in)
+    if method.consistency is not None:
+        y_c, m_c = method.consistency.build_masked(y, omega, lam, ntilde)
+        est.ensure_pattern(m_c)
 
-    if method in (M.NOISIER2FULL, M.NOISIER2FULL_UNWEIGHTED):
-        target = as_kspace(_require(item, "y0", method)) + as_kspace(_require(item, "noise", method))
-        ntilde = as_kspace(_require(item, "ntilde", method))
-        y_tilde = y + apply_mask(omega, ntilde)
-        if method == M.NOISIER2FULL:
-            w = weight_noisier2full(omega, alpha)
-        else:
-            w = np.ones(omega.q)
-        est.ensure_pattern(omega)
-        f = est.forward(y_tilde, omega)
-        r = f - target
-        w2 = w ** 2
-        loss = float(np.sum(w2 * np.abs(r) ** 2))
-        return loss, _weighted_residual_grad(est, y_tilde, omega, r, w2)
-
-    lam = _require(item, "lam", method)
-    alg = mask_algebra(omega, lam)
-
-    if method == M.STANDARD_SSDU:
-        y_tilde = apply_mask(lam, y)
-        m_in = alg.intersect
-        est.ensure_pattern(m_in)
-        f = est.forward(y_tilde, m_in)
-        w2 = alg.omega_minus_lambda.member.astype(np.float64)
-        r = f - y
-        loss = float(np.sum(w2 * np.abs(r) ** 2))
-        return loss, _weighted_residual_grad(est, y_tilde, m_in, r, w2)
-
-    if method in (M.ROBUST_SSDU, M.ROBUST_SSDU_UNWEIGHTED):
-        ntilde = as_kspace(_require(item, "ntilde", method))
-        y_tilde = apply_mask(alg.intersect, y + ntilde)
-        m_in = alg.intersect
-        if method == M.ROBUST_SSDU:
-            P = compute_P(omega.probs, lam.probs)
-            w = weight_robust_ssdu(omega, lam, alpha, P)
-        else:
-            w = omega.member.astype(np.float64)
-        est.ensure_pattern(m_in)
-        f = est.forward(y_tilde, m_in)
-        r = f - y
-        w2 = w ** 2
-        loss = float(np.sum(w2 * np.abs(r) ** 2))
-        return loss, _weighted_residual_grad(est, y_tilde, m_in, r, w2)
-
-    if method == M.NOISE2RECON_SS:
-        ntilde = as_kspace(_require(item, "ntilde", method))
-        y_masked = apply_mask(lam, y)
-        m1 = alg.intersect
-        y_noised = y + apply_mask(omega, ntilde)
-        est.ensure_pattern(m1)
-        est.ensure_pattern(omega)
-        f1 = est.forward(y_masked, m1)
-        f2 = est.forward(y_noised, omega)
-        w2 = alg.omega_minus_lambda.member.astype(np.float64)
-        r1 = f1 - y
-        rc = f2 - f1
-        loss = float(np.sum(w2 * np.abs(r1) ** 2) + spec.lambda_n2r * np.sum(np.abs(rc) ** 2))
-        grad = _weighted_residual_grad(est, y_masked, m1, r1, w2)
-        grad += 2.0 * spec.lambda_n2r * est.vjp(y_noised, omega, rc)
-        grad -= 2.0 * spec.lambda_n2r * est.vjp(y_masked, m1, rc)
-        return loss, grad
-
-    raise ConfigError(f"unknown method {method!r}")
+    f, pullback = est.forward_vjp(y_in, m_in)
+    r = f - target
+    loss = np.sum(w2 * np.abs(r) ** 2)
+    grad = 2.0 * pullback(w2 * r)
+    if method.consistency is not None:
+        f_c, pullback_c = est.forward_vjp(y_c, m_c)
+        rc = f_c - f
+        loss = loss + spec.lambda_n2r * np.sum(np.abs(rc) ** 2)
+        grad += 2.0 * spec.lambda_n2r * pullback_c(rc)
+        grad -= 2.0 * spec.lambda_n2r * pullback(rc)
+    return float(loss), grad
 
 
 @dataclass

@@ -188,6 +188,25 @@ def test_reconstruct_rejects_malformed_theta(tmp_path, capsys, trained_checkpoin
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("damage,message", [
+    ("truncated", "cannot be read as JSON"),
+    ("no_config", "missing config"),
+])
+def test_reconstruct_rejects_damaged_checkpoint(tmp_path, capsys, trained_checkpoint,
+                                                damage, message):
+    checkpoint = json.loads(json.dumps(trained_checkpoint))
+    if damage == "no_config":
+        del checkpoint["config"]
+    text = json.dumps(checkpoint)
+    ckpt = tmp_path / "checkpoint.json"
+    ckpt.write_text(text[:1000] if damage == "truncated" else text)
+    code = main(["reconstruct", "--config", write_cfg(tmp_path, CKPT_CFG),
+                 "--checkpoint", str(ckpt), "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err and str(ckpt) in err
+
+
 def test_reconstruct_rejects_checkpoint_from_another_model(tmp_path, capsys,
                                                            trained_checkpoint):
     ckpt = tmp_path / "checkpoint.json"

@@ -6,15 +6,9 @@ import pytest
 from kslab import methods as M
 from kslab.errors import ConfigError, ValidationError
 from kslab.estimators import AffinePerPattern, TinyNet, closed_form_affine_fit
-from kslab.inference import (
-    MODE_PRACTICAL,
-    MODE_THEORY,
-    correct_noisier2full,
-    correct_robust_ssdu,
-    reconstruct,
-)
-from kslab.kspace import SamplingMask, apply_mask, full_mask, mask_algebra
-from kslab.noise import NoiseSpec
+from kslab.inference import MODE_PRACTICAL, MODE_THEORY, correct, reconstruct
+from kslab.kspace import SamplingMask, apply_mask, full_mask
+from kslab.noise import NoiseSpec, complex_gaussian
 from kslab.rng import stream
 from kslab.synthetic import model_preset
 from kslab.training import make_train_item
@@ -29,7 +23,7 @@ def test_correction_fixpoint():
     q = 4
     omega = SamplingMask.from_indices(q, [0, 2], np.full(q, 0.5))
     v = rand_vec(q, 0)
-    out = correct_noisier2full(v, v, omega, 1.0)
+    out = correct(v, v, omega.member, 1.0)
     # ((1+a^2) v - v)/a^2 = v on the corrected set
     assert np.allclose(out, v)
 
@@ -38,7 +32,7 @@ def test_correction_pass_through_bit_for_bit():
     q = 5
     omega = SamplingMask.from_indices(q, [1, 2], np.full(q, 0.5))
     f = rand_vec(q, 1)
-    out = correct_noisier2full(f, rand_vec(q, 2), omega, 0.7)
+    out = correct(f, rand_vec(q, 2), omega.member, 0.7)
     off = ~np.asarray(omega.member)
     assert np.array_equal(out[off], f[off])
 
@@ -48,28 +42,28 @@ def test_correction_scalar_composition():
     alpha = 1.0
     f_out = np.array([2.0 / 3.0 + 0j])
     y_in = np.array([1.0 + 0j])
-    out = correct_noisier2full(f_out, y_in, full_mask(1), alpha)
+    out = correct(f_out, y_in, full_mask(1).member, alpha)
     assert np.isclose(out[0], 1.0 / 3.0)
 
 
 def test_correction_rejects_zero_alpha():
     with pytest.raises(ValidationError):
-        correct_noisier2full(np.zeros(2, dtype=complex), np.zeros(2, dtype=complex),
-                             full_mask(2), 0.0)
-    with pytest.raises(ValidationError):
-        correct_robust_ssdu(np.zeros(2, dtype=complex), np.zeros(2, dtype=complex),
-                            full_mask(2), full_mask(2), 0.0)
+        correct(np.zeros(2, dtype=complex), np.zeros(2, dtype=complex),
+                full_mask(2).member, 0.0)
 
 
 def test_robust_theory_full_lambda_matches_noisier2full():
+    """With Lambda covering everything, robust ssdu's theory-mode input and
+    corrected set are those of noisier2full, so the estimates agree."""
     q = 6
     omega = SamplingMask.from_indices(q, [0, 3, 5], np.full(q, 0.5))
-    lam = full_mask(q)
+    y = apply_mask(omega, rand_vec(q, 4))
+    ntilde = rand_vec(q, 7)
     f = rand_vec(q, 3)
-    y_in = rand_vec(q, 4)
-    a = correct_robust_ssdu(f, y_in, omega, lam, 0.8, MODE_THEORY)
-    b = correct_noisier2full(f, y_in, omega, 0.8)
-    assert np.array_equal(a, b)
+    a_in, a_set = M.row(M.ROBUST_SSDU).input.build(y, omega.member, full_mask(q).member, ntilde)
+    b_in, b_set = M.row(M.NOISIER2FULL).input.build(y, omega.member, None, ntilde)
+    assert np.array_equal(a_in, b_in) and np.array_equal(a_set, b_set)
+    assert np.array_equal(correct(f, a_in, a_set, 0.8), correct(f, b_in, b_set, 0.8))
 
 
 def test_robust_theory_corrects_intersection_only():
@@ -77,11 +71,31 @@ def test_robust_theory_corrects_intersection_only():
     omega = SamplingMask.from_indices(q, [0, 1], np.full(q, 0.5))
     lam = SamplingMask.from_indices(q, [1, 2], np.full(q, 0.5))
     f = rand_vec(q, 5)
-    y_in = rand_vec(q, 6)
-    out = correct_robust_ssdu(f, y_in, omega, lam, 1.0, MODE_THEORY)
-    inter = np.asarray(mask_algebra(omega, lam).intersect.member)
+    y_in, member = M.row(M.ROBUST_SSDU).input.build(apply_mask(omega, rand_vec(q, 6)),
+                                                    omega.member, lam.member, rand_vec(q, 8))
+    inter = omega.member & lam.member
+    assert np.array_equal(member, inter)
+    out = correct(f, y_in, member, 1.0)
     assert np.array_equal(out[~inter], f[~inter])
     assert np.allclose(out[inter], 2.0 * f[inter] - y_in[inter])
+
+
+@pytest.mark.parametrize("method", [M.NOISIER2FULL, M.ROBUST_SSDU])
+def test_theory_mode_draw_order(method):
+    """Theory mode draws Lambda (Lambda ∩ Omega inputs only), then the
+    further noise, builds the training-kind input and corrects on its support."""
+    model = model_preset("banded", sigma_n=0.2, alpha=0.8)
+    est = TinyNet(model.q, width_factor=1, seed=0)
+    item = make_train_item(model, stream(12, "i"))
+    out = reconstruct(method, est, item.y, item.omega, model.noise, model.lambda_dist,
+                      MODE_THEORY, stream(13, "r"))
+    rng = stream(13, "r")
+    row = M.row(method)
+    lam = model.lambda_dist.draw(rng) if row.input.on_intersect else None
+    ntilde = complex_gaussian(model.q, model.noise.alpha * model.noise.sigma_n, rng)
+    y_in, m_in = row.input.build_masked(item.y, item.omega, lam, ntilde)
+    expected = correct(est.forward(y_in, m_in), y_in, m_in.member, model.noise.alpha)
+    assert np.array_equal(out, expected)
 
 
 def test_practical_mode_formula():
@@ -118,6 +132,9 @@ def test_theory_mode_requires_rng():
     with pytest.raises(ConfigError):
         reconstruct(M.NOISIER2FULL, est, item.y, item.omega, model.noise,
                     model.lambda_dist, MODE_THEORY, rng=None)
+    with pytest.raises(ConfigError, match="lambda_dist"):
+        reconstruct(M.ROBUST_SSDU, est, item.y, item.omega, model.noise,
+                    None, MODE_THEORY, stream(8, "r"))
 
 
 def test_theory_mode_robust_runs_and_is_seeded():
@@ -151,7 +168,6 @@ def test_composed_population_estimate_matches_clean_posterior():
     est = closed_form_affine_fit(model, M.ROBUST_SSDU, pattern)
     y_tilde = apply_mask(pattern, rand_vec(8, 11))
     f = est.forward(y_tilde, pattern)
-    corrected = correct_robust_ssdu(f, y_tilde, full_mask(8), pattern,
-                                    model.noise.alpha, MODE_THEORY)
+    corrected = correct(f, y_tilde, pattern.member, model.noise.alpha)
     target = gaussian_conditional_mean(model, pattern, TARGET_Y0, COND_ON_YTILDE) @ y_tilde
     assert np.abs(corrected - target).max() < 1e-10

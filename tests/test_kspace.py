@@ -57,8 +57,6 @@ def test_mask_algebra_sets():
     alg = mask_algebra(omega, lam)
     assert alg.intersect.indices == (0,)
     assert alg.omega_minus_lambda.indices == (1,)
-    assert alg.complement_intersect.indices == (1,)
-    assert alg.complement_omega.indices == ()
 
 
 def test_mask_algebra_full_lambda():
@@ -87,8 +85,6 @@ def test_mask_algebra_derived_probs():
     alg = mask_algebra(omega, lam)
     assert np.allclose(alg.intersect.probs, [0.4, 0.1])
     assert np.allclose(alg.omega_minus_lambda.probs, [0.4, 0.3])
-    assert np.allclose(alg.complement_intersect.probs, [0.6, 0.9])
-    assert np.allclose(alg.complement_omega.probs, [0.2, 0.6])
 
 
 def test_dft_delta_to_constant():

@@ -1,20 +1,22 @@
-"""Complex Gaussian noise, whitening, and the further-corruption operators."""
+"""Complex Gaussian noise, whitening, and the further-noised network inputs."""
 
 import numpy as np
 import pytest
 
+from kslab import methods as M
 from kslab.errors import ValidationError
+from kslab.estimators import AffinePerPattern
+from kslab.inference import MODE_THEORY, reconstruct
 from kslab.kspace import SamplingMask, apply_mask, full_mask
 from kslab.noise import (
     NoiseSpec,
     add_complex_noise,
     colored_complex_gaussian,
     complex_gaussian,
-    corrupt_noisier2full,
-    corrupt_robust_ssdu,
     whiten,
 )
 from kslab.rng import stream
+from kslab.synthetic import model_preset
 
 
 def test_noise_spec_validation():
@@ -79,17 +81,16 @@ def test_whiten_rejects_indefinite():
 
 
 def test_corrupt_noisier2full_support_and_variance():
-    q = 8
+    q, n = 8, 20_000
     omega = SamplingMask.from_indices(q, [0, 2, 5], np.full(q, 0.5))
     spec = NoiseSpec(0.5, 1.2)
-    rng = stream(4, "c")
     y = apply_mask(omega, np.ones(q, dtype=complex))
-    deltas = []
-    for _ in range(20_000):
-        out = corrupt_noisier2full(y, omega, spec, rng)
-        assert np.all(out[~omega.member] == 0.0)
-        deltas.append(out[omega.member] - y[omega.member])
-    var = np.mean(np.abs(np.concatenate(deltas)) ** 2)
+    ntilde = complex_gaussian((n, q), spec.alpha * spec.sigma_n, stream(4, "c"))
+    out, member = M.OMEGA_NOISED.build(np.tile(y, (n, 1)), np.tile(omega.member, (n, 1)),
+                                       None, ntilde)
+    assert np.array_equal(member, np.tile(omega.member, (n, 1)))
+    assert np.all(out[:, ~omega.member] == 0.0)
+    var = np.mean(np.abs(out[:, omega.member] - y[omega.member]) ** 2)
     target = (spec.alpha * spec.sigma_n) ** 2
     assert abs(var - target) <= 0.01 * target
 
@@ -98,34 +99,36 @@ def test_corrupt_noisier2full_tiny_alpha_limit():
     q = 4
     omega = full_mask(q)
     y = np.ones(q, dtype=complex)
-    out = corrupt_noisier2full(y, omega, NoiseSpec(0.5, 1e-9), stream(5, "a"))
+    ntilde = complex_gaussian(q, 1e-9 * 0.5, stream(5, "a"))
+    out, _ = M.OMEGA_NOISED.build(y, omega.member, None, ntilde)
     assert np.abs(out - y).max() < 1e-8
 
 
 def test_corrupt_rejects_unsupported_measurements():
-    q = 4
+    model = model_preset("banded", sigma_n=0.1, alpha=1.0)
+    q = model.q
     omega = SamplingMask.from_indices(q, [0], np.full(q, 0.5))
+    est = AffinePerPattern(q)
+    est.ensure_pattern(omega)
     y = np.ones(q, dtype=complex)  # nonzero off omega
-    with pytest.raises(ValidationError):
-        corrupt_noisier2full(y, omega, NoiseSpec(0.1, 1.0), stream(6, "b"))
-    with pytest.raises(ValidationError):
-        corrupt_robust_ssdu(y, omega, full_mask(q), NoiseSpec(0.1, 1.0), stream(6, "b"))
+    for method in (M.NOISIER2FULL, M.ROBUST_SSDU):
+        with pytest.raises(ValidationError, match="off the sampling set"):
+            reconstruct(method, est, y, omega, model.noise, model.lambda_dist,
+                        MODE_THEORY, stream(6, "b"))
 
 
 def test_corrupt_robust_ssdu_support_and_variance():
-    q = 8
+    q, n = 8, 30_000
     omega = SamplingMask.from_indices(q, [0, 1, 4, 6], np.full(q, 0.5))
     lam = SamplingMask.from_indices(q, [1, 4, 7], np.full(q, 0.5))
     spec = NoiseSpec(0.4, 0.75)
-    rng = stream(7, "r")
     y = apply_mask(omega, (1 + 1j) * np.ones(q))
     inter = omega.member & lam.member
-    deltas = []
-    for _ in range(30_000):
-        out = corrupt_robust_ssdu(y, omega, lam, spec, rng)
-        assert np.all(out[~inter] == 0.0)
-        deltas.append(out[inter] - y[inter])
-    var = np.mean(np.abs(np.concatenate(deltas)) ** 2)
+    ntilde = complex_gaussian((n, q), spec.alpha * spec.sigma_n, stream(7, "r"))
+    out, member = M.INTERSECT_NOISED.build(y, omega.member, lam.member, ntilde)
+    assert np.array_equal(member, inter)
+    assert np.all(out[:, ~inter] == 0.0)
+    var = np.mean(np.abs(out[:, inter] - y[inter]) ** 2)
     target = (spec.alpha * spec.sigma_n) ** 2
     assert abs(var - target) <= 0.01 * target
 
@@ -134,5 +137,7 @@ def test_corrupt_robust_ssdu_full_lambda_tiny_alpha():
     q = 5
     omega = full_mask(q)
     y = (2 - 1j) * np.ones(q, dtype=complex)
-    out = corrupt_robust_ssdu(y, omega, full_mask(q), NoiseSpec(0.3, 1e-9), stream(8, "t"))
+    ntilde = complex_gaussian(q, 1e-9 * 0.3, stream(8, "t"))
+    out, member = M.INTERSECT_NOISED.build(y, omega.member, full_mask(q).member, ntilde)
+    assert np.array_equal(member, omega.member)
     assert np.abs(out - y).max() < 1e-8

@@ -40,8 +40,7 @@ from kslab.oracles import (
     _oracle_gradient,
 )
 from kslab import training
-from kslab.inference import MODE_THEORY, correct_noisier2full, correct_robust_ssdu
-from kslab.kspace import mask_algebra
+from kslab.inference import correct
 from kslab.rng import stream
 from kslab.sampling import MaskDistribution, compute_P
 from kslab.synthetic import MeasurementModel, banded_prior_cov, model_preset
@@ -346,7 +345,7 @@ def _draw_masks(model, draws, i):
 @pytest.mark.parametrize("method", [M.NOISIER2FULL, M.ROBUST_SSDU])
 def test_batched_mse_matches_per_draw_library_path(method):
     """The vectorized corrected-MSE oracle equals, draw by draw, the
-    per-draw forward pass plus the library correction on the same draws."""
+    per-draw input builder, forward pass and correction on the same draws."""
     model = model_preset("banded", sigma_n=0.3, alpha=0.75)
     est = AffinePerPattern(model.q)
     for pattern, _ in enumerate_patterns(model, input_level(method)):
@@ -357,14 +356,8 @@ def test_batched_mse_matches_per_draw_library_path(method):
     ref = np.empty(200)
     for i in range(200):
         omega, lam = _draw_masks(model, draws, i)
-        if method == M.NOISIER2FULL:
-            y_in = draws.y[i] + apply_mask(omega, draws.ntilde[i])
-            est_y = correct_noisier2full(est.forward(y_in, omega), y_in, omega, alpha)
-        else:
-            inter = mask_algebra(omega, lam).intersect
-            y_in = apply_mask(inter, draws.y[i] + draws.ntilde[i])
-            est_y = correct_robust_ssdu(est.forward(y_in, inter), y_in, omega, lam,
-                                        alpha, MODE_THEORY)
+        y_in, m_in = M.row(method).input.build_masked(draws.y[i], omega, lam, draws.ntilde[i])
+        est_y = correct(est.forward(y_in, m_in), y_in, m_in.member, alpha)
         ref[i] = np.sum(np.abs(est_y - draws.y0[i]) ** 2)
     assert np.all(np.abs(batched - ref) <= 1e-12 * ref)
 

@@ -149,6 +149,38 @@ def test_losses_nonnegative_finite():
         assert np.all(np.isfinite(grad))
 
 
+@pytest.mark.parametrize("family", ["tiny_net", "affine_per_pattern"])
+@pytest.mark.parametrize("method", M.ALL_METHODS)
+def test_loss_gradient_matches_finite_differences(method, family):
+    """The assembled loss (input, target, weight including sqrt(P), and the
+    Noise2Recon consistency term) has the gradient loss_and_grad returns."""
+    q = 4
+    omega = mask_of(q, [0, 1, 3], [0.9, 0.6, 0.5, 0.7])
+    lam = mask_of(q, [1, 2], [0.5, 0.4, 0.6, 0.3])  # Omega \ Lambda = {0, 3}, P != 1 there
+    rng = stream(41, "fd")
+    y0, noise, ntilde = (rng.standard_normal(q) + 1j * rng.standard_normal(q) for _ in range(3))
+    item = item_for(q, omega, y0, 0.3 * noise, lam=lam, ntilde=0.4 * ntilde)
+    spec = TrainSpec(method=method, alpha=0.75, lambda_n2r=0.7)
+    if family == "tiny_net":
+        est = TinyNet(q, width_factor=1, seed=5)
+    else:
+        est = AffinePerPattern(q)
+        loss_and_grad(spec, est, item)  # enroll the input patterns
+        est.theta = 0.5 * stream(42, "theta", method).standard_normal(est.theta.shape[0])
+    _, grad = loss_and_grad(spec, est, item)
+    base = est.theta.copy()
+    fd = np.zeros_like(base)
+    step = 1e-6
+    for i in range(base.shape[0]):
+        for sign in (1.0, -1.0):
+            est.theta = base.copy()
+            est.theta[i] += sign * step
+            fd[i] += sign * loss_and_grad(spec, est, item)[0]
+    est.theta = base
+    fd /= 2 * step
+    assert np.abs(grad - fd).max() <= 1e-6 * max(1.0, np.abs(fd).max())
+
+
 def test_loss_requires_fields():
     model = model_preset("banded", sigma_n=0.4, alpha=1.0)
     est = TinyNet(model.q, width_factor=1, seed=0)
