@@ -11,7 +11,7 @@ verifies those claims.
 __version__ = "0.1.0"
 
 from . import methods
-from .errors import ConfigError, DimensionError, ValidationError
+from .errors import ConfigError, DimensionError, TrainingDiverged, ValidationError
 from .kspace import (
     SamplingMask,
     apply_mask,
@@ -36,12 +36,14 @@ from .estimators import (
 )
 from .training import (
     AdamState,
+    Cell,
     TrainItem,
     TrainSpec,
     adam_step,
     build_dataset,
     loss_and_grad,
     train,
+    train_cells,
     weight_noisier2full,
     weight_robust_ssdu,
 )

@@ -7,9 +7,12 @@ sweep), ``verify`` (oracle suite), ``train`` (single method), and
 Every output file embeds the artifact version and the fully resolved
 configuration. Result tables are byte-identical across repeated runs with
 the same config and seed; wall-clock timings go to a separate file that is
-excluded from that contract.
+excluded from that contract. ``compare`` and ``sweep-alpha`` train their
+grid in lockstep stacks: a cell's data and estimator are built as its stack
+forms, and released once the trained cell is scored.
 
-Exit codes: 0 success, 2 configuration error, 3 oracle failure.
+Exit codes: 0 success, 2 configuration error, 3 oracle failure, 4 training
+diverged (a non-finite training loss; no results are written).
 """
 
 import argparse
@@ -22,7 +25,7 @@ from pathlib import Path
 from . import __version__
 from . import methods as M
 from .config import ALPHA_DEFAULTS, config_json, load_config
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, TrainingDiverged, ValidationError
 from .estimators import AFFINE_PER_PATTERN, make_estimator, load_checkpoint
 from .inference import reconstruct
 from .kspace import kspace_to_json, magnitude_image
@@ -30,7 +33,7 @@ from .metrics import mean_and_se, nmse, ssim
 from .oracles import run_oracle_suite
 from .rng import stream
 from .synthetic import MeasurementModel, load_prior_cov, model_preset
-from .training import TrainSpec, build_dataset, make_train_item, train
+from .training import Cell, TrainSpec, build_dataset, make_train_item, train, train_cells
 
 
 def _subseed(master: int, *path) -> int:
@@ -113,14 +116,42 @@ def _evaluate(method, est, items, model, cfg, master, tag):
     return n_mean, n_se, s_mean, s_se
 
 
-def _train_cell(cfg, method, sigma, alpha, R_omega, master, tag):
-    model = _build_model(cfg, sigma_n=sigma, alpha=alpha, R_omega=R_omega)
+def _cell(cfg, method, model, alpha, master, tag) -> Cell:
+    """A grid cell's spec, estimator and data, holding the ground truth only
+    for the methods whose target reads it."""
     seed = _subseed(master, "cell", tag)
-    dataset = build_dataset(model, cfg["train"]["n_train"], seed, label="train")
-    spec = _train_spec(cfg, method, alpha, seed)
-    est = _build_estimator(cfg, model.q)
-    train(spec, est, dataset, model, validate_every=0)
-    return model, est
+    data = build_dataset(model, cfg["train"]["n_train"], seed, label="train",
+                         keep_ground_truth=M.row(method).target != M.TARGET_Y)
+    return Cell(_train_spec(cfg, method, alpha, seed), _build_estimator(cfg, model.q),
+                data, model)
+
+
+TIMING_COLUMNS = ["stage", "cells", "seconds"]
+
+
+def _train_grid(cfg, plan, master, timing_rows: list, score) -> list:
+    """Build, train and score the cells of ``plan`` (method, model, alpha, tag).
+
+    ``score(i, est)`` scores the trained estimator of ``plan[i]``; the scores
+    are returned in plan order. Timing rows are appended: data per cell,
+    train per stack. A cell is built when its stack forms and released once
+    scored, so one stack is held at a time.
+    """
+    built, scores = {}, [None] * len(plan)
+
+    def cells():
+        for i, (method, model, alpha, tag) in enumerate(plan):
+            t0 = time.perf_counter()
+            built[i] = _cell(cfg, method, model, alpha, master, tag)
+            timing_rows.append(["data", tag, time.perf_counter() - t0])
+            yield built[i]
+
+    for members, _, seconds in train_cells(cells(), validate_every=0):
+        timing_rows.append(["train", " ".join(plan[i][3] for i in members), seconds])
+        trained = {i: built.pop(i).est for i in members}  # the data is released
+        for i in members:
+            scores[i] = score(i, trained.pop(i))
+    return scores
 
 
 COMPARE_COLUMNS = ["method", "sigma_n", "R_omega", "R_lambda", "alpha",
@@ -131,32 +162,45 @@ def run_compare(cfg: dict, out_dir: Path) -> Path:
     """Train every (method, sigma_n, R_omega) cell and score a shared test set."""
     master = cfg["seed"]
     alpha = cfg["model"]["alpha"]
-    rows, timing_rows = [], []
-    for r_omega in cfg["compare"]["R_omega"]:
-        for sigma in cfg["compare"]["sigma_n"]:
-            grid_tag = f"s{sigma:g}_R{r_omega:g}"
-            model = _build_model(cfg, sigma_n=sigma, alpha=alpha, R_omega=r_omega)
-            r_lambda = cfg["model"]["R_lambda"] or model.lambda_dist.target_accel
-            items = _test_items(model, cfg, master, grid_tag)
+    methods = cfg["compare"]["methods"]
+    grid = [(r_omega, sigma, f"s{sigma:g}_R{r_omega:g}",
+             _build_model(cfg, sigma_n=sigma, alpha=alpha, R_omega=r_omega))
+            for r_omega in cfg["compare"]["R_omega"] for sigma in cfg["compare"]["sigma_n"]]
+    plan = [(method, model, alpha, f"{method}_{grid_tag}")
+            for _, _, grid_tag, model in grid for method in methods]
+    timing_rows = []
+    baselines = [None] * len(grid)
+    test_set = {}  # the test items of the grid point being scored
+
+    def score(i, est):
+        g = i // len(methods)
+        _, _, grid_tag, model = grid[g]
+        if g not in test_set:
+            test_set.clear()
+            t0 = time.perf_counter()
+            items = test_set[g] = _test_items(model, cfg, master, grid_tag)
             base_nmse = [nmse(item.y, item.y0) for item in items]
             base_ssim = [ssim(magnitude_image(item.y, model.shape),
                               magnitude_image(item.y0, model.shape)) for item in items]
-            n_mean, n_se = mean_and_se(base_nmse)
-            s_mean, s_se = mean_and_se(base_ssim)
-            rows.append(["noisy_subsampled", sigma, r_omega, r_lambda, alpha,
-                         n_mean, n_se, s_mean, s_se])
-            for method in cfg["compare"]["methods"]:
-                tag = f"{method}_{grid_tag}"
-                t0 = time.perf_counter()
-                model, est = _train_cell(cfg, method, sigma, alpha, r_omega, master, tag)
-                scores = _evaluate(method, est, items, model, cfg, master, tag)
-                timing_rows.append([method, sigma, r_omega,
-                                    time.perf_counter() - t0])
-                rows.append([method, sigma, r_omega, r_lambda, alpha, *scores])
+            baselines[g] = (*mean_and_se(base_nmse), *mean_and_se(base_ssim))
+            timing_rows.append(["eval", f"noisy_subsampled_{grid_tag}",
+                                time.perf_counter() - t0])
+        t0 = time.perf_counter()
+        method, _, _, tag = plan[i]
+        scores = _evaluate(method, est, test_set[g], model, cfg, master, tag)
+        timing_rows.append(["eval", tag, time.perf_counter() - t0])
+        return scores
+
+    scores = iter(_train_grid(cfg, plan, master, timing_rows, score))
+    rows = []
+    for (r_omega, sigma, _, model), baseline in zip(grid, baselines):
+        r_lambda = cfg["model"]["R_lambda"] or model.lambda_dist.target_accel
+        rows.append(["noisy_subsampled", sigma, r_omega, r_lambda, alpha, *baseline])
+        for method in methods:
+            rows.append([method, sigma, r_omega, r_lambda, alpha, *next(scores)])
     out = out_dir / "results.csv"
     _write_csv(out, cfg, COMPARE_COLUMNS, rows)
-    _write_csv(out_dir / "timings.csv", cfg,
-               ["method", "sigma_n", "R_omega", "seconds"], timing_rows)
+    _write_csv(out_dir / "timings.csv", cfg, TIMING_COLUMNS, timing_rows)
     return out
 
 
@@ -169,31 +213,31 @@ def run_alpha_sweep(cfg: dict, out_dir: Path) -> Path:
     master = cfg["seed"]
     sigma = cfg["sweep"]["sigma_n"]
     r_omega = cfg["sweep"]["R_omega"]
-    rows, timing_rows = [], []
     model = _build_model(cfg, sigma_n=sigma, R_omega=r_omega)
     r_lambda = cfg["model"]["R_lambda"] or model.lambda_dist.target_accel
-    items = _test_items(model, cfg, master, "sweep")
-
-    t0 = time.perf_counter()
     bench_alpha = cfg["model"]["alpha"]
-    model_b, est_b = _train_cell(cfg, M.FULLY_SUPERVISED, sigma, bench_alpha,
-                                 r_omega, master, "sweep_benchmark")
-    scores = _evaluate(M.FULLY_SUPERVISED, est_b, items, model_b, cfg, master,
-                       "sweep_benchmark")
-    timing_rows.append([M.FULLY_SUPERVISED, "", time.perf_counter() - t0])
-    rows.append([M.FULLY_SUPERVISED, sigma, r_omega, r_lambda, "", *scores])
-
+    plan = [(M.FULLY_SUPERVISED, _build_model(cfg, sigma_n=sigma, alpha=bench_alpha,
+                                              R_omega=r_omega), bench_alpha, "sweep_benchmark")]
     for alpha in cfg["sweep"]["alphas"]:
-        for method in SWEEP_METHODS:
-            tag = f"sweep_{method}_a{alpha:g}"
-            t0 = time.perf_counter()
-            model_c, est_c = _train_cell(cfg, method, sigma, alpha, r_omega, master, tag)
-            scores = _evaluate(method, est_c, items, model_c, cfg, master, tag)
-            timing_rows.append([method, alpha, time.perf_counter() - t0])
-            rows.append([method, sigma, r_omega, r_lambda, alpha, *scores])
+        model_a = _build_model(cfg, sigma_n=sigma, alpha=alpha, R_omega=r_omega)
+        plan += [(method, model_a, alpha, f"sweep_{method}_a{alpha:g}")
+                 for method in SWEEP_METHODS]
+    items = _test_items(model, cfg, master, "sweep")
+    timing_rows = []
+
+    def score(i, est):
+        t0 = time.perf_counter()
+        method, model_c, _, tag = plan[i]
+        scores = _evaluate(method, est, items, model_c, cfg, master, tag)
+        timing_rows.append(["eval", tag, time.perf_counter() - t0])
+        return scores
+
+    scores = _train_grid(cfg, plan, master, timing_rows, score)
+    rows = [[method, sigma, r_omega, r_lambda, "" if tag == "sweep_benchmark" else alpha, *s]
+            for (method, _, alpha, tag), s in zip(plan, scores)]
     out = out_dir / "sweep.csv"
     _write_csv(out, cfg, COMPARE_COLUMNS, rows)
-    _write_csv(out_dir / "timings.csv", cfg, ["method", "alpha", "seconds"], timing_rows)
+    _write_csv(out_dir / "timings.csv", cfg, TIMING_COLUMNS, timing_rows)
     return out
 
 
@@ -355,6 +399,9 @@ def main(argv=None) -> int:
     except (ConfigError, ValidationError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except TrainingDiverged as exc:
+        print(f"training diverged: {exc}", file=sys.stderr)
+        return 4
     return 0
 
 

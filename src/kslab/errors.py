@@ -11,3 +11,7 @@ class ValidationError(ValueError):
 
 class ConfigError(ValueError):
     """An experiment configuration is malformed or unattainable."""
+
+
+class TrainingDiverged(ArithmeticError):
+    """A training loss became NaN or infinite."""

@@ -1,11 +1,15 @@
 """Estimator families with exact reverse-mode gradients.
 
-Three families share one interface: ``forward_vjp(y_in, m_in)`` maps a
-length-q complex input to a length-q complex output ``out`` and returns it
-with a pullback: ``pullback(cot)`` is the gradient of ``Re <cot, out>`` with
-respect to the flat real parameter vector ``theta``. ``forward`` and ``vjp``
-are built on it. Complex parameters are stored as real/imaginary pairs, so
-all losses and gradients live in ordinary real calculus.
+Three families share one interface: ``forward_vjp_stack(theta, y_in,
+member)`` maps C complex inputs (C, q) with input supports (C, q) to C
+outputs ``out``, row c under the parameter row ``theta[c]``, and returns them
+with a pullback: ``pullback(cot)`` is the (C, P) gradient of
+``Re <cot_c, out_c>`` with respect to each row. Training steps a stack of
+cells that share a parameter layout through one such call. The per-item
+``forward_vjp(y_in, m_in)`` is its one-row case under the estimator's own
+``theta``, and ``forward`` and ``vjp`` are built on that. Complex parameters
+are stored as real/imaginary pairs, so all losses and gradients live in
+ordinary real calculus.
 
 * affine_per_pattern - one affine map per input support pattern, enrolled
   lazily during training. Quadratic losses then have closed-form population
@@ -42,12 +46,12 @@ class PatternFallbackWarning(UserWarning):
 
 
 def complex_to_real(z: np.ndarray) -> np.ndarray:
-    return np.concatenate([z.real, z.imag])
+    return np.concatenate([z.real, z.imag], axis=-1)
 
 
 def real_to_complex(x: np.ndarray) -> np.ndarray:
-    q = x.shape[0] // 2
-    return x[:q] + 1j * x[q:]
+    q = x.shape[-1] // 2
+    return x[..., :q] + 1j * x[..., q:]
 
 
 def encode_theta(theta: np.ndarray) -> dict:
@@ -91,8 +95,11 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 class Mlp:
     """Plain fully-connected real network with softplus hidden units.
 
-    Operates on an externally owned flat parameter segment; packing order is
-    W1, b1, W2, b2, ... with W of shape (out, in).
+    Operates on externally owned parameter rows, one network per row of a
+    (C, segment) array; packing order within a row is W1, b1, W2, b2, ...
+    with W of shape (out, in). Inputs and outputs carry the same leading
+    row axis. Each row's matrix-vector products are single BLAS calls, so a
+    row computes the same bits in a stack as alone.
     """
 
     def __init__(self, sizes):
@@ -114,54 +121,87 @@ class Mlp:
         return theta
 
     def _layers(self, theta: np.ndarray):
+        rows = theta.shape[0]
         for off, fan_in, fan_out in zip(self.offsets, self.sizes[:-1], self.sizes[1:]):
             n_w = fan_out * fan_in
-            w = theta[off:off + n_w].reshape(fan_out, fan_in)
-            yield w, theta[off + n_w:off + n_w + fan_out]
+            w = theta[:, off:off + n_w].reshape(rows, fan_out, fan_in)
+            yield w, theta[:, off + n_w:off + n_w + fan_out]
 
     def forward(self, theta: np.ndarray, x: np.ndarray):
+        """Outputs (C, out) for parameter rows theta (C, segment) and inputs x (C, in)."""
         layers = list(self._layers(theta))
         hs, zs = [x], []
         h = x
         for w, b in layers[:-1]:
-            z = w @ h + b
+            z = np.matmul(w, h[..., None])[..., 0] + b
             h = np.logaddexp(0.0, z)  # softplus
             zs.append(z)
             hs.append(h)
         w, b = layers[-1]
-        y = w @ h + b
+        y = np.matmul(w, h[..., None])[..., 0] + b
         return y, (hs, zs)
 
-    def backward(self, theta: np.ndarray, cache, gy: np.ndarray):
-        """Gradients of <gy, output> w.r.t. the segment and the input."""
+    def backward(self, theta: np.ndarray, cache, gy: np.ndarray, out=None):
+        """Gradients of <gy_c, output_c> w.r.t. each parameter row and input row.
+
+        ``out``, if given, is the (C, segment) array the parameter gradients
+        are written to; every entry is written.
+        """
         hs, zs = cache
         layers = list(self._layers(theta))
-        grad = np.zeros(self.n_params)
+        rows = theta.shape[0]
+        grad = np.empty((rows, self.n_params)) if out is None else out
         g = gy
         for k in range(len(layers) - 1, -1, -1):
             w, _ = layers[k]
             if k < len(layers) - 1:
                 g = g * _sigmoid(zs[k])
             o = self.offsets[k]
-            n_w = w.size
-            grad[o:o + n_w] = np.outer(g, hs[k]).ravel()
-            grad[o + n_w:o + n_w + w.shape[0]] = g
-            g = w.T @ g
+            n_w = w.shape[1] * w.shape[2]
+            # splitting the last axis of a column slice is always a view
+            np.multiply(g[:, :, None], hs[k][:, None, :],
+                        out=grad[:, o:o + n_w].reshape(w.shape))
+            grad[:, o + n_w:o + n_w + w.shape[1]] = g
+            g = np.matmul(w.transpose(0, 2, 1), g[..., None])[..., 0]
         return grad, g
+
+
+def _cache_rows(cache, rows: slice):
+    hs, zs = cache
+    return [h[rows] for h in hs], [z[rows] for z in zs]
 
 
 class Estimator:
     """Common interface of the parameterized families."""
 
     family = "base"
+    # Hashable key shared by estimators whose theta rows can step as one
+    # stack; None trains each estimator as a stack of one.
+    layout = None
 
     def __init__(self, q: int, theta: np.ndarray):
         self.q = int(q)
         self.theta = np.asarray(theta, dtype=np.float64)
 
-    def forward_vjp(self, y_in, m_in: SamplingMask):
-        """Output on (y_in, m_in) and its pullback: cot -> d Re<cot, out> / d theta."""
+    def forward_vjp_stack(self, theta: np.ndarray, y_in: np.ndarray, member: np.ndarray):
+        """Outputs (C, q) of the parameter rows theta (C, P) on y_in (C, q) with
+        supports member (C, q), and their pullback.
+
+        ``pullback(cot, rows=slice(None))`` returns the gradients of
+        ``Re <cot_c, out_c>`` for the output rows ``rows`` (a slice), one
+        parameter row each, from cotangents of those rows. Nothing is
+        validated: callers pass finite complex128 and bool arrays.
+        """
         raise NotImplementedError
+
+    def forward_vjp(self, y_in, m_in: SamplingMask):
+        """Output on (y_in, m_in) and its pullback: cot -> d Re<cot, out> / d theta.
+
+        The one-row case of ``forward_vjp_stack`` under this estimator's theta.
+        """
+        arr = self._check_input(y_in, m_in)
+        out, pullback = self.forward_vjp_stack(self.theta[None], arr[None], m_in.member[None])
+        return out[0], lambda cot: pullback(as_kspace(cot, self.q)[None])[0]
 
     def forward(self, y_in, m_in: SamplingMask) -> np.ndarray:
         return self.forward_vjp(y_in, m_in)[0]
@@ -209,19 +249,22 @@ class AffinePerPattern(Estimator):
             self.theta = np.concatenate([self.theta, np.zeros(self.block_size)])
         return self._patterns[key]
 
-    def _resolve(self, m_in: SamplingMask) -> tuple[int, bool]:
-        key = m_in.key()
+    def _resolve(self, member: np.ndarray) -> int:
+        """Block index of an input pattern; the nearest enrolled one, with a warning."""
+        key = member.tobytes()
         if key in self._patterns:
-            return self._patterns[key], False
+            return self._patterns[key]
         if not self._members:
             raise ValidationError("affine estimator has no enrolled patterns")
-        member = np.asarray(m_in.member, dtype=bool)
+        warnings.warn("input pattern not enrolled; using nearest enrolled pattern",
+                      PatternFallbackWarning, stacklevel=2)
         dists = [int(np.count_nonzero(m ^ member)) for m in self._members]
-        return int(np.argmin(dists)), True
+        return int(np.argmin(dists))
 
-    def _block(self, idx: int):
+    def _block(self, idx: int, theta: np.ndarray | None = None):
         q = self.q
-        seg = self.theta[idx * self.block_size:(idx + 1) * self.block_size]
+        theta = self.theta if theta is None else theta
+        seg = theta[idx * self.block_size:(idx + 1) * self.block_size]
         a = seg[:q * q].reshape(q, q) + 1j * seg[q * q:2 * q * q].reshape(q, q)
         b = seg[2 * q * q:2 * q * q + q] + 1j * seg[2 * q * q + q:]
         return a, b
@@ -236,28 +279,25 @@ class AffinePerPattern(Estimator):
         seg[2 * q * q + q:] = np.asarray(b).imag
 
     def get_block(self, m_in: SamplingMask):
-        idx, fallback = self._resolve(m_in)
-        if fallback:
+        if m_in.key() not in self._patterns:
             raise ValidationError("pattern not enrolled")
-        return self._block(idx)
+        return self._block(self._patterns[m_in.key()])
 
-    def forward_vjp(self, y_in, m_in: SamplingMask):
-        arr = self._check_input(y_in, m_in)
-        idx, fallback = self._resolve(m_in)
-        if fallback:
-            warnings.warn(
-                "input pattern not enrolled; using nearest enrolled pattern",
-                PatternFallbackWarning, stacklevel=3,
-            )
-        a, b = self._block(idx)
+    def forward_vjp_stack(self, theta, y_in, member):
+        idx = [self._resolve(m) for m in member]
+        out = np.empty_like(y_in)
+        for c, block in enumerate(idx):
+            a, b = self._block(block, theta[c])
+            out[c] = a @ y_in[c] + b
 
-        def pullback(cotangent) -> np.ndarray:
-            grad = np.zeros_like(self.theta)
-            grad[idx * self.block_size:(idx + 1) * self.block_size] = _block_grads(
-                as_kspace(cotangent, self.q), arr)
+        def pullback(cot, rows=slice(None)) -> np.ndarray:
+            bs = self.block_size
+            grad = np.zeros_like(theta[rows])
+            for j, c in enumerate(range(len(idx))[rows]):
+                grad[j, idx[c] * bs:(idx[c] + 1) * bs] = _block_grads(cot[j], y_in[c])
             return grad
 
-        return a @ arr + b, pullback
+        return out, pullback
 
     def forward_batch(self, y_in, member) -> "AffineBatch":
         """Apply the maps to stacked inputs y_in (n, q) with input patterns member (n, q).
@@ -280,12 +320,7 @@ class AffinePerPattern(Estimator):
         out = np.empty_like(arr)
         groups = []
         for pattern, rows in zip(patterns, np.split(order, bounds)):
-            idx, fallback = self._resolve(SamplingMask(pattern, np.ones(self.q)))
-            if fallback:
-                warnings.warn(
-                    "input pattern not enrolled; using nearest enrolled pattern",
-                    PatternFallbackWarning, stacklevel=2,
-                )
+            idx = self._resolve(pattern)
             a, b = self._block(idx)
             out[rows] = arr[rows] @ a.T + b
             groups.append((idx, rows))
@@ -366,18 +401,17 @@ class TinyNet(Estimator):
         self.seed = int(seed)
         width = max(2, self.width_factor * q)
         self.mlp = Mlp([2 * q] + [width] * self.hidden_layers + [2 * q])
+        self.layout = (self.family, self.mlp.sizes)
         if theta is None:
             theta = self.mlp.init(stream(self.seed, "tiny_net_init"))
         super().__init__(q, theta)
 
-    def forward_vjp(self, y_in, m_in: SamplingMask):
-        arr = self._check_input(y_in, m_in)
-        theta = self.theta
-        out, cache = self.mlp.forward(theta, complex_to_real(arr))
+    def forward_vjp_stack(self, theta, y_in, member):
+        out, cache = self.mlp.forward(theta, complex_to_real(y_in))
 
-        def pullback(cotangent) -> np.ndarray:
-            cot = as_kspace(cotangent, self.q)
-            return self.mlp.backward(theta, cache, complex_to_real(cot))[0]
+        def pullback(cot, rows=slice(None)) -> np.ndarray:
+            return self.mlp.backward(theta[rows], _cache_rows(cache, rows),
+                                     complex_to_real(cot))[0]
 
         return real_to_complex(out), pullback
 
@@ -415,6 +449,7 @@ class ToyCascade(Estimator):
         self.seed = int(seed)
         self.net = Mlp([2 * q, 2 * q, 2 * q])
         self.block = 1 + 2 * self.net.n_params  # eta, G_D, G_R per cascade
+        self.layout = (self.family, self.cascades, self.net.sizes)
         if theta is None:
             rng = stream(self.seed, "toy_cascade_init")
             parts = []
@@ -430,39 +465,36 @@ class ToyCascade(Estimator):
         n = self.net.n_params
         return base, (base + 1, base + 1 + n), (base + 1 + n, base + 1 + 2 * n)
 
-    def _run(self, arr: np.ndarray, m_in: SamplingMask):
-        x = complex_to_real(arr)
-        mvec = np.concatenate([m_in.member, m_in.member]).astype(np.float64)
+    def forward_vjp_stack(self, theta, y_in, member):
+        x = complex_to_real(y_in)
+        mvec = np.concatenate([member, member], axis=-1).astype(np.float64)
         states, caches = [x], []
         s = x
         for k in range(self.cascades):
             i_eta, (d0, d1), (r0, r1) = self._segments(k)
-            eta = self.theta[i_eta]
-            d_out, d_cache = self.net.forward(self.theta[d0:d1], s)
-            r_out, r_cache = self.net.forward(self.theta[r0:r1], s)
+            eta = theta[:, i_eta, None]
+            d_out, d_cache = self.net.forward(theta[:, d0:d1], s)
+            r_out, r_cache = self.net.forward(theta[:, r0:r1], s)
             s = s - eta * mvec * (s - x) + mvec * d_out + (1.0 - mvec) * r_out
             states.append(s)
             caches.append((d_cache, r_cache))
-        return states, caches, mvec
 
-    def forward_vjp(self, y_in, m_in: SamplingMask):
-        arr = self._check_input(y_in, m_in)
-        theta = self.theta
-        states, caches, mvec = self._run(arr, m_in)
-
-        def pullback(cotangent) -> np.ndarray:
-            x = states[0]
-            grad = np.zeros_like(theta)
-            a = complex_to_real(as_kspace(cotangent, self.q))
+        def pullback(cot, rows=slice(None)) -> np.ndarray:
+            th, m = theta[rows], mvec[rows]
+            x0 = x[rows]
+            grad = np.empty_like(th)  # eta, G_D and G_R cover every entry
+            a = complex_to_real(cot)
             for k in range(self.cascades - 1, -1, -1):
                 i_eta, (d0, d1), (r0, r1) = self._segments(k)
                 d_cache, r_cache = caches[k]
-                grad[i_eta] = -np.dot(a, mvec * (states[k] - x))
-                g_d, ax_d = self.net.backward(theta[d0:d1], d_cache, mvec * a)
-                g_r, ax_r = self.net.backward(theta[r0:r1], r_cache, (1.0 - mvec) * a)
-                grad[d0:d1] = g_d
-                grad[r0:r1] = g_r
-                a = a * (1.0 - theta[i_eta] * mvec) + ax_d + ax_r
+                # row-wise dot products, each the BLAS dot of the one-row case
+                grad[:, i_eta] = -np.matmul(a[:, None, :],
+                                            (m * (states[k][rows] - x0))[:, :, None])[:, 0, 0]
+                _, ax_d = self.net.backward(th[:, d0:d1], _cache_rows(d_cache, rows), m * a,
+                                            out=grad[:, d0:d1])
+                _, ax_r = self.net.backward(th[:, r0:r1], _cache_rows(r_cache, rows),
+                                            (1.0 - m) * a, out=grad[:, r0:r1])
+                a = a * (1.0 - th[:, i_eta, None] * m) + ax_d + ax_r
             return grad
 
         return real_to_complex(states[-1]), pullback
@@ -520,8 +552,8 @@ class RankReport:
 def jacobian_rank_check(est: Estimator, y_in, m_in: SamplingMask) -> RankReport:
     """Numerical rank of the output-vs-parameter Jacobian at (y_in, m_in).
 
-    The 2q rows (real and imaginary output channels) are assembled
-    column-by-column from vjp calls with unit cotangents. A deficient rank
+    The 2q rows (real and imaginary output channels) are assembled from one
+    forward pass and 2q pullbacks of unit cotangents. A deficient rank
     is reported, not raised: it flags an estimator that cannot satisfy the
     population-minimizer theory at this point.
     """
@@ -531,9 +563,10 @@ def jacobian_rank_check(est: Estimator, y_in, m_in: SamplingMask) -> RankReport:
         raise ValidationError(f"need at least 2q = {2 * q} parameters, got {n}")
     rows = np.empty((2 * q, n))
     eye = np.eye(q, dtype=np.complex128)
+    _, pullback = est.forward_vjp(y_in, m_in)
     for j in range(q):
-        rows[j] = est.vjp(y_in, m_in, eye[j])
-        rows[q + j] = est.vjp(y_in, m_in, 1j * eye[j])
+        rows[j] = pullback(eye[j])
+        rows[q + j] = pullback(1j * eye[j])
     sv = np.linalg.svd(rows, compute_uv=False)
     tol = max(rows.shape) * np.finfo(np.float64).eps * (sv[0] if sv.size else 0.0)
     rank = int(np.count_nonzero(sv > tol))

@@ -75,6 +75,20 @@ class Method(NamedTuple):
     weight: str
     consistency: Input | None = None  # Noise2Recon-SS: also match f(this input) to f(input)
 
+    def _inputs(self):
+        return (self.input,) if self.consistency is None else (self.input, self.consistency)
+
+    @property
+    def reads_lam(self) -> bool:
+        """Whether training reads the second-level mask (every weight that does
+        belongs to a method with a Lambda ∩ Omega input)."""
+        return any(i.on_intersect for i in self._inputs())
+
+    @property
+    def reads_ntilde(self) -> bool:
+        """Whether training reads the further noise."""
+        return any(i.further_noise for i in self._inputs())
+
 
 METHODS = {
     FULLY_SUPERVISED: Method(OMEGA, TARGET_Y0, WEIGHT_ONE),

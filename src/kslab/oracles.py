@@ -481,17 +481,13 @@ def _surrogate_w2(claim: str, model: MeasurementModel,
                   draws: _Draws) -> tuple[np.ndarray, np.ndarray]:
     """Squared loss weights per draw, and the first draw of each (Omega, Lambda) pair.
 
-    The weights come from the training module, one call per distinct pair.
+    The weights and P come from the training module.
     """
-    q = model.q
-    p, pt = model.omega_probs(), model.lambda_probs()
-    pairs, first, inverse = np.unique(np.concatenate([draws.omega, draws.lam], axis=1),
-                                      axis=0, return_index=True, return_inverse=True)
-    w = np.empty((len(pairs), q))
-    for k, pair in enumerate(pairs):
-        w[k] = training.loss_weight(M.row(claim), SamplingMask(pair[:q], p),
-                                    SamplingMask(pair[q:], pt), model.noise.alpha)
-    return (w ** 2)[inverse.reshape(-1)], first
+    P = training.compute_P(model.omega_probs(), model.lambda_probs())
+    w = training.loss_weight(M.row(claim), draws.omega, draws.lam, model.noise.alpha, P)
+    _, first = np.unique(np.concatenate([draws.omega, draws.lam], axis=1), axis=0,
+                         return_index=True)
+    return w ** 2, first
 
 
 def _gradient_moments(claim: str, est: AffinePerPattern, model: MeasurementModel,
@@ -759,19 +755,24 @@ def brute_force_conditional(model: DiscreteModel, ytilde, target: str = TARGET_Y
     return total_num / total_like
 
 
-def draw_discrete(model: DiscreteModel, rng: np.random.Generator):
-    """One joint draw (y0, n, ntilde, omega, lam, ytilde) from the discrete model."""
-    def pick(dist):
-        values = [v for v, _ in dist]
-        probs = [p for _, p in dist]
-        return values[rng.choice(len(values), p=probs)]
+def draw_discrete(model: DiscreteModel, rng: np.random.Generator, count: int | None = None):
+    """A joint draw (y0, n, ntilde, omega, lam, ytilde) from the discrete model.
 
-    q = model.q
-    y0 = np.array([pick(model.atoms) for _ in range(q)], dtype=np.complex128)
-    n = np.array([pick(model.noise_grid) for _ in range(q)], dtype=np.complex128)
-    nt = np.array([pick(model.further_grid) for _ in range(q)], dtype=np.complex128)
-    omega = rng.random(q) < np.asarray(model.p)
-    lam = rng.random(q) < np.asarray(model.ptilde)
+    One draw of length-q vectors, or ``count`` draws as (count, q) rows. Each
+    alphabet is sampled with one ``rng.choice`` call, in the order y0, n,
+    ntilde, then the two masks; a single draw is the ``count=1`` row.
+    """
+    shape = (model.q,) if count is None else (count, model.q)
+
+    def pick(dist):
+        values = np.array([v for v, _ in dist], dtype=np.complex128)
+        return values[rng.choice(len(dist), size=shape, p=[p for _, p in dist])]
+
+    y0 = pick(model.atoms)
+    n = pick(model.noise_grid)
+    nt = pick(model.further_grid)
+    omega = rng.random(shape) < np.asarray(model.p)
+    lam = rng.random(shape) < np.asarray(model.ptilde)
     ytilde = np.where(omega & lam, y0 + n + nt, 0.0 + 0.0j)
     return y0, n, nt, omega, lam, ytilde
 

@@ -8,20 +8,42 @@ concurrent consumers of disjoint streams are reproducible regardless of
 execution order.
 
 String path elements are hashed with SHA-256 (Python's builtin ``hash`` is
-salted per process and must not be used here).
+salted per process and must not be used here). The key (seed, *path) goes
+to ``SeedSequence`` as the uint32 words it would itself make of each
+integer, least significant first; the words of recently used strings, such
+as ``"epoch"`` and ``"item"``, are cached.
 """
 
 import hashlib
+from functools import lru_cache
 
 import numpy as np
 
+_MASK32 = 0xFFFFFFFF
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 
-def _path_entropy(part) -> int:
+
+def _words(value: int) -> list[int]:
+    """SeedSequence's uint32 words of a nonnegative integer, least significant first."""
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+@lru_cache(maxsize=256)
+def _string_words(part: str) -> tuple[int, ...]:
+    digest = hashlib.sha256(part.encode("utf-8")).digest()
+    return tuple(_words(int.from_bytes(digest[:8], "little")))
+
+
+def _path_words(part):
     if isinstance(part, (int, np.integer)):
-        return int(part) & 0xFFFFFFFFFFFFFFFF
+        return _words(int(part) & _MASK64)
     if isinstance(part, str):
-        digest = hashlib.sha256(part.encode("utf-8")).digest()
-        return int.from_bytes(digest[:8], "little")
+        return _string_words(part)
     raise TypeError(f"stream path elements must be int or str, got {type(part)!r}")
 
 
@@ -39,5 +61,8 @@ def stream(master_seed: int, *path) -> np.random.Generator:
     -------
     numpy.random.Generator backed by the counter-based Philox bit generator.
     """
-    key = (int(master_seed) & 0xFFFFFFFFFFFFFFFF,) + tuple(_path_entropy(p) for p in path)
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
+    words = _words(int(master_seed) & _MASK64)
+    for part in path:
+        words.extend(_path_words(part))
+    entropy = np.array(words, dtype=np.uint32)
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))

@@ -8,20 +8,40 @@ residual before squaring. Gradients are exact, from the estimator's pullback.
 The epoch loop follows the simulation protocol: the first-level mask and
 measurement noise of each item are fixed once, while the second-level mask
 and the further noise are regenerated once per epoch.
+
+Training steps a sequence of cells in lockstep. A cell is a spec, an
+estimator, a dataset and a model; consecutive cells whose small estimators
+share a parameter layout and whose optimizer schedules agree form a stack
+that holds its parameters as the rows of one (C, P) array. Each epoch
+builds every cell's inputs, supports, targets and squared weights as (n, q)
+arrays once; each step then runs one stacked forward pass, one pullback
+and one Adam update for the whole stack. Rows never mix, and every
+row-wise operation is the one a cell trained alone performs, so a cell's
+parameters and history are the same to the bit in any stack.
 """
 
+import time
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import methods as M
-from .errors import ConfigError, DimensionError, ValidationError
+from .errors import ConfigError, DimensionError, TrainingDiverged, ValidationError
 from .estimators import Estimator
-from .kspace import SamplingMask, apply_mask, as_kspace, mask_algebra
+from .kspace import SamplingMask, _mask_unchecked, apply_mask, as_kspace
 from .noise import complex_gaussian
 from .rng import stream
 from .sampling import compute_P
 from .synthetic import MeasurementModel, gaussian_ground_truth
+
+# Cells stack only when each has at most this many parameters. Stacking
+# saves per-call overhead: a stacked step of 8 such cells is 3-8x cheaper per
+# cell than a step alone, while from about 6000 parameters the batched
+# matrix products run slower than each cell's own (measured in CHANGES.md),
+# and a stack only multiplies the optimizer's memory.
+STACK_MAX_PARAMS = 4096
 
 
 @dataclass(frozen=True)
@@ -59,7 +79,7 @@ class TrainItem:
     y = M_Omega (y0 + n) by construction. y0 is held only where a method or
     the evaluation needs it; noise holds the measurement-noise draw n so the
     fully sampled noisy target y0 + n can be formed for the methods that
-    train on it. lam and ntilde are regenerated once per epoch.
+    train on it. lam and ntilde are the second-level draws a loss reads.
     """
 
     y: np.ndarray
@@ -82,110 +102,172 @@ def make_train_item(model: MeasurementModel, rng: np.random.Generator,
                      noise=n if keep_ground_truth else None)
 
 
-def build_dataset(model: MeasurementModel, n_items: int, seed: int,
-                  label: str = "train") -> list[TrainItem]:
-    return [make_train_item(model, stream(seed, label, i)) for i in range(n_items)]
+@dataclass
+class Dataset:
+    """Training acquisitions as (n, q) rows: data y, first-level membership
+    omega, and the ground truth y0 and noise draw when kept."""
+
+    y: np.ndarray
+    omega: np.ndarray
+    omega_probs: np.ndarray
+    y0: np.ndarray | None = None
+    noise: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return self.y.shape[0]
+
+    def __getitem__(self, i: int) -> TrainItem:
+        return TrainItem(y=self.y[i], omega=_mask_unchecked(self.omega[i], self.omega_probs),
+                         y0=None if self.y0 is None else self.y0[i],
+                         noise=None if self.noise is None else self.noise[i])
 
 
-def weight_noisier2full(omega: SamplingMask, alpha: float) -> np.ndarray:
-    """Diagonal W_Omega = ((1 + a^2) / a^2) M_Omega + M_Omega^c."""
+def build_dataset(model: MeasurementModel, n_items: int, seed: int, label: str = "train",
+                  keep_ground_truth: bool = True) -> Dataset:
+    """``n_items`` acquisitions, item i drawn from ``stream(seed, label, i)``."""
+    items = [make_train_item(model, stream(seed, label, i), keep_ground_truth)
+             for i in range(n_items)]
+    if not items:
+        raise ConfigError("dataset must be nonempty")
+
+    def rows(name):
+        return np.array([getattr(item, name) for item in items]) if keep_ground_truth else None
+
+    return Dataset(y=np.array([item.y for item in items]),
+                   omega=np.array([item.omega.member for item in items]),
+                   omega_probs=model.omega_probs(), y0=rows("y0"), noise=rows("noise"))
+
+
+def weight_noisier2full(omega: np.ndarray, alpha: float) -> np.ndarray:
+    """Diagonal W_Omega = ((1 + a^2) / a^2) M_Omega + M_Omega^c, row-wise on memberships."""
     if alpha == 0.0:
         raise ValidationError("alpha must be nonzero for the noisier2full weighting")
-    w = np.ones(omega.q)
-    w[omega.member] = (1.0 + alpha ** 2) / alpha ** 2
-    return w
+    return np.where(omega, (1.0 + alpha ** 2) / alpha ** 2, 1.0)
 
 
-def weight_robust_ssdu(omega: SamplingMask, lam: SamplingMask, alpha: float,
+def weight_robust_ssdu(omega: np.ndarray, lam: np.ndarray, alpha: float,
                        P: np.ndarray) -> np.ndarray:
     """Diagonal W = ((1 + a^2) / a^2) M_{Lambda ∩ Omega} + P^(1/2) M_{Omega \\ Lambda}.
 
-    Zero off Omega, where the loss is masked anyway.
+    Row-wise on memberships; zero off Omega, where the loss is masked anyway.
     """
     if alpha == 0.0:
         raise ValidationError("alpha must be nonzero for the robust-ssdu weighting")
-    if omega.q != lam.q:
-        raise DimensionError("mask length mismatch")
-    P = np.asarray(P, dtype=np.float64)
-    alg = mask_algebra(omega, lam)
-    w = np.zeros(omega.q)
-    w[alg.intersect.member] = (1.0 + alpha ** 2) / alpha ** 2
-    off = alg.omega_minus_lambda.member
-    w[off] = np.sqrt(P[off])
-    return w
+    return np.where(omega & lam, (1.0 + alpha ** 2) / alpha ** 2,
+                    np.where(omega & ~lam, np.sqrt(P), 0.0))
 
 
-def loss_weight(method: M.Method, omega: SamplingMask, lam: SamplingMask | None,
-                alpha: float) -> np.ndarray:
-    """Diagonal of the method's loss weight W for one item."""
+def loss_weight(method: M.Method, omega: np.ndarray, lam: np.ndarray | None,
+                alpha: float, P: np.ndarray | None = None) -> np.ndarray:
+    """Diagonal of the method's loss weight W, for one item (q,) or rows (n, q).
+
+    ``omega`` and ``lam`` are memberships; ``P`` (from ``compute_P``) is read
+    only by the robust-ssdu weight.
+    """
     if method.weight == M.WEIGHT_ONE:
-        return np.ones(omega.q)
+        return np.ones(omega.shape)
     if method.weight == M.WEIGHT_NOISIER2FULL:
         return weight_noisier2full(omega, alpha)
     if method.weight == M.WEIGHT_ROBUST_SSDU:
-        return weight_robust_ssdu(omega, lam, alpha, compute_P(omega.probs, lam.probs))
+        return weight_robust_ssdu(omega, lam, alpha, P)
     if method.weight == M.WEIGHT_HELD_OUT:
-        return (omega.member & ~lam.member).astype(np.float64)
-    return omega.member.astype(np.float64)  # WEIGHT_OMEGA
+        return (omega & ~lam).astype(np.float64)
+    return omega.astype(np.float64)  # WEIGHT_OMEGA
 
 
-def _require(item: TrainItem, attr: str, method: str):
+class Rows(NamedTuple):
+    """What a loss step reads, one row per item: the input and its support,
+    the target, the squared weight and, for Noise2Recon-SS, the consistency
+    input and its support. One item (q,), an epoch (n, q) or a step (C, q)."""
+
+    y_in: np.ndarray
+    m_in: np.ndarray
+    target: np.ndarray
+    w2: np.ndarray
+    y_c: np.ndarray | None = None
+    m_c: np.ndarray | None = None
+
+
+def method_rows(method: M.Method, alpha: float, y, omega, lam, ntilde, target,
+                P=None) -> Rows:
+    """The method's loss inputs from the data, row by row (the square of the
+    weight, since ``sqrt(P)**2 != P`` bitwise)."""
+    y_in, m_in = method.input.build(y, omega, lam, ntilde)
+    w2 = loss_weight(method, omega, lam, alpha, P) ** 2
+    if method.consistency is None:
+        return Rows(y_in, m_in, target, w2)
+    return Rows(y_in, m_in, target, w2, *method.consistency.build(y, omega, lam, ntilde))
+
+
+def stack_loss_and_grad(est: Estimator, theta: np.ndarray, rows: Rows,
+                        lambda_n2r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Losses (C,) and exact gradients (C, P) of C cells, one item each.
+
+    Row c of ``theta`` and of every array in ``rows`` belongs to cell c. One
+    forward pass f and its pullback give ``sum_j W_jj^2 |f_j - t_j|^2`` and
+    its gradient. The cells with a consistency term come first; ``rows.y_c``
+    has a row for each and ``lambda_n2r`` their weights: they add
+    ``lambda_n2r ||f_c - f||^2`` for the output f_c on their consistency input.
+    """
+    f, pullback = est.forward_vjp_stack(theta, rows.y_in, rows.m_in)
+    r = f - rows.target
+    loss = np.sum(rows.w2 * np.abs(r) ** 2, axis=-1)
+    grad = pullback(rows.w2 * r)
+    grad *= 2.0
+    if rows.y_c is not None:
+        cons = slice(0, rows.y_c.shape[0])
+        f_c, pullback_c = est.forward_vjp_stack(theta[cons], rows.y_c, rows.m_c)
+        rc = f_c - f[cons]
+        loss[cons] = loss[cons] + lambda_n2r * np.sum(np.abs(rc) ** 2, axis=-1)
+        scale = (2.0 * lambda_n2r)[:, None]
+        grad[cons] += scale * pullback_c(rc)
+        grad[cons] -= scale * pullback(rc, cons)
+    return loss, grad
+
+
+def _require(item, attr: str, method: str):
     value = getattr(item, attr)
     if value is None:
         raise ConfigError(f"method {method!r} requires item field {attr!r}")
     return value
 
 
-def regenerate_second_level(item: TrainItem, model: MeasurementModel,
-                            rng: np.random.Generator) -> TrainItem:
-    """Fresh second-level mask and further-noise draw for one item."""
-    item.lam = model.lambda_dist.draw(rng)
-    item.ntilde = complex_gaussian(model.q, model.noise.alpha * model.noise.sigma_n, rng)
-    return item
+def _target(method: M.Method, name: str, source) -> np.ndarray:
+    """The method's target from a ``TrainItem`` or a ``Dataset``."""
+    if method.target == M.TARGET_Y:
+        return source.y
+    target = _require(source, "y0", name)
+    if method.target == M.TARGET_Y0_PLUS_N:
+        target = target + _require(source, "noise", name)
+    return target
 
 
 def loss_and_grad(spec: TrainSpec, est: Estimator, item: TrainItem) -> tuple[float, np.ndarray]:
     """Per-item loss and exact parameter gradient for the selected method.
 
-    The method's row gives the network input, the target t and the weight
-    W; one forward pass f and its pullback give the loss
-    ``sum_j W_jj^2 |f_j - t_j|^2`` and its gradient. Noise2Recon-SS adds
-    ``lambda_n2r ||f_c - f||^2`` for the output f_c on its consistency input.
+    The one-row case of ``stack_loss_and_grad`` under the estimator's theta.
     """
     name = spec.method
     method = M.row(name)
     y = as_kspace(item.y)
-    omega = item.omega
-    lam = _require(item, "lam", name) if method.input.on_intersect else None
-    ntilde = None
-    if method.input.further_noise or method.consistency is not None:
-        ntilde = as_kspace(_require(item, "ntilde", name))
+    lam = _require(item, "lam", name) if method.reads_lam else None
+    ntilde = as_kspace(_require(item, "ntilde", name)) if method.reads_ntilde else None
+    target = _target(method, name, item)
+    P = compute_P(item.omega.probs, lam.probs) if method.weight == M.WEIGHT_ROBUST_SSDU else None
+    rows = method_rows(method, spec.alpha, y, item.omega.member,
+                       None if lam is None else lam.member, ntilde, target, P)
+    rows = Rows(*(None if a is None else a[None] for a in rows))
+    _enroll(est, rows)
+    loss, grad = stack_loss_and_grad(est, est.theta[None], rows, np.array([spec.lambda_n2r]))
+    return float(loss[0]), grad[0]
 
-    if method.target == M.TARGET_Y:
-        target = y
-    else:
-        target = as_kspace(_require(item, "y0", name))
-        if method.target == M.TARGET_Y0_PLUS_N:
-            target = target + as_kspace(_require(item, "noise", name))
-    w2 = loss_weight(method, omega, lam, spec.alpha) ** 2
 
-    y_in, m_in = method.input.build_masked(y, omega, lam, ntilde)
-    est.ensure_pattern(m_in)
-    if method.consistency is not None:
-        y_c, m_c = method.consistency.build_masked(y, omega, lam, ntilde)
-        est.ensure_pattern(m_c)
-
-    f, pullback = est.forward_vjp(y_in, m_in)
-    r = f - target
-    loss = np.sum(w2 * np.abs(r) ** 2)
-    grad = 2.0 * pullback(w2 * r)
-    if method.consistency is not None:
-        f_c, pullback_c = est.forward_vjp(y_c, m_c)
-        rc = f_c - f
-        loss = loss + spec.lambda_n2r * np.sum(np.abs(rc) ** 2)
-        grad += 2.0 * spec.lambda_n2r * pullback_c(rc)
-        grad -= 2.0 * spec.lambda_n2r * pullback(rc)
-    return float(loss), grad
+def _enroll(est: Estimator, step: Rows) -> None:
+    """Enroll a step's input supports (C, q), then its consistency supports,
+    with an estimator that keys parameters on them."""
+    members = step.m_in if step.m_c is None else (*step.m_in, *step.m_c)
+    for member in members:
+        est.ensure_pattern(_mask_unchecked(member, np.ones(member.shape[0])))
 
 
 @dataclass
@@ -206,20 +288,22 @@ class AdamState:
 def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """One bias-corrected Adam update; params are updated in place and returned.
 
-    Moment vectors are zero-padded if the parameter vector has grown since
-    the previous step (lazy pattern enrollment). The moments and params are
-    updated in place through two scratch vectors, in the operation order of
-    ``m = b1 m + (1 - b1) g``, ``v = b2 v + ((1 - b2) g) g`` and
+    ``params`` is one parameter vector or a stack of rows (C, P) that share
+    the step count. Moment arrays are zero-padded if the parameters have
+    grown since the previous step (lazy pattern enrollment). The moments and
+    params are updated in place through two scratch arrays, in the operation
+    order of ``m = b1 m + (1 - b1) g``, ``v = b2 v + ((1 - b2) g) g`` and
     ``params -= (lr m_hat) / (sqrt(v_hat) + eps)``, so the result is the same
     to the bit as that out-of-place formula.
     """
-    n = params.shape[0]
-    if grad.shape[0] != n:
-        raise DimensionError("gradient length does not match parameters")
-    if state.m.shape[0] < n:
-        pad = n - state.m.shape[0]
-        state.m = np.concatenate([state.m, np.zeros(pad)])
-        state.v = np.concatenate([state.v, np.zeros(pad)])
+    if grad.shape != params.shape:
+        raise DimensionError("gradient shape does not match parameters")
+    if state.m.shape != params.shape:
+        for name in ("m", "v"):
+            grown = np.zeros(params.shape)
+            old = getattr(state, name)
+            grown[..., :old.shape[-1]] = old
+            setattr(state, name, grown)
     state.t += 1
     m, v = state.m, state.v
     s1 = np.multiply(grad, 1.0 - state.beta1)
@@ -239,62 +323,205 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> np.ndar
     return params
 
 
-def train(spec: TrainSpec, est: Estimator, dataset: list[TrainItem],
-          model: MeasurementModel, master_seed: int | None = None,
-          validate_every: int = 1) -> tuple[Estimator, list[dict]]:
-    """Run the epoch loop, mutating the estimator's parameters in place.
+class Cell(NamedTuple):
+    """One training run: method and optimizer settings, estimator, data, model."""
 
-    Per epoch: each item's second-level mask and further noise are redrawn
-    from named substreams, the item order is reshuffled, and one Adam step
-    is taken per batch (per-item losses are summed within a batch). The
-    history records the mean per-item train loss and, when ground truth is
-    available, the validation NMSE of the practical-mode reconstruction
-    every ``validate_every`` epochs (never when it is 0).
+    spec: TrainSpec
+    est: Estimator
+    data: Dataset
+    model: MeasurementModel
 
-    Everything is a deterministic function of the seed.
+
+def _stack_key(cell: Cell):
+    """What a cell must share with the cells it stacks with, or None to train alone.
+
+    Estimators must share a parameter layout of at most ``STACK_MAX_PARAMS``
+    parameters, and the optimizer schedules must agree (items, epochs, batch
+    size, Adam settings).
     """
-    from .inference import MODE_PRACTICAL, reconstruct
-    from .metrics import nmse
+    est, s = cell.est, cell.spec
+    if est.layout is None or est.theta.shape[0] > STACK_MAX_PARAMS:
+        return None
+    return (est.layout, len(cell.data), s.epochs, s.batch_size,
+            s.lr, s.beta1, s.beta2, s.eps)
 
-    if not dataset:
-        raise ConfigError("dataset must be nonempty")
+
+class _CellRun:
+    """A cell's fixed training arrays and its per-epoch draws."""
+
+    def __init__(self, cell: Cell):
+        spec, data, model = cell.spec, cell.data, cell.model
+        self.cell = cell
+        self.method = M.row(spec.method)
+        self.seed = spec.seed
+        self.target = _target(self.method, spec.method, data)
+        self.P = (compute_P(model.omega_probs(), model.lambda_probs())
+                  if self.method.weight == M.WEIGHT_ROBUST_SSDU else None)
+
+    def epoch_rows(self, epoch: int) -> tuple[Rows, np.ndarray]:
+        """The epoch's loss inputs for every item, and the item order."""
+        spec, data, model = self.cell.spec, self.cell.data, self.cell.model
+        n, q = data.y.shape
+        lam = ntilde = None
+        if self.method.reads_lam or self.method.reads_ntilde:
+            lam = np.empty((n, q), dtype=bool)
+            if self.method.reads_ntilde:
+                ntilde = np.empty((n, q), dtype=np.complex128)
+            sigma = model.noise.alpha * model.noise.sigma_n
+            for i in range(n):
+                rng = stream(self.seed, "epoch", epoch, "item", i)
+                lam[i] = model.lambda_dist.draw_members(rng, 1)[0]
+                if ntilde is not None:
+                    ntilde[i] = complex_gaussian(q, sigma, rng)
+        order = stream(self.seed, "epoch", epoch, "shuffle").permutation(n)
+        rows = method_rows(self.method, spec.alpha, data.y, data.omega, lam, ntilde,
+                           self.target, self.P)
+        return rows, order
+
+    def validation_nmse(self, epoch: int) -> float:
+        from .inference import MODE_PRACTICAL, reconstruct
+        from .metrics import nmse
+
+        spec, est, data, model = self.cell
+        val = 0.0
+        for i in range(len(data)):
+            item = data[i]
+            est_y = reconstruct(spec.method, est, item.y, item.omega, model.noise,
+                                model.lambda_dist, MODE_PRACTICAL,
+                                stream(self.seed, "epoch", epoch, "val", i))
+            val += nmse(est_y, item.y0)
+        return val / len(data)
+
+
+def _stack_epoch(runs: list[_CellRun], epoch: int, n_cons: int) -> Rows:
+    """Every cell's epoch rows in its item order, as (n, C, q) arrays: step s reads [s].
+
+    Cells are built one at a time, so only one cell's epoch arrays exist
+    beside the stack's.
+    """
+    fields = [None] * len(Rows._fields)
+    for c, run in enumerate(runs):
+        rows, order = run.epoch_rows(epoch)
+        for k, arr in enumerate(rows):
+            if arr is None:
+                continue
+            if fields[k] is None:
+                width = n_cons if Rows._fields[k] in ("y_c", "m_c") else len(runs)
+                fields[k] = np.empty((arr.shape[0], width, arr.shape[1]), dtype=arr.dtype)
+            fields[k][:, c] = arr[order]
+    return Rows(*fields)
+
+
+def _train_stack(cells: list[Cell], validate_every: int) -> list[list[dict]]:
+    """Train one stack in lockstep; cells with a consistency term come first."""
+    runs = [_CellRun(cell) for cell in cells]
+    n_cons = sum(run.method.consistency is not None for run in runs)
+    est = cells[0].est
+    spec = cells[0].spec
+    theta = None  # a stack of one steps est.theta, which may grow
+    if len(cells) > 1:
+        theta = np.empty((len(cells), est.theta.shape[0]))
+        for c, cell in enumerate(cells):
+            theta[c] = cell.est.theta
+            cell.est.theta = theta[c]
+    lambda_n2r = np.array([cell.spec.lambda_n2r for cell in cells[:n_cons]])
+    state = AdamState.from_spec(spec)
+    n = len(cells[0].data)
+    histories = [[] for _ in cells]
+    for epoch in range(spec.epochs):
+        rows = _stack_epoch(runs, epoch, n_cons)
+        steps = [Rows(*(None if a is None else a[s] for a in rows)) for s in range(n)]
+        if theta is None:
+            # Only a stack of one can grow its parameters. Its patterns enroll
+            # in step order before the epoch's first step; a block not yet
+            # stepped has a zero gradient, which leaves it and its Adam
+            # moments exactly zero, as if it enrolled at its own step.
+            for step in steps:
+                _enroll(est, step)
+        params = est.theta[None] if theta is None else theta
+        totals = np.zeros(len(cells))
+        for start in range(0, n, spec.batch_size):
+            grad = None
+            for s in range(start, min(start + spec.batch_size, n)):
+                loss, g = stack_loss_and_grad(est, params, steps[s], lambda_n2r)
+                if not np.isfinite(loss).all():
+                    bad = cells[int(np.argmin(np.isfinite(loss)))]
+                    raise TrainingDiverged(
+                        f"method {bad.spec.method!r} at sigma_n "
+                        f"{bad.model.noise.sigma_n:g}, epoch {epoch}, step "
+                        f"{start // spec.batch_size}: the training loss is not finite")
+                totals += loss
+                grad = g if grad is None else grad + g
+            adam_step(state, params, grad)
+        del rows, steps  # before the next epoch's are built
+        for run, history, total in zip(runs, histories, totals):
+            row = {"epoch": epoch, "train_loss": float(total) / n}
+            if (validate_every and epoch % validate_every == 0
+                    and run.cell.data.y0 is not None):
+                row["val_nmse"] = run.validation_nmse(epoch)
+            history.append(row)
+    return histories
+
+
+def _run_stack(stack: list[tuple[int, Cell]], validate_every: int):
+    """Train a stack of (position, cell); the positions, histories and seconds."""
+    t0 = time.perf_counter()
+    if len({id(cell.est) for _, cell in stack}) != len(stack):
+        raise ConfigError("each cell needs its own estimator")
+    order = sorted(range(len(stack)),
+                   key=lambda k: M.row(stack[k][1].spec.method).consistency is None)
+    histories = [None] * len(stack)
+    for k, history in zip(order, _train_stack([stack[k][1] for k in order], validate_every)):
+        histories[k] = history
+    return [position for position, _ in stack], histories, time.perf_counter() - t0
+
+
+def train_cells(cells: Iterable[Cell], validate_every: int = 1
+                ) -> Iterator[tuple[list[int], list[list[dict]], float]]:
+    """Run the epoch loop for every cell, stack by stack.
+
+    Consecutive cells with the same ``_stack_key`` form a stack; a cell
+    without one trains alone. Cells are drawn from ``cells`` only as their
+    stack forms, and each stack is trained and let go before the next cell
+    is drawn past it, so a caller that builds cells lazily and releases
+    them once trained holds one stack at a time. Yields, per stack, the
+    positions of its cells in ``cells``, their histories and the stack's
+    training time in seconds.
+
+    Per epoch and cell: each item's second-level mask and further noise are
+    redrawn from named substreams (only where the method reads them), the
+    item order is reshuffled, and one Adam step is taken per batch
+    (per-item losses are summed within a batch). A history records the mean
+    per-item train loss and, when the dataset holds the ground truth, the
+    validation NMSE of the practical-mode reconstruction every
+    ``validate_every`` epochs (never when it is 0). The estimators'
+    parameters are updated in place; after a stack of several cells, each
+    estimator's ``theta`` is its row of the stack's parameter array.
+
+    Everything is a deterministic function of each cell's seed. A non-finite
+    training loss raises ``TrainingDiverged``.
+    """
     if validate_every < 0:
         raise ConfigError("validate_every must be >= 0")
-    seed = spec.seed if master_seed is None else master_seed
-    history = []
-    state = AdamState.from_spec(spec)
-    n = len(dataset)
-    has_truth = all(item.y0 is not None for item in dataset)
-    for epoch in range(spec.epochs):
-        for i, item in enumerate(dataset):
-            regenerate_second_level(item, model, stream(seed, "epoch", epoch, "item", i))
-        order = stream(seed, "epoch", epoch, "shuffle").permutation(n)
-        total = 0.0
-        for start in range(0, n, spec.batch_size):
-            batch = order[start:start + spec.batch_size]
-            grad = None
-            for idx in batch:
-                loss, g = loss_and_grad(spec, est, dataset[idx])
-                total += loss
-                if grad is None:
-                    grad = g
-                elif grad.shape[0] != g.shape[0]:
-                    # a later item enrolled a new pattern; earlier grads are
-                    # zero on the new block
-                    grown = np.zeros_like(g)
-                    grown[:grad.shape[0]] = grad
-                    grad = grown + g
-                else:
-                    grad = grad + g
-            adam_step(state, est.theta, grad)
-        row = {"epoch": epoch, "train_loss": total / n}
-        if has_truth and validate_every and epoch % validate_every == 0:
-            val = 0.0
-            for i, item in enumerate(dataset):
-                est_y = reconstruct(spec.method, est, item.y, item.omega, model.noise,
-                                    model.lambda_dist, MODE_PRACTICAL,
-                                    stream(seed, "epoch", epoch, "val", i))
-                val += nmse(est_y, item.y0)
-            row["val_nmse"] = val / n
-        history.append(row)
+    stack, key, position = [], None, -1
+    for cell in cells:  # not enumerate: its reused tuple would hold the last cell
+        position += 1
+        cell_key = _stack_key(cell)
+        if stack and cell_key != key:
+            trained, stack = _run_stack(stack, validate_every), []
+            yield trained
+        stack.append((position, cell))
+        key = cell_key
+        del cell  # the stack is the only holder once the next cell is drawn
+        if key is None:
+            trained, stack = _run_stack(stack, validate_every), []
+            yield trained
+    if stack:
+        yield _run_stack(stack, validate_every)
+
+
+def train(spec: TrainSpec, est: Estimator, dataset: Dataset, model: MeasurementModel,
+          validate_every: int = 1) -> tuple[Estimator, list[dict]]:
+    """Train one cell (see ``train_cells``); returns the estimator and its history."""
+    [(_, [history], _)] = train_cells([Cell(spec, est, dataset, model)], validate_every)
     return est, history

@@ -85,6 +85,19 @@ def test_cli_exit_code_on_oracle_failure(tmp_path, monkeypatch):
     assert report["all_proof_backed_passed"] is False
 
 
+@pytest.mark.parametrize("command", ["compare", "train"])
+def test_divergence_exits_4_and_writes_no_results(tmp_path, capsys, command):
+    """A non-finite training loss is a divergence, not a configuration error."""
+    path = write_cfg(tmp_path, {**FAST_CFG, "train": {"epochs": 2, "n_train": 6,
+                                                      "lr": 1e300}})
+    assert main([command, "--config", path, "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("training diverged: method ")
+    assert "sigma_n 0.3, epoch 0, step " in err
+    assert not (tmp_path / "results.csv").exists()
+    assert not (tmp_path / "history.csv").exists()
+
+
 def test_compare_outputs_and_determinism(tmp_path):
     cfg = resolve_config(FAST_CFG)
     out_a = tmp_path / "a"
@@ -105,6 +118,16 @@ def test_compare_outputs_and_determinism(tmp_path):
     for line in lines[1:]:
         fields = line.split(",")
         assert all(np.isfinite(float(x)) for x in fields[1:])
+    # timings by stage: data per cell, train per stack (both tiny_net cells
+    # step as one), eval for the baseline and per cell
+    timings = [l.split(",") for l in (out_a / "timings.csv").read_text().splitlines()
+               if not l.startswith("#")]
+    assert timings[0] == ["stage", "cells", "seconds"]
+    cells = ["fully_supervised_s0.3_R2", "robust_ssdu_s0.3_R2"]
+    assert [row[:2] for row in timings[1:]] == (
+        [["data", c] for c in cells] + [["train", " ".join(cells)]]
+        + [["eval", "noisy_subsampled_s0.3_R2"]] + [["eval", c] for c in cells])
+    assert all(float(row[2]) >= 0.0 for row in timings[1:])
 
 
 def test_verify_cli_report_schema(tmp_path):

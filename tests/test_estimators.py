@@ -162,17 +162,18 @@ class GatedToy(Estimator):
     def __init__(self, q):
         super().__init__(q, np.zeros(2 * q))
 
-    def forward(self, y_in, m_in):
-        return (self.theta[0] * self.theta[1]) * np.asarray(y_in, dtype=complex)
-
-    def vjp(self, y_in, m_in, cotangent):
+    def forward_vjp(self, y_in, m_in):
         y = np.asarray(y_in, dtype=complex)
-        c = np.asarray(cotangent, dtype=complex)
-        inner = float(np.sum(c.real * y.real + c.imag * y.imag))
-        g = np.zeros_like(self.theta)
-        g[0] = self.theta[1] * inner
-        g[1] = self.theta[0] * inner
-        return g
+
+        def pullback(cotangent):
+            c = np.asarray(cotangent, dtype=complex)
+            inner = float(np.sum(c.real * y.real + c.imag * y.imag))
+            g = np.zeros_like(self.theta)
+            g[0] = self.theta[1] * inner
+            g[1] = self.theta[0] * inner
+            return g
+
+        return (self.theta[0] * self.theta[1]) * y, pullback
 
 
 def test_jacobian_rank_deficiency_reported_not_raised():

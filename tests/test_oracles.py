@@ -406,7 +406,7 @@ def _weight_defect(name):
 
     def linear_intersect_weight(omega, lam, alpha, P):
         w = weight(omega, lam, alpha, P)
-        w[omega.member & lam.member] = (1.0 + alpha) / alpha
+        w[omega & lam] = (1.0 + alpha) / alpha
         return w
 
     return {"P_to_one": ("compute_P", p_one),
@@ -524,21 +524,29 @@ def test_brute_force_matches_monte_carlo():
     rng = stream(11, "draw")
     y0, n, nt, omega, lam, ytilde = draw_discrete(model, rng)
     exact = brute_force_conditional(model, ytilde, TARGET_Y0)
-    n_mc = 400_000
+    n_mc, shard = 400_000, 50_000
     acc = np.zeros(2, dtype=complex)
     acc_sq = np.zeros(2)
     hits = 0
-    for _ in range(n_mc):
-        d_y0, _, _, _, _, d_yt = draw_discrete(model, rng)
-        if np.abs(d_yt - ytilde).max() < 1e-12:
-            hits += 1
-            acc += d_y0
-            acc_sq += np.abs(d_y0) ** 2
+    for _ in range(n_mc // shard):
+        d_y0, _, _, _, _, d_yt = draw_discrete(model, rng, shard)
+        hit = d_y0[np.abs(d_yt - ytilde).max(axis=1) < 1e-12]
+        hits += hit.shape[0]
+        acc += hit.sum(axis=0)
+        acc_sq += (np.abs(hit) ** 2).sum(axis=0)
     assert hits > 100
     mc_mean = acc / hits
     var = np.maximum(acc_sq / hits - np.abs(mc_mean) ** 2, 0.0)
     se = np.sqrt(var / hits) + 1e-12
     assert np.all(np.abs(mc_mean - exact) <= 3 * se)
+
+
+def test_draw_discrete_single_draw_is_the_one_row_case():
+    model = two_atom_model(noise_sigma=0.4, further_sigma=0.3)
+    single = draw_discrete(model, stream(12, "draw"))
+    rows = draw_discrete(model, stream(12, "draw"), 1)
+    for one, row in zip(single, rows):
+        assert np.array_equal(one, row[0])
 
 
 def test_brute_force_rejects_oversized_alphabet():

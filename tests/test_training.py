@@ -5,14 +5,16 @@ import pytest
 
 from kslab import methods as M
 from kslab.errors import ConfigError
-from kslab.estimators import AffinePerPattern, TinyNet
+from kslab.estimators import AffinePerPattern, TinyNet, ToyCascade
 from kslab.kspace import SamplingMask, apply_mask, full_mask, mask_algebra
 from kslab.noise import NoiseSpec, complex_gaussian
 from kslab.rng import stream
 from kslab.sampling import MaskDistribution, compute_P
 from kslab.synthetic import MeasurementModel, gaussian_ground_truth, model_preset
 from kslab.training import (
+    STACK_MAX_PARAMS,
     AdamState,
+    Cell,
     TrainItem,
     TrainSpec,
     adam_step,
@@ -20,6 +22,7 @@ from kslab.training import (
     loss_and_grad,
     make_train_item,
     train,
+    train_cells,
     weight_noisier2full,
     weight_robust_ssdu,
 )
@@ -31,11 +34,11 @@ def mask_of(q, indices, probs):
 
 def test_weight_noisier2full_values():
     omega = mask_of(4, [0, 2], np.full(4, 0.5))
-    w = weight_noisier2full(omega, 1.0)
+    w = weight_noisier2full(omega.member, 1.0)
     assert np.array_equal(w, [2.0, 1.0, 2.0, 1.0])
-    w = weight_noisier2full(omega, 1e3)
+    w = weight_noisier2full(omega.member, 1e3)
     assert np.abs(w[np.asarray(omega.member)] - 1.0).max() <= 1e-6
-    w = weight_noisier2full(full_mask(3), 1.0)
+    w = weight_noisier2full(full_mask(3).member, 1.0)
     assert np.array_equal(w, [2.0, 2.0, 2.0])
 
 
@@ -44,7 +47,7 @@ def test_weight_robust_ssdu_worked_example():
     omega = mask_of(2, [0, 1], [1.0, 1.0])
     lam = mask_of(2, [0], [0.5, 0.5])
     P = compute_P(omega.probs, lam.probs)
-    w = weight_robust_ssdu(omega, lam, 1.0, P)
+    w = weight_robust_ssdu(omega.member, lam.member, 1.0, P)
     assert np.allclose(w, [2.0, 1.0])
 
 
@@ -53,7 +56,7 @@ def test_weight_robust_ssdu_lambda_to_zero_limit():
     omega = mask_of(q, [0, 1, 2], [0.5, 0.25, 0.8])
     lam = mask_of(q, [], np.full(q, 1e-12))
     P = compute_P(omega.probs, lam.probs)
-    w = weight_robust_ssdu(omega, lam, 1.0, P)
+    w = weight_robust_ssdu(omega.member, lam.member, 1.0, P)
     assert np.allclose(w, 1.0 / np.sqrt(omega.probs), rtol=1e-6)
 
 
@@ -64,7 +67,7 @@ def test_weight_robust_ssdu_lambda_superset_reduces_to_noisier2full():
     omega = mask_of(q, [0, 3], np.full(q, 0.5))
     lam = mask_of(q, [0, 1, 2, 3], np.full(q, 0.9))
     P = compute_P(omega.probs, lam.probs)
-    w = weight_robust_ssdu(omega, lam, 1.0, P)
+    w = weight_robust_ssdu(omega.member, lam.member, 1.0, P)
     expected = np.where(omega.member, 2.0, 0.0)
     assert np.array_equal(w, expected)
 
@@ -72,7 +75,7 @@ def test_weight_robust_ssdu_lambda_superset_reduces_to_noisier2full():
 def test_weight_zero_off_omega():
     omega = mask_of(4, [1], np.full(4, 0.5))
     lam = mask_of(4, [1, 2], np.full(4, 0.5))
-    w = weight_robust_ssdu(omega, lam, 0.7, compute_P(omega.probs, lam.probs))
+    w = weight_robust_ssdu(omega.member, lam.member, 0.7, compute_P(omega.probs, lam.probs))
     assert np.all(w[~np.asarray(omega.member)] == 0.0)
 
 
@@ -386,3 +389,90 @@ def test_robust_reduction_to_noisier2full_on_full_omega():
 
         assert loss_rs == loss_n2f
         assert np.array_equal(grad_rs, grad_n2f)
+
+
+def _lockstep_cells(batch_size):
+    """A mixed tiny_net stack of all 8 methods, a 2-cell toy_cascade stack and
+    an affine cell (Noise2Recon-SS: two patterns enroll per step)."""
+    models = [model_preset("banded", sigma_n=s, alpha=0.75) for s in (0.1, 0.3)]
+    plan = [(TinyNet, {"width_factor": 1}, m) for m in M.ALL_METHODS]
+    plan += [(ToyCascade, {"cascades": 2}, m) for m in (M.NOISE2RECON_SS, M.ROBUST_SSDU)]
+    plan += [(AffinePerPattern, {}, M.NOISE2RECON_SS)]
+    cells = []
+    for k, (family, opts, method) in enumerate(plan):
+        model = models[k % 2]
+        opts = opts if family is AffinePerPattern else {**opts, "seed": k}
+        spec = TrainSpec(method=method, epochs=3, lr=5e-3, seed=80 + k, alpha=0.75,
+                         lambda_n2r=0.7, batch_size=batch_size)
+        cells.append(Cell(spec, family(model.q, **opts), build_dataset(model, 5, seed=80 + k),
+                          model))
+    return cells
+
+
+def _per_item_reference(cell):
+    """The per-item epoch loop: loss_and_grad item by item, grads folded in order."""
+    spec, est, data, model = cell
+    state, history = AdamState.from_spec(spec), []
+    items = [data[i] for i in range(len(data))]
+    for epoch in range(spec.epochs):
+        for i, item in enumerate(items):
+            rng = stream(spec.seed, "epoch", epoch, "item", i)
+            item.lam = model.lambda_dist.draw(rng)
+            item.ntilde = complex_gaussian(model.q, model.noise.alpha * model.noise.sigma_n, rng)
+        order = stream(spec.seed, "epoch", epoch, "shuffle").permutation(len(items))
+        total = 0.0
+        for start in range(0, len(items), spec.batch_size):
+            grad = None
+            for idx in order[start:start + spec.batch_size]:
+                loss, g = loss_and_grad(spec, est, items[idx])
+                total += loss
+                if grad is not None and grad.shape != g.shape:
+                    grad = np.concatenate([grad, np.zeros(g.shape[0] - grad.shape[0])])
+                grad = g if grad is None else grad + g
+            adam_step(state, est.theta, grad)
+        history.append(total / len(items))
+    return history
+
+
+@pytest.mark.parametrize("batch_size", [1, 2])
+def test_lockstep_stacks_match_cells_trained_alone(batch_size):
+    """Cells trained as rows of a stack end with the parameters and histories,
+    to the bit, of the same cells trained alone and of the per-item loop."""
+    together = _lockstep_cells(batch_size)
+    initial = [cell.est.theta.copy() for cell in together]
+    stacked = list(train_cells(together, validate_every=2))
+    assert sorted(len(positions) for positions, _, _ in stacked) == [1, 2, 8]
+    histories = {k: history for positions, stack_histories, _ in stacked
+                 for k, history in zip(positions, stack_histories)}
+    for k, cell in enumerate(together):
+        history = histories[k]
+        alone = _lockstep_cells(batch_size)[k]
+        assert train(*alone, validate_every=2)[1] == history
+        assert np.array_equal(alone.est.theta, cell.est.theta)
+        reference = _lockstep_cells(batch_size)[k]
+        assert _per_item_reference(reference) == [row["train_loss"] for row in history]
+        assert np.array_equal(reference.est.theta, cell.est.theta)
+        start = np.zeros_like(cell.est.theta)  # affine blocks enroll as zeros
+        start[:initial[k].shape[0]] = initial[k]
+        assert not np.array_equal(cell.est.theta, start)
+        assert [("val_nmse" in row) for row in history] == [True, False, True]
+
+
+def test_train_cells_draws_each_cell_as_its_stack_forms():
+    """Consecutive small cells of one layout stack; a larger network or an
+    affine cell trains alone, before the next cell is drawn."""
+    model = model_preset("banded", sigma_n=0.1, alpha=0.75)
+    plan = [TinyNet(model.q, width_factor=8), TinyNet(model.q, width_factor=1),
+            TinyNet(model.q, width_factor=1, seed=1), AffinePerPattern(model.q),
+            TinyNet(model.q, width_factor=1, seed=2)]
+    assert plan[0].theta.shape[0] > STACK_MAX_PARAMS >= plan[1].theta.shape[0]
+    drawn = []
+
+    def cells():
+        for k, est in enumerate(plan):
+            drawn.append(k)
+            yield Cell(TrainSpec(method=M.ROBUST_SSDU, epochs=1, seed=k), est,
+                       build_dataset(model, 2, seed=k), model)
+
+    seen = [(positions, len(drawn)) for positions, _, _ in train_cells(cells(), 0)]
+    assert seen == [([0], 1), ([1, 2], 4), ([3], 4), ([4], 5)]
