@@ -22,7 +22,7 @@ from .kspace import (
     magnitude_image,
     mask_algebra,
 )
-from .noise import NoiseSpec, add_complex_noise, whiten
+from .noise import NoiseSpec, add_complex_noise
 from .sampling import MaskDistribution, build_density, compute_P, compute_k, draw_mask
 from .synthetic import MeasurementModel, gaussian_ground_truth, model_preset, phantom_ground_truth
 from .estimators import (
@@ -54,4 +54,4 @@ from .inference import (
     reconstruct,
 )
 from .metrics import nmse, ssim
-from .rng import stream
+from .rng import stream, streams

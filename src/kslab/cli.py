@@ -27,13 +27,13 @@ from . import methods as M
 from .config import ALPHA_DEFAULTS, config_json, load_config
 from .errors import ConfigError, TrainingDiverged, ValidationError
 from .estimators import AFFINE_PER_PATTERN, make_estimator, load_checkpoint
-from .inference import reconstruct
+from .inference import reconstruct_rows
 from .kspace import kspace_to_json, magnitude_image
-from .metrics import mean_and_se, nmse, ssim
+from .metrics import mean_and_se, nmse_rows, ssim_rows
 from .oracles import run_oracle_suite
-from .rng import stream
+from .rng import stream, streams
 from .synthetic import MeasurementModel, load_prior_cov, model_preset
-from .training import Cell, TrainSpec, build_dataset, make_train_item, train, train_cells
+from .training import Cell, Dataset, TrainSpec, build_dataset, train, train_cells
 
 
 def _subseed(master: int, *path) -> int:
@@ -97,23 +97,32 @@ def _train_spec(cfg: dict, method: str, alpha: float, seed: int) -> TrainSpec:
     )
 
 
-def _test_items(model, cfg, master: int, tag: str):
-    return [make_train_item(model, stream(master, "test", tag, i))
-            for i in range(cfg["eval"]["n_test"])]
+def _test_set(model, cfg, master: int, tag: str) -> Dataset:
+    """The test items of ``tag``: item i drawn from ``stream(master, "test", tag, i)``."""
+    return build_dataset(model, cfg["eval"]["n_test"], master, label=("test", tag))
 
 
-def _evaluate(method, est, items, model, cfg, master, tag):
-    nmses, ssims = [], []
-    for i, item in enumerate(items):
-        rec = reconstruct(method, est, item.y, item.omega, model.noise,
-                          model.lambda_dist, cfg["mode"],
-                          stream(master, "recon", tag, i))
-        nmses.append(nmse(rec, item.y0))
-        ssims.append(ssim(magnitude_image(rec, model.shape),
-                          magnitude_image(item.y0, model.shape)))
-    n_mean, n_se = mean_and_se(nmses)
-    s_mean, s_se = mean_and_se(ssims)
-    return n_mean, n_se, s_mean, s_se
+def _metric_rows(estimate, test: Dataset, model):
+    """Per-item NMSE and magnitude-image SSIM of estimates (n, q) of the test set."""
+    return (nmse_rows(estimate, test.y0),
+            ssim_rows(magnitude_image(estimate, model.shape),
+                      magnitude_image(test.y0, model.shape)))
+
+
+def _score(method, est, test: Dataset, model, mode, rngs):
+    """Reconstructions (n, q) of the test set and their per-item NMSE and SSIM.
+
+    ``rngs`` (lazily drawn) give each item's fresh corruption in theory mode.
+    """
+    rec = reconstruct_rows(method, est, test.y, test.omega, model.noise,
+                           model.lambda_dist, mode, rngs)
+    return (rec, *_metric_rows(rec, test, model))
+
+
+def _evaluate(method, est, test: Dataset, model, cfg, master, tag):
+    _, nmses, ssims = _score(method, est, test, model, cfg["mode"],
+                             streams(master, "recon", tag, count=len(test)))
+    return (*mean_and_se(nmses), *mean_and_se(ssims))
 
 
 def _cell(cfg, method, model, alpha, master, tag) -> Cell:
@@ -178,10 +187,8 @@ def run_compare(cfg: dict, out_dir: Path) -> Path:
         if g not in test_set:
             test_set.clear()
             t0 = time.perf_counter()
-            items = test_set[g] = _test_items(model, cfg, master, grid_tag)
-            base_nmse = [nmse(item.y, item.y0) for item in items]
-            base_ssim = [ssim(magnitude_image(item.y, model.shape),
-                              magnitude_image(item.y0, model.shape)) for item in items]
+            test = test_set[g] = _test_set(model, cfg, master, grid_tag)
+            base_nmse, base_ssim = _metric_rows(test.y, test, model)
             baselines[g] = (*mean_and_se(base_nmse), *mean_and_se(base_ssim))
             timing_rows.append(["eval", f"noisy_subsampled_{grid_tag}",
                                 time.perf_counter() - t0])
@@ -222,13 +229,13 @@ def run_alpha_sweep(cfg: dict, out_dir: Path) -> Path:
         model_a = _build_model(cfg, sigma_n=sigma, alpha=alpha, R_omega=r_omega)
         plan += [(method, model_a, alpha, f"sweep_{method}_a{alpha:g}")
                  for method in SWEEP_METHODS]
-    items = _test_items(model, cfg, master, "sweep")
+    test = _test_set(model, cfg, master, "sweep")
     timing_rows = []
 
     def score(i, est):
         t0 = time.perf_counter()
         method, model_c, _, tag = plan[i]
-        scores = _evaluate(method, est, items, model_c, cfg, master, tag)
+        scores = _evaluate(method, est, test, model_c, cfg, master, tag)
         timing_rows.append(["eval", tag, time.perf_counter() - t0])
         return scores
 
@@ -323,19 +330,12 @@ def run_reconstruct(cfg: dict, checkpoint_path: Path, out_dir: Path) -> Path:
     model = _build_model(cfg, alpha=checkpoint["alpha"])
     if model.q != est.q:
         raise ConfigError("checkpoint estimator dimension does not match the model")
-    items = _test_items(model, cfg, master, "reconstruct")
-    rows = []
-    estimates = []
-    for i, item in enumerate(items):
-        rec = reconstruct(method, est, item.y, item.omega, model.noise,
-                          model.lambda_dist, cfg["mode"], stream(master, "rec", i))
-        rows.append([i, nmse(rec, item.y0),
-                     ssim(magnitude_image(rec, model.shape),
-                          magnitude_image(item.y0, model.shape))])
-        estimates.append({
-            "estimate": kspace_to_json(rec),
-            "omega": item.omega.to_json(),
-        })
+    test = _test_set(model, cfg, master, "reconstruct")
+    rec, nmses, ssims = _score(method, est, test, model, cfg["mode"],
+                               streams(master, "rec", count=len(test)))
+    rows = [[i, *values] for i, values in enumerate(zip(nmses.tolist(), ssims.tolist()))]
+    estimates = [{"estimate": kspace_to_json(rec[i]), "omega": test[i].omega.to_json()}
+                 for i in range(len(test))]
     out = out_dir / "reconstructions.csv"
     _write_csv(out, cfg, ["item", "nmse", "ssim"], rows)
     with open(out_dir / "reconstructions.json", "w") as fh:

@@ -31,6 +31,18 @@ def as_kspace(v, q: int | None = None) -> np.ndarray:
     return arr
 
 
+def as_kspace_rows(v, q: int | None = None) -> np.ndarray:
+    """Coerce to a finite (n, q) stack of complex128 vectors, optionally of length q."""
+    arr = np.asarray(v, dtype=np.complex128)
+    if arr.ndim != 2:
+        raise DimensionError(f"expected a stack of vectors (n, q), got shape {arr.shape}")
+    if q is not None and arr.shape[1] != q:
+        raise DimensionError(f"expected length {q}, got {arr.shape[1]}")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError("k-space vector contains NaN or Inf")
+    return arr
+
+
 def kspace_to_json(v) -> list:
     """Serialize a complex vector as a list of [re, im] pairs."""
     arr = as_kspace(v)
@@ -166,25 +178,24 @@ def dft_unitary(v, inverse: bool = False) -> np.ndarray:
     return f @ arr
 
 
-def _idft_2d(k: np.ndarray, shape) -> np.ndarray:
-    nx, ny = shape
-    grid = k.reshape(nx, ny)
-    fx = np.conj(_dft_matrix(nx))
-    fy = np.conj(_dft_matrix(ny))
-    return fx @ grid @ fy.T
-
-
 def magnitude_image(k, shape=None) -> np.ndarray:
-    """Entrywise modulus of the inverse unitary DFT.
+    """Entrywise modulus of the inverse unitary DFT, of one vector (q,) or a stack (n, q).
 
     Single-coil specialization: the root-sum-of-squares estimate reduces to
     the modulus of the inverse transform. For the flattened 2-D mode pass
-    ``shape=(nx, ny)``; the result then has that shape.
+    ``shape=(nx, ny)``; each image then has that shape. A stack is
+    transformed by stacked matrix products, one BLAS call per row, so a row
+    gets the bits it gets alone.
     """
-    arr = as_kspace(k)
+    arr = np.asarray(k, dtype=np.complex128)
+    rows = as_kspace_rows(arr if arr.ndim != 1 else arr[None])
+    q = rows.shape[1]
     if shape is None:
-        return np.abs(dft_unitary(arr, inverse=True))
-    nx, ny = shape
-    if nx * ny != arr.shape[0]:
-        raise DimensionError(f"shape {shape} does not flatten to length {arr.shape[0]}")
-    return np.abs(_idft_2d(arr, (nx, ny)))
+        img = np.matmul(np.conj(_dft_matrix(q)), rows[..., None])[..., 0]
+    else:
+        nx, ny = shape
+        if nx * ny != q:
+            raise DimensionError(f"shape {shape} does not flatten to length {q}")
+        grid = rows.reshape(-1, nx, ny)
+        img = np.matmul(np.matmul(np.conj(_dft_matrix(nx)), grid), np.conj(_dft_matrix(ny)).T)
+    return np.abs(img if arr.ndim != 1 else img[0])

@@ -1,4 +1,5 @@
-"""Complex Gaussian measurement noise, its specification, and whitening.
+"""Complex Gaussian measurement noise, its specification, and the
+per-item second-level draws (the mask Lambda and the further noise).
 
 Noise follows the circularly-symmetric convention: a complex variance of
 sigma^2 means each real channel has variance sigma^2 / 2. The network inputs
@@ -6,6 +7,7 @@ that carry the further noise are built from the method table
 (``methods.Input.build``).
 """
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +42,36 @@ def complex_gaussian(q: int | tuple, sigma: float, rng: np.random.Generator) -> 
     """
     if sigma < 0.0:
         raise ValidationError("sigma must be >= 0")
-    scale = sigma / np.sqrt(2.0)
-    return scale * (rng.standard_normal(q) + 1j * rng.standard_normal(q))
+    return complex_from_normals(rng.standard_normal(q), rng.standard_normal(q), sigma)
+
+
+def complex_from_normals(re: np.ndarray, im: np.ndarray, sigma: float) -> np.ndarray:
+    """CN(0, sigma^2) entries from standard normal draws of the two channels."""
+    return (sigma / np.sqrt(2.0)) * (re + 1j * im)
+
+
+def second_level_draws(rngs: Iterable[np.random.Generator], n: int, q: int,
+                       lambda_dist=None, sigma: float | None = None):
+    """Second-level draws of n items, item i from the i-th of exactly n generators.
+
+    Each item draws its second-level mask from ``lambda_dist`` (when given),
+    then its further noise CN(0, sigma^2 I) (when ``sigma`` is given), exactly
+    as ``lambda_dist.draw(rng)`` and ``complex_gaussian(q, sigma, rng)``
+    would. Only the raw draws happen per item; returns the memberships and
+    the noise as (n, q) rows, None where not drawn.
+    """
+    if sigma is not None and sigma < 0.0:
+        raise ValidationError("sigma must be >= 0")
+    uniforms = None if lambda_dist is None else np.empty((n, lambda_dist.site_probs().shape[0]))
+    normals = None if sigma is None else np.empty((2, n, q))
+    for i, rng in zip(range(n), rngs, strict=True):
+        if uniforms is not None:
+            rng.random(out=uniforms[i])
+        if normals is not None:
+            rng.standard_normal(out=normals[0, i])
+            rng.standard_normal(out=normals[1, i])
+    return (None if uniforms is None else lambda_dist.members(uniforms),
+            None if normals is None else complex_from_normals(*normals, sigma))
 
 
 def add_complex_noise(v, sigma: float, rng: np.random.Generator) -> np.ndarray:
@@ -50,47 +80,3 @@ def add_complex_noise(v, sigma: float, rng: np.random.Generator) -> np.ndarray:
     if sigma == 0.0:
         return arr.copy()
     return arr + complex_gaussian(arr.shape[0], sigma, rng)
-
-
-def _check_spd(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise ValidationError(f"covariance must be square, got shape {cov.shape}")
-    if not np.allclose(cov, cov.conj().T, rtol=0.0, atol=1e-10):
-        raise ValidationError("covariance must be Hermitian")
-    evals, evecs = np.linalg.eigh(cov)
-    if evals.min() <= 0.0:
-        raise ValidationError(f"covariance not positive definite (min eigenvalue {evals.min()})")
-    return evals, evecs
-
-
-def whiten(v, cov) -> np.ndarray:
-    """Apply the inverse matrix square root of a noise covariance.
-
-    cov may be a scalar (c^2 * identity), a length-q diagonal, or a full
-    Hermitian positive-definite q x q matrix. Noise drawn with covariance
-    cov comes out with unit per-entry variance.
-    """
-    arr = as_kspace(v)
-    cov = np.asarray(cov)
-    if cov.ndim == 0:
-        if cov <= 0:
-            raise ValidationError("scalar covariance must be positive")
-        return arr / np.sqrt(float(cov))
-    if cov.ndim == 1:
-        if cov.shape[0] != arr.shape[0]:
-            raise ValidationError("diagonal covariance length mismatch")
-        if np.any(cov.real <= 0) or np.any(np.abs(cov.imag) > 0):
-            raise ValidationError("diagonal covariance must be real positive")
-        return arr / np.sqrt(cov.real)
-    evals, evecs = _check_spd(cov.astype(np.complex128))
-    if cov.shape[0] != arr.shape[0]:
-        raise ValidationError("covariance size does not match vector length")
-    return evecs @ ((evecs.conj().T @ arr) / np.sqrt(evals))
-
-
-def colored_complex_gaussian(cov, rng: np.random.Generator) -> np.ndarray:
-    """Draw CN(0, cov) for a full Hermitian positive-definite covariance."""
-    cov = np.asarray(cov, dtype=np.complex128)
-    evals, evecs = _check_spd(cov)
-    white = complex_gaussian(cov.shape[0], 1.0, rng)
-    return evecs @ (np.sqrt(evals) * (evecs.conj().T @ white))

@@ -163,9 +163,14 @@ class MaskDistribution:
 
     def draw_members(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Membership rows of ``count`` independent masks, shape (count, q)."""
-        site = self.site_probs()
-        picked = rng.random((count, site.shape[0])) < site
+        return self.members(rng.random((count, self.site_probs().shape[0])))
+
+    def members(self, uniforms: np.ndarray) -> np.ndarray:
+        """Membership rows (count, q) of masks from uniform draws (count, sites):
+        a site is sampled when its draw falls below its probability."""
+        picked = uniforms < self.site_probs()
         if self.kind == COLUMN_POLYNOMIAL and self.shape is not None:
+            count = picked.shape[0]
             nx, ny = self.shape
             return np.broadcast_to(picked[:, None, :], (count, nx, ny)).reshape(count, self.q)
         return picked

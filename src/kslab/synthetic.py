@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, ValidationError
 from .kspace import dft_unitary, _dft_matrix
-from .noise import NoiseSpec
+from .noise import NoiseSpec, complex_from_normals
 from .sampling import (
     BERNOULLI2D_POLYNOMIAL,
     COLUMN_POLYNOMIAL,
@@ -83,12 +83,20 @@ def gaussian_ground_truth(model: MeasurementModel, rng: np.random.Generator,
 
     One length-q vector, or ``count`` independent draws as (count, q) rows.
     """
-    scale = 1.0 / np.sqrt(2.0)
-    shape = model.q if count is None else (count, model.q)
-    white = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     if count is None:
-        return model._sqrt_factor @ white
+        return ground_truth_from_normals(model, rng.standard_normal((1, model.q)),
+                                         rng.standard_normal((1, model.q)))[0]
+    white = complex_from_normals(rng.standard_normal((count, model.q)),
+                                 rng.standard_normal((count, model.q)), 1.0)
     return white @ model._sqrt_factor.T
+
+
+def ground_truth_from_normals(model: MeasurementModel, re: np.ndarray,
+                              im: np.ndarray) -> np.ndarray:
+    """Ground truth rows (n, q) from standard normal draws (n, q) of the two
+    channels, each row transformed alone (one BLAS call per row)."""
+    white = complex_from_normals(re, im, 1.0)
+    return np.matmul(model._sqrt_factor, white[..., None])[..., 0]
 
 
 def phantom_ground_truth(q: int, n_blocks: int, rng: np.random.Generator) -> np.ndarray:

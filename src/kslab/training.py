@@ -30,11 +30,13 @@ import numpy as np
 from . import methods as M
 from .errors import ConfigError, DimensionError, TrainingDiverged, ValidationError
 from .estimators import Estimator
-from .kspace import SamplingMask, _mask_unchecked, apply_mask, as_kspace
-from .noise import complex_gaussian
-from .rng import stream
+from .inference import MODE_PRACTICAL, reconstruct_rows
+from .kspace import SamplingMask, _mask_unchecked, as_kspace
+from .metrics import nmse_rows
+from .noise import complex_from_normals, second_level_draws
+from .rng import stream, streams
 from .sampling import compute_P
-from .synthetic import MeasurementModel, gaussian_ground_truth
+from .synthetic import MeasurementModel, ground_truth_from_normals
 
 # Cells stack only when each has at most this many parameters. Stacking
 # saves per-call overhead: a stacked step of 8 such cells is 3-8x cheaper per
@@ -92,14 +94,8 @@ class TrainItem:
 
 def make_train_item(model: MeasurementModel, rng: np.random.Generator,
                     keep_ground_truth: bool = True) -> TrainItem:
-    """Simulate one acquisition from the measurement model."""
-    y0 = gaussian_ground_truth(model, rng)
-    n = complex_gaussian(model.q, model.noise.sigma_n, rng)
-    omega = model.omega_dist.draw(rng)
-    y = apply_mask(omega, y0 + n)
-    return TrainItem(y=y, omega=omega,
-                     y0=y0 if keep_ground_truth else None,
-                     noise=n if keep_ground_truth else None)
+    """Simulate one acquisition from the measurement model (``draw_dataset`` of one)."""
+    return draw_dataset(model, [rng], 1, keep_ground_truth)[0]
 
 
 @dataclass
@@ -122,20 +118,40 @@ class Dataset:
                          noise=None if self.noise is None else self.noise[i])
 
 
-def build_dataset(model: MeasurementModel, n_items: int, seed: int, label: str = "train",
-                  keep_ground_truth: bool = True) -> Dataset:
-    """``n_items`` acquisitions, item i drawn from ``stream(seed, label, i)``."""
-    items = [make_train_item(model, stream(seed, label, i), keep_ground_truth)
-             for i in range(n_items)]
-    if not items:
+def draw_dataset(model: MeasurementModel, rngs: Iterable[np.random.Generator], n_items: int,
+                 keep_ground_truth: bool = True) -> Dataset:
+    """``n_items`` acquisitions, item i from the i-th of exactly ``n_items`` generators.
+
+    Each item draws its ground truth y0, its measurement noise n and its
+    first-level mask, in that order; y = M_Omega (y0 + n). Only the raw
+    draws happen per item, the transforms run on all rows at once, and each
+    row has the bits of its item simulated alone.
+    """
+    q = model.q
+    normals = np.empty((4, n_items, q))
+    uniforms = np.empty((n_items, model.omega_dist.site_probs().shape[0]))
+    for i, rng in zip(range(n_items), rngs, strict=True):
+        for k in range(4):
+            rng.standard_normal(out=normals[k, i])
+        rng.random(out=uniforms[i])
+    y0 = ground_truth_from_normals(model, normals[0], normals[1])
+    noise = complex_from_normals(normals[2], normals[3], model.noise.sigma_n)
+    omega = model.omega_dist.members(uniforms)
+    y = np.where(omega, y0 + noise, 0.0 + 0.0j)
+    return Dataset(y=y, omega=omega, omega_probs=model.omega_probs(),
+                   y0=y0 if keep_ground_truth else None,
+                   noise=noise if keep_ground_truth else None)
+
+
+def build_dataset(model: MeasurementModel, n_items: int, seed: int,
+                  label: str | tuple = "train", keep_ground_truth: bool = True) -> Dataset:
+    """``n_items`` acquisitions, item i drawn from ``stream(seed, label, i)``;
+    a tuple ``label`` is a longer path, ``stream(seed, *label, i)``."""
+    if n_items < 1:
         raise ConfigError("dataset must be nonempty")
-
-    def rows(name):
-        return np.array([getattr(item, name) for item in items]) if keep_ground_truth else None
-
-    return Dataset(y=np.array([item.y for item in items]),
-                   omega=np.array([item.omega.member for item in items]),
-                   omega_probs=model.omega_probs(), y0=rows("y0"), noise=rows("noise"))
+    path = label if isinstance(label, tuple) else (label,)
+    return draw_dataset(model, streams(seed, *path, count=n_items), n_items,
+                        keep_ground_truth)
 
 
 def weight_noisier2full(omega: np.ndarray, alpha: float) -> np.ndarray:
@@ -364,33 +380,22 @@ class _CellRun:
         n, q = data.y.shape
         lam = ntilde = None
         if self.method.reads_lam or self.method.reads_ntilde:
-            lam = np.empty((n, q), dtype=bool)
-            if self.method.reads_ntilde:
-                ntilde = np.empty((n, q), dtype=np.complex128)
-            sigma = model.noise.alpha * model.noise.sigma_n
-            for i in range(n):
-                rng = stream(self.seed, "epoch", epoch, "item", i)
-                lam[i] = model.lambda_dist.draw_members(rng, 1)[0]
-                if ntilde is not None:
-                    ntilde[i] = complex_gaussian(q, sigma, rng)
+            # every such method draws Lambda, so the noise sits at one stream position
+            lam, ntilde = second_level_draws(
+                streams(self.seed, "epoch", epoch, "item", count=n), n, q, model.lambda_dist,
+                model.noise.alpha * model.noise.sigma_n if self.method.reads_ntilde else None)
         order = stream(self.seed, "epoch", epoch, "shuffle").permutation(n)
         rows = method_rows(self.method, spec.alpha, data.y, data.omega, lam, ntilde,
                            self.target, self.P)
         return rows, order
 
-    def validation_nmse(self, epoch: int) -> float:
-        from .inference import MODE_PRACTICAL, reconstruct
-        from .metrics import nmse
-
+    def validation_nmse(self) -> float:
+        """Mean NMSE of the practical-mode reconstructions of the training data."""
         spec, est, data, model = self.cell
-        val = 0.0
-        for i in range(len(data)):
-            item = data[i]
-            est_y = reconstruct(spec.method, est, item.y, item.omega, model.noise,
-                                model.lambda_dist, MODE_PRACTICAL,
-                                stream(self.seed, "epoch", epoch, "val", i))
-            val += nmse(est_y, item.y0)
-        return val / len(data)
+        rec = reconstruct_rows(spec.method, est, data.y, data.omega, model.noise,
+                               mode=MODE_PRACTICAL)
+        # the running sum of the items in order, as a loop over items adds them
+        return float(np.cumsum(nmse_rows(rec, data.y0))[-1]) / len(data)
 
 
 def _stack_epoch(runs: list[_CellRun], epoch: int, n_cons: int) -> Rows:
@@ -458,7 +463,7 @@ def _train_stack(cells: list[Cell], validate_every: int) -> list[list[dict]]:
             row = {"epoch": epoch, "train_loss": float(total) / n}
             if (validate_every and epoch % validate_every == 0
                     and run.cell.data.y0 is not None):
-                row["val_nmse"] = run.validation_nmse(epoch)
+                row["val_nmse"] = run.validation_nmse()
             history.append(row)
     return histories
 

@@ -1,15 +1,16 @@
-"""Correction operators and the reconstruction dispatch."""
+"""Correction operators and the reconstruction dispatch, one item or a stack of rows."""
 
 import numpy as np
 import pytest
 
 from kslab import methods as M
 from kslab.errors import ConfigError, ValidationError
-from kslab.estimators import AffinePerPattern, TinyNet, closed_form_affine_fit
-from kslab.inference import MODE_PRACTICAL, MODE_THEORY, correct, reconstruct
+from kslab.estimators import (AffinePerPattern, PatternFallbackWarning, TinyNet, ToyCascade,
+                              closed_form_affine_fit)
+from kslab.inference import MODE_PRACTICAL, MODE_THEORY, correct, reconstruct, reconstruct_rows
 from kslab.kspace import SamplingMask, apply_mask, full_mask
 from kslab.noise import NoiseSpec, complex_gaussian
-from kslab.rng import stream
+from kslab.rng import stream, streams
 from kslab.synthetic import model_preset
 from kslab.training import make_train_item
 
@@ -171,3 +172,85 @@ def test_composed_population_estimate_matches_clean_posterior():
     corrected = correct(f, y_tilde, pattern.member, model.noise.alpha)
     target = gaussian_conditional_mean(model, pattern, TARGET_Y0, COND_ON_YTILDE) @ y_tilde
     assert np.abs(corrected - target).max() < 1e-10
+
+
+def _test_set(model, n, seed):
+    from kslab.training import build_dataset
+
+    return build_dataset(model, n, seed, label=("test", "rows"))
+
+
+def _one_item(method, est, y, omega, model, rng=None):
+    """One item's estimate from the primitives: the further-noised methods
+    get a fresh training-kind input in theory mode and are corrected."""
+    row = M.row(method)
+    if not row.input.further_noise:
+        return est.forward(y, omega)
+    if rng is None:  # practical mode
+        return correct(est.forward(y, omega), y, omega.member, model.noise.alpha)
+    lam = model.lambda_dist.draw(rng) if row.input.on_intersect else None
+    ntilde = complex_gaussian(model.q, model.noise.alpha * model.noise.sigma_n, rng)
+    y_in, m_in = row.input.build_masked(y, omega, lam, ntilde)
+    return correct(est.forward(y_in, m_in), y_in, m_in.member, model.noise.alpha)
+
+
+@pytest.mark.parametrize("method", M.ALL_METHODS)
+def test_reconstruct_rows_practical_equals_per_item_loop(method):
+    model = model_preset("banded", sigma_n=0.2, alpha=0.8)
+    est = TinyNet(model.q, width_factor=2, seed=3)
+    test = _test_set(model, 40, 21)
+    rows = reconstruct_rows(method, est, test.y, test.omega, model.noise, model.lambda_dist,
+                            MODE_PRACTICAL)
+    items = [test[i] for i in range(len(test))]
+    assert np.array_equal(rows, np.stack([
+        reconstruct(method, est, it.y, it.omega, model.noise, model.lambda_dist,
+                    MODE_PRACTICAL) for it in items]))
+    assert np.array_equal(rows, np.stack([_one_item(method, est, it.y, it.omega, model)
+                                          for it in items]))
+
+
+@pytest.mark.parametrize("method", [M.ROBUST_SSDU, M.NOISIER2FULL])
+def test_reconstruct_rows_theory_equals_per_item_loop(method):
+    """Each row draws its Lambda and further noise from its own substream,
+    in the order of the per-item loop."""
+    model = model_preset("banded", sigma_n=0.3, alpha=0.75)
+    est = ToyCascade(model.q, cascades=2, seed=1)
+    test = _test_set(model, 30, 22)
+    rows = reconstruct_rows(method, est, test.y, test.omega, model.noise, model.lambda_dist,
+                            MODE_THEORY, streams(5, "recon", "tag", count=len(test)))
+    items = [test[i] for i in range(len(test))]
+    assert np.array_equal(rows, np.stack([
+        reconstruct(method, est, it.y, it.omega, model.noise, model.lambda_dist, MODE_THEORY,
+                    stream(5, "recon", "tag", i)) for i, it in enumerate(items)]))
+    assert np.array_equal(rows, np.stack([
+        _one_item(method, est, it.y, it.omega, model, stream(5, "recon", "tag", i))
+        for i, it in enumerate(items)]))
+    with pytest.raises(ValueError):  # one generator per row
+        reconstruct_rows(method, est, test.y, test.omega, model.noise, model.lambda_dist,
+                         MODE_THEORY, streams(5, "recon", "tag", count=len(test) - 1))
+
+
+def test_reconstruct_rows_affine_with_fallback_equals_per_item_loop():
+    """Rows with an enrolled pattern use its map; the others fall back to the
+    nearest enrolled one, with the warning of the per-item path."""
+    model = model_preset("banded", sigma_n=0.2, alpha=1.0)
+    test = _test_set(model, 24, 23)
+    est = AffinePerPattern(model.q)
+    for i in range(0, len(test), 3):
+        closed_form_affine_fit(model, M.ROBUST_SSDU, test[i].omega, into=est)
+    with pytest.warns(PatternFallbackWarning):
+        rows = reconstruct_rows(M.ROBUST_SSDU, est, test.y, test.omega, model.noise,
+                                model.lambda_dist, MODE_PRACTICAL)
+    with pytest.warns(PatternFallbackWarning):
+        expected = np.stack([_one_item(M.ROBUST_SSDU, est, test[i].y, test[i].omega, model)
+                             for i in range(len(test))])
+    assert np.array_equal(rows, expected)
+
+
+def test_reconstruct_rows_broadcasts_theta_without_a_copy():
+    """The parameter rows are a stride-0 view of theta, also inside the network."""
+    model = model_preset("banded", sigma_n=0.2, alpha=1.0)
+    est = TinyNet(model.q, width_factor=1, seed=0)
+    theta = np.broadcast_to(est.theta, (50, est.theta.shape[0]))
+    w, _ = next(est.mlp._layers(theta))
+    assert w.strides[0] == 0 and np.shares_memory(w, est.theta)

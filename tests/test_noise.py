@@ -1,4 +1,4 @@
-"""Complex Gaussian noise, whitening, and the further-noised network inputs."""
+"""Complex Gaussian noise and the further-noised network inputs."""
 
 import numpy as np
 import pytest
@@ -11,9 +11,7 @@ from kslab.kspace import SamplingMask, apply_mask, full_mask
 from kslab.noise import (
     NoiseSpec,
     add_complex_noise,
-    colored_complex_gaussian,
     complex_gaussian,
-    whiten,
 )
 from kslab.rng import stream
 from kslab.synthetic import model_preset
@@ -51,33 +49,6 @@ def test_noise_channels_uncorrelated():
     noise = complex_gaussian(n, 1.0, rng)
     corr = np.mean(noise.real * noise.imag) / 0.5  # channel variance is 1/2
     assert abs(corr) <= 3.0 / np.sqrt(n)
-
-
-def test_whiten_identity_and_scalar():
-    v = np.array([2 + 2j, -1j, 0.5])
-    assert np.array_equal(whiten(v, np.eye(3)), v)
-    assert np.allclose(whiten(v, 4.0 * np.eye(3)), v / 2.0)
-    assert np.allclose(whiten(v, np.array(4.0)), v / 2.0)
-
-
-def test_whiten_banded_covariance_unit_variance():
-    q = 6
-    base = 0.5 ** np.abs(np.subtract.outer(np.arange(q), np.arange(q)))
-    rng = stream(3, "whiten")
-    n = 100_000
-    var = np.zeros(q)
-    for _ in range(n // 1000):
-        draws = np.stack([colored_complex_gaussian(base, rng) for _ in range(1000)])
-        white = np.stack([whiten(d, base) for d in draws])
-        var += np.sum(np.abs(white) ** 2, axis=0)
-    var /= n
-    assert np.abs(var - 1.0).max() <= 0.02
-
-
-def test_whiten_rejects_indefinite():
-    cov = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
-    with pytest.raises(ValidationError):
-        whiten(np.zeros(2, dtype=complex), cov)
 
 
 def test_corrupt_noisier2full_support_and_variance():

@@ -6,9 +6,11 @@ import pytest
 from kslab import methods as M
 from kslab.errors import ConfigError
 from kslab.estimators import AffinePerPattern, TinyNet, ToyCascade
+from kslab.inference import reconstruct
 from kslab.kspace import SamplingMask, apply_mask, full_mask, mask_algebra
-from kslab.noise import NoiseSpec, complex_gaussian
-from kslab.rng import stream
+from kslab.metrics import nmse
+from kslab.noise import NoiseSpec, complex_gaussian, second_level_draws
+from kslab.rng import stream, streams
 from kslab.sampling import MaskDistribution, compute_P
 from kslab.synthetic import MeasurementModel, gaussian_ground_truth, model_preset
 from kslab.training import (
@@ -409,10 +411,11 @@ def _lockstep_cells(batch_size):
     return cells
 
 
-def _per_item_reference(cell):
-    """The per-item epoch loop: loss_and_grad item by item, grads folded in order."""
+def _per_item_reference(cell, validate_every):
+    """The per-item epoch loop: loss_and_grad item by item, grads folded in
+    order; the validation NMSE item by item, summed in order."""
     spec, est, data, model = cell
-    state, history = AdamState.from_spec(spec), []
+    state, history, val = AdamState.from_spec(spec), [], []
     items = [data[i] for i in range(len(data))]
     for epoch in range(spec.epochs):
         for i, item in enumerate(items):
@@ -431,7 +434,13 @@ def _per_item_reference(cell):
                 grad = g if grad is None else grad + g
             adam_step(state, est.theta, grad)
         history.append(total / len(items))
-    return history
+        if epoch % validate_every == 0:
+            total = 0.0  # added in order (builtin sum compensates from Python 3.12)
+            for item in items:
+                total += nmse(reconstruct(spec.method, est, item.y, item.omega, model.noise),
+                              item.y0)
+            val.append(total / len(items))
+    return history, val
 
 
 @pytest.mark.parametrize("batch_size", [1, 2])
@@ -450,7 +459,9 @@ def test_lockstep_stacks_match_cells_trained_alone(batch_size):
         assert train(*alone, validate_every=2)[1] == history
         assert np.array_equal(alone.est.theta, cell.est.theta)
         reference = _lockstep_cells(batch_size)[k]
-        assert _per_item_reference(reference) == [row["train_loss"] for row in history]
+        losses, val = _per_item_reference(reference, validate_every=2)
+        assert losses == [row["train_loss"] for row in history]
+        assert val == [row["val_nmse"] for row in history if "val_nmse" in row]
         assert np.array_equal(reference.est.theta, cell.est.theta)
         start = np.zeros_like(cell.est.theta)  # affine blocks enroll as zeros
         start[:initial[k].shape[0]] = initial[k]
@@ -476,3 +487,42 @@ def test_train_cells_draws_each_cell_as_its_stack_forms():
 
     seen = [(positions, len(drawn)) for positions, _, _ in train_cells(cells(), 0)]
     assert seen == [([0], 1), ([1, 2], 4), ([3], 4), ([4], 5)]
+
+
+@pytest.mark.parametrize("preset", ["banded", "bernoulli2d"])
+def test_dataset_and_second_level_rows_equal_items_drawn_alone(preset):
+    """Each row has the bits of its item simulated alone from its own
+    substream: ground truth, measurement noise, first-level mask for a
+    dataset; second-level mask, further noise for an epoch's draws."""
+    model = model_preset(preset, sigma_n=0.3, alpha=0.75)
+    q, n = model.q, 7
+    data = build_dataset(model, n, seed=4, label=("test", "rows"))
+    lam, ntilde = second_level_draws(streams(4, "epoch", 2, "item", count=n), n, q,
+                                     model.lambda_dist, 0.2)
+    for i in range(n):
+        rng = stream(4, "test", "rows", i)
+        white = (1.0 / np.sqrt(2.0)) * (rng.standard_normal(q) + 1j * rng.standard_normal(q))
+        y0 = model._sqrt_factor @ white
+        noise = (0.3 / np.sqrt(2.0)) * (rng.standard_normal(q) + 1j * rng.standard_normal(q))
+        omega = rng.random(q) < model.omega_probs()
+        assert np.array_equal(data.y0[i], y0) and np.array_equal(data.noise[i], noise)
+        assert np.array_equal(data.omega[i], omega)
+        assert np.array_equal(data.y[i], apply_mask(mask_of(q, np.nonzero(omega)[0],
+                                                            model.omega_probs()), y0 + noise))
+        rng = stream(4, "epoch", 2, "item", i)
+        assert np.array_equal(lam[i], rng.random(q) < model.lambda_probs())
+        assert np.array_equal(ntilde[i], complex_gaussian(q, 0.2, rng))
+
+
+def test_validation_nmse_adds_item_scores_in_order():
+    """The validation NMSE adds the items' scores in order, as a loop over
+    the items does (a pairwise sum of 40 scores rounds differently)."""
+    model = model_preset("banded", sigma_n=0.3, alpha=1.0)
+    data = build_dataset(model, 40, seed=1)
+    spec = TrainSpec(method=M.NOISIER2FULL, epochs=1, seed=1)
+    est, history = train(spec, TinyNet(model.q, width_factor=1, seed=0), data, model)
+    total = 0.0
+    for i in range(len(data)):
+        total += nmse(reconstruct(spec.method, est, data[i].y, data[i].omega, model.noise),
+                      data.y0[i])
+    assert history[0]["val_nmse"] == total / len(data)
