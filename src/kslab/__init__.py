@@ -22,9 +22,9 @@ from .kspace import (
     magnitude_image,
     mask_algebra,
 )
-from .noise import NoiseSpec, add_complex_noise
-from .sampling import MaskDistribution, build_density, compute_P, compute_k, draw_mask
-from .synthetic import MeasurementModel, gaussian_ground_truth, model_preset, phantom_ground_truth
+from .noise import NoiseSpec
+from .sampling import MaskDistribution, build_density, compute_P, compute_k
+from .synthetic import MeasurementModel, gaussian_ground_truth, model_preset
 from .estimators import (
     AffinePerPattern,
     TinyNet,

@@ -302,8 +302,9 @@ def run_train(cfg: dict, out_dir: Path) -> Path:
     return out
 
 
-def _read_checkpoint(path: Path) -> dict:
-    """A checkpoint written by ``run_train``; ConfigError naming the file otherwise."""
+def _read_checkpoint(path: Path):
+    """A checkpoint written by ``run_train`` and its estimator; ConfigError
+    naming the file and the field otherwise."""
     try:
         with open(path) as fh:
             checkpoint = json.load(fh)
@@ -314,18 +315,23 @@ def _read_checkpoint(path: Path) -> dict:
     if missing:
         raise ConfigError(f"checkpoint {path}: missing {', '.join(missing)}; "
                           f"re-run `kslab train` to write a complete checkpoint")
-    return checkpoint
+    config = checkpoint["config"]
+    if not isinstance(config, dict) or not isinstance(config.get("model"), dict):
+        raise ConfigError(f"checkpoint {path}: config.model is missing or not an object")
+    try:
+        return checkpoint, load_checkpoint(checkpoint["estimator"])
+    except ConfigError as exc:
+        raise ConfigError(f"checkpoint {path}: {exc}") from None
 
 
 def run_reconstruct(cfg: dict, checkpoint_path: Path, out_dir: Path) -> Path:
-    checkpoint = _read_checkpoint(checkpoint_path)
+    checkpoint, est = _read_checkpoint(checkpoint_path)
     trained = checkpoint["config"]["model"]
     for key in ("preset", "q", "sigma_n"):
-        if trained[key] != cfg["model"][key]:
+        if trained.get(key) != cfg["model"][key]:
             raise ConfigError(f"model.{key}: the checkpoint was trained with "
-                              f"{trained[key]!r}, this run has {cfg['model'][key]!r}")
+                              f"{trained.get(key)!r}, this run has {cfg['model'][key]!r}")
     method = checkpoint["method"]
-    est = load_checkpoint(checkpoint["estimator"])
     master = cfg["seed"]
     model = _build_model(cfg, alpha=checkpoint["alpha"])
     if model.q != est.q:

@@ -6,6 +6,7 @@ can be re-produced exactly from the files alone.
 
 import copy
 import json
+import math
 
 import numpy as np
 
@@ -107,6 +108,8 @@ def resolve_config(raw: dict | None) -> dict:
     _expect(m["preset"] in _PRESETS, "model.preset", f"must be one of {_PRESETS}")
     _expect(m["q"] is None or (isinstance(m["q"], int) and m["q"] >= 1),
             "model.q", "must be a positive integer or null")
+    _expect(m["preset"] != "bernoulli2d" or m["q"] is None or math.isqrt(m["q"]) ** 2 == m["q"],
+            "model.q", "must be a perfect square (a side x side grid) for bernoulli2d")
     _expect(_is_number(m["sigma_n"]) and m["sigma_n"] >= 0, "model.sigma_n",
             "must be a number >= 0")
     _expect(_is_number(m["alpha"]) and m["alpha"] > 0, "model.alpha",

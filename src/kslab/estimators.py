@@ -171,6 +171,16 @@ def _cache_rows(cache, rows: slice):
     return [h[rows] for h in hs], [z[rows] for z in zs]
 
 
+def group_rows(rows: np.ndarray) -> list[np.ndarray]:
+    """Indices of each distinct row of a (C, q) array, in order of first appearance."""
+    raw = np.ascontiguousarray(rows).tobytes()
+    width = len(raw) // max(len(rows), 1)
+    groups: dict[bytes, list[int]] = {}
+    for c in range(len(rows)):
+        groups.setdefault(raw[c * width:(c + 1) * width], []).append(c)
+    return [np.array(idx) for idx in groups.values()]
+
+
 class Estimator:
     """Common interface of the parameterized families."""
 
@@ -261,12 +271,12 @@ class AffinePerPattern(Estimator):
         dists = [int(np.count_nonzero(m ^ member)) for m in self._members]
         return int(np.argmin(dists))
 
-    def _block(self, idx: int, theta: np.ndarray | None = None):
+    def _blocks(self, seg: np.ndarray):
+        """The maps (..., q, q) and offsets (..., q) of block segments (..., block_size)."""
         q = self.q
-        theta = self.theta if theta is None else theta
-        seg = theta[idx * self.block_size:(idx + 1) * self.block_size]
-        a = seg[:q * q].reshape(q, q) + 1j * seg[q * q:2 * q * q].reshape(q, q)
-        b = seg[2 * q * q:2 * q * q + q] + 1j * seg[2 * q * q + q:]
+        lead = seg.shape[:-1] + (q, q)
+        a = seg[..., :q * q].reshape(lead) + 1j * seg[..., q * q:2 * q * q].reshape(lead)
+        b = seg[..., 2 * q * q:2 * q * q + q] + 1j * seg[..., 2 * q * q + q:]
         return a, b
 
     def set_block(self, m_in: SamplingMask, a: np.ndarray, b: np.ndarray) -> None:
@@ -281,50 +291,36 @@ class AffinePerPattern(Estimator):
     def get_block(self, m_in: SamplingMask):
         if m_in.key() not in self._patterns:
             raise ValidationError("pattern not enrolled")
-        return self._block(self._patterns[m_in.key()])
+        idx = self._patterns[m_in.key()]
+        return self._blocks(self.theta[idx * self.block_size:(idx + 1) * self.block_size])
 
     def forward_vjp_stack(self, theta, y_in, member):
-        idx = [self._resolve(m) for m in member]
+        """Rows grouped by input pattern, each distinct one resolved (and
+        warned about) once; one stacked matmul per group, one BLAS gemv per
+        row, so each row gets the bits it gets alone."""
+        bs = self.block_size
+        groups = [(self._resolve(member[rows[0]]) * bs, rows) for rows in group_rows(member)]
+        if len(groups) == 1:  # one pattern (every one-row call): index by views
+            groups = [(groups[0][0], slice(None))]
         out = np.empty_like(y_in)
-        for c, block in enumerate(idx):
-            a, b = self._block(block, theta[c])
-            out[c] = a @ y_in[c] + b
+        for start, rows in groups:
+            a, b = self._blocks(theta[rows, start:start + bs])
+            out[rows] = np.matmul(a, y_in[rows, :, None])[..., 0] + b
 
         def pullback(cot, rows=slice(None)) -> np.ndarray:
-            bs = self.block_size
-            grad = np.zeros_like(theta[rows])
-            for j, c in enumerate(range(len(idx))[rows]):
-                grad[j, idx[c] * bs:(idx[c] + 1) * bs] = _block_grads(cot[j], y_in[c])
+            grad = np.zeros((len(cot), theta.shape[1]))
+            if len(groups) == 1:
+                start = groups[0][0]
+                grad[:, start:start + bs] = _block_grads(cot, y_in[rows])
+                return grad
+            at = np.full(len(y_in), -1)  # position of each input row in cot
+            at[rows] = np.arange(len(cot))
+            for start, group in groups:
+                group = group[at[group] >= 0]
+                grad[at[group], start:start + bs] = _block_grads(cot[at[group]], y_in[group])
             return grad
 
         return out, pullback
-
-    def forward_batch(self, y_in, member) -> "AffineBatch":
-        """Apply the maps to stacked inputs y_in (n, q) with input patterns member (n, q).
-
-        Rows are grouped by pattern and each distinct pattern is resolved
-        once, with the nearest-pattern fallback and warning of ``forward``.
-        The returned batch holds the outputs and sums gradients per group.
-        """
-        arr = np.asarray(y_in, dtype=np.complex128)
-        member = np.asarray(member, dtype=bool)
-        if arr.ndim != 2 or arr.shape[1] != self.q or member.shape != arr.shape:
-            raise DimensionError(f"expected (n, {self.q}) inputs and patterns, "
-                                 f"got {arr.shape} and {member.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("k-space batch contains NaN or Inf")
-        patterns, inverse = np.unique(member, axis=0, return_inverse=True)
-        inverse = inverse.reshape(-1)
-        order = np.argsort(inverse, kind="stable")
-        bounds = np.cumsum(np.bincount(inverse, minlength=len(patterns)))[:-1]
-        out = np.empty_like(arr)
-        groups = []
-        for pattern, rows in zip(patterns, np.split(order, bounds)):
-            idx = self._resolve(pattern)
-            a, b = self._block(idx)
-            out[rows] = arr[rows] @ a.T + b
-            groups.append((idx, rows))
-        return AffineBatch(self, arr, groups, out)
 
     def to_checkpoint(self) -> dict:
         return {
@@ -351,37 +347,9 @@ def _block_grads(cot: np.ndarray, arr: np.ndarray) -> np.ndarray:
     Block layout: Re A, Im A (row-major), Re b, Im b.
     """
     outer = np.conj(cot)[..., :, None] * arr[..., None, :]  # d Re<c, A y> / dA = conj pairing
-    lead = outer.shape[:-2]
-    return np.concatenate([outer.real.reshape(lead + (-1,)), -outer.imag.reshape(lead + (-1,)),
+    flat = outer.shape[:-2] + (outer.shape[-1] ** 2,)
+    return np.concatenate([outer.real.reshape(flat), -outer.imag.reshape(flat),
                            cot.real, cot.imag], axis=-1)
-
-
-class AffineBatch:
-    """Outputs of an ``AffinePerPattern`` on stacked inputs, rows grouped by pattern."""
-
-    def __init__(self, est: AffinePerPattern, y_in: np.ndarray, groups: list, out: np.ndarray):
-        self._est = est
-        self._y_in = y_in
-        self._groups = groups  # (block index, row indices) per distinct pattern
-        self.out = out
-
-    def vjp_moments(self, cotangent) -> tuple[np.ndarray, np.ndarray]:
-        """Sums over rows of the per-row vjp and of its elementwise square.
-
-        Gradients are formed one pattern group at a time, so no
-        (rows x parameters) matrix is built.
-        """
-        cot = np.asarray(cotangent, dtype=np.complex128)
-        if cot.shape != self._y_in.shape:
-            raise DimensionError(f"cotangent shape {cot.shape} != input shape {self._y_in.shape}")
-        bs = self._est.block_size
-        total = np.zeros_like(self._est.theta)
-        total_sq = np.zeros_like(self._est.theta)
-        for idx, rows in self._groups:
-            g = _block_grads(cot[rows], self._y_in[rows])
-            total[idx * bs:(idx + 1) * bs] += g.sum(axis=0)
-            total_sq[idx * bs:(idx + 1) * bs] += (g * g).sum(axis=0)
-        return total, total_sq
 
 
 class TinyNet(Estimator):
@@ -531,10 +499,15 @@ def load_checkpoint(data: dict) -> Estimator:
         TINY_NET: TinyNet.from_checkpoint,
         TOY_CASCADE: ToyCascade.from_checkpoint,
     }
+    if not isinstance(data, dict):
+        raise ConfigError("estimator must be an object")
     family = data.get("family")
     if family not in loaders:
         raise ConfigError(f"unknown estimator family {family!r} in checkpoint")
-    return loaders[family](data)
+    try:
+        return loaders[family](data)
+    except KeyError as exc:
+        raise ConfigError(f"estimator.{exc.args[0]} is missing") from None
 
 
 @dataclass(frozen=True)

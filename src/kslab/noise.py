@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .kspace import as_kspace
 
 
 @dataclass(frozen=True)
@@ -72,11 +71,3 @@ def second_level_draws(rngs: Iterable[np.random.Generator], n: int, q: int,
             rng.standard_normal(out=normals[1, i])
     return (None if uniforms is None else lambda_dist.members(uniforms),
             None if normals is None else complex_from_normals(*normals, sigma))
-
-
-def add_complex_noise(v, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """v plus white complex Gaussian noise of per-entry variance sigma^2."""
-    arr = as_kspace(v)
-    if sigma == 0.0:
-        return arr.copy()
-    return arr + complex_gaussian(arr.shape[0], sigma, rng)

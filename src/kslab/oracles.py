@@ -29,7 +29,7 @@ import numpy as np
 from . import methods as M
 from . import training
 from .errors import ConfigError, ValidationError
-from .estimators import AffinePerPattern, Estimator, closed_form_affine_fit
+from .estimators import AffinePerPattern, Estimator, closed_form_affine_fit, group_rows
 from .inference import correct
 from .kspace import SamplingMask, apply_mask, as_kspace, mask_algebra
 from .noise import NoiseSpec, complex_gaussian
@@ -46,6 +46,7 @@ N_SIGMA = 3.0
 PATTERN_ENUM_CAP = 12  # exhaustive enumeration up to 2^12 patterns
 SHARD_SIZE = 4096  # Monte Carlo draws per shard, each shard from its own substream
 CROSSCHECK_RTOL = 1e-12  # batched vs per-draw library gradients
+MOMENT_BLOCK = 1 << 18  # gradient entries (rows x parameters) reduced at a time
 
 
 @dataclass
@@ -377,7 +378,9 @@ def _mse_errors(method: str, est: AffinePerPattern, model: MeasurementModel,
                 draws: _Draws) -> np.ndarray:
     """Per-draw || theory-mode corrected reconstruction - ground truth ||^2."""
     y_in, m_in = M.row(method).input.build(draws.y, draws.omega, draws.lam, draws.ntilde)
-    est_y = correct(est.forward_batch(y_in, m_in).out, y_in, m_in, model.noise.alpha)
+    theta = np.broadcast_to(est.theta, (y_in.shape[0], est.theta.shape[0]))
+    f, _ = est.forward_vjp_stack(theta, y_in, m_in)
+    est_y = correct(f, y_in, m_in, model.noise.alpha)
     return np.sum(np.abs(est_y - draws.y0) ** 2, axis=1)
 
 
@@ -477,74 +480,53 @@ def _oracle_gradient(method: str, est: Estimator, model: MeasurementModel,
     return 2.0 * est.vjp(y_tilde, m_in, d * (est_y - y0))
 
 
-def _surrogate_w2(claim: str, model: MeasurementModel,
-                  draws: _Draws) -> tuple[np.ndarray, np.ndarray]:
-    """Squared loss weights per draw, and the first draw of each (Omega, Lambda) pair.
-
-    The weights and P come from the training module.
-    """
-    P = training.compute_P(model.omega_probs(), model.lambda_probs())
-    w = training.loss_weight(M.row(claim), draws.omega, draws.lam, model.noise.alpha, P)
-    _, first = np.unique(np.concatenate([draws.omega, draws.lam], axis=1), axis=0,
-                         return_index=True)
-    return w ** 2, first
-
-
 def _gradient_moments(claim: str, est: AffinePerPattern, model: MeasurementModel,
                       draws: _Draws) -> tuple[dict, dict, float]:
     """Sums and sums of squares of the per-draw surrogate, oracle and difference gradients.
 
-    The first draw of each distinct (Omega, Lambda) pair is recomputed
-    through ``training.loss_and_grad`` and ``_oracle_gradient``; the third
-    value is the largest relative deviation of the batched gradients from
-    those per-draw library gradients. The batched side is the shard's own
-    pattern grouping and per-group reduction, applied to the shard's
-    cotangents with every other row zeroed: its sum and sum of squares must
-    match those of the per-draw gradients, so a wrong cotangent, a row put
-    in the wrong group or a wrong reduction shows up as a deviation.
+    The surrogate gradients are training's own step (``training.method_rows``
+    and ``training.stack_loss_and_grad``); the oracle gradients come from the
+    pullback of the same forward pass. Rows go in blocks of ``MOMENT_BLOCK``
+    gradient entries. The first draw of each distinct (Omega, Lambda) pair is
+    recomputed through ``training.loss_and_grad`` and ``_oracle_gradient``;
+    the third value is the largest deviation of a batched gradient row from
+    its per-draw gradient, relative to the latter's largest entry.
     """
     alpha = model.noise.alpha
     method = M.row(claim)
-    y_in, m_in = method.input.build(draws.y, draws.omega, draws.lam, draws.ntilde)
-    batch = est.forward_batch(y_in, m_in)
-    f = batch.out
-    target = draws.y0 + draws.noise if method.target == M.TARGET_Y0_PLUS_N else draws.y
-    w2, first = _surrogate_w2(claim, model, draws)
-    est_y = correct(f, y_in, m_in, alpha)
-    d = np.where(m_in, (1.0 + alpha ** 2) / alpha ** 2, 1.0)
-    cots = {"surr": 2.0 * w2 * (f - target), "oracle": 2.0 * d * (est_y - draws.y0)}
-    cots["diff"] = cots["surr"] - cots["oracle"]
-    sums, sums_sq = {}, {}
-    for key, cot in cots.items():
-        sums[key], sums_sq[key] = batch.vjp_moments(cot)
-
-    spec = training.TrainSpec(method=claim, alpha=alpha)
     p, pt = model.omega_probs(), model.lambda_probs()
-    ref_sum = {key: np.zeros_like(est.theta) for key in ("surr", "oracle")}
-    ref_sum_sq = {key: np.zeros_like(est.theta) for key in ("surr", "oracle")}
-    ref_abs = {key: np.zeros_like(est.theta) for key in ("surr", "oracle")}
-    for i in first:
-        omega = SamplingMask(draws.omega[i], p)
-        lam = SamplingMask(draws.lam[i], pt)
-        item = training.TrainItem(y=draws.y[i], omega=omega, y0=draws.y0[i],
-                                  noise=draws.noise[i], lam=lam, ntilde=draws.ntilde[i])
-        refs = {"surr": training.loss_and_grad(spec, est, item)[1],
-                "oracle": _oracle_gradient(claim, est, model, draws.y0[i], draws.y[i],
-                                           omega, lam, draws.ntilde[i])}
-        for key, ref in refs.items():
-            ref_sum[key] += ref
-            ref_sum_sq[key] += ref * ref
-            ref_abs[key] += np.abs(ref)
-    keep = np.zeros((f.shape[0], 1), dtype=bool)
-    keep[first] = True
+    rows = training.method_rows(method, alpha, draws.y, draws.omega, draws.lam, draws.ntilde,
+                                training._target(method, claim, draws), training.compute_P(p, pt))
+    first = np.array([g[0] for g in group_rows(np.concatenate([draws.omega, draws.lam], axis=1))])
+    spec = training.TrainSpec(method=claim, alpha=alpha)
+    n, n_params = draws.y.shape[0], est.theta.shape[0]
+    sums = {key: np.zeros(n_params) for key in ("surr", "oracle", "diff")}
+    sums_sq = {key: np.zeros(n_params) for key in ("surr", "oracle", "diff")}
     worst = 0.0
-    for key in ref_sum:
-        got_sum, got_sum_sq = batch.vjp_moments(np.where(keep, cots[key], 0.0))
-        for got, ref, scale in ((got_sum, ref_sum[key], ref_abs[key]),
-                                (got_sum_sq, ref_sum_sq[key], ref_sum_sq[key])):
-            top = float(scale.max())
-            if top > 0.0:
-                worst = max(worst, float(np.abs(got - ref).max()) / top)
+    step = max(1, MOMENT_BLOCK // max(n_params, 1))
+    for start in range(0, n, step):
+        block = slice(start, min(start + step, n))
+        part = training.Rows(*(None if a is None else a[block] for a in rows))
+        theta = np.broadcast_to(est.theta, (part.y_in.shape[0], n_params))
+        grads = {"surr": training.stack_loss_and_grad(est, theta, part, None)[1]}
+        f, pullback = est.forward_vjp_stack(theta, part.y_in, part.m_in)
+        d = np.where(part.m_in, (1.0 + alpha ** 2) / alpha ** 2, 1.0)
+        est_y = correct(f, part.y_in, part.m_in, alpha)
+        grads["oracle"] = 2.0 * pullback(d * (est_y - draws.y0[block]))
+        grads["diff"] = grads["surr"] - grads["oracle"]
+        for key, g in grads.items():
+            sums[key] += g.sum(axis=0)
+            sums_sq[key] += np.einsum("ij,ij->j", g, g)
+        for i in first[(first >= block.start) & (first < block.stop)]:
+            omega, lam = SamplingMask(draws.omega[i], p), SamplingMask(draws.lam[i], pt)
+            item = training.TrainItem(y=draws.y[i], omega=omega, y0=draws.y0[i],
+                                      noise=draws.noise[i], lam=lam, ntilde=draws.ntilde[i])
+            refs = {"surr": training.loss_and_grad(spec, est, item)[1],
+                    "oracle": _oracle_gradient(claim, est, model, draws.y0[i], draws.y[i],
+                                               omega, lam, draws.ntilde[i])}
+            for key, ref in refs.items():
+                scale = max(float(np.abs(ref).max()), np.finfo(float).tiny)
+                worst = max(worst, float(np.abs(grads[key][i - start] - ref).max()) / scale)
     return sums, sums_sq, worst
 
 
@@ -579,10 +561,11 @@ def check_gradient_equivalence(claim: str, est: Estimator, model: MeasurementMod
     reported. Use a model with moderate inclusion probabilities (see
     ``gradient_check_model``) so every pattern is well sampled.
 
-    Draws are evaluated a shard at a time; in each shard one draw per
-    distinct (Omega, Lambda) pair is recomputed through the per-draw
-    training code, and the check fails if the batched gradients deviate
-    from it by more than ``CROSSCHECK_RTOL`` relative.
+    Draws are evaluated a shard at a time through training's own stacked
+    step (see ``_gradient_moments``); in each shard one draw per distinct
+    (Omega, Lambda) pair is recomputed through the per-draw training code,
+    and the check fails if its batched gradient row deviates from it by
+    more than ``CROSSCHECK_RTOL`` relative.
     """
     if claim not in (M.NOISIER2FULL, M.ROBUST_SSDU):
         raise ConfigError("gradient equivalence is claimed for the weighted methods")

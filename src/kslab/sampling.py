@@ -198,15 +198,6 @@ def build_density(dist: MaskDistribution) -> np.ndarray:
     return dist.probs()
 
 
-def draw_mask(probs, rng: np.random.Generator) -> SamplingMask:
-    """Independent Bernoulli draw from an explicit probability vector."""
-    probs = np.asarray(probs, dtype=np.float64)
-    if np.any(probs <= 0.0) or np.any(probs > 1.0):
-        raise ValidationError("draw_mask requires probabilities in (0, 1]")
-    member = rng.random(probs.shape[0]) < probs
-    return SamplingMask(member, probs)
-
-
 def validate_mask_conditions(p, ptilde) -> None:
     """Check the first/second-level mask requirements.
 

@@ -19,12 +19,13 @@ Stock priors:
   sampling, the desk analog of the 2-D sampling experiment.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .kspace import dft_unitary, _dft_matrix
+from .kspace import _dft_matrix
 from .noise import NoiseSpec, complex_from_normals
 from .sampling import (
     BERNOULLI2D_POLYNOMIAL,
@@ -99,19 +100,6 @@ def ground_truth_from_normals(model: MeasurementModel, re: np.ndarray,
     return np.matmul(model._sqrt_factor, white[..., None])[..., 0]
 
 
-def phantom_ground_truth(q: int, n_blocks: int, rng: np.random.Generator) -> np.ndarray:
-    """DFT of a random piecewise-constant nonnegative 1-D image."""
-    if not 1 <= n_blocks <= q:
-        raise ValidationError(f"need 1 <= n_blocks <= q, got n_blocks={n_blocks}, q={q}")
-    edges = np.sort(rng.choice(np.arange(1, q), size=n_blocks - 1, replace=False)) if n_blocks > 1 else np.array([], dtype=int)
-    levels = rng.random(n_blocks)
-    image = np.empty(q)
-    bounds = np.concatenate(([0], edges, [q]))
-    for i in range(n_blocks):
-        image[bounds[i]:bounds[i + 1]] = levels[i]
-    return dft_unitary(image.astype(np.complex128))
-
-
 def diagonal_prior_variances(q: int, shape=None) -> np.ndarray:
     if shape is None:
         dist = np.abs(np.arange(q) - (q - 1) / 2.0)
@@ -164,8 +152,10 @@ def model_preset(name: str, sigma_n: float, alpha: float, R_omega: float | None 
         omega, lam = _mask_pair(q, R_omega, R_lambda, default_n_center(q), degree)
         return MeasurementModel(banded_prior_cov(q), noise, omega, lam)
     if name == "bernoulli2d":
-        side = 16 if q is None else int(round(np.sqrt(q)))
-        q = side * side
+        q = 256 if q is None else q
+        side = math.isqrt(q)
+        if side * side != q:
+            raise ConfigError(f"bernoulli2d needs a square q (side x side), got {q}")
         shape = (side, side)
         R_omega = 4.0 if R_omega is None else R_omega
         R_lambda = 1.5 if R_lambda is None else R_lambda

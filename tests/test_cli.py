@@ -66,6 +66,20 @@ def test_config_compare_acceleration_below_one_names_key():
     assert resolve_config({"compare": {"R_omega": [1.0]}})["compare"]["R_omega"] == [1.0]
 
 
+def test_config_bernoulli2d_q_must_be_square(tmp_path, capsys):
+    # q = 200 used to build a 14 x 14 (q = 196) model while the outputs
+    # recorded 200.
+    with pytest.raises(ConfigError, match="model.q"):
+        resolve_config({"model": {"preset": "bernoulli2d", "q": 200}})
+    assert resolve_config({"model": {"preset": "bernoulli2d", "q": 64}})["model"]["q"] == 64
+    assert resolve_config({"model": {"preset": "banded", "q": 200}})["model"]["q"] == 200
+    code = main(["compare", "--config",
+                 write_cfg(tmp_path, {"model": {"preset": "bernoulli2d", "q": 200}}),
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert "model.q" in capsys.readouterr().err
+
+
 def test_cli_exit_code_on_bad_config(tmp_path):
     path = write_cfg(tmp_path, {"train": {"epochs": 0}})
     assert main(["verify", "--config", path, "--out", str(tmp_path)]) == 2
@@ -214,12 +228,21 @@ def test_reconstruct_rejects_malformed_theta(tmp_path, capsys, trained_checkpoin
 @pytest.mark.parametrize("damage,message", [
     ("truncated", "cannot be read as JSON"),
     ("no_config", "missing config"),
+    ("no_model", "config.model"),
+    ("estimator_no_q", "estimator.q"),
+    ("estimator_not_object", "estimator must be an object"),
 ])
 def test_reconstruct_rejects_damaged_checkpoint(tmp_path, capsys, trained_checkpoint,
                                                 damage, message):
     checkpoint = json.loads(json.dumps(trained_checkpoint))
     if damage == "no_config":
         del checkpoint["config"]
+    elif damage == "no_model":
+        del checkpoint["config"]["model"]
+    elif damage == "estimator_no_q":
+        del checkpoint["estimator"]["q"]
+    elif damage == "estimator_not_object":
+        checkpoint["estimator"] = [checkpoint["estimator"]]
     text = json.dumps(checkpoint)
     ckpt = tmp_path / "checkpoint.json"
     ckpt.write_text(text[:1000] if damage == "truncated" else text)

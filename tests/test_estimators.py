@@ -110,13 +110,85 @@ def test_affine_fallback_warns_and_uses_nearest():
     with pytest.warns(PatternFallbackWarning):
         out = est.forward(y, probe)
     assert np.allclose(out, 2.0 * y)
-    # batched: the fallback row and the enrolled row share one block
+    # stacked: the fallback row and the enrolled row share one block
+    theta = np.broadcast_to(est.theta, (2, est.theta.shape[0]))
     with pytest.warns(PatternFallbackWarning):
-        batch = est.forward_batch(np.stack([y, y]), np.stack([probe.member, near.member]))
-    assert np.allclose(batch.out, 2.0 * np.stack([y, y]))
+        out, pullback = est.forward_vjp_stack(theta, np.stack([y, y]),
+                                              np.stack([probe.member, near.member]))
+    assert np.allclose(out, 2.0 * np.stack([y, y]))
     cot = np.stack([rand_vec(q, 7), rand_vec(q, 8)])
-    total, _ = batch.vjp_moments(cot)
-    assert np.allclose(total, est.vjp(y, probe, cot[0]) + est.vjp(y, near, cot[1]))
+    grad = pullback(cot)
+    assert np.allclose(grad[0], est.vjp(y, probe, cot[0]))
+    assert np.allclose(grad[1], est.vjp(y, near, cot[1]))
+
+
+def _affine_stack_case(q, n, seed):
+    """An affine estimator with three enrolled patterns and a (n, q) stack of
+    inputs whose supports cycle through them."""
+    est = AffinePerPattern(q)
+    patterns = [make_mask(q, idx) for idx in ([0, 1], [2], [0, 2, 3])]
+    for m in patterns:
+        est.ensure_pattern(m)
+    est.theta = stream(seed, "theta").standard_normal(est.theta.shape[0])
+    members = np.stack([patterns[c % 3].member for c in range(n)])
+    rng = stream(seed, "rows")
+    y = rng.standard_normal((n, q)) + 1j * rng.standard_normal((n, q))
+    cot = rng.standard_normal((n, q)) + 1j * rng.standard_normal((n, q))
+    return est, np.where(members, y, 0.0), members, cot
+
+
+def _assert_rows_alone(est, theta, y, members, cot):
+    """Each output and gradient row of one stacked call equals, bit for bit,
+    the same row computed as a stack of one."""
+    out, pullback = est.forward_vjp_stack(theta, y, members)
+    grad = pullback(cot)
+    for c in range(len(y)):
+        out_c, pullback_c = est.forward_vjp_stack(theta[c:c + 1], y[c:c + 1], members[c:c + 1])
+        assert np.array_equal(out[c], out_c[0])
+        assert np.array_equal(grad[c], pullback_c(cot[c:c + 1])[0])
+    for rows in (slice(2, 7), slice(0, 1), slice(5, None)):
+        assert np.array_equal(pullback(cot[rows], rows), grad[rows])
+
+
+def test_affine_stack_rows_match_rows_alone_distinct_theta():
+    est, y, members, cot = _affine_stack_case(4, 12, 1)
+    theta = stream(2, "rows_theta").standard_normal((12, est.theta.shape[0]))
+    _assert_rows_alone(est, theta, y, members, cot)
+
+
+def test_affine_stack_rows_match_rows_alone_broadcast_theta():
+    est, y, members, cot = _affine_stack_case(4, 12, 3)
+    theta = np.broadcast_to(est.theta, (12, est.theta.shape[0]))
+    _assert_rows_alone(est, theta, y, members, cot)
+    out, pullback = est.forward_vjp_stack(theta, y, members)
+    for c in range(12):  # the per-item library path under the estimator's own theta
+        mask = SamplingMask(members[c], np.full(4, 0.6))
+        assert np.array_equal(out[c], est.forward(y[c], mask))
+        assert np.array_equal(pullback(cot)[c], est.vjp(y[c], mask, cot[c]))
+
+
+def test_affine_stack_mixed_unknown_patterns_warn_once_each():
+    q = 4
+    est, y, members, cot = _affine_stack_case(q, 12, 4)
+    unknown = [make_mask(q, [0, 1, 2]).member, make_mask(q, [3]).member]
+    members = members.copy()
+    members[[1, 5, 9]] = unknown[0]   # nearest: {0, 1} (block 0)
+    members[[4, 10]] = unknown[1]     # nearest: {2} and {0, 2, 3} tie; argmin takes {2}
+    y = np.where(members, y, 0.0)
+    theta = np.broadcast_to(est.theta, (12, est.theta.shape[0]))
+    with pytest.warns(PatternFallbackWarning) as record:
+        out, pullback = est.forward_vjp_stack(theta, y, members)
+    assert sum(w.category is PatternFallbackWarning for w in record) == 2
+    grad = pullback(cot)
+    bs = est.block_size
+    for rows, block in (([1, 5, 9], 0), ([4, 10], 1)):
+        for c in rows:
+            alone = est.forward_vjp_stack(theta[:1], y[c:c + 1],
+                                          est._members[block][None])
+            assert np.array_equal(out[c], alone[0][0])
+            assert np.array_equal(grad[c], alone[1](cot[c:c + 1])[0])
+            assert np.count_nonzero(grad[c][:block * bs]) == 0
+            assert np.count_nonzero(grad[c][(block + 1) * bs:]) == 0
 
 
 def test_affine_no_patterns_raises():

@@ -440,17 +440,26 @@ def test_gradient_equivalence_catches_training_weight_defects(defect, monkeypatc
 
 @pytest.mark.parametrize("claim", [M.NOISIER2FULL, M.ROBUST_SSDU])
 def test_gradient_crosscheck_catches_misgrouped_rows(claim, monkeypatch):
-    """A batch whose rows sit in the wrong pattern group (outputs still
-    right) fails the cross-check against the per-draw training code."""
-    forward_batch = AffinePerPattern.forward_batch
+    """A multi-row pullback that writes one pattern group's gradient rows
+    into another pattern's block (outputs still right) fails the
+    cross-check against the per-draw training code, whose one-row calls
+    are left intact."""
+    forward_vjp_stack = AffinePerPattern.forward_vjp_stack
 
-    def swapped_groups(self, y_in, member):
-        batch = forward_batch(self, y_in, member)
-        (i0, rows0), (i1, rows1) = batch._groups[:2]
-        batch._groups[:2] = [(i1, rows0), (i0, rows1)]
-        return batch
+    def misgrouped(self, theta, y_in, member):
+        out, pullback = forward_vjp_stack(self, theta, y_in, member)
+        if len(y_in) == 1:
+            return out, pullback
+        bs = self.block_size
 
-    monkeypatch.setattr(AffinePerPattern, "forward_batch", swapped_groups)
+        def swapped(cot, rows=slice(None)):
+            grad = pullback(cot, rows)
+            grad[:, :2 * bs] = np.concatenate([grad[:, bs:2 * bs], grad[:, :bs]], axis=1)
+            return grad
+
+        return out, swapped
+
+    monkeypatch.setattr(AffinePerPattern, "forward_vjp_stack", misgrouped)
     model = gradient_check_model(0.5, 0.75)
     est = AffinePerPattern(model.q)
     for pattern, _ in enumerate_patterns(model, input_level(claim)):

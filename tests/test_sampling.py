@@ -10,7 +10,6 @@ from kslab.sampling import (
     build_density,
     compute_P,
     compute_k,
-    draw_mask,
     validate_mask_conditions,
 )
 
@@ -77,18 +76,6 @@ def test_draw_members_rows_match_single_draws(dist):
                           dist.draw_members(stream(3, "one"), 1)[0])
 
 
-def test_draw_mask_full_probs():
-    mask = draw_mask(np.ones(8), stream(1, "d"))
-    assert mask.indices == tuple(range(8))
-
-
-def test_draw_mask_determinism():
-    probs = build_density(MaskDistribution("column_polynomial", 16, 2.0, 2))
-    a = draw_mask(probs, stream(42, "mask"))
-    b = draw_mask(probs, stream(42, "mask"))
-    assert a.indices == b.indices
-
-
 def test_draw_mask_empirical_frequency():
     probs = build_density(MaskDistribution("column_polynomial", 24, 3.0, 2))
     rng = stream(7, "freq")
@@ -152,8 +139,3 @@ def test_validate_mask_conditions_passes_center():
 def test_mask_distribution_rejects_bad_kind():
     with pytest.raises(ConfigError):
         MaskDistribution("poisson_disc", 8, 2.0, 2)
-
-
-def test_draw_mask_rejects_zero_prob():
-    with pytest.raises(ValidationError):
-        draw_mask([0.0, 0.5], stream(0, "z"))

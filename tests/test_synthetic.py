@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from kslab.errors import ConfigError, ValidationError
-from kslab.kspace import magnitude_image
 from kslab.noise import NoiseSpec
 from kslab.rng import stream
 from kslab.sampling import MaskDistribution
@@ -17,7 +16,6 @@ from kslab.synthetic import (
     gaussian_ground_truth,
     load_prior_cov,
     model_preset,
-    phantom_ground_truth,
 )
 
 
@@ -83,31 +81,6 @@ def test_gaussian_correlated_covariance():
     assert np.all(np.abs(acc - cov) <= 3 * se + 1e-12)
 
 
-def test_phantom_single_block_is_dc_delta():
-    out = phantom_ground_truth(8, 1, stream(3, "ph"))
-    assert np.abs(out[1:]).max() < 1e-12
-    assert out[0].real > 0
-
-
-def test_phantom_piecewise_levels():
-    out = phantom_ground_truth(32, 4, stream(4, "ph"))
-    img = magnitude_image(out)
-    levels = np.unique(np.round(img, 9))
-    assert len(levels) <= 4
-    assert np.all(img >= -1e-12)
-
-
-def test_phantom_deterministic():
-    a = phantom_ground_truth(16, 3, stream(5, "ph"))
-    b = phantom_ground_truth(16, 3, stream(5, "ph"))
-    assert np.array_equal(a, b)
-
-
-def test_phantom_rejects_bad_blocks():
-    with pytest.raises(ValidationError):
-        phantom_ground_truth(4, 5, stream(6, "ph"))
-
-
 @pytest.mark.parametrize("name,q", [("scalar", 1), ("diagonal", 16), ("banded", 8)])
 def test_presets_build(name, q):
     model = model_preset(name, sigma_n=0.1, alpha=1.0)
@@ -120,6 +93,9 @@ def test_bernoulli2d_preset():
     assert model.q == 256
     assert model.shape == (16, 16)
     assert model.lambda_dist.target_accel == 1.5
+    assert model_preset("bernoulli2d", sigma_n=0.05, alpha=0.5, q=64).shape == (8, 8)
+    with pytest.raises(ConfigError):
+        model_preset("bernoulli2d", sigma_n=0.05, alpha=0.5, q=200)
 
 
 def test_unknown_preset():

@@ -1,0 +1,88 @@
+"""Print the sha256 of every output file of a fixed, small run matrix, as JSON.
+
+Runs, in a temporary directory and in this process:
+
+* ``compare`` with all 8 methods, for each estimator family and mode;
+* ``sweep-alpha``;
+* ``train`` then ``reconstruct``, for each family and mode;
+* ``verify`` on two seeds.
+
+Keys are ``<run>/<file>``, plus ``<run>/exit`` for each subcommand's exit
+code. ``timings.csv`` holds wall-clock times and is left out. Two trees
+produce the same outputs when their JSON is the same, so diff the output
+of this script at two commits:
+
+    python tools/output_digests.py > digests.json
+
+The script imports ``kslab`` from the ``src`` directory next to it.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from kslab import methods as M  # noqa: E402
+from kslab.cli import main  # noqa: E402
+
+FAMILIES = ("affine_per_pattern", "tiny_net", "toy_cascade")
+MODES = ("practical", "theory")
+SMALL = {
+    "model": {"preset": "banded", "sigma_n": 0.3},
+    "train": {"epochs": 2, "n_train": 16},
+    "eval": {"n_test": 16},
+    "compare": {"methods": list(M.ALL_METHODS), "sigma_n": [0.3], "R_omega": [2.0]},
+    "sweep": {"alphas": [0.5, 1.0]},
+    "seed": 3,
+}
+
+
+def _config(root: Path, name: str, **sections) -> Path:
+    cfg = json.loads(json.dumps(SMALL))
+    for key, value in sections.items():
+        cfg[key] = {**cfg.get(key, {}), **value}
+    path = root / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def _run(root: Path, digests: dict, name: str, argv: list) -> Path:
+    out = root / name
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main([*argv, "--out", str(out)])
+    digests[f"{name}/exit"] = code
+    for path in sorted(out.iterdir()):
+        if path.is_file() and path.name != "timings.csv":
+            digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return out
+
+
+def output_digests(root: Path) -> dict:
+    digests = {}
+    for family in FAMILIES:
+        cfg = _config(root, family, estimator={"family": family})
+        for mode in MODES:
+            _run(root, digests, f"compare_{family}_{mode}",
+                 ["compare", "--config", str(cfg), "--mode", mode])
+            out = _run(root, digests, f"train_{family}_{mode}",
+                       ["train", "--config", str(cfg), "--mode", mode])
+            _run(root, digests, f"reconstruct_{family}_{mode}",
+                 ["reconstruct", "--config", str(cfg), "--mode", mode,
+                  "--checkpoint", str(out / "checkpoint.json")])
+    base = _config(root, "base")
+    _run(root, digests, "sweep-alpha", ["sweep-alpha", "--config", str(base)])
+    for seed in (1, 2):
+        _run(root, digests, f"verify_seed{seed}",
+             ["verify", "--config", str(base), "--seed", str(seed)])
+    return digests
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        json.dump(output_digests(Path(tmp)), sys.stdout, indent=1, sort_keys=True)
+        sys.stdout.write("\n")
