@@ -18,6 +18,7 @@ diverged (a non-finite training loss; no results are written).
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -318,6 +319,10 @@ def _read_checkpoint(path: Path):
     config = checkpoint["config"]
     if not isinstance(config, dict) or not isinstance(config.get("model"), dict):
         raise ConfigError(f"checkpoint {path}: config.model is missing or not an object")
+    alpha = checkpoint["alpha"]
+    if not (isinstance(alpha, (int, float)) and not isinstance(alpha, bool)
+            and math.isfinite(alpha) and alpha > 0):
+        raise ConfigError(f"checkpoint {path}: alpha must be a positive number, got {alpha!r}")
     try:
         return checkpoint, load_checkpoint(checkpoint["estimator"])
     except ConfigError as exc:
@@ -345,8 +350,9 @@ def run_reconstruct(cfg: dict, checkpoint_path: Path, out_dir: Path) -> Path:
     out = out_dir / "reconstructions.csv"
     _write_csv(out, cfg, ["item", "nmse", "ssim"], rows)
     with open(out_dir / "reconstructions.json", "w") as fh:
-        json.dump({"artifact_version": __version__, "config": cfg,
-                   "method": method, "items": estimates}, fh, sort_keys=True)
+        # dumps without indent runs the C encoder; json.dump is pure Python
+        fh.write(json.dumps({"artifact_version": __version__, "config": cfg,
+                             "method": method, "items": estimates}, sort_keys=True))
         fh.write("\n")
     return out
 

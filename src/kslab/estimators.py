@@ -83,6 +83,16 @@ def decode_theta(payload, n_params: int) -> np.ndarray:
     return np.frombuffer(raw, dtype=THETA_DTYPE).astype(np.float64)
 
 
+def _checkpoint_int(data: dict, key: str, minimum: int | None = 1) -> int:
+    """Integer field ``key`` of an estimator checkpoint; ConfigError naming it otherwise."""
+    value = data[key]
+    if (not isinstance(value, int) or isinstance(value, bool)
+            or (minimum is not None and value < minimum)):
+        bound = "an integer" if minimum is None else f"an integer >= {minimum}"
+        raise ConfigError(f"estimator.{key} must be {bound}, got {value!r}")
+    return value
+
+
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
     pos = z >= 0
@@ -332,11 +342,20 @@ class AffinePerPattern(Estimator):
 
     @staticmethod
     def from_checkpoint(data: dict) -> "AffinePerPattern":
-        est = AffinePerPattern(data["q"])
-        for idx_list in data["patterns"]:
-            member = np.zeros(data["q"], dtype=bool)
+        q = _checkpoint_int(data, "q")
+        patterns = data["patterns"]
+        if not (isinstance(patterns, list) and all(
+                isinstance(idx_list, list) and all(
+                    isinstance(j, int) and not isinstance(j, bool) and 0 <= j < q
+                    for j in idx_list)
+                for idx_list in patterns)):
+            raise ConfigError(f"estimator.patterns must be a list of index lists "
+                              f"in [0, {q}), got {patterns!r:.80}")
+        est = AffinePerPattern(q)
+        for idx_list in patterns:
+            member = np.zeros(q, dtype=bool)
             member[np.asarray(idx_list, dtype=int)] = True
-            est.ensure_pattern(SamplingMask(member, np.ones(data["q"])))
+            est.ensure_pattern(SamplingMask(member, np.ones(q)))
         est.theta = decode_theta(data["theta"], est.theta.shape[0])
         return est
 
@@ -395,8 +414,9 @@ class TinyNet(Estimator):
 
     @staticmethod
     def from_checkpoint(data: dict) -> "TinyNet":
-        est = TinyNet(data["q"], data["hidden_layers"], data["width_factor"],
-                      data["seed"], theta=np.zeros(0))
+        est = TinyNet(_checkpoint_int(data, "q"), _checkpoint_int(data, "hidden_layers"),
+                      _checkpoint_int(data, "width_factor"),
+                      _checkpoint_int(data, "seed", minimum=None), theta=np.zeros(0))
         est.theta = decode_theta(data["theta"], est.mlp.n_params)
         return est
 
@@ -478,7 +498,8 @@ class ToyCascade(Estimator):
 
     @staticmethod
     def from_checkpoint(data: dict) -> "ToyCascade":
-        est = ToyCascade(data["q"], data["cascades"], data["seed"], theta=np.zeros(0))
+        est = ToyCascade(_checkpoint_int(data, "q"), _checkpoint_int(data, "cascades"),
+                         _checkpoint_int(data, "seed", minimum=None), theta=np.zeros(0))
         est.theta = decode_theta(data["theta"], est.cascades * est.block)
         return est
 

@@ -20,6 +20,7 @@ row-wise operation is the one a cell trained alone performs, so a cell's
 parameters and history are the same to the bit in any stack.
 """
 
+import math
 import time
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
@@ -44,6 +45,13 @@ from .synthetic import MeasurementModel, ground_truth_from_normals
 # matrix products run slower than each cell's own (measured in CHANGES.md),
 # and a stack only multiplies the optimizer's memory.
 STACK_MAX_PARAMS = 4096
+
+# The Adam step streams over the parameters in blocks of at most this many
+# entries, so that a block's gradient, moments, parameters and two scratch
+# arrays (1.5 MB at 2^15) stay in L2 through all of the step's passes. On a
+# 2.1 M-parameter step, blocks of 2^14 to 2^16 entries ran fastest (sweep in
+# CHANGES.md); a stack of at most this many entries steps as one block.
+ADAM_BLOCK = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -295,10 +303,26 @@ class AdamState:
     t: int = 0
     m: np.ndarray = field(default_factory=lambda: np.zeros(0))
     v: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    # the step's blocks, cut when m and v are sized: each block's index along
+    # the last axis, its views of m and v, and two scratch arrays of its shape.
+    # Steps write m and v through these views: set m and v before the first step.
+    blocks: list = field(default_factory=list, repr=False)
 
     @staticmethod
     def from_spec(spec: TrainSpec) -> "AdamState":
         return AdamState(lr=spec.lr, beta1=spec.beta1, beta2=spec.beta2, eps=spec.eps)
+
+
+def _aligned_empty(shape: tuple) -> np.ndarray:
+    """An uninitialized float64 array whose data starts on a 64-byte boundary.
+
+    malloc aligns to 16 bytes only; element-wise passes over arrays that
+    start 16 bytes off a 32-byte boundary measured about 8% slower.
+    """
+    n = math.prod(shape)
+    buf = np.empty(n + 7)
+    start = (-buf.ctypes.data % 64) // 8
+    return buf[start:start + n].reshape(shape)
 
 
 def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -306,36 +330,55 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> np.ndar
 
     ``params`` is one parameter vector or a stack of rows (C, P) that share
     the step count. Moment arrays are zero-padded if the parameters have
-    grown since the previous step (lazy pattern enrollment). The moments and
-    params are updated in place through two scratch arrays, in the operation
+    grown since the previous step (lazy pattern enrollment). The step
+    streams over the last axis in blocks of at most ``ADAM_BLOCK`` entries
+    (all rows of a stack at once) and updates each block's moments and
+    params in place through two block-sized scratch arrays, in the operation
     order of ``m = b1 m + (1 - b1) g``, ``v = b2 v + ((1 - b2) g) g`` and
-    ``params -= (lr m_hat) / (sqrt(v_hat) + eps)``, so the result is the same
-    to the bit as that out-of-place formula.
+    ``params -= (lr m_hat) / (sqrt(v_hat) + eps)``. Every entry gets the
+    float operations of that out-of-place formula, so the result is the same
+    to the bit; no full-length temporary is allocated.
     """
     if grad.shape != params.shape:
         raise DimensionError("gradient shape does not match parameters")
-    if state.m.shape != params.shape:
+    if state.m.shape != params.shape or not state.blocks:
+        # the first step, or the parameters grew: pad the moments, cut the blocks
         for name in ("m", "v"):
-            grown = np.zeros(params.shape)
+            grown = _aligned_empty(params.shape)
             old = getattr(state, name)
             grown[..., :old.shape[-1]] = old
+            grown[..., old.shape[-1]:] = 0.0
             setattr(state, name, grown)
+        n = params.shape[-1]
+        width = max(1, min(n, ADAM_BLOCK // max(1, math.prod(params.shape[:-1]))))
+        s1, s2 = (_aligned_empty((*params.shape[:-1], width)) for _ in range(2))
+        state.blocks = []
+        for start in range(0, n, width):
+            # slices are views, also of non-contiguous params (reshape could
+            # copy); a block of the whole axis takes the cheaper params[...]
+            k = (..., slice(start, start + width)) if width < n else ...
+            end = min(width, n - start)
+            state.blocks.append((k, state.m[k], state.v[k], s1[..., :end], s2[..., :end]))
     state.t += 1
-    m, v = state.m, state.v
-    s1 = np.multiply(grad, 1.0 - state.beta1)
-    m *= state.beta1
-    m += s1
-    np.multiply(grad, 1.0 - state.beta2, out=s1)
-    s1 *= grad
-    v *= state.beta2
-    v += s1
-    s2 = np.divide(v, 1.0 - state.beta2 ** state.t)
-    np.sqrt(s2, out=s2)
-    s2 += state.eps
-    np.divide(m, 1.0 - state.beta1 ** state.t, out=s1)
-    s1 *= state.lr
-    s1 /= s2
-    params -= s1
+    b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
+    c1, c2 = 1.0 - b1, 1.0 - b2
+    h1, h2 = 1.0 - b1 ** state.t, 1.0 - b2 ** state.t
+    for k, m, v, s1, s2 in state.blocks:
+        g, p = grad[k], params[k]
+        np.multiply(g, c1, s1)
+        m *= b1
+        m += s1
+        np.multiply(g, c2, s1)
+        s1 *= g
+        v *= b2
+        v += s1
+        np.divide(v, h2, s2)
+        np.sqrt(s2, s2)
+        s2 += eps
+        np.divide(m, h1, s1)
+        s1 *= lr
+        s1 /= s2
+        p -= s1
     return params
 
 

@@ -10,6 +10,7 @@ from kslab import methods as M
 from kslab.cli import main, run_compare, run_train, run_reconstruct
 from kslab.config import DEFAULT_CONFIG, resolve_config
 from kslab.errors import ConfigError
+from kslab.estimators import AffinePerPattern
 
 
 FAST_CFG = {
@@ -231,6 +232,9 @@ def test_reconstruct_rejects_malformed_theta(tmp_path, capsys, trained_checkpoin
     ("no_model", "config.model"),
     ("estimator_no_q", "estimator.q"),
     ("estimator_not_object", "estimator must be an object"),
+    ("estimator_q_null", "estimator.q"),
+    ("estimator_patterns_int", "estimator.patterns"),
+    ("alpha_string", "alpha must be a positive number"),
 ])
 def test_reconstruct_rejects_damaged_checkpoint(tmp_path, capsys, trained_checkpoint,
                                                 damage, message):
@@ -243,6 +247,12 @@ def test_reconstruct_rejects_damaged_checkpoint(tmp_path, capsys, trained_checkp
         del checkpoint["estimator"]["q"]
     elif damage == "estimator_not_object":
         checkpoint["estimator"] = [checkpoint["estimator"]]
+    elif damage == "estimator_q_null":
+        checkpoint["estimator"]["q"] = None
+    elif damage == "estimator_patterns_int":
+        checkpoint["estimator"] = {**AffinePerPattern(8).to_checkpoint(), "patterns": 3}
+    elif damage == "alpha_string":
+        checkpoint["alpha"] = "0.75"
     text = json.dumps(checkpoint)
     ckpt = tmp_path / "checkpoint.json"
     ckpt.write_text(text[:1000] if damage == "truncated" else text)

@@ -351,6 +351,27 @@ def test_checkpoint_rejects_wrong_theta_length(family, opts):
         load_checkpoint(data)
 
 
+@pytest.mark.parametrize("family,opts,field,value", [
+    ("affine_per_pattern", {}, "q", None),
+    ("affine_per_pattern", {}, "q", "3"),
+    ("affine_per_pattern", {}, "patterns", 2),
+    ("affine_per_pattern", {}, "patterns", [[0, 3]]),
+    ("affine_per_pattern", {}, "patterns", [[0, 1.5]]),
+    ("tiny_net", {"hidden_layers": 1, "width_factor": 2, "seed": 2}, "hidden_layers", 0),
+    ("tiny_net", {"hidden_layers": 1, "width_factor": 2, "seed": 2}, "width_factor", 2.0),
+    ("tiny_net", {"hidden_layers": 1, "width_factor": 2, "seed": 2}, "seed", None),
+    ("toy_cascade", {"cascades": 2, "seed": 3}, "cascades", True),
+    ("toy_cascade", {"cascades": 2, "seed": 3}, "seed", "3"),
+    ("toy_cascade", {"cascades": 2, "seed": 3}, "q", [3]),
+])
+def test_checkpoint_rejects_field_of_wrong_type(family, opts, field, value):
+    est = make_estimator(family, 3, **opts)
+    est.ensure_pattern(make_mask(3, [0, 2]))
+    data = {**est.to_checkpoint(), field: value}
+    with pytest.raises(ConfigError, match=f"estimator.{field}"):
+        load_checkpoint(data)
+
+
 def test_encode_theta_is_bit_exact():
     theta = np.array([0.1, -0.0, 1e-310, np.pi, -2.5e300, np.nextafter(1.0, 2.0)])
     back = decode_theta(json.loads(json.dumps(encode_theta(theta))), theta.size)

@@ -14,6 +14,7 @@ from kslab.rng import stream, streams
 from kslab.sampling import MaskDistribution, compute_P
 from kslab.synthetic import MeasurementModel, gaussian_ground_truth, model_preset
 from kslab.training import (
+    ADAM_BLOCK,
     STACK_MAX_PARAMS,
     AdamState,
     Cell,
@@ -237,15 +238,27 @@ def test_adam_state_grows_with_params():
     assert state.m.shape == (5,)
 
 
+def test_adam_state_given_moments_steps_like_a_fresh_one():
+    grad = stream(9, "g").standard_normal(5)
+    fresh, given = np.zeros(5), np.zeros(5)
+    adam_step(AdamState(lr=0.1), fresh, grad)
+    adam_step(AdamState(lr=0.1, m=np.zeros(5), v=np.zeros(5)), given, grad)
+    assert given.any() and given.tobytes() == fresh.tobytes()
+
+
 def test_adam_step_matches_out_of_place_formula_bitwise():
-    """The in-place step reproduces the out-of-place update to the bit."""
+    """The blocked in-place step reproduces the out-of-place update to the bit:
+    within one block, over blocks with a short last one, on a stack whose
+    blocks are column ranges of every row, on a strided view, and as the
+    parameters grow mid-run (lazy pattern enrollment)."""
 
     def reference(state, params, grad):
-        n = params.shape[0]
-        if state["m"].shape[0] < n:
-            pad = np.zeros(n - state["m"].shape[0])
-            state["m"] = np.concatenate([state["m"], pad])
-            state["v"] = np.concatenate([state["v"], pad])
+        """The out-of-place Adam update, rows (..., P) growing along the last axis."""
+        n = params.shape[-1]
+        if state["m"].shape[-1] < n:
+            pad = np.zeros((*params.shape[:-1], n - state["m"].shape[-1]))
+            state["m"] = np.concatenate([state["m"], pad], axis=-1)
+            state["v"] = np.concatenate([state["v"], pad], axis=-1)
         state["t"] += 1
         b1, b2 = 0.9, 0.999
         state["m"] = b1 * state["m"] + (1.0 - b1) * grad
@@ -254,21 +267,64 @@ def test_adam_step_matches_out_of_place_formula_bitwise():
         v_hat = state["v"] / (1.0 - b2 ** state["t"])
         return params - 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
 
-    state = AdamState(lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
-    ref_state = {"m": np.zeros(0), "v": np.zeros(0), "t": 0}
-    params = stream(7, "p").standard_normal(6)
-    ref = params.copy()
-    for step in range(8):
-        if step == 3:  # lazy pattern enrollment grows the parameter vector
-            params = np.concatenate([params, np.zeros(4)])
-            ref = np.concatenate([ref, np.zeros(4)])
-        grad = stream(7, "g", step).standard_normal(params.shape[0]) * 10.0 ** (step - 4)
-        out = adam_step(state, params, grad)
-        ref = reference(ref_state, ref, grad)
-        assert out is params
-        assert params.tobytes() == ref.tobytes()
-        assert state.m.tobytes() == ref_state["m"].tobytes()
-        assert state.v.tobytes() == ref_state["v"].tobytes()
+    cases = [  # name, initial shape, growth at step 3, strided view of a wider array
+        ("one_block", (6,), 4, False),
+        ("blocks", (3 * ADAM_BLOCK + 123,), 0, False),
+        ("blocks_growing", (2 * ADAM_BLOCK - 5,), ADAM_BLOCK + 9, False),
+        ("stack", (3, ADAM_BLOCK - 5), 0, False),
+        ("stack_growing", (2, 5), ADAM_BLOCK, False),
+        ("strided", (3 * ADAM_BLOCK + 7,), 0, True),
+        ("strided_stack", (3, ADAM_BLOCK + 1), 0, True),
+    ]
+    for name, shape, grow, strided in cases:
+        state = AdamState(lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
+        empty = np.zeros((*shape[:-1], 0))
+        ref_state = {"m": empty, "v": empty, "t": 0}
+        init = stream(7, "p", name).standard_normal(shape)
+        base = None
+        if strided:
+            base = np.zeros((*shape[:-1], 2 * shape[-1]))
+            params = base[..., ::2]
+            params[...] = init
+            assert not params.flags.c_contiguous
+        else:
+            params = init
+        ref = init.copy()
+        for step in range(8):
+            if step == 3 and grow:
+                pad = np.zeros((*shape[:-1], grow))
+                params = np.concatenate([params, pad], axis=-1)
+                ref = np.concatenate([ref, pad], axis=-1)
+            grad = (stream(7, "g", name, step).standard_normal(params.shape)
+                    * 10.0 ** (step - 4))
+            out = adam_step(state, params, grad)
+            ref = reference(ref_state, ref, grad)
+            assert out is params, name
+            assert params.tobytes() == ref.tobytes(), name
+            assert state.m.tobytes() == ref_state["m"].tobytes(), name
+            assert state.v.tobytes() == ref_state["v"].tobytes(), name
+        if strided:  # the update reached the viewed array, and only its entries
+            assert base[..., ::2].tobytes() == ref.tobytes(), name
+            assert not base[..., 1::2].any(), name
+
+
+def test_adam_step_allocates_no_full_length_temporary():
+    """After the first step sizes the moments and scratch blocks, a step on
+    2^21 parameters allocates at most a few blocks' worth of memory."""
+    import tracemalloc
+
+    n = 2 ** 21
+    params = stream(8, "p").standard_normal(n)
+    grads = [stream(8, "g", i).standard_normal(n) for i in range(2)]
+    state = AdamState(lr=0.01)
+    adam_step(state, params, grads[0])
+    tracemalloc.start()
+    try:
+        adam_step(state, params, grads[1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * ADAM_BLOCK * 8, peak
 
 
 def test_train_validate_every_zero_skips_validation():

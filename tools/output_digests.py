@@ -4,7 +4,9 @@ Runs, in a temporary directory and in this process:
 
 * ``compare`` with all 8 methods, for each estimator family and mode;
 * ``sweep-alpha``;
-* ``train`` then ``reconstruct``, for each family and mode;
+* ``train`` then ``reconstruct``, for each family and mode, and for
+  ``toy_cascade`` on ``bernoulli2d`` with q = 64 (132,098 parameters, so the
+  Adam step runs over several blocks of ``training.ADAM_BLOCK``) in each mode;
 * ``verify`` on two seeds.
 
 Keys are ``<run>/<file>``, plus ``<run>/exit`` for each subcommand's exit
@@ -62,6 +64,14 @@ def _run(root: Path, digests: dict, name: str, argv: list) -> Path:
     return out
 
 
+def _train_reconstruct(root: Path, digests: dict, name: str, cfg: Path, mode: str):
+    out = _run(root, digests, f"train_{name}_{mode}",
+               ["train", "--config", str(cfg), "--mode", mode])
+    _run(root, digests, f"reconstruct_{name}_{mode}",
+         ["reconstruct", "--config", str(cfg), "--mode", mode,
+          "--checkpoint", str(out / "checkpoint.json")])
+
+
 def output_digests(root: Path) -> dict:
     digests = {}
     for family in FAMILIES:
@@ -69,11 +79,11 @@ def output_digests(root: Path) -> dict:
         for mode in MODES:
             _run(root, digests, f"compare_{family}_{mode}",
                  ["compare", "--config", str(cfg), "--mode", mode])
-            out = _run(root, digests, f"train_{family}_{mode}",
-                       ["train", "--config", str(cfg), "--mode", mode])
-            _run(root, digests, f"reconstruct_{family}_{mode}",
-                 ["reconstruct", "--config", str(cfg), "--mode", mode,
-                  "--checkpoint", str(out / "checkpoint.json")])
+            _train_reconstruct(root, digests, family, cfg, mode)
+    cfg = _config(root, "toy_cascade_2d", model={"preset": "bernoulli2d", "q": 64},
+                  estimator={"family": "toy_cascade"})
+    for mode in MODES:
+        _train_reconstruct(root, digests, "toy_cascade_2d", cfg, mode)
     base = _config(root, "base")
     _run(root, digests, "sweep-alpha", ["sweep-alpha", "--config", str(base)])
     for seed in (1, 2):
