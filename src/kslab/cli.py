@@ -325,7 +325,7 @@ def _read_checkpoint(path: Path):
         raise ConfigError(f"checkpoint {path}: alpha must be a positive number, got {alpha!r}")
     try:
         return checkpoint, load_checkpoint(checkpoint["estimator"])
-    except ConfigError as exc:
+    except (ConfigError, ValidationError) as exc:
         raise ConfigError(f"checkpoint {path}: {exc}") from None
 
 
@@ -340,7 +340,8 @@ def run_reconstruct(cfg: dict, checkpoint_path: Path, out_dir: Path) -> Path:
     master = cfg["seed"]
     model = _build_model(cfg, alpha=checkpoint["alpha"])
     if model.q != est.q:
-        raise ConfigError("checkpoint estimator dimension does not match the model")
+        raise ConfigError(f"checkpoint {checkpoint_path}: estimator dimension {est.q} "
+                          f"does not match the model's q = {model.q}")
     test = _test_set(model, cfg, master, "reconstruct")
     rec, nmses, ssims = _score(method, est, test, model, cfg["mode"],
                                streams(master, "rec", count=len(test)))

@@ -40,6 +40,10 @@ TOY_CASCADE = "toy_cascade"
 
 THETA_DTYPE = "<f8"
 
+# Entries (patterns x q x size^2) of one stacked closed-form solve, at most;
+# on banded q = 8 (at most 20 patterns of one size) each size is one call.
+FIT_BLOCK = 1 << 16
+
 
 class PatternFallbackWarning(UserWarning):
     """An affine estimator saw an unknown pattern and used the nearest one."""
@@ -181,14 +185,42 @@ def _cache_rows(cache, rows: slice):
     return [h[rows] for h in hs], [z[rows] for z in zs]
 
 
+# Multiplying a word of eight 0/1 bytes by this constant (mod 2^64) gathers
+# byte i's bit into bit 56 + i: every partial product lands on its own bit.
+_GATHER_BYTES = np.uint64(0x0102040810204080)
+
+
 def group_rows(rows: np.ndarray) -> list[np.ndarray]:
-    """Indices of each distinct row of a (C, q) array, in order of first appearance."""
-    raw = np.ascontiguousarray(rows).tobytes()
-    width = len(raw) // max(len(rows), 1)
-    groups: dict[bytes, list[int]] = {}
-    for c in range(len(rows)):
-        groups.setdefault(raw[c * width:(c + 1) * width], []).append(c)
-    return [np.array(idx) for idx in groups.values()]
+    """Indices of each distinct row of a (C, q) bool array, in order of first appearance.
+
+    Each row is packed to bits and read as an unsigned integer key (a row of
+    64-bit words beyond q = 64), and the rows are sorted stably by key, so
+    every group lists its rows in increasing order.
+    """
+    n, q = rows.shape
+    if n < 2:
+        return [np.arange(n)] if n else []
+    width = max(8, -(-q // 8) * 8)
+    raw = np.zeros((n, width), dtype=np.uint8)
+    raw[:, :q] = rows
+    packed = (raw.view(np.uint64) * _GATHER_BYTES >> np.uint64(56)).astype(np.uint8)
+    nbytes = packed.shape[1]
+    size = 1 << (nbytes - 1).bit_length() if nbytes <= 8 else -(-nbytes // 8) * 8
+    keys = np.zeros((n, size), dtype=np.uint8)
+    keys[:, :nbytes] = packed
+    if size <= 8:
+        keys = keys.view(f"<u{size}")[:, 0]
+        order = np.argsort(keys, kind="stable")
+        ordered = keys[order]
+        starts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+    else:
+        keys = keys.view(np.uint64)
+        order = np.lexsort(keys.T[::-1])
+        ordered = keys[order]
+        starts = np.flatnonzero(np.any(ordered[1:] != ordered[:-1], axis=1)) + 1
+    bounds = [0, *starts.tolist(), n]
+    groups = [order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    return [groups[g] for g in np.argsort(order[bounds[:-1]]).tolist()]
 
 
 class Estimator:
@@ -262,12 +294,23 @@ class AffinePerPattern(Estimator):
         return len(self._members)
 
     def ensure_pattern(self, m_in: SamplingMask) -> int:
-        key = m_in.key()
-        if key not in self._patterns:
-            self._patterns[key] = len(self._members)
-            self._members.append(np.asarray(m_in.member, dtype=bool).copy())
-            self.theta = np.concatenate([self.theta, np.zeros(self.block_size)])
-        return self._patterns[key]
+        idx = self._patterns.get(m_in.key())  # every training step asks; most know it
+        return int(self.ensure_patterns(m_in.member[None])[0]) if idx is None else idx
+
+    def ensure_patterns(self, members: np.ndarray) -> np.ndarray:
+        """Block index of each pattern row (n, q), enrolling new ones in row order."""
+        idx = np.empty(len(members), dtype=np.intp)
+        new = []
+        for i, member in enumerate(members):
+            key = member.tobytes()
+            if key not in self._patterns:
+                self._patterns[key] = len(self._members)
+                self._members.append(np.array(member, dtype=bool))
+                new.append(key)
+            idx[i] = self._patterns[key]
+        if new:
+            self.theta = np.concatenate([self.theta, np.zeros(len(new) * self.block_size)])
+        return idx
 
     def _resolve(self, member: np.ndarray) -> int:
         """Block index of an input pattern; the nearest enrolled one, with a warning."""
@@ -290,19 +333,29 @@ class AffinePerPattern(Estimator):
         return a, b
 
     def set_block(self, m_in: SamplingMask, a: np.ndarray, b: np.ndarray) -> None:
-        idx = self.ensure_pattern(m_in)
+        self.set_blocks(m_in.member[None], np.asarray(a)[None], np.asarray(b)[None])
+
+    def set_blocks(self, members: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+        """Write the maps a (n, q, q) and offsets b (n, q) of pattern rows (n, q)."""
         q = self.q
-        seg = self.theta[idx * self.block_size:(idx + 1) * self.block_size]
-        seg[:q * q] = a.real.ravel()
-        seg[q * q:2 * q * q] = a.imag.ravel()
-        seg[2 * q * q:2 * q * q + q] = np.asarray(b).real
-        seg[2 * q * q + q:] = np.asarray(b).imag
+        idx = self.ensure_patterns(members)
+        seg = self.theta.reshape(-1, self.block_size)
+        seg[idx, :q * q] = a.real.reshape(len(idx), q * q)
+        seg[idx, q * q:2 * q * q] = a.imag.reshape(len(idx), q * q)
+        seg[idx, 2 * q * q:2 * q * q + q] = b.real
+        seg[idx, 2 * q * q + q:] = b.imag
 
     def get_block(self, m_in: SamplingMask):
-        if m_in.key() not in self._patterns:
-            raise ValidationError("pattern not enrolled")
-        idx = self._patterns[m_in.key()]
-        return self._blocks(self.theta[idx * self.block_size:(idx + 1) * self.block_size])
+        a, b = self.get_blocks(m_in.member[None])
+        return a[0], b[0]
+
+    def get_blocks(self, members: np.ndarray):
+        """The maps (n, q, q) and offsets (n, q) of enrolled pattern rows (n, q)."""
+        try:
+            idx = [self._patterns[member.tobytes()] for member in members]
+        except KeyError:
+            raise ValidationError("pattern not enrolled") from None
+        return self._blocks(self.theta.reshape(-1, self.block_size)[idx])
 
     def forward_vjp_stack(self, theta, y_in, member):
         """Rows grouped by input pattern, each distinct one resolved (and
@@ -568,50 +621,73 @@ def jacobian_rank_check(est: Estimator, y_in, m_in: SamplingMask) -> RankReport:
     return RankReport(rank, 2 * q, n, smallest)
 
 
-def _fit_row_factors(method: str, s_member: np.ndarray, p: np.ndarray,
+def _fit_input_variance(method: str, noise) -> float:
+    """Per-entry noise variance of the method's input: sigma_n^2 on the
+    measured data, (1 + alpha^2) sigma_n^2 on the further-corrupted data."""
+    sigma2 = noise.sigma_n ** 2
+    if method in (M.FULLY_SUPERVISED, M.SUPERVISED_WO_DENOISING, M.STANDARD_SSDU):
+        return sigma2
+    return (1.0 + noise.alpha ** 2) * sigma2
+
+
+def _fit_row_factors(method: str, members: np.ndarray, p: np.ndarray,
                      pt: np.ndarray, alpha: float) -> np.ndarray:
-    """E[loss row weight * mask indicator | input pattern] per output index.
+    """E[loss row weight * mask indicator | input pattern] per pattern row and
+    output index, for pattern rows (n, q).
 
     These scalars multiply each row's normal equations. They cancel wherever
     positive, but building them from the method's actual weighting keeps
     this fit independent of the conditional-mean oracle it is checked
     against; a zero marks a row the method's loss never constrains.
     """
-    q = s_member.shape[0]
     w_on = ((1.0 + alpha ** 2) / alpha ** 2) ** 2
-    c = np.ones(q)
     if method in (M.FULLY_SUPERVISED, M.SUPERVISED_WO_DENOISING, M.NOISIER2FULL_UNWEIGHTED):
-        return c
+        return np.ones(members.shape)
     if method == M.NOISIER2FULL:
-        c[s_member] = w_on
-        return c
+        return np.where(members, w_on, 1.0)
     one_minus_k = 1.0 - compute_k(p, pt)
     if method == M.STANDARD_SSDU:
-        c[s_member] = 0.0
-        c[~s_member] = one_minus_k[~s_member]
-        return c
+        return np.where(members, 0.0, one_minus_k)
     if method == M.ROBUST_SSDU:
-        c[s_member] = w_on
-        off = ~s_member
-        c[off] = compute_P(p, pt)[off] * one_minus_k[off]
-        return c
+        return np.where(members, w_on, compute_P(p, pt) * one_minus_k)
     if method == M.ROBUST_SSDU_UNWEIGHTED:
-        c[s_member] = 1.0
-        c[~s_member] = one_minus_k[~s_member]
-        return c
+        return np.where(members, 1.0, one_minus_k)
     raise ConfigError(f"no closed-form fit for method {method!r}")
 
 
-def closed_form_affine_fit(model, method: str, pattern: SamplingMask,
-                           into: AffinePerPattern | None = None) -> AffinePerPattern:
-    """Population-optimal affine map for a method's loss at one input pattern.
+def _support_groups(members: np.ndarray):
+    """(rows, supports) of pattern rows (n, q) stacked by support size.
 
+    Yields, in increasing nonempty size, pattern rows of one size and their
+    observed indices (rows, size), ascending. A size's rows come in one
+    piece unless their (pattern, row) systems exceed ``FIT_BLOCK`` entries.
+    """
+    q = members.shape[1]
+    sizes = np.count_nonzero(members, axis=1)
+    for size in np.unique(sizes[sizes > 0]).tolist():
+        rows = np.flatnonzero(sizes == size)
+        supports = np.nonzero(members[rows])[1].reshape(len(rows), size)
+        step = max(1, FIT_BLOCK // (q * size * size))
+        for start in range(0, len(rows), step):
+            yield rows[start:start + step], supports[start:start + step]
+
+
+def closed_form_affine_fit(model, method: str, patterns,
+                           into: AffinePerPattern | None = None) -> AffinePerPattern:
+    """Population-optimal affine maps of a method's loss at a stack of input patterns.
+
+    ``patterns`` is one ``SamplingMask`` or pattern rows (n, q) of bool.
     Solves the normal equations of the expected loss under the Gaussian
-    model, conditioned on the input support pattern. The offset b is zero
+    model, conditioned on each input support pattern. The offset b is zero
     under the zero-mean prior. Rows whose normal equations are singular are
     solved with a 1e-10 ridge and flagged in ``fit_info`` (``ridge_rows``
     for ill-conditioned systems, ``unconstrained_rows`` for rows the loss
     never touches, which the theory leaves free).
+
+    Patterns are stacked by support size: one ``eigvalsh`` over the grams of
+    a size, then one ``solve`` over all its (pattern, constrained row)
+    systems. Each system is built, and gets the bits, as when its pattern is
+    fitted alone; a single pattern is the one-row stack.
     """
     if method == M.NOISE2RECON_SS:
         raise ConfigError("noise2recon_ss has no closed-form fit (its loss couples "
@@ -619,44 +695,49 @@ def closed_form_affine_fit(model, method: str, pattern: SamplingMask,
     if method not in M.ALL_METHODS:
         raise ConfigError(f"unknown method {method!r}")
     q = model.q
-    if pattern.q != q:
+    members = (patterns.member[None] if isinstance(patterns, SamplingMask)
+               else np.asarray(patterns, dtype=bool))
+    if members.ndim != 2 or members.shape[1] != q:
         raise DimensionError("pattern length does not match model")
     sigma2 = model.noise.sigma_n ** 2
-    alpha = model.noise.alpha
-    v_in = sigma2 if method in (M.FULLY_SUPERVISED, M.SUPERVISED_WO_DENOISING,
-                                M.STANDARD_SSDU) else (1.0 + alpha ** 2) * sigma2
+    v_in = _fit_input_variance(method, model.noise)
     target_y0 = method == M.FULLY_SUPERVISED
-
-    s = np.nonzero(pattern.member)[0]
+    c = _fit_row_factors(method, members, model.omega_probs(), model.lambda_probs(),
+                         model.noise.alpha)
     cov = model.prior_cov
-    gram = cov[np.ix_(s, s)] + v_in * np.eye(s.size)
-    t_mat = cov[:, s].copy()
-    if not target_y0:
-        for col, j in enumerate(s):
-            t_mat[j, col] += sigma2
-
-    c = _fit_row_factors(method, pattern.member, model.omega_probs(),
-                         model.lambda_probs(), alpha)
-
-    a = np.zeros((q, q), dtype=np.complex128)
-    info = {"ridge_rows": [], "unconstrained_rows": []}
-    if s.size:
+    a = np.zeros((len(members), q, q), dtype=np.complex128)
+    ridge = np.zeros(members.shape, dtype=bool)
+    for rows, s in _support_groups(members):
+        m, size = s.shape
+        gram = cov[s[:, :, None], s[:, None, :]] + v_in * np.eye(size)
+        t_mat = cov[np.arange(q)[:, None], s[:, None, :]]  # (m, q, size)
+        if not target_y0:
+            t_mat[np.arange(m)[:, None], s, np.arange(size)] += sigma2
         eigs = np.linalg.eigvalsh(gram)
-        gram_singular = eigs.min() <= 1e-12 * max(1.0, eigs.max())
-        for j in range(q):
-            if c[j] == 0.0:
-                info["unconstrained_rows"].append(int(j))
-                continue  # ridge solve of the zero system: row stays zero
-            lhs = c[j] * gram
-            rhs = c[j] * t_mat[j]
-            if gram_singular:
-                lhs = lhs + 1e-10 * np.eye(s.size)
-                info["ridge_rows"].append(int(j))
-            a[j, s] = np.linalg.solve(lhs.T, rhs)  # row solve: a_j @ lhs = rhs
-    else:
-        # Nothing observed: the population optimum is the prior mean, zero.
-        info["unconstrained_rows"] = [int(j) for j in range(q) if c[j] == 0.0]
+        singular = eigs.min(axis=1) <= 1e-12 * np.maximum(1.0, eigs.max(axis=1))
+        # one system per constrained (pattern, row); a row with c_j = 0 stays zero
+        pat, row = np.nonzero(c[rows] != 0.0)
+        c_j = c[rows[pat], row]
+        lhs = c_j[:, None, None] * gram[pat]
+        rhs = c_j[:, None] * t_mat[pat, row]
+        ridged = singular[pat]
+        lhs[ridged] += 1e-10 * np.eye(size)
+        ridge[rows[pat[ridged]], row[ridged]] = True
+        # row solve: a_j @ lhs = rhs, right-hand sides with an explicit trailing axis
+        a[rows[pat, None], row[:, None], s[pat]] = np.linalg.solve(
+            lhs.swapaxes(-1, -2), rhs[..., None])[..., 0]
     est = into if into is not None else AffinePerPattern(q)
-    est.set_block(pattern, a, np.zeros(q, dtype=np.complex128))
-    est.fit_info[pattern.key()] = info
+    est.set_blocks(members, a, np.zeros((len(members), q), dtype=np.complex128))
+    for member, ridge_rows, free_rows in zip(members, _true_columns(ridge),
+                                             _true_columns(c == 0.0)):
+        est.fit_info[member.tobytes()] = {"ridge_rows": ridge_rows,
+                                          "unconstrained_rows": free_rows}
     return est
+
+
+def _true_columns(flags: np.ndarray) -> list[list[int]]:
+    """The True column indices of each row of a (n, q) bool array, as lists."""
+    row, col = np.nonzero(flags)
+    ends = np.cumsum(np.bincount(row, minlength=len(flags))).tolist()
+    col = col.tolist()
+    return [col[a:b] for a, b in zip([0, *ends[:-1]], ends)]

@@ -47,6 +47,7 @@ PATTERN_ENUM_CAP = 12  # exhaustive enumeration up to 2^12 patterns
 SHARD_SIZE = 4096  # Monte Carlo draws per shard, each shard from its own substream
 CROSSCHECK_RTOL = 1e-12  # batched vs per-draw library gradients
 MOMENT_BLOCK = 1 << 18  # gradient entries (rows x parameters) reduced at a time
+SOLVE_BLOCK = 1 << 16  # entries (patterns x q x size^2) of one stacked oracle solve
 
 
 @dataclass
@@ -95,8 +96,36 @@ def _observation_variance(model: MeasurementModel, conditioning: str) -> float:
     raise ConfigError(f"unknown conditioning {conditioning!r}")
 
 
-def gaussian_conditional_mean(model: MeasurementModel, pattern: SamplingMask,
-                              target: str, conditioning: str) -> np.ndarray:
+def _pattern_rows(pattern, q: int) -> np.ndarray:
+    """Pattern rows (n, q) of one ``SamplingMask`` (n = 1) or of a stack."""
+    members = (pattern.member[None] if isinstance(pattern, SamplingMask)
+               else np.asarray(pattern, dtype=bool))
+    if members.ndim != 2 or members.shape[1] != q:
+        raise ValidationError("pattern length does not match model")
+    return members
+
+
+def _observed_blocks(members: np.ndarray):
+    """(rows, supports) of pattern rows stacked by nonempty support size.
+
+    Yields, in increasing size, the rows of one size and their observed
+    indices (rows, size), ascending; a size is split only beyond
+    ``SOLVE_BLOCK`` entries of its (pattern, q, size, size) stack. The fit
+    in ``estimators`` groups its stacks with its own code: the two routes
+    share nothing, so a stacking defect in one shows against the other.
+    """
+    q = members.shape[1]
+    sizes = np.count_nonzero(members, axis=1)
+    for size in np.unique(sizes[sizes > 0]).tolist():
+        rows = np.flatnonzero(sizes == size)
+        observed = np.nonzero(members[rows])[1].reshape(len(rows), size)
+        step = max(1, SOLVE_BLOCK // (q * size * size))
+        for start in range(0, len(rows), step):
+            yield rows[start:start + step], observed[start:start + step]
+
+
+def gaussian_conditional_mean(model: MeasurementModel, pattern, target: str,
+                              conditioning: str) -> np.ndarray:
     """Exact conditional-mean coefficient matrix for an observed pattern.
 
     Returns C (q x q, zero columns off the pattern) such that the MMSE
@@ -104,45 +133,46 @@ def gaussian_conditional_mean(model: MeasurementModel, pattern: SamplingMask,
     where ``observed`` is the measured vector zero-filled off the pattern.
     The observation carries per-entry noise sigma_n^2 when conditioning on
     the data and (1 + alpha^2) sigma_n^2 when conditioning on the further
-    corrupted data.
+    corrupted data. ``pattern`` is a ``SamplingMask``, or pattern rows
+    (n, q) of bool for a stack C (n, q, q); patterns of one support size
+    are solved in one call, each with the bits it gets alone.
     """
     if target not in (TARGET_Y0, TARGET_Y0_PLUS_N):
         raise ConfigError(f"unknown target {target!r}")
     q = model.q
-    if pattern.q != q:
-        raise ValidationError("pattern length does not match model")
+    members = _pattern_rows(pattern, q)
     v = _observation_variance(model, conditioning)
-    s = np.nonzero(pattern.member)[0]
-    c = np.zeros((q, q), dtype=np.complex128)
-    if s.size == 0:
-        return c
+    sigma2 = model.noise.sigma_n ** 2
     cov = model.prior_cov
-    gram = cov[np.ix_(s, s)] + v * np.eye(s.size)
-    eigs = np.linalg.eigvalsh(gram)
-    if eigs.min() <= 1e-14 * max(1.0, eigs.max()):
-        raise ValidationError("observed-block covariance is singular")
-    cross = cov[:, s].copy()
-    if target == TARGET_Y0_PLUS_N:
-        sigma2 = model.noise.sigma_n ** 2
-        for col, j in enumerate(s):
-            cross[j, col] += sigma2
-    c[:, s] = np.linalg.solve(gram.T, cross.T).T
-    return c
+    c = np.zeros((len(members), q, q), dtype=np.complex128)
+    for rows, s in _observed_blocks(members):
+        m, size = s.shape
+        gram = cov[s[:, :, None], s[:, None, :]] + v * np.eye(size)
+        eigs = np.linalg.eigvalsh(gram)
+        if np.any(eigs.min(axis=1) <= 1e-14 * np.maximum(1.0, eigs.max(axis=1))):
+            raise ValidationError("observed-block covariance is singular")
+        cross = cov[np.arange(q)[:, None], s[:, None, :]]  # (m, q, size)
+        if target == TARGET_Y0_PLUS_N:
+            cross[np.arange(m)[:, None], s, np.arange(size)] += sigma2
+        c[rows[:, None, None], np.arange(q)[:, None], s[:, None, :]] = np.linalg.solve(
+            gram.swapaxes(-1, -2), cross.swapaxes(-1, -2)).swapaxes(-1, -2)
+    return c[0] if isinstance(pattern, SamplingMask) else c
 
 
-def posterior_error_trace(model: MeasurementModel, pattern: SamplingMask,
-                          conditioning: str) -> float:
-    """E || Y0 - E[Y0 | observation] ||^2 for one observation pattern."""
+def posterior_error_trace(model: MeasurementModel, pattern, conditioning: str):
+    """E || Y0 - E[Y0 | observation] ||^2 for one observation pattern (a float),
+    or for each of pattern rows (n, q) of bool (an (n,) array)."""
     q = model.q
-    s = np.nonzero(pattern.member)[0]
-    cov = model.prior_cov
-    if s.size == 0:
-        return float(np.trace(cov).real)
+    members = _pattern_rows(pattern, q)
     v = _observation_variance(model, conditioning)
-    gram = cov[np.ix_(s, s)] + v * np.eye(s.size)
-    cross = cov[:, s]
-    err = cov - cross @ np.linalg.solve(gram, cross.conj().T)
-    return float(np.trace(err).real)
+    cov = model.prior_cov
+    out = np.full(len(members), float(np.trace(cov).real))
+    for rows, s in _observed_blocks(members):
+        gram = cov[s[:, :, None], s[:, None, :]] + v * np.eye(s.shape[1])
+        cross = cov[np.arange(q)[:, None], s[:, None, :]]
+        err = cov - cross @ np.linalg.solve(gram, cross.conj().swapaxes(-1, -2))
+        out[rows] = np.trace(err, axis1=-2, axis2=-1).real
+    return float(out[0]) if isinstance(pattern, SamplingMask) else out
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +195,34 @@ def input_level(method: str) -> str:
     return LEVEL_INTERSECT if M.row(method).input.on_intersect else LEVEL_OMEGA
 
 
-def enumerate_patterns(model: MeasurementModel, level: str):
+@dataclass(frozen=True)
+class PatternTable:
+    """The support patterns of one level with positive probability.
+
+    ``members`` (n, q) holds one pattern per row and ``probs`` (n,) their
+    probabilities, both read-only; ``level_probs`` (q,) are the level's
+    inclusion probabilities. Iterating yields ``(SamplingMask, prob)`` pairs.
+    """
+
+    members: np.ndarray
+    probs: np.ndarray
+    level_probs: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    def __iter__(self):
+        for member, prob in zip(self.members, self.probs.tolist()):
+            yield SamplingMask(member, self.level_probs), prob
+
+
+def enumerate_patterns(model: MeasurementModel, level: str) -> PatternTable:
     """All support patterns of positive probability, with their probabilities.
 
     Exhaustive enumeration of the free (0 < prob < 1) indices, capped at
-    2^12 patterns; use ``sample_patterns`` beyond that.
+    2^12 patterns (use ``sample_patterns`` beyond that), in the order of
+    ``itertools.product((False, True), repeat=free)``: the first free index
+    is the slowest-varying bit.
     """
     r = _level_probs(model, level)
     forced = np.nonzero(r >= 1.0)[0]
@@ -178,14 +231,14 @@ def enumerate_patterns(model: MeasurementModel, level: str):
         raise ConfigError(
             f"{free.size} free indices exceed the exhaustive enumeration cap "
             f"({PATTERN_ENUM_CAP}); use sample_patterns")
-    out = []
-    for bits in product((False, True), repeat=free.size):
-        member = np.zeros(model.q, dtype=bool)
-        member[forced] = True
-        member[free[np.asarray(bits, dtype=bool)]] = True
-        prob = float(np.prod(np.where(np.asarray(bits), r[free], 1.0 - r[free])))
-        out.append((SamplingMask(member, r), prob))
-    return out
+    bits = ((np.arange(1 << free.size)[:, None] >> np.arange(free.size)[::-1]) & 1).astype(bool)
+    members = np.zeros((len(bits), model.q), dtype=bool)
+    members[:, forced] = True
+    members[:, free] = bits
+    probs = np.prod(np.where(bits, r[free], 1.0 - r[free]), axis=1)
+    members.setflags(write=False)
+    probs.setflags(write=False)
+    return PatternTable(members, probs, r)
 
 
 def sample_patterns(model: MeasurementModel, level: str, n: int, rng: np.random.Generator):
@@ -204,39 +257,35 @@ def sample_patterns(model: MeasurementModel, level: str, n: int, rng: np.random.
 # ---------------------------------------------------------------------------
 
 def _expected_coefficients(method: str, model: MeasurementModel,
-                           pattern: SamplingMask) -> tuple[np.ndarray, np.ndarray]:
-    """Proven target matrix and row mask of which rows the proof constrains."""
-    q = model.q
-    compare = np.ones(q, dtype=bool)
+                           members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Proven target matrices (n, q, q) of pattern rows (n, q), and which
+    of their rows (n, q) the proof constrains."""
+    compare = np.ones(members.shape, dtype=bool)
     if method == M.FULLY_SUPERVISED:
-        return gaussian_conditional_mean(model, pattern, TARGET_Y0, COND_ON_Y), compare
+        return gaussian_conditional_mean(model, members, TARGET_Y0, COND_ON_Y), compare
     if method == M.SUPERVISED_WO_DENOISING:
         # Pseudo-denoising: identity rows on the sampled set, conditional
         # mean of the ground truth elsewhere.
-        c = gaussian_conditional_mean(model, pattern, TARGET_Y0, COND_ON_Y)
-        for j in np.nonzero(pattern.member)[0]:
-            c[j, :] = 0.0
-            c[j, j] = 1.0
+        c = gaussian_conditional_mean(model, members, TARGET_Y0, COND_ON_Y)
+        pat, j = np.nonzero(members)
+        c[pat, j, :] = 0.0
+        c[pat, j, j] = 1.0
         return c, compare
     if method in (M.NOISIER2FULL, M.NOISIER2FULL_UNWEIGHTED,
                   M.ROBUST_SSDU, M.ROBUST_SSDU_UNWEIGHTED):
-        return gaussian_conditional_mean(model, pattern, TARGET_Y0_PLUS_N,
+        return gaussian_conditional_mean(model, members, TARGET_Y0_PLUS_N,
                                          COND_ON_YTILDE), compare
     if method == M.STANDARD_SSDU:
         # The recovery statement covers only indices outside the training
         # input support; rows on it are unconstrained.
-        c = gaussian_conditional_mean(model, pattern, TARGET_Y0, COND_ON_Y)
-        compare = ~pattern.member
-        return c, compare
+        return gaussian_conditional_mean(model, members, TARGET_Y0, COND_ON_Y), ~members
     raise ConfigError(f"no proven population target for {method!r}")
 
 
 def fit_all_patterns(model: MeasurementModel, method: str) -> AffinePerPattern:
     """Closed-form fit of the method's loss at every enumerated input pattern."""
-    est = AffinePerPattern(model.q)
-    for pattern, _ in enumerate_patterns(model, input_level(method)):
-        closed_form_affine_fit(model, method, pattern, into=est)
-    return est
+    return closed_form_affine_fit(model, method,
+                                  enumerate_patterns(model, input_level(method)).members)
 
 
 def check_population_minimizer(method: str, model: MeasurementModel,
@@ -245,7 +294,7 @@ def check_population_minimizer(method: str, model: MeasurementModel,
     """Closed-form loss minimizer vs the method's proven conditional-mean target.
 
     ``fit`` is the method's ``fit_all_patterns`` result; it is computed when
-    not given.
+    not given. All enumerated patterns are compared as one stack.
     """
     if method == M.NOISE2RECON_SS:
         return OracleReport(
@@ -256,36 +305,29 @@ def check_population_minimizer(method: str, model: MeasurementModel,
         )
     if fit is None:
         fit = fit_all_patterns(model, method)
-    patterns = enumerate_patterns(model, input_level(method))
-    worst = 0.0
-    n_unconstrained = 0
-    for pattern, _ in patterns:
-        a_fit, _b = fit.get_block(pattern)
-        expected, compare = _expected_coefficients(method, model, pattern)
-        n_unconstrained += int(np.count_nonzero(~compare))
-        diff = np.abs(a_fit[compare] - expected[compare])
-        if diff.size:
-            worst = max(worst, float(diff.max()))
+    members = enumerate_patterns(model, input_level(method)).members
+    a_fit, _b = fit.get_blocks(members)
+    expected, compare = _expected_coefficients(method, model, members)
+    diff = np.abs(a_fit[compare] - expected[compare])
     return OracleReport(
         name=f"population_minimizer[{method}]",
-        estimate=worst, reference=0.0, tolerance=tol,
-        notes={"patterns": len(patterns), "unconstrained_rows": n_unconstrained},
+        estimate=float(diff.max()) if diff.size else 0.0, reference=0.0, tolerance=tol,
+        notes={"patterns": len(members),
+               "unconstrained_rows": int(np.count_nonzero(~compare))},
     ).finalize()
 
 
-def corrected_coefficients(a_fit: np.ndarray, pattern: SamplingMask,
-                           alpha: float) -> np.ndarray:
-    """Apply the additive correction to a fitted coefficient matrix.
+def corrected_coefficients(a_fit: np.ndarray, pattern, alpha: float) -> np.ndarray:
+    """Apply the additive correction to fitted coefficient matrices.
 
     Row-wise algebra of the correction: on the corrected set the estimate
     ((1 + a^2) f - input) / a^2 becomes ((1 + a^2) A_j - e_j) / a^2.
+    ``a_fit`` is (q, q) for a ``SamplingMask`` ``pattern``, or (n, q, q) for
+    pattern rows (n, q) of bool.
     """
-    out = a_fit.copy()
-    for j in np.nonzero(pattern.member)[0]:
-        e = np.zeros(a_fit.shape[1], dtype=np.complex128)
-        e[j] = 1.0
-        out[j] = ((1.0 + alpha ** 2) * a_fit[j] - e) / alpha ** 2
-    return out
+    member = pattern.member if isinstance(pattern, SamplingMask) else pattern
+    eye = np.eye(a_fit.shape[-1], dtype=np.complex128)
+    return np.where(member[..., None], ((1.0 + alpha ** 2) * a_fit - eye) / alpha ** 2, a_fit)
 
 
 def check_correction_identity(method: str, model: MeasurementModel,
@@ -297,20 +339,15 @@ def check_correction_identity(method: str, model: MeasurementModel,
     """
     if method not in (M.NOISIER2FULL, M.ROBUST_SSDU):
         raise ConfigError("correction identity applies to the corrected methods")
-    alpha = model.noise.alpha
     if fit is None:
         fit = fit_all_patterns(model, method)
-    patterns = enumerate_patterns(model, input_level(method))
-    worst = 0.0
-    for pattern, _ in patterns:
-        a_fit, _ = fit.get_block(pattern)
-        corrected = corrected_coefficients(a_fit, pattern, alpha)
-        target = gaussian_conditional_mean(model, pattern, TARGET_Y0, COND_ON_YTILDE)
-        worst = max(worst, float(np.abs(corrected - target).max()))
+    members = enumerate_patterns(model, input_level(method)).members
+    corrected = corrected_coefficients(fit.get_blocks(members)[0], members, model.noise.alpha)
+    target = gaussian_conditional_mean(model, members, TARGET_Y0, COND_ON_YTILDE)
     return OracleReport(
         name=f"correction_identity[{method}]",
-        estimate=worst, reference=0.0, tolerance=tol,
-        notes={"patterns": len(patterns)},
+        estimate=float(np.abs(corrected - target).max()), reference=0.0, tolerance=tol,
+        notes={"patterns": len(members)},
     ).finalize()
 
 
@@ -322,23 +359,24 @@ def check_correction_algebra(model: MeasurementModel, tol: float = 1e-10) -> Ora
     """
     worst = 0.0
     for level in (LEVEL_OMEGA, LEVEL_INTERSECT):
-        for pattern, _ in enumerate_patterns(model, level):
-            noisy = gaussian_conditional_mean(model, pattern, TARGET_Y0_PLUS_N, COND_ON_YTILDE)
-            clean = gaussian_conditional_mean(model, pattern, TARGET_Y0, COND_ON_YTILDE)
-            corrected = corrected_coefficients(noisy, pattern, model.noise.alpha)
-            worst = max(worst, float(np.abs(corrected - clean).max()))
+        members = enumerate_patterns(model, level).members
+        noisy = gaussian_conditional_mean(model, members, TARGET_Y0_PLUS_N, COND_ON_YTILDE)
+        clean = gaussian_conditional_mean(model, members, TARGET_Y0, COND_ON_YTILDE)
+        corrected = corrected_coefficients(noisy, members, model.noise.alpha)
+        worst = max(worst, float(np.abs(corrected - clean).max()))
     return OracleReport(
         name="correction_algebra", estimate=worst, reference=0.0, tolerance=tol,
     ).finalize()
 
 
 def analytic_posterior_mse(model: MeasurementModel, method: str) -> float:
-    """Pattern-averaged E || Y0 - E[Y0 | further-corrupted observation] ||^2."""
-    patterns = enumerate_patterns(model, input_level(method))
-    total = 0.0
-    for pattern, prob in patterns:
-        total += prob * posterior_error_trace(model, pattern, COND_ON_YTILDE)
-    return total
+    """Pattern-averaged E || Y0 - E[Y0 | further-corrupted observation] ||^2.
+
+    The probability-weighted traces are added in enumeration order.
+    """
+    table = enumerate_patterns(model, input_level(method))
+    traces = posterior_error_trace(model, table.members, COND_ON_YTILDE)
+    return float(np.cumsum(table.probs * traces)[-1])
 
 
 class _Draws(NamedTuple):
@@ -480,17 +518,29 @@ def _oracle_gradient(method: str, est: Estimator, model: MeasurementModel,
     return 2.0 * est.vjp(y_tilde, m_in, d * (est_y - y0))
 
 
+class _Forwarded:
+    """An estimator whose stacked forward pass on a block is already done:
+    ``forward_vjp_stack`` returns that pass's outputs and pullback."""
+
+    def __init__(self, out: np.ndarray, pullback):
+        self.forwarded = (out, pullback)
+
+    def forward_vjp_stack(self, theta, y_in, member):
+        return self.forwarded
+
+
 def _gradient_moments(claim: str, est: AffinePerPattern, model: MeasurementModel,
                       draws: _Draws) -> tuple[dict, dict, float]:
     """Sums and sums of squares of the per-draw surrogate, oracle and difference gradients.
 
-    The surrogate gradients are training's own step (``training.method_rows``
-    and ``training.stack_loss_and_grad``); the oracle gradients come from the
-    pullback of the same forward pass. Rows go in blocks of ``MOMENT_BLOCK``
-    gradient entries. The first draw of each distinct (Omega, Lambda) pair is
-    recomputed through ``training.loss_and_grad`` and ``_oracle_gradient``;
-    the third value is the largest deviation of a batched gradient row from
-    its per-draw gradient, relative to the latter's largest entry.
+    Rows go in blocks of ``MOMENT_BLOCK`` gradient entries, and each block
+    runs one forward pass. The surrogate gradients are training's own step
+    (``training.method_rows`` and ``training.stack_loss_and_grad``, handed
+    that pass); the oracle gradients come from the same pass's pullback.
+    The first draw of each distinct (Omega, Lambda) pair is recomputed
+    through ``training.loss_and_grad`` and ``_oracle_gradient``; the third
+    value is the largest deviation of a batched gradient row from its
+    per-draw gradient, relative to the latter's largest entry.
     """
     alpha = model.noise.alpha
     method = M.row(claim)
@@ -508,8 +558,9 @@ def _gradient_moments(claim: str, est: AffinePerPattern, model: MeasurementModel
         block = slice(start, min(start + step, n))
         part = training.Rows(*(None if a is None else a[block] for a in rows))
         theta = np.broadcast_to(est.theta, (part.y_in.shape[0], n_params))
-        grads = {"surr": training.stack_loss_and_grad(est, theta, part, None)[1]}
         f, pullback = est.forward_vjp_stack(theta, part.y_in, part.m_in)
+        grads = {"surr": training.stack_loss_and_grad(_Forwarded(f, pullback), theta,
+                                                      part, None)[1]}
         d = np.where(part.m_in, (1.0 + alpha ** 2) / alpha ** 2, 1.0)
         est_y = correct(f, part.y_in, part.m_in, alpha)
         grads["oracle"] = 2.0 * pullback(d * (est_y - draws.y0[block]))
@@ -570,8 +621,7 @@ def check_gradient_equivalence(claim: str, est: Estimator, model: MeasurementMod
     if claim not in (M.NOISIER2FULL, M.ROBUST_SSDU):
         raise ConfigError("gradient equivalence is claimed for the weighted methods")
     _require_affine(est)
-    for pattern, _ in enumerate_patterns(model, input_level(claim)):
-        est.ensure_pattern(pattern)
+    est.ensure_patterns(enumerate_patterns(model, input_level(claim)).members)
     n_params = est.theta.shape[0]
     sums = {k: np.zeros(n_params) for k in ("surr", "oracle", "diff")}
     sums_sq = {k: np.zeros(n_params) for k in ("surr", "oracle", "diff")}
@@ -811,8 +861,7 @@ def run_oracle_suite(model: MeasurementModel, seed: int = 0,
     grad_model = gradient_check_model(model.noise.sigma_n or 0.5, model.noise.alpha)
     for claim in (M.NOISIER2FULL, M.ROBUST_SSDU):
         est = AffinePerPattern(grad_model.q)
-        for pattern, _ in enumerate_patterns(grad_model, input_level(claim)):
-            est.ensure_pattern(pattern)
+        est.ensure_patterns(enumerate_patterns(grad_model, input_level(claim)).members)
         est.theta = stream(seed, "gradeq_theta", claim).standard_normal(
             est.theta.shape[0]) * 0.3
         report = check_gradient_equivalence(claim, est, grad_model,

@@ -235,6 +235,8 @@ def test_reconstruct_rejects_malformed_theta(tmp_path, capsys, trained_checkpoin
     ("estimator_q_null", "estimator.q"),
     ("estimator_patterns_int", "estimator.patterns"),
     ("alpha_string", "alpha must be a positive number"),
+    ("theta_shortened", "checkpoint theta has 2 parameters"),
+    ("estimator_other_q", "estimator dimension 4 does not match"),
 ])
 def test_reconstruct_rejects_damaged_checkpoint(tmp_path, capsys, trained_checkpoint,
                                                 damage, message):
@@ -253,6 +255,10 @@ def test_reconstruct_rejects_damaged_checkpoint(tmp_path, capsys, trained_checkp
         checkpoint["estimator"] = {**AffinePerPattern(8).to_checkpoint(), "patterns": 3}
     elif damage == "alpha_string":
         checkpoint["alpha"] = "0.75"
+    elif damage == "theta_shortened":
+        checkpoint["estimator"]["theta"]["base64"] = _theta_b64(16)
+    elif damage == "estimator_other_q":
+        checkpoint["estimator"] = AffinePerPattern(4).to_checkpoint()
     text = json.dumps(checkpoint)
     ckpt = tmp_path / "checkpoint.json"
     ckpt.write_text(text[:1000] if damage == "truncated" else text)

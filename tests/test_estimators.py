@@ -4,6 +4,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from kslab import methods as M
 from kslab.errors import ConfigError, ValidationError
@@ -16,6 +19,7 @@ from kslab.estimators import (
     closed_form_affine_fit,
     decode_theta,
     encode_theta,
+    group_rows,
     jacobian_rank_check,
     load_checkpoint,
     make_estimator,
@@ -189,6 +193,42 @@ def test_affine_stack_mixed_unknown_patterns_warn_once_each():
             assert np.array_equal(grad[c], alone[1](cot[c:c + 1])[0])
             assert np.count_nonzero(grad[c][:block * bs]) == 0
             assert np.count_nonzero(grad[c][(block + 1) * bs:]) == 0
+
+
+def _group_rows_reference(rows):
+    """Groups of equal rows keyed by each row's bytes, in order of first appearance."""
+    raw = np.ascontiguousarray(rows).tobytes()
+    width = len(raw) // max(len(rows), 1)
+    groups = {}
+    for c in range(len(rows)):
+        groups.setdefault(raw[c * width:(c + 1) * width], []).append(c)
+    return [np.array(idx) for idx in groups.values()]
+
+
+def _assert_same_groups(rows):
+    got, want = group_rows(rows), _group_rows_reference(rows)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), width=st.integers(1, 256), n_distinct=st.integers(1, 6))
+def test_group_rows_matches_dict_of_bytes_reference(data, width, n_distinct):
+    """Same groups in the same order as keying rows by their bytes, for 0, 1
+    and many rows of any width (a few distinct rows, so groups repeat)."""
+    distinct = data.draw(arrays(bool, (n_distinct, width)))
+    picks = data.draw(st.lists(st.integers(0, n_distinct - 1), max_size=64))
+    _assert_same_groups(distinct[np.array(picks, dtype=int)])
+
+
+@pytest.mark.parametrize("q", [1, 8, 64, 128])
+def test_group_rows_on_mask_pair_rows(q):
+    """Width 2q: the (Omega, Lambda) rows the gradient oracle groups."""
+    rng = stream(q, "pairs")
+    omega = rng.random((4096, q)) < 0.9
+    lam = rng.random((4096, q)) < 0.9
+    _assert_same_groups(np.concatenate([omega, lam], axis=1))
 
 
 def test_affine_no_patterns_raises():

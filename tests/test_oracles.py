@@ -120,9 +120,10 @@ def test_oracle_suite_fits_each_pattern_once(monkeypatch):
     fitted = []
     orig = oracles_mod.closed_form_affine_fit
 
-    def counting_fit(model, method, pattern, into=None):
-        fitted.append((method, pattern.key()))
-        return orig(model, method, pattern, into=into)
+    def counting_fit(model, method, patterns, into=None):
+        members = patterns.member[None] if isinstance(patterns, SamplingMask) else patterns
+        fitted.extend((method, member.tobytes()) for member in members)
+        return orig(model, method, patterns, into=into)
 
     monkeypatch.setattr(oracles_mod, "closed_form_affine_fit", counting_fit)
     reports = oracles_mod.run_oracle_suite(model, seed=1, gradient_samples=200,
@@ -156,6 +157,181 @@ def test_pattern_enumeration_cap_and_sampling():
         enumerate_patterns(model, "omega")
     pats = sample_patterns(model, "omega", 8, stream(0, "p"))
     assert 1 <= len(pats) <= 8
+
+
+# Stacked closed-form layer: every pattern's slice of a stacked call has the
+# bits of the one-pattern call, whatever the stack around it.
+
+STACK_MODELS = {
+    "banded": lambda: model_preset("banded", sigma_n=0.3, alpha=0.75),
+    # q = 1: the omega level is one full pattern, the intersect level the
+    # empty and the full pattern
+    "scalar": lambda: model_preset("scalar", sigma_n=0.3, alpha=0.75),
+    "diagonal": lambda: model_preset("diagonal", sigma_n=0.2, alpha=0.5, q=10),
+}
+FITTED_METHODS = [m for m in M.ALL_METHODS if m != M.NOISE2RECON_SS]
+
+
+def _singular_model():
+    """Zero prior and zero noise: every nonempty observed-block Gram is singular."""
+    q = 2
+    omega = MaskDistribution("column_polynomial", q, 1.0, 0)
+    lam = MaskDistribution("column_polynomial", q, 2.0, 0)
+    return MeasurementModel(np.zeros((q, q), dtype=complex), NoiseSpec(0.0, 1.0), omega, lam)
+
+
+@pytest.mark.parametrize("name", sorted(STACK_MODELS))
+def test_enumerated_table_matches_product_reference(name):
+    model = STACK_MODELS[name]()
+    for level, r in (("omega", model.omega_probs()),
+                     ("intersect", model.omega_probs() * model.lambda_probs())):
+        table = enumerate_patterns(model, level)
+        forced = np.nonzero(r >= 1.0)[0]
+        free = np.nonzero((r > 0.0) & (r < 1.0))[0]
+        ref_members, ref_probs = [], []
+        for bits in product((False, True), repeat=free.size):
+            member = np.zeros(model.q, dtype=bool)
+            member[forced] = True
+            member[free[np.asarray(bits, dtype=bool)]] = True
+            ref_members.append(member)
+            ref_probs.append(float(np.prod(np.where(np.asarray(bits), r[free], 1.0 - r[free]))))
+        assert table.members.shape == (len(ref_members), model.q)
+        assert np.array_equal(table.members, np.array(ref_members))
+        assert table.probs.tolist() == ref_probs
+        pairs = list(table)
+        assert [p for _, p in pairs] == ref_probs
+        assert all(np.array_equal(mask.member, m) and np.array_equal(mask.probs, r)
+                   for (mask, _), m in zip(pairs, ref_members))
+
+
+def _assert_fit_rows_alone(model, method, members):
+    """The stacked fit's block and fit_info of each pattern row equal those
+    of the pattern fitted alone, bit for bit."""
+    est = closed_form_affine_fit(model, method, members)
+    bs = est.block_size
+    blocks = est.theta.reshape(-1, bs)
+    for member in members:
+        alone = closed_form_affine_fit(model, method, SamplingMask(member, np.ones(model.q)))
+        idx = est._patterns[member.tobytes()]
+        assert blocks[idx].tobytes() == alone.theta.tobytes()
+        assert est.fit_info[member.tobytes()] == alone.fit_info[member.tobytes()]
+    return est
+
+
+@pytest.mark.parametrize("method", FITTED_METHODS)
+@pytest.mark.parametrize("name", sorted(STACK_MODELS))
+def test_stacked_fit_rows_equal_patterns_fitted_alone(name, method):
+    model = STACK_MODELS[name]()
+    members = enumerate_patterns(model, input_level(method)).members
+    est = _assert_fit_rows_alone(model, method, members)
+    # the stack's order and neighbours do not matter either
+    _assert_fit_rows_alone(model, method, members[::-1])
+    unconstrained = sum(len(info["unconstrained_rows"]) for info in est.fit_info.values())
+    if method == M.STANDARD_SSDU:  # rows on the input support are left free
+        assert unconstrained == int(np.count_nonzero(members))
+    else:
+        assert unconstrained == 0
+
+
+@pytest.mark.parametrize("method", [M.FULLY_SUPERVISED, M.STANDARD_SSDU, M.ROBUST_SSDU])
+def test_stacked_fit_ridge_rows_equal_patterns_fitted_alone(method):
+    model = _singular_model()
+    members = enumerate_patterns(model, input_level(method)).members
+    est = _assert_fit_rows_alone(model, method, members)
+    ridged = [info["ridge_rows"] for info in est.fit_info.values()]
+    assert any(ridged)
+    assert np.all(np.isfinite(est.theta))
+
+
+@pytest.mark.parametrize("name", sorted(STACK_MODELS))
+def test_stacked_oracle_rows_equal_patterns_alone(name):
+    model = STACK_MODELS[name]()
+    for level in ("omega", "intersect"):
+        table = enumerate_patterns(model, level)
+        for members in (table.members, table.members[::-1]):
+            masks = [SamplingMask(m, np.ones(model.q)) for m in members]
+            for target in (TARGET_Y0, TARGET_Y0_PLUS_N):
+                for cond in (COND_ON_Y, COND_ON_YTILDE):
+                    stacked = gaussian_conditional_mean(model, members, target, cond)
+                    assert stacked.shape == (len(members), model.q, model.q)
+                    for c, mask in zip(stacked, masks):
+                        alone = gaussian_conditional_mean(model, mask, target, cond)
+                        assert c.tobytes() == alone.tobytes()
+            for cond in (COND_ON_Y, COND_ON_YTILDE):
+                traces = posterior_error_trace(model, members, cond)
+                assert traces.tolist() == [posterior_error_trace(model, m, cond) for m in masks]
+
+
+def test_stacked_conditional_mean_rejects_singular_block():
+    model = _singular_model()
+    members = enumerate_patterns(model, "intersect").members
+    with pytest.raises(ValidationError):
+        gaussian_conditional_mean(model, members, TARGET_Y0, COND_ON_Y)
+
+
+# Injected defects: each exact closed-form check fails on a known defect.
+
+def test_population_minimizer_catches_robust_fit_input_variance_defect(monkeypatch):
+    """A robust-ssdu fit that takes its input's noise variance as sigma^2
+    instead of (1 + alpha^2) sigma^2 fails its population-minimizer check."""
+    import kslab.estimators as estimators_mod
+
+    model = model_preset("banded", sigma_n=0.3, alpha=0.75)
+    assert check_population_minimizer(M.ROBUST_SSDU, model).passed is True
+    variance = estimators_mod._fit_input_variance
+
+    def measured_variance(method, noise):
+        return noise.sigma_n ** 2 if method == M.ROBUST_SSDU else variance(method, noise)
+
+    monkeypatch.setattr(estimators_mod, "_fit_input_variance", measured_variance)
+    report = check_population_minimizer(M.ROBUST_SSDU, model)
+    assert report.passed is False
+    assert report.estimate > 1e-3
+
+
+@pytest.mark.parametrize("defect", ["y0_for_y0_plus_n", "targets_swapped"])
+def test_correction_checks_catch_conditional_mean_target_defects(defect, monkeypatch):
+    """The oracle answers a Y0 + N request with the Y0 conditional mean, or
+    swaps the two targets both ways. correction_algebra fails on both.
+    correction_identity asks only for the Y0 mean, so it fails on the swap
+    and, independent of the noisy-target route, still passes on the first;
+    there the noisy-target population minimizers fail instead."""
+    import kslab.oracles as oracles_mod
+
+    model = model_preset("banded", sigma_n=0.3, alpha=0.75)
+    conditional_mean = oracles_mod.gaussian_conditional_mean
+    swap = {TARGET_Y0_PLUS_N: TARGET_Y0}
+    if defect == "targets_swapped":
+        swap[TARGET_Y0] = TARGET_Y0_PLUS_N
+
+    def defective(model, pattern, target, conditioning):
+        return conditional_mean(model, pattern, swap.get(target, target), conditioning)
+
+    monkeypatch.setattr(oracles_mod, "gaussian_conditional_mean", defective)
+    assert check_correction_algebra(model).passed is False
+    for method in (M.NOISIER2FULL, M.ROBUST_SSDU):
+        identity = check_correction_identity(method, model)
+        minimizer = check_population_minimizer(method, model)
+        if defect == "targets_swapped":
+            assert identity.passed is False
+        else:
+            assert identity.passed is True
+            assert minimizer.passed is False
+
+
+def test_population_minimizer_catches_shifted_stack_write(monkeypatch):
+    """A stacked fit that writes pattern k's block into pattern k + 1 fails
+    the population-minimizer check of every fitted method; a one-pattern
+    write is unchanged."""
+    set_blocks = AffinePerPattern.set_blocks
+
+    def shifted(self, members, a, b):
+        set_blocks(self, members, np.roll(a, 1, axis=0), np.roll(b, 1, axis=0))
+
+    monkeypatch.setattr(AffinePerPattern, "set_blocks", shifted)
+    model = model_preset("banded", sigma_n=0.3, alpha=0.75)
+    for method in FITTED_METHODS:
+        assert check_population_minimizer(method, model).passed is False
 
 
 def test_appendix_identity_report():

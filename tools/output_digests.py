@@ -7,7 +7,8 @@ Runs, in a temporary directory and in this process:
 * ``train`` then ``reconstruct``, for each family and mode, and for
   ``toy_cascade`` on ``bernoulli2d`` with q = 64 (132,098 parameters, so the
   Adam step runs over several blocks of ``training.ADAM_BLOCK``) in each mode;
-* ``verify`` on two seeds.
+* ``verify`` on two seeds, and on the ``scalar`` preset, whose q = 1 gives
+  the stacked closed-form oracles an empty and a full support.
 
 Keys are ``<run>/<file>``, plus ``<run>/exit`` for each subcommand's exit
 code. ``timings.csv`` holds wall-clock times and is left out. Two trees
@@ -89,6 +90,8 @@ def output_digests(root: Path) -> dict:
     for seed in (1, 2):
         _run(root, digests, f"verify_seed{seed}",
              ["verify", "--config", str(base), "--seed", str(seed)])
+    scalar = _config(root, "scalar", model={"preset": "scalar"})
+    _run(root, digests, "verify_scalar", ["verify", "--config", str(scalar), "--seed", "1"])
     return digests
 
 
