@@ -27,7 +27,7 @@ from . import __version__
 from . import methods as M
 from .config import ALPHA_DEFAULTS, config_json, load_config
 from .errors import ConfigError, TrainingDiverged, ValidationError
-from .estimators import AFFINE_PER_PATTERN, make_estimator, load_checkpoint
+from .estimators import FAMILIES, load_checkpoint, make_estimator
 from .inference import reconstruct_rows
 from .kspace import kspace_to_json, magnitude_image
 from .metrics import mean_and_se, nmse_rows, ssim_rows
@@ -81,12 +81,9 @@ def _build_model(cfg: dict, sigma_n=None, alpha=None, R_omega=None):
 
 def _build_estimator(cfg: dict, q: int):
     e = cfg["estimator"]
-    if e["family"] == AFFINE_PER_PATTERN:
-        return make_estimator(e["family"], q)
-    if e["family"] == "toy_cascade":
-        return make_estimator(e["family"], q, cascades=e["cascades"], seed=e["init_seed"])
-    return make_estimator(e["family"], q, hidden_layers=e["hidden_layers"],
-                          width_factor=e["width_factor"], seed=e["init_seed"])
+    fields = FAMILIES[e["family"]].fields  # the config calls the field seed init_seed
+    return make_estimator(e["family"], q, **{
+        name: e["init_seed" if name == "seed" else name] for name, _ in fields})
 
 
 def _train_spec(cfg: dict, method: str, alpha: float, seed: int) -> TrainSpec:

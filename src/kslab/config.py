@@ -12,7 +12,7 @@ import numpy as np
 
 from . import methods as M
 from .errors import ConfigError
-from .estimators import AFFINE_PER_PATTERN, TINY_NET, TOY_CASCADE
+from .estimators import FAMILIES, TinyNet
 
 # Tuned further-noise ratios reported for the weighted and unweighted
 # variants; used when a single-method run leaves alpha unset.
@@ -37,7 +37,7 @@ DEFAULT_CONFIG = {
         "prior_file": None,
     },
     "estimator": {
-        "family": TINY_NET,
+        "family": TinyNet.family,
         "hidden_layers": 2,
         "width_factor": 2,
         "cascades": 2,
@@ -121,7 +121,7 @@ def resolve_config(raw: dict | None) -> dict:
             "must be a positive number")
 
     e = cfg["estimator"]
-    _expect(e["family"] in (AFFINE_PER_PATTERN, TINY_NET, TOY_CASCADE),
+    _expect(isinstance(e["family"], str) and e["family"] in FAMILIES,
             "estimator.family", "unknown family")
     for key in ("hidden_layers", "width_factor", "cascades"):
         _expect(isinstance(e[key], int) and e[key] >= 1, f"estimator.{key}",

@@ -20,6 +20,11 @@ ordinary real calculus.
 * toy_cascade - an unrolled data-consistency cascade whose refinement step
   is partitioned into a denoising network on sampled indices and a
   reconstruction network on unsampled ones.
+
+``FAMILIES`` maps each family name to its class. A class declares its integer
+hyperparameters once, in ``fields``; construction (``make_estimator``), the
+checkpoint pair ``to_checkpoint`` / ``from_checkpoint`` and the CLI all read
+that declaration.
 """
 
 import base64
@@ -33,10 +38,6 @@ from .errors import ConfigError, DimensionError, ValidationError
 from .kspace import SamplingMask, as_kspace
 from .rng import stream
 from .sampling import compute_P, compute_k
-
-AFFINE_PER_PATTERN = "affine_per_pattern"
-TINY_NET = "tiny_net"
-TOY_CASCADE = "toy_cascade"
 
 THETA_DTYPE = "<f8"
 
@@ -227,6 +228,9 @@ class Estimator:
     """Common interface of the parameterized families."""
 
     family = "base"
+    # (name, minimum) of each integer hyperparameter: a constructor keyword,
+    # an attribute and a checkpoint field. A minimum of None allows any integer.
+    fields = ()
     # Hashable key shared by estimators whose theta rows can step as one
     # stack; None trains each estimator as a stack of one.
     layout = None
@@ -264,8 +268,31 @@ class Estimator:
     def ensure_pattern(self, m_in: SamplingMask) -> None:
         """Hook for families that key parameters on the input pattern."""
 
-    def to_checkpoint(self) -> dict:
+    @property
+    def n_params(self) -> int:
+        """Length of theta that this estimator's fields (and patterns) imply."""
         raise NotImplementedError
+
+    def to_checkpoint(self) -> dict:
+        """JSON form: family, q, each of ``fields`` and theta (see ``encode_theta``)."""
+        return {"family": self.family, "q": self.q,
+                **{name: getattr(self, name) for name, _ in self.fields},
+                "theta": encode_theta(self.theta)}
+
+    @classmethod
+    def from_checkpoint(cls, data: dict) -> "Estimator":
+        """Inverse of ``to_checkpoint``: ConfigError naming a bad field, KeyError
+        a missing one, ValidationError a bad theta. No initialization is drawn."""
+        est = cls._from_fields(data)
+        est.theta = decode_theta(data["theta"], est.n_params)
+        return est
+
+    @classmethod
+    def _from_fields(cls, data: dict) -> "Estimator":
+        """The estimator of a checkpoint's q and fields, with an empty theta."""
+        q = _checkpoint_int(data, "q")
+        return cls(q, **{name: _checkpoint_int(data, name, minimum)
+                         for name, minimum in cls.fields}, theta=np.zeros(0))
 
     def _check_input(self, y_in, m_in) -> np.ndarray:
         arr = as_kspace(y_in, self.q)
@@ -277,7 +304,7 @@ class Estimator:
 class AffinePerPattern(Estimator):
     """One complex affine map A_s y + b_s per input support pattern."""
 
-    family = AFFINE_PER_PATTERN
+    family = "affine_per_pattern"
 
     def __init__(self, q: int):
         super().__init__(q, np.zeros(0))
@@ -292,6 +319,10 @@ class AffinePerPattern(Estimator):
     @property
     def n_patterns(self) -> int:
         return len(self._members)
+
+    @property
+    def n_params(self) -> int:
+        return self.n_patterns * self.block_size
 
     def ensure_pattern(self, m_in: SamplingMask) -> int:
         idx = self._patterns.get(m_in.key())  # every training step asks; most know it
@@ -386,17 +417,16 @@ class AffinePerPattern(Estimator):
         return out, pullback
 
     def to_checkpoint(self) -> dict:
-        return {
-            "family": self.family,
-            "q": self.q,
-            "patterns": [sorted(int(j) for j in np.nonzero(m)[0]) for m in self._members],
-            "theta": encode_theta(self.theta),
-        }
+        """The common checkpoint plus ``patterns``: each enrolled pattern's
+        sampled indices, in enrollment (theta block) order."""
+        data = super().to_checkpoint()
+        data["patterns"] = [np.flatnonzero(m).tolist() for m in self._members]
+        return data
 
-    @staticmethod
-    def from_checkpoint(data: dict) -> "AffinePerPattern":
-        q = _checkpoint_int(data, "q")
-        patterns = data["patterns"]
+    @classmethod
+    def _from_fields(cls, data: dict) -> "AffinePerPattern":
+        est = cls(_checkpoint_int(data, "q"))
+        q, patterns = est.q, data["patterns"]
         if not (isinstance(patterns, list) and all(
                 isinstance(idx_list, list) and all(
                     isinstance(j, int) and not isinstance(j, bool) and 0 <= j < q
@@ -404,12 +434,14 @@ class AffinePerPattern(Estimator):
                 for idx_list in patterns)):
             raise ConfigError(f"estimator.patterns must be a list of index lists "
                               f"in [0, {q}), got {patterns!r:.80}")
-        est = AffinePerPattern(q)
-        for idx_list in patterns:
-            member = np.zeros(q, dtype=bool)
+        members = np.zeros((len(patterns), q), dtype=bool)
+        for member, idx_list in zip(members, patterns):
             member[np.asarray(idx_list, dtype=int)] = True
-            est.ensure_pattern(SamplingMask(member, np.ones(q)))
-        est.theta = decode_theta(data["theta"], est.theta.shape[0])
+        est.ensure_patterns(members)
+        if est.n_patterns != len(patterns):
+            raise ConfigError(f"estimator.patterns must list distinct patterns; "
+                              f"{len(patterns) - est.n_patterns} of its {len(patterns)} "
+                              f"index lists repeat an earlier one")
         return est
 
 
@@ -432,7 +464,8 @@ class TinyNet(Estimator):
     not an input; the support of y_in carries the pattern information.
     """
 
-    family = TINY_NET
+    family = "tiny_net"
+    fields = (("hidden_layers", 1), ("width_factor", 1), ("seed", None))
 
     def __init__(self, q: int, hidden_layers: int = 2, width_factor: int = 4,
                  seed: int = 0, theta=None):
@@ -455,23 +488,9 @@ class TinyNet(Estimator):
 
         return real_to_complex(out), pullback
 
-    def to_checkpoint(self) -> dict:
-        return {
-            "family": self.family,
-            "q": self.q,
-            "hidden_layers": self.hidden_layers,
-            "width_factor": self.width_factor,
-            "seed": self.seed,
-            "theta": encode_theta(self.theta),
-        }
-
-    @staticmethod
-    def from_checkpoint(data: dict) -> "TinyNet":
-        est = TinyNet(_checkpoint_int(data, "q"), _checkpoint_int(data, "hidden_layers"),
-                      _checkpoint_int(data, "width_factor"),
-                      _checkpoint_int(data, "seed", minimum=None), theta=np.zeros(0))
-        est.theta = decode_theta(data["theta"], est.mlp.n_params)
-        return est
+    @property
+    def n_params(self) -> int:
+        return self.mlp.n_params
 
 
 class ToyCascade(Estimator):
@@ -483,7 +502,8 @@ class ToyCascade(Estimator):
     unsampled (reconstruction) indices respectively.
     """
 
-    family = TOY_CASCADE
+    family = "toy_cascade"
+    fields = (("cascades", 1), ("seed", None))
 
     def __init__(self, q: int, cascades: int = 2, seed: int = 0, theta=None):
         self.cascades = int(cascades)
@@ -540,46 +560,29 @@ class ToyCascade(Estimator):
 
         return real_to_complex(states[-1]), pullback
 
-    def to_checkpoint(self) -> dict:
-        return {
-            "family": self.family,
-            "q": self.q,
-            "cascades": self.cascades,
-            "seed": self.seed,
-            "theta": encode_theta(self.theta),
-        }
+    @property
+    def n_params(self) -> int:
+        return self.cascades * self.block
 
-    @staticmethod
-    def from_checkpoint(data: dict) -> "ToyCascade":
-        est = ToyCascade(_checkpoint_int(data, "q"), _checkpoint_int(data, "cascades"),
-                         _checkpoint_int(data, "seed", minimum=None), theta=np.zeros(0))
-        est.theta = decode_theta(data["theta"], est.cascades * est.block)
-        return est
+
+FAMILIES = {cls.family: cls for cls in (AffinePerPattern, TinyNet, ToyCascade)}
 
 
 def make_estimator(family: str, q: int, **opts) -> Estimator:
-    if family == AFFINE_PER_PATTERN:
-        return AffinePerPattern(q)
-    if family == TINY_NET:
-        return TinyNet(q, **opts)
-    if family == TOY_CASCADE:
-        return ToyCascade(q, **opts)
-    raise ConfigError(f"unknown estimator family {family!r}")
+    """A fresh estimator of ``family``; ``opts`` are its fields as keywords."""
+    if family not in FAMILIES:
+        raise ConfigError(f"unknown estimator family {family!r}")
+    return FAMILIES[family](q, **opts)
 
 
 def load_checkpoint(data: dict) -> Estimator:
-    loaders = {
-        AFFINE_PER_PATTERN: AffinePerPattern.from_checkpoint,
-        TINY_NET: TinyNet.from_checkpoint,
-        TOY_CASCADE: ToyCascade.from_checkpoint,
-    }
     if not isinstance(data, dict):
         raise ConfigError("estimator must be an object")
     family = data.get("family")
-    if family not in loaders:
+    if not isinstance(family, str) or family not in FAMILIES:
         raise ConfigError(f"unknown estimator family {family!r} in checkpoint")
     try:
-        return loaders[family](data)
+        return FAMILIES[family].from_checkpoint(data)
     except KeyError as exc:
         raise ConfigError(f"estimator.{exc.args[0]} is missing") from None
 

@@ -49,13 +49,6 @@ def kspace_to_json(v) -> list:
     return [[float(z.real), float(z.imag)] for z in arr]
 
 
-def kspace_from_json(pairs) -> np.ndarray:
-    arr = np.asarray(pairs, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValidationError("expected a list of [re, im] pairs")
-    return as_kspace(arr[:, 0] + 1j * arr[:, 1])
-
-
 @dataclass(frozen=True, eq=False)
 class SamplingMask:
     """A sampled index set with its inclusion-probability vector.
@@ -102,13 +95,6 @@ class SamplingMask:
 
     def to_json(self) -> dict:
         return {"indices": list(self.indices), "probs": [float(p) for p in self.probs]}
-
-    @staticmethod
-    def from_json(obj: dict) -> "SamplingMask":
-        probs = np.asarray(obj["probs"], dtype=np.float64)
-        member = np.zeros(probs.shape[0], dtype=bool)
-        member[np.asarray(obj["indices"], dtype=int)] = True
-        return SamplingMask(member, probs)
 
     @staticmethod
     def from_indices(q: int, indices, probs) -> "SamplingMask":

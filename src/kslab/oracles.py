@@ -220,7 +220,7 @@ def enumerate_patterns(model: MeasurementModel, level: str) -> PatternTable:
     """All support patterns of positive probability, with their probabilities.
 
     Exhaustive enumeration of the free (0 < prob < 1) indices, capped at
-    2^12 patterns (use ``sample_patterns`` beyond that), in the order of
+    2^12 patterns (``PATTERN_ENUM_CAP`` free indices), in the order of
     ``itertools.product((False, True), repeat=free)``: the first free index
     is the slowest-varying bit.
     """
@@ -230,7 +230,7 @@ def enumerate_patterns(model: MeasurementModel, level: str) -> PatternTable:
     if free.size > PATTERN_ENUM_CAP:
         raise ConfigError(
             f"{free.size} free indices exceed the exhaustive enumeration cap "
-            f"({PATTERN_ENUM_CAP}); use sample_patterns")
+            f"({PATTERN_ENUM_CAP})")
     bits = ((np.arange(1 << free.size)[:, None] >> np.arange(free.size)[::-1]) & 1).astype(bool)
     members = np.zeros((len(bits), model.q), dtype=bool)
     members[:, forced] = True
@@ -239,17 +239,6 @@ def enumerate_patterns(model: MeasurementModel, level: str) -> PatternTable:
     members.setflags(write=False)
     probs.setflags(write=False)
     return PatternTable(members, probs, r)
-
-
-def sample_patterns(model: MeasurementModel, level: str, n: int, rng: np.random.Generator):
-    """Distinct patterns drawn from the level's law (for large q)."""
-    r = _level_probs(model, level)
-    seen = {}
-    for _ in range(n):
-        member = rng.random(model.q) < r
-        mask = SamplingMask(member, r)
-        seen.setdefault(mask.key(), mask)
-    return list(seen.values())
 
 
 # ---------------------------------------------------------------------------

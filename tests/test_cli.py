@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from kslab import methods as M
-from kslab.cli import main, run_compare, run_train, run_reconstruct
+from kslab.cli import _build_estimator, main, run_compare, run_train, run_reconstruct
 from kslab.config import DEFAULT_CONFIG, resolve_config
 from kslab.errors import ConfigError
-from kslab.estimators import AffinePerPattern
+from kslab.estimators import AffinePerPattern, make_estimator
 
 
 FAST_CFG = {
@@ -79,6 +79,22 @@ def test_config_bernoulli2d_q_must_be_square(tmp_path, capsys):
                  "--out", str(tmp_path)])
     assert code == 2
     assert "model.q" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family,opts", [
+    ("affine_per_pattern", {}),
+    ("tiny_net", {"hidden_layers": 1, "width_factor": 3, "seed": 7}),
+    ("toy_cascade", {"cascades": 1, "seed": 7}),
+])
+def test_build_estimator_maps_config_fields(family, opts):
+    # non-default values throughout, so a dropped mapping changes the estimator
+    cfg = resolve_config({"estimator": {"family": family, "init_seed": 7, "hidden_layers": 1,
+                                        "width_factor": 3, "cascades": 1}})
+    built, expected = _build_estimator(cfg, 8), make_estimator(family, 8, **opts)
+    assert built.theta.tobytes() == expected.theta.tobytes()
+    data = built.to_checkpoint()
+    assert data == expected.to_checkpoint()
+    assert {name: data[name] for name, _ in built.fields} == opts
 
 
 def test_cli_exit_code_on_bad_config(tmp_path):

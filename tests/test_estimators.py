@@ -403,6 +403,7 @@ def test_checkpoint_rejects_wrong_theta_length(family, opts):
     ("toy_cascade", {"cascades": 2, "seed": 3}, "cascades", True),
     ("toy_cascade", {"cascades": 2, "seed": 3}, "seed", "3"),
     ("toy_cascade", {"cascades": 2, "seed": 3}, "q", [3]),
+    ("affine_per_pattern", {}, "patterns", [[0, 2], [0, 2]]),
 ])
 def test_checkpoint_rejects_field_of_wrong_type(family, opts, field, value):
     est = make_estimator(family, 3, **opts)
@@ -410,6 +411,30 @@ def test_checkpoint_rejects_field_of_wrong_type(family, opts, field, value):
     data = {**est.to_checkpoint(), field: value}
     with pytest.raises(ConfigError, match=f"estimator.{field}"):
         load_checkpoint(data)
+
+
+@pytest.mark.parametrize("family,opts", [
+    ("affine_per_pattern", {}),
+    ("tiny_net", {"hidden_layers": 1, "width_factor": 3, "seed": 7}),
+    ("toy_cascade", {"cascades": 1, "seed": 7}),
+])
+def test_checkpoint_keys_are_the_declared_fields(family, opts):
+    est = make_estimator(family, 3, **opts)
+    est.ensure_pattern(make_mask(3, [0, 2]))
+    data = est.to_checkpoint()
+    extra = {"patterns"} if family == "affine_per_pattern" else set()
+    assert set(data) == {"family", "q", "theta", *(name for name, _ in est.fields), *extra}
+    assert {name: data[name] for name, _ in est.fields} == opts
+    assert data["theta"] == encode_theta(est.theta)
+    if extra:
+        assert data["patterns"] == [[0, 2]]
+
+
+def test_make_estimator_rejects_unknown_family():
+    with pytest.raises(ConfigError, match="unknown estimator family 'mlp'"):
+        make_estimator("mlp", 3)
+    with pytest.raises(ConfigError, match=r"unknown estimator family \['tiny_net'\]"):
+        load_checkpoint({"family": ["tiny_net"], "q": 3})
 
 
 def test_encode_theta_is_bit_exact():

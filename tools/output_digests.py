@@ -7,6 +7,9 @@ Runs, in a temporary directory and in this process:
 * ``train`` then ``reconstruct``, for each family and mode, and for
   ``toy_cascade`` on ``bernoulli2d`` with q = 64 (132,098 parameters, so the
   Adam step runs over several blocks of ``training.ADAM_BLOCK``) in each mode;
+* ``train`` then ``reconstruct`` for ``tiny_net`` and ``toy_cascade`` with
+  non-default hyperparameters (``NON_DEFAULT``) in each mode, so a field the
+  config fails to hand to the estimator changes a checkpoint digest;
 * ``verify`` on two seeds, and on the ``scalar`` preset, whose q = 1 gives
   the stacked closed-form oracles an empty and a full support.
 
@@ -34,6 +37,10 @@ from kslab import methods as M  # noqa: E402
 from kslab.cli import main  # noqa: E402
 
 FAMILIES = ("affine_per_pattern", "tiny_net", "toy_cascade")
+NON_DEFAULT = {
+    "tiny_net": {"hidden_layers": 1, "width_factor": 3, "init_seed": 7},
+    "toy_cascade": {"cascades": 1, "init_seed": 7},
+}
 MODES = ("practical", "theory")
 SMALL = {
     "model": {"preset": "banded", "sigma_n": 0.3},
@@ -85,6 +92,10 @@ def output_digests(root: Path) -> dict:
                   estimator={"family": "toy_cascade"})
     for mode in MODES:
         _train_reconstruct(root, digests, "toy_cascade_2d", cfg, mode)
+    for family, fields in NON_DEFAULT.items():
+        cfg = _config(root, f"{family}_fields", estimator={"family": family, **fields})
+        for mode in MODES:
+            _train_reconstruct(root, digests, f"{family}_fields", cfg, mode)
     base = _config(root, "base")
     _run(root, digests, "sweep-alpha", ["sweep-alpha", "--config", str(base)])
     for seed in (1, 2):
