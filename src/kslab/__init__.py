@@ -30,7 +30,6 @@ from .estimators import (
     TinyNet,
     ToyCascade,
     closed_form_affine_fit,
-    jacobian_rank_check,
     load_checkpoint,
     make_estimator,
 )

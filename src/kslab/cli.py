@@ -263,11 +263,13 @@ def run_verify(cfg: dict, out_dir: Path) -> bool:
         "all_proof_backed_passed": ok,
     }
     with open(out_dir / "report.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     for r in reports:
         status = "PASS" if r.passed else ("FAIL" if r.passed is not None else "INFO")
-        print(f"[{status}] {r.name}: estimate={r.estimate:.6g} "
+        # a check without an estimate prints nan, as it always has on stdout
+        estimate = float("nan") if r.estimate is None else r.estimate
+        print(f"[{status}] {r.name}: estimate={estimate:.6g} "
               f"reference={r.reference:.6g} tolerance={r.tolerance:.6g}")
     return ok
 
@@ -295,7 +297,7 @@ def run_train(cfg: dict, out_dir: Path) -> Path:
     }
     out = out_dir / "checkpoint.json"
     with open(out, "w") as fh:
-        json.dump(checkpoint, fh, sort_keys=True)
+        json.dump(checkpoint, fh, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return out
 
@@ -350,7 +352,8 @@ def run_reconstruct(cfg: dict, checkpoint_path: Path, out_dir: Path) -> Path:
     with open(out_dir / "reconstructions.json", "w") as fh:
         # dumps without indent runs the C encoder; json.dump is pure Python
         fh.write(json.dumps({"artifact_version": __version__, "config": cfg,
-                             "method": method, "items": estimates}, sort_keys=True))
+                             "method": method, "items": estimates},
+                            sort_keys=True, allow_nan=False))
         fh.write("\n")
     return out
 

@@ -123,9 +123,13 @@ def resolve_config(raw: dict | None) -> dict:
     e = cfg["estimator"]
     _expect(isinstance(e["family"], str) and e["family"] in FAMILIES,
             "estimator.family", "unknown family")
-    for key in ("hidden_layers", "width_factor", "cascades"):
-        _expect(isinstance(e[key], int) and e[key] >= 1, f"estimator.{key}",
-                "must be a positive integer")
+    # every family's bounded fields (the unbounded field seed is init_seed here)
+    bounded = {name: minimum for cls in FAMILIES.values() for name, minimum in cls.fields
+               if minimum is not None}
+    for key, minimum in bounded.items():
+        _expect(isinstance(e[key], int) and e[key] >= minimum, f"estimator.{key}",
+                "must be a positive integer" if minimum == 1
+                else f"must be an integer >= {minimum}")
     _expect(isinstance(e["init_seed"], int), "estimator.init_seed", "must be an integer")
 
     t = cfg["train"]
@@ -200,4 +204,4 @@ def load_config(path: str | None) -> dict:
 
 def config_json(cfg: dict) -> str:
     """Canonical one-line rendering, embedded in every output file."""
-    return json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+    return json.dumps(cfg, sort_keys=True, separators=(",", ":"), allow_nan=False)

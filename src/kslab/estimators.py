@@ -29,7 +29,6 @@ that declaration.
 
 import base64
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,12 +98,10 @@ def _checkpoint_int(data: dict, key: str, minimum: int | None = 1) -> int:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + exp(-z)) where z >= 0 and exp(z) / (1 + exp(z)) elsewhere, both
+    from one ``exp(-|z|)`` and without boolean indexing."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 class Mlp:
@@ -125,6 +122,10 @@ class Mlp:
             self.offsets.append(off)
             off += fan_out * fan_in + fan_out
         self.n_params = off
+        # the parameter array whose layer views ``_views`` holds; holding it
+        # keeps its id from being reused, and views see in-place updates
+        self._theta = None
+        self._views = None
 
     def init(self, rng: np.random.Generator) -> np.ndarray:
         theta = np.zeros(self.n_params)
@@ -135,55 +136,69 @@ class Mlp:
             off += n_w + fan_out  # biases stay zero
         return theta
 
-    def _layers(self, theta: np.ndarray):
-        rows = theta.shape[0]
-        for off, fan_in, fan_out in zip(self.offsets, self.sizes[:-1], self.sizes[1:]):
-            n_w = fan_out * fan_in
-            w = theta[:, off:off + n_w].reshape(rows, fan_out, fan_in)
-            yield w, theta[:, off + n_w:off + n_w + fan_out]
+    def _layers(self, theta: np.ndarray) -> list:
+        """(W, b, W^T) views of each layer for the rows of theta, cut once per
+        parameter array: a stack steps one array through all of its steps."""
+        if self._theta is not theta:
+            rows = theta.shape[0]
+            self._views = []
+            for off, fan_in, fan_out in zip(self.offsets, self.sizes[:-1], self.sizes[1:]):
+                n_w = fan_out * fan_in
+                w = theta[:, off:off + n_w].reshape(rows, fan_out, fan_in)
+                self._views.append((w, theta[:, off + n_w:off + n_w + fan_out],
+                                    w.transpose(0, 2, 1)))
+            self._theta = theta
+        return self._views
 
     def forward(self, theta: np.ndarray, x: np.ndarray):
-        """Outputs (C, out) for parameter rows theta (C, segment) and inputs x (C, in)."""
-        layers = list(self._layers(theta))
+        """Outputs (C, out) for parameter rows theta (C, segment) and inputs
+        x (C, in), and the cache ``backward`` reads."""
+        layers = self._layers(theta)
         hs, zs = [x], []
         h = x
-        for w, b in layers[:-1]:
-            z = np.matmul(w, h[..., None])[..., 0] + b
+        for w, b, _ in layers[:-1]:
+            z = np.matmul(w, h[..., None])[..., 0]
+            z += b
             h = np.logaddexp(0.0, z)  # softplus
             zs.append(z)
             hs.append(h)
-        w, b = layers[-1]
-        y = np.matmul(w, h[..., None])[..., 0] + b
-        return y, (hs, zs)
+        w, b, _ = layers[-1]
+        y = np.matmul(w, h[..., None])[..., 0]
+        y += b
+        return y, (layers, hs, zs)
 
-    def backward(self, theta: np.ndarray, cache, gy: np.ndarray, out=None):
+    def backward(self, cache, gy: np.ndarray, out=None, input_grad: bool = True):
         """Gradients of <gy_c, output_c> w.r.t. each parameter row and input row.
 
         ``out``, if given, is the (C, segment) array the parameter gradients
-        are written to; every entry is written.
+        are written to; every entry is written. The input gradient is None
+        unless ``input_grad``.
         """
-        hs, zs = cache
-        layers = list(self._layers(theta))
-        rows = theta.shape[0]
-        grad = np.empty((rows, self.n_params)) if out is None else out
+        layers, hs, zs = cache
+        grad = np.empty((gy.shape[0], self.n_params)) if out is None else out
         g = gy
         for k in range(len(layers) - 1, -1, -1):
-            w, _ = layers[k]
+            w, _, wt = layers[k]
             if k < len(layers) - 1:
-                g = g * _sigmoid(zs[k])
+                g = _sigmoid(zs[k]) * g
             o = self.offsets[k]
             n_w = w.shape[1] * w.shape[2]
             # splitting the last axis of a column slice is always a view
             np.multiply(g[:, :, None], hs[k][:, None, :],
                         out=grad[:, o:o + n_w].reshape(w.shape))
             grad[:, o + n_w:o + n_w + w.shape[1]] = g
-            g = np.matmul(w.transpose(0, 2, 1), g[..., None])[..., 0]
+            g = np.matmul(wt, g[..., None])[..., 0] if k or input_grad else None
         return grad, g
 
 
 def _cache_rows(cache, rows: slice):
-    hs, zs = cache
-    return [h[rows] for h in hs], [z[rows] for z in zs]
+    """An ``Mlp.forward`` cache restricted to the rows ``rows``; the whole cache
+    for ``slice(None)``."""
+    if rows == slice(None):
+        return cache
+    layers, hs, zs = cache
+    return ([tuple(v[rows] for v in layer) for layer in layers],
+            [h[rows] for h in hs], [z[rows] for z in zs])
 
 
 # Multiplying a word of eight 0/1 bytes by this constant (mod 2^64) gathers
@@ -483,8 +498,8 @@ class TinyNet(Estimator):
         out, cache = self.mlp.forward(theta, complex_to_real(y_in))
 
         def pullback(cot, rows=slice(None)) -> np.ndarray:
-            return self.mlp.backward(theta[rows], _cache_rows(cache, rows),
-                                     complex_to_real(cot))[0]
+            return self.mlp.backward(_cache_rows(cache, rows), complex_to_real(cot),
+                                     input_grad=False)[0]
 
         return real_to_complex(out), pullback
 
@@ -551,10 +566,10 @@ class ToyCascade(Estimator):
                 # row-wise dot products, each the BLAS dot of the one-row case
                 grad[:, i_eta] = -np.matmul(a[:, None, :],
                                             (m * (states[k][rows] - x0))[:, :, None])[:, 0, 0]
-                _, ax_d = self.net.backward(th[:, d0:d1], _cache_rows(d_cache, rows), m * a,
+                _, ax_d = self.net.backward(_cache_rows(d_cache, rows), m * a,
                                             out=grad[:, d0:d1])
-                _, ax_r = self.net.backward(th[:, r0:r1], _cache_rows(r_cache, rows),
-                                            (1.0 - m) * a, out=grad[:, r0:r1])
+                _, ax_r = self.net.backward(_cache_rows(r_cache, rows), (1.0 - m) * a,
+                                            out=grad[:, r0:r1])
                 a = a * (1.0 - th[:, i_eta, None] * m) + ax_d + ax_r
             return grad
 
@@ -585,43 +600,6 @@ def load_checkpoint(data: dict) -> Estimator:
         return FAMILIES[family].from_checkpoint(data)
     except KeyError as exc:
         raise ConfigError(f"estimator.{exc.args[0]} is missing") from None
-
-
-@dataclass(frozen=True)
-class RankReport:
-    rank: int
-    n_rows: int
-    n_params: int
-    smallest_retained_sv: float
-
-    @property
-    def full_rank(self) -> bool:
-        return self.rank == self.n_rows
-
-
-def jacobian_rank_check(est: Estimator, y_in, m_in: SamplingMask) -> RankReport:
-    """Numerical rank of the output-vs-parameter Jacobian at (y_in, m_in).
-
-    The 2q rows (real and imaginary output channels) are assembled from one
-    forward pass and 2q pullbacks of unit cotangents. A deficient rank
-    is reported, not raised: it flags an estimator that cannot satisfy the
-    population-minimizer theory at this point.
-    """
-    q = est.q
-    n = est.theta.shape[0]
-    if n < 2 * q:
-        raise ValidationError(f"need at least 2q = {2 * q} parameters, got {n}")
-    rows = np.empty((2 * q, n))
-    eye = np.eye(q, dtype=np.complex128)
-    _, pullback = est.forward_vjp(y_in, m_in)
-    for j in range(q):
-        rows[j] = pullback(eye[j])
-        rows[q + j] = pullback(1j * eye[j])
-    sv = np.linalg.svd(rows, compute_uv=False)
-    tol = max(rows.shape) * np.finfo(np.float64).eps * (sv[0] if sv.size else 0.0)
-    rank = int(np.count_nonzero(sv > tol))
-    smallest = float(sv[rank - 1]) if rank > 0 else 0.0
-    return RankReport(rank, 2 * q, n, smallest)
 
 
 def _fit_input_variance(method: str, noise) -> float:

@@ -61,13 +61,15 @@ def second_level_draws(rngs: Iterable[np.random.Generator], n: int, q: int,
     """
     if sigma is not None and sigma < 0.0:
         raise ValidationError("sigma must be >= 0")
-    uniforms = None if lambda_dist is None else np.empty((n, lambda_dist.site_probs().shape[0]))
-    normals = None if sigma is None else np.empty((2, n, q))
-    for i, rng in zip(range(n), rngs, strict=True):
-        if uniforms is not None:
-            rng.random(out=uniforms[i])
-        if normals is not None:
-            rng.standard_normal(out=normals[0, i])
-            rng.standard_normal(out=normals[1, i])
-    return (None if uniforms is None else lambda_dist.members(uniforms),
-            None if normals is None else complex_from_normals(*normals, sigma))
+    draw_u, draw_z = lambda_dist is not None, sigma is not None
+    uniforms = np.empty((n, lambda_dist.site_probs().shape[0] if draw_u else 0))
+    # both channels of an item in one call: standard_normal(2q) draws what two
+    # consecutive standard_normal(q) calls draw
+    normals = np.empty((n, 2 * q if draw_z else 0))
+    for u, z, rng in zip(uniforms, normals, rngs, strict=True):
+        if draw_u:
+            rng.random(out=u)
+        if draw_z:
+            rng.standard_normal(out=z)
+    return (lambda_dist.members(uniforms) if draw_u else None,
+            complex_from_normals(normals[:, :q], normals[:, q:], sigma) if draw_z else None)

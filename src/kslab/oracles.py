@@ -55,11 +55,12 @@ class OracleReport:
     """Outcome of one verification check.
 
     ``passed`` is None for descriptive checks that carry no pass/fail
-    semantics (methods without a proof).
+    semantics (methods without a proof); ``estimate`` is None for those
+    that estimate nothing.
     """
 
     name: str
-    estimate: float
+    estimate: float | None
     reference: float
     tolerance: float
     standard_error: float | None = None
@@ -288,7 +289,7 @@ def check_population_minimizer(method: str, model: MeasurementModel,
     if method == M.NOISE2RECON_SS:
         return OracleReport(
             name=f"population_minimizer[{method}]",
-            estimate=float("nan"), reference=0.0, tolerance=tol, passed=None,
+            estimate=None, reference=0.0, tolerance=tol, passed=None,
             notes={"descriptive": "no population-minimizer proof; the method "
                                   "applies no inference correction"},
         )

@@ -143,10 +143,11 @@ def streams(master_seed: int, *path, count: int) -> Iterator[np.random.Generator
     keys = _philox_keys([*prefix, np.arange(count, dtype=np.uint64)], count)
     bitgen = np.random.Philox(0)
     gen = np.random.Generator(bitgen)
-    zeros = np.zeros(4, dtype=np.uint64)
-    state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": None},
-             "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for key in keys:
+    # the state setter reads the words one by one: from Python ints it takes
+    # about half the time it takes from uint64 arrays
+    state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": None},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for key in keys.tolist():
         state["state"]["key"] = key
         bitgen.state = state
         yield gen

@@ -136,14 +136,16 @@ def draw_dataset(model: MeasurementModel, rngs: Iterable[np.random.Generator], n
     row has the bits of its item simulated alone.
     """
     q = model.q
-    normals = np.empty((4, n_items, q))
+    # an item's four channels in one call, as one standard_normal(4q) draws
+    # what four consecutive standard_normal(q) calls draw
+    normals = np.empty((n_items, 4 * q))
     uniforms = np.empty((n_items, model.omega_dist.site_probs().shape[0]))
-    for i, rng in zip(range(n_items), rngs, strict=True):
-        for k in range(4):
-            rng.standard_normal(out=normals[k, i])
-        rng.random(out=uniforms[i])
-    y0 = ground_truth_from_normals(model, normals[0], normals[1])
-    noise = complex_from_normals(normals[2], normals[3], model.noise.sigma_n)
+    for z, u, rng in zip(normals, uniforms, rngs, strict=True):
+        rng.standard_normal(out=z)
+        rng.random(out=u)
+    y0 = ground_truth_from_normals(model, normals[:, :q], normals[:, q:2 * q])
+    noise = complex_from_normals(normals[:, 2 * q:3 * q], normals[:, 3 * q:],
+                                 model.noise.sigma_n)
     omega = model.omega_dist.members(uniforms)
     y = np.where(omega, y0 + noise, 0.0 + 0.0j)
     return Dataset(y=y, omega=omega, omega_probs=model.omega_probs(),
@@ -235,14 +237,15 @@ def stack_loss_and_grad(est: Estimator, theta: np.ndarray, rows: Rows,
     """
     f, pullback = est.forward_vjp_stack(theta, rows.y_in, rows.m_in)
     r = f - rows.target
-    loss = np.sum(rows.w2 * np.abs(r) ** 2, axis=-1)
+    # np.add.reduce is what np.sum calls, and x ** 2 is np.square(x)
+    loss = np.add.reduce(rows.w2 * np.square(np.abs(r)), axis=-1)
     grad = pullback(rows.w2 * r)
     grad *= 2.0
     if rows.y_c is not None:
         cons = slice(0, rows.y_c.shape[0])
         f_c, pullback_c = est.forward_vjp_stack(theta[cons], rows.y_c, rows.m_c)
         rc = f_c - f[cons]
-        loss[cons] = loss[cons] + lambda_n2r * np.sum(np.abs(rc) ** 2, axis=-1)
+        loss[cons] = loss[cons] + lambda_n2r * np.add.reduce(np.square(np.abs(rc)), axis=-1)
         scale = (2.0 * lambda_n2r)[:, None]
         grad[cons] += scale * pullback_c(rc)
         grad[cons] -= scale * pullback(rc, cons)

@@ -8,7 +8,7 @@ import pytest
 
 from kslab import methods as M
 from kslab.cli import _build_estimator, main, run_compare, run_train, run_reconstruct
-from kslab.config import DEFAULT_CONFIG, resolve_config
+from kslab.config import DEFAULT_CONFIG, config_json, resolve_config
 from kslab.errors import ConfigError
 from kslab.estimators import AffinePerPattern, make_estimator
 
@@ -180,6 +180,39 @@ def test_verify_cli_report_schema(tmp_path):
     names = {entry["name"] for entry in report["reports"]}
     assert f"population_minimizer[{M.ROBUST_SSDU}]" in names
     assert f"gradient_equivalence[{M.NOISIER2FULL}]" in names
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def test_verify_report_is_strict_json(tmp_path, capsys):
+    """A descriptive check without an estimate writes null, and stdout still
+    prints it as nan."""
+    cfg_path = write_cfg(tmp_path, {
+        "verify": {"gradient_samples": 2000, "slope_samples": 20000, "mse_samples": 2000},
+        "seed": 1,
+    })
+    assert main(["verify", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "report.json") as fh:
+        report = json.load(fh, parse_constant=_reject_constant)
+    [entry] = [r for r in report["reports"]
+               if r["name"] == f"population_minimizer[{M.NOISE2RECON_SS}]"]
+    assert entry["estimate"] is None and entry["passed"] is None
+    assert f"[INFO] population_minimizer[{M.NOISE2RECON_SS}]: estimate=nan " in (
+        capsys.readouterr().out)
+
+
+def test_config_json_rejects_nan():
+    with pytest.raises(ValueError):
+        config_json({"model": {"sigma_n": float("nan")}})
+
+
+@pytest.mark.parametrize("key", ["hidden_layers", "width_factor", "cascades"])
+@pytest.mark.parametrize("value", [0, -1, 1.5, "2"])
+def test_config_estimator_fields_must_be_positive_integers(key, value):
+    with pytest.raises(ConfigError, match=rf"^estimator\.{key}: must be a positive integer$"):
+        resolve_config({"estimator": {key: value}})
 
 
 def test_train_then_reconstruct_roundtrip(tmp_path):

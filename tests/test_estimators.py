@@ -1,6 +1,7 @@
 """Estimator families: forward semantics, exact gradients, rank checks, fits."""
 
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -16,11 +17,11 @@ from kslab.estimators import (
     PatternFallbackWarning,
     TinyNet,
     ToyCascade,
+    _sigmoid,
     closed_form_affine_fit,
     decode_theta,
     encode_theta,
     group_rows,
-    jacobian_rank_check,
     load_checkpoint,
     make_estimator,
 )
@@ -231,6 +232,89 @@ def test_group_rows_on_mask_pair_rows(q):
     _assert_same_groups(np.concatenate([omega, lam], axis=1))
 
 
+def _sigmoid_reference(z):
+    """The logistic function by boolean indexing: 1 / (1 + exp(-z)) on z >= 0,
+    exp(z) / (1 + exp(z)) elsewhere."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_matches_boolean_index_reference_bitwise():
+    edges = [0.0, -0.0, 700.0, -700.0, 746.0, -746.0, np.inf, -np.inf]
+    z = np.concatenate([30.0 * stream(5, "sigmoid").standard_normal(10 ** 6), edges])
+    with np.errstate(over="ignore"):
+        expected = _sigmoid_reference(z)
+    assert np.array_equal(_sigmoid(z).view(np.int64), expected.view(np.int64))
+    assert np.isnan(_sigmoid(np.array([np.nan, -np.nan]))).all()
+
+
+def test_layer_views_follow_the_parameter_array():
+    """Views cut for one parameter array serve only that array, and see its
+    in-place updates: each call matches a freshly built estimator."""
+    q, n = 4, 3
+    est = TinyNet(q, width_factor=2, seed=3)
+    rng = stream(6, "views")
+    y = rng.standard_normal((n, q)) + 1j * rng.standard_normal((n, q))
+    members = np.ones((n, q), dtype=bool)
+    cot = rng.standard_normal((n, q)) + 1j * rng.standard_normal((n, q))
+    a = rng.standard_normal((n, est.theta.shape[0]))
+    b = rng.standard_normal((n, est.theta.shape[0]))
+
+    def check(theta):
+        out, pullback = est.forward_vjp_stack(theta, y, members)
+        fresh = TinyNet(q, width_factor=2, seed=3)
+        fresh_out, fresh_pullback = fresh.forward_vjp_stack(theta.copy(), y, members)
+        assert np.array_equal(out, fresh_out)
+        assert np.array_equal(pullback(cot), fresh_pullback(cot))
+
+    check(a)
+    a *= 0.5  # an in-place update, as Adam's, seen through the kept views
+    check(a)
+    check(b)  # a distinct array of the same shape
+    a *= 0.5
+    check(a)
+
+
+def test_pullback_stays_valid_after_a_later_forward():
+    q, n = 4, 3
+    est = TinyNet(q, width_factor=2, seed=3)
+    rng = stream(7, "later")
+    y = rng.standard_normal((n, q)) + 1j * rng.standard_normal((n, q))
+    members = np.ones((n, q), dtype=bool)
+    cot = rng.standard_normal((n, q)) + 1j * rng.standard_normal((n, q))
+    theta = rng.standard_normal((n, est.theta.shape[0]))
+    _, pullback = est.forward_vjp_stack(theta, y, members)
+    expected = pullback(cot)
+    est.forward_vjp_stack(rng.standard_normal(theta.shape), 2.0 * y, members)
+    assert np.array_equal(pullback(cot), expected)
+    assert np.array_equal(pullback(cot[1:], slice(1, None)), expected[1:])
+
+
+def test_toy_cascade_rows_match_rows_alone():
+    """A cascade's pullback over a slice of rows carries each network's input
+    gradient into the earlier cascade, as the rows alone do."""
+    q, n = 4, 6
+    est = ToyCascade(q, cascades=2, seed=4)
+    rng = stream(8, "cascade_rows")
+    members = rng.random((n, q)) < 0.6
+    y = np.where(members, rng.standard_normal((n, q)) + 1j * rng.standard_normal((n, q)), 0.0)
+    cot = rng.standard_normal((n, q)) + 1j * rng.standard_normal((n, q))
+    theta = est.theta + 0.1 * rng.standard_normal((n, est.theta.shape[0]))
+    _assert_rows_alone(est, theta, y, members, cot)
+    # and the gradient is right: a directional derivative per row, by central differences
+    rows, step = slice(1, 4), 1e-6
+    grad = est.forward_vjp_stack(theta, y, members)[1](cot[rows], rows)
+    d = rng.standard_normal(theta[rows].shape)
+    plus, minus = (est.forward_vjp_stack(theta[rows] + sign * step * d, y[rows], members[rows])[0]
+                   for sign in (1.0, -1.0))
+    fd = np.sum((np.conj(cot[rows]) * (plus - minus)).real, axis=1) / (2 * step)
+    assert np.allclose(np.sum(grad * d, axis=1), fd, rtol=1e-6, atol=1e-8)
+
+
 def test_affine_no_patterns_raises():
     est = AffinePerPattern(2)
     with pytest.raises(ValidationError):
@@ -247,6 +331,44 @@ def test_cascade_data_consistency_fixpoint():
     out = est.forward(y, m)
     assert np.array_equal(out, y)
     assert np.array_equal(out[np.asarray(m.member)], y[np.asarray(m.member)])
+
+
+@dataclass(frozen=True)
+class RankReport:
+    rank: int
+    n_rows: int
+    n_params: int
+    smallest_retained_sv: float
+
+    @property
+    def full_rank(self) -> bool:
+        return self.rank == self.n_rows
+
+
+def jacobian_rank_check(est: Estimator, y_in, m_in: SamplingMask) -> RankReport:
+    """Numerical rank of the output-vs-parameter Jacobian at (y_in, m_in).
+
+    The 2q rows (real and imaginary output channels) are assembled from one
+    forward pass and 2q pullbacks of unit cotangents. A deficient rank
+    is reported, not raised: it flags an estimator that cannot satisfy the
+    population-minimizer theory at this point.
+    """
+    q = est.q
+    n = est.theta.shape[0]
+    if n < 2 * q:
+        raise ValidationError(f"need at least 2q = {2 * q} parameters, got {n}")
+    rows = np.empty((2 * q, n))
+    eye = np.eye(q, dtype=np.complex128)
+    _, pullback = est.forward_vjp(y_in, m_in)
+    for j in range(q):
+        rows[j] = pullback(eye[j])
+        rows[q + j] = pullback(1j * eye[j])
+    sv = np.linalg.svd(rows, compute_uv=False)
+    tol = max(rows.shape) * np.finfo(np.float64).eps * (sv[0] if sv.size else 0.0)
+    rank = int(np.count_nonzero(sv > tol))
+    smallest = float(sv[rank - 1]) if rank > 0 else 0.0
+    return RankReport(rank, 2 * q, n, smallest)
+
 
 
 def test_jacobian_rank_affine_full():

@@ -252,5 +252,5 @@ def test_reconstruct_rows_broadcasts_theta_without_a_copy():
     model = model_preset("banded", sigma_n=0.2, alpha=1.0)
     est = TinyNet(model.q, width_factor=1, seed=0)
     theta = np.broadcast_to(est.theta, (50, est.theta.shape[0]))
-    w, _ = next(est.mlp._layers(theta))
+    w, _, _ = est.mlp._layers(theta)[0]
     assert w.strides[0] == 0 and np.shares_memory(w, est.theta)
