@@ -237,7 +237,7 @@ def stack_loss_and_grad(est: Estimator, theta: np.ndarray, rows: Rows,
     """
     f, pullback = est.forward_vjp_stack(theta, rows.y_in, rows.m_in)
     r = f - rows.target
-    # np.add.reduce is what np.sum calls, and x ** 2 is np.square(x)
+    # the operations of np.sum(w2 * np.abs(r) ** 2), without np.sum's Python wrapper
     loss = np.add.reduce(rows.w2 * np.square(np.abs(r)), axis=-1)
     grad = pullback(rows.w2 * r)
     grad *= 2.0
