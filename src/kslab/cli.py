@@ -17,6 +17,7 @@ diverged (a non-finite training loss; no results are written).
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
@@ -27,7 +28,7 @@ from . import __version__
 from . import methods as M
 from .config import ALPHA_DEFAULTS, config_json, load_config
 from .errors import ConfigError, TrainingDiverged, ValidationError
-from .estimators import FAMILIES, load_checkpoint, make_estimator
+from .estimators import FAMILIES, load_checkpoint, make_estimator, write_theta_base64
 from .inference import reconstruct_rows
 from .kspace import kspace_to_json, magnitude_image
 from .metrics import mean_and_se, nmse_rows, ssim_rows
@@ -288,18 +289,34 @@ def run_train(cfg: dict, out_dir: Path) -> Path:
     _, history = train(spec, est, dataset, model, validate_every=1)
     rows = [[h["epoch"], h["train_loss"], h.get("val_nmse", "")] for h in history]
     _write_csv(out_dir / "history.csv", cfg, ["epoch", "loss", "val_nmse"], rows)
-    checkpoint = {
-        "artifact_version": __version__,
-        "config": cfg,
-        "method": method,
-        "alpha": alpha,
-        "estimator": est.to_checkpoint(),
-    }
     out = out_dir / "checkpoint.json"
-    with open(out, "w") as fh:
-        json.dump(checkpoint, fh, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    _write_checkpoint(out, {"artifact_version": __version__, "config": cfg,
+                           "method": method, "alpha": alpha}, est)
     return out
+
+
+def _write_checkpoint(path: Path, checkpoint: dict, est) -> None:
+    """Write ``{**checkpoint, "estimator": est.to_checkpoint()}`` to ``path``.
+
+    The file holds exactly ``json.dumps(..., sort_keys=True, allow_nan=False)``
+    and a newline, but theta's base64 text is streamed from its buffer
+    (``write_theta_base64``) into a skeleton dumped around a stand-in, never
+    built as one string. The stand-in is the first ``theta-base64-<n>``
+    whose JSON form the skeleton holds once, so a config string or key that
+    spells it cannot be mistaken for it.
+    """
+    for n in itertools.count():
+        mark = f"theta-base64-{n}"
+        text = json.dumps({**checkpoint, "estimator": est.to_checkpoint(theta_text=mark)},
+                          sort_keys=True, allow_nan=False)
+        quoted = json.dumps(mark)
+        if text.count(quoted) == 1:
+            break
+    head, tail = text.split(quoted)
+    with open(path, "wb") as fh:  # the skeleton is ASCII: dumps escapes the rest
+        fh.write(head.encode("ascii") + b'"')
+        write_theta_base64(fh, est.theta)
+        fh.write(b'"' + tail.encode("ascii") + b"\n")
 
 
 def _read_checkpoint(path: Path):

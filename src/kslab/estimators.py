@@ -27,7 +27,8 @@ checkpoint pair ``to_checkpoint`` / ``from_checkpoint`` and the CLI all read
 that declaration.
 """
 
-import base64
+import binascii
+import sys
 import warnings
 
 import numpy as np
@@ -39,6 +40,10 @@ from .rng import stream
 from .sampling import compute_P, compute_k
 
 THETA_DTYPE = "<f8"
+
+# Bytes of theta per base64 call when its text is streamed to a file: a
+# multiple of 3, so the chunks' texts join into the text of the whole.
+THETA_CHUNK = 3 << 16
 
 # Entries (patterns x q x size^2) of one stacked closed-form solve, at most;
 # on banded q = 8 (at most 20 patterns of one size) each size is one call.
@@ -58,10 +63,35 @@ def real_to_complex(x: np.ndarray) -> np.ndarray:
     return x[..., :q] + 1j * x[..., q:]
 
 
-def encode_theta(theta: np.ndarray) -> dict:
-    """Checkpoint form of a parameter vector: base64 of its little-endian float64 bytes."""
-    raw = np.ascontiguousarray(theta, dtype=THETA_DTYPE).tobytes()
-    return {"dtype": THETA_DTYPE, "base64": base64.b64encode(raw).decode("ascii")}
+def _theta_bytes(theta: np.ndarray) -> memoryview:
+    """The little-endian float64 bytes of a parameter vector, read from its
+    own buffer when it is a contiguous ``<f8`` array."""
+    return memoryview(np.ascontiguousarray(theta, dtype=THETA_DTYPE)).cast("B")
+
+
+def encode_theta(theta: np.ndarray, text: str | None = None) -> dict:
+    """Checkpoint form of a parameter vector: base64 of its little-endian float64
+    bytes. ``text``, if given, stands in for the base64 text, for a writer
+    that streams it (``write_theta_base64``)."""
+    if text is None:
+        text = binascii.b2a_base64(_theta_bytes(theta), newline=False).decode("ascii")
+    return {"dtype": THETA_DTYPE, "base64": text}
+
+
+def write_theta_base64(fh, theta: np.ndarray) -> None:
+    """Write the base64 text of ``encode_theta(theta)`` to the binary file
+    ``fh``, ``THETA_CHUNK`` bytes of theta's buffer at a time."""
+    raw = _theta_bytes(theta)
+    for start in range(0, len(raw), THETA_CHUNK):
+        fh.write(binascii.b2a_base64(raw[start:start + THETA_CHUNK], newline=False))
+
+
+def _a2b_base64_strict(text) -> bytes:
+    """The bytes of strict base64 ``text`` (an ASCII string), read in place."""
+    if sys.version_info < (3, 11):  # no strict_mode; the same check, via a bytes copy
+        import base64
+        return base64.b64decode(text, validate=True)
+    return binascii.a2b_base64(text, strict_mode=True)
 
 
 def decode_theta(payload, n_params: int) -> np.ndarray:
@@ -75,7 +105,7 @@ def decode_theta(payload, n_params: int) -> np.ndarray:
         raise ValidationError(f"checkpoint theta dtype must be {THETA_DTYPE!r}, "
                               f"got {payload.get('dtype')!r}")
     try:
-        raw = base64.b64decode(payload.get("base64"), validate=True)
+        raw = _a2b_base64_strict(payload.get("base64"))
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"checkpoint theta is not valid base64: {exc}") from None
     if len(raw) % 8:
@@ -167,12 +197,14 @@ class Mlp:
         y += b
         return y, (layers, hs, zs)
 
-    def backward(self, cache, gy: np.ndarray, out=None, input_grad: bool = True):
+    def backward(self, cache, gy: np.ndarray, out=None, input_grad: bool = True,
+                 add: bool = False):
         """Gradients of <gy_c, output_c> w.r.t. each parameter row and input row.
 
         ``out``, if given, is the (C, segment) array the parameter gradients
-        are written to; every entry is written. The input gradient is None
-        unless ``input_grad``.
+        are written to; every entry is written, or, with ``add``, added to
+        (one layer's weight gradient at a time is formed beside it). The
+        input gradient is None unless ``input_grad``.
         """
         layers, hs, zs = cache
         grad = np.empty((gy.shape[0], self.n_params)) if out is None else out
@@ -184,9 +216,13 @@ class Mlp:
             o = self.offsets[k]
             n_w = w.shape[1] * w.shape[2]
             # splitting the last axis of a column slice is always a view
-            np.multiply(g[:, :, None], hs[k][:, None, :],
-                        out=grad[:, o:o + n_w].reshape(w.shape))
-            grad[:, o + n_w:o + n_w + w.shape[1]] = g
+            w_grad = grad[:, o:o + n_w].reshape(w.shape)
+            if add:
+                w_grad += g[:, :, None] * hs[k][:, None, :]
+                grad[:, o + n_w:o + n_w + w.shape[1]] += g
+            else:
+                np.multiply(g[:, :, None], hs[k][:, None, :], out=w_grad)
+                grad[:, o + n_w:o + n_w + w.shape[1]] = g
             g = np.matmul(wt, g[..., None])[..., 0] if k or input_grad else None
         return grad, g
 
@@ -258,10 +294,12 @@ class Estimator:
         """Outputs (C, q) of the parameter rows theta (C, P) on y_in (C, q) with
         supports member (C, q), and their pullback.
 
-        ``pullback(cot, rows=slice(None))`` returns the gradients of
-        ``Re <cot_c, out_c>`` for the output rows ``rows`` (a slice), one
-        parameter row each, from cotangents of those rows. Nothing is
-        validated: callers pass finite complex128 and bool arrays.
+        ``pullback(cot, rows=slice(None), into=None)`` returns the gradients
+        of ``Re <cot_c, out_c>`` for the output rows ``rows`` (a slice), one
+        parameter row each, from cotangents of those rows; given ``into``, a
+        gradient array of that shape, it adds them to ``into`` in place and
+        returns it. Nothing is validated: callers pass finite complex128 and
+        bool arrays.
         """
         raise NotImplementedError
 
@@ -288,11 +326,12 @@ class Estimator:
         """Length of theta that this estimator's fields (and patterns) imply."""
         raise NotImplementedError
 
-    def to_checkpoint(self) -> dict:
-        """JSON form: family, q, each of ``fields`` and theta (see ``encode_theta``)."""
+    def to_checkpoint(self, theta_text: str | None = None) -> dict:
+        """JSON form: family, q, each of ``fields`` and theta (see
+        ``encode_theta``, which ``theta_text`` is handed to)."""
         return {"family": self.family, "q": self.q,
                 **{name: getattr(self, name) for name, _ in self.fields},
-                "theta": encode_theta(self.theta)}
+                "theta": encode_theta(self.theta, theta_text)}
 
     @classmethod
     def from_checkpoint(cls, data: dict) -> "Estimator":
@@ -416,25 +455,29 @@ class AffinePerPattern(Estimator):
             a, b = self._blocks(theta[rows, start:start + bs])
             out[rows] = np.matmul(a, y_in[rows, :, None])[..., 0] + b
 
-        def pullback(cot, rows=slice(None)) -> np.ndarray:
+        def pullback(cot, rows=slice(None), into=None) -> np.ndarray:
             grad = np.zeros((len(cot), theta.shape[1]))
             if len(groups) == 1:
                 start = groups[0][0]
                 grad[:, start:start + bs] = _block_grads(cot, y_in[rows])
+            else:
+                at = np.full(len(y_in), -1)  # position of each input row in cot
+                at[rows] = np.arange(len(cot))
+                for start, group in groups:
+                    group = group[at[group] >= 0]
+                    grad[at[group], start:start + bs] = _block_grads(cot[at[group]],
+                                                                     y_in[group])
+            if into is None:
                 return grad
-            at = np.full(len(y_in), -1)  # position of each input row in cot
-            at[rows] = np.arange(len(cot))
-            for start, group in groups:
-                group = group[at[group] >= 0]
-                grad[at[group], start:start + bs] = _block_grads(cot[at[group]], y_in[group])
-            return grad
+            into += grad  # every entry, as into + grad adds them: -0 + 0 is +0
+            return into
 
         return out, pullback
 
-    def to_checkpoint(self) -> dict:
+    def to_checkpoint(self, theta_text: str | None = None) -> dict:
         """The common checkpoint plus ``patterns``: each enrolled pattern's
         sampled indices, in enrollment (theta block) order."""
-        data = super().to_checkpoint()
+        data = super().to_checkpoint(theta_text)
         data["patterns"] = [np.flatnonzero(m).tolist() for m in self._members]
         return data
 
@@ -497,9 +540,9 @@ class TinyNet(Estimator):
     def forward_vjp_stack(self, theta, y_in, member):
         out, cache = self.mlp.forward(theta, complex_to_real(y_in))
 
-        def pullback(cot, rows=slice(None)) -> np.ndarray:
+        def pullback(cot, rows=slice(None), into=None) -> np.ndarray:
             return self.mlp.backward(_cache_rows(cache, rows), complex_to_real(cot),
-                                     input_grad=False)[0]
+                                     out=into, input_grad=False, add=into is not None)[0]
 
         return real_to_complex(out), pullback
 
@@ -523,53 +566,76 @@ class ToyCascade(Estimator):
     def __init__(self, q: int, cascades: int = 2, seed: int = 0, theta=None):
         self.cascades = int(cascades)
         self.seed = int(seed)
-        self.net = Mlp([2 * q, 2 * q, 2 * q])
-        self.block = 1 + 2 * self.net.n_params  # eta, G_D, G_R per cascade
-        self.layout = (self.family, self.cascades, self.net.sizes)
+        sizes = [2 * q, 2 * q, 2 * q]
+        # (G_D, G_R) of each cascade: a network per segment, so that each
+        # keeps the layer views of its own segment (an Mlp caches one array's)
+        self.nets = [(Mlp(sizes), Mlp(sizes)) for _ in range(self.cascades)]
+        self.block = 1 + 2 * self.nets[0][0].n_params  # eta, G_D, G_R per cascade
+        self.layout = (self.family, self.cascades, self.nets[0][0].sizes)
+        # the parameter array whose segment views ``_segment_views`` holds
+        self._theta = None
+        self._segments = None
         if theta is None:
             rng = stream(self.seed, "toy_cascade_init")
             parts = []
-            for _ in range(self.cascades):
+            for d_net, r_net in self.nets:
                 parts.append(np.array([1.0]))
-                parts.append(self.net.init(rng))
-                parts.append(self.net.init(rng))
+                parts.append(d_net.init(rng))
+                parts.append(r_net.init(rng))
             theta = np.concatenate(parts)
         super().__init__(q, theta)
 
-    def _segments(self, k: int):
+    def _offsets(self, k: int):
         base = k * self.block
-        n = self.net.n_params
+        n = self.nets[k][0].n_params
         return base, (base + 1, base + 1 + n), (base + 1 + n, base + 1 + 2 * n)
+
+    def _segment_views(self, theta: np.ndarray) -> list:
+        """(eta (C, 1), G_D, G_R) views of each cascade for the rows of theta, cut
+        once per parameter array, so that each segment network finds its
+        layer views cached through all of a stack's steps."""
+        if self._theta is not theta:
+            self._segments = []
+            for k in range(self.cascades):
+                i_eta, (d0, d1), (r0, r1) = self._offsets(k)
+                self._segments.append((theta[:, i_eta, None], theta[:, d0:d1],
+                                       theta[:, r0:r1]))
+            self._theta = theta
+        return self._segments
 
     def forward_vjp_stack(self, theta, y_in, member):
         x = complex_to_real(y_in)
         mvec = np.concatenate([member, member], axis=-1).astype(np.float64)
         states, caches = [x], []
         s = x
-        for k in range(self.cascades):
-            i_eta, (d0, d1), (r0, r1) = self._segments(k)
-            eta = theta[:, i_eta, None]
-            d_out, d_cache = self.net.forward(theta[:, d0:d1], s)
-            r_out, r_cache = self.net.forward(theta[:, r0:r1], s)
+        for (d_net, r_net), (eta, d_seg, r_seg) in zip(self.nets, self._segment_views(theta)):
+            d_out, d_cache = d_net.forward(d_seg, s)
+            r_out, r_cache = r_net.forward(r_seg, s)
             s = s - eta * mvec * (s - x) + mvec * d_out + (1.0 - mvec) * r_out
             states.append(s)
             caches.append((d_cache, r_cache))
 
-        def pullback(cot, rows=slice(None)) -> np.ndarray:
+        def pullback(cot, rows=slice(None), into=None) -> np.ndarray:
             th, m = theta[rows], mvec[rows]
             x0 = x[rows]
-            grad = np.empty_like(th)  # eta, G_D and G_R cover every entry
+            add = into is not None
+            # eta, G_D and G_R cover every entry
+            grad = into if add else np.empty_like(th)
             a = complex_to_real(cot)
             for k in range(self.cascades - 1, -1, -1):
-                i_eta, (d0, d1), (r0, r1) = self._segments(k)
-                d_cache, r_cache = caches[k]
+                i_eta, (d0, d1), (r0, r1) = self._offsets(k)
+                (d_net, r_net), (d_cache, r_cache) = self.nets[k], caches[k]
                 # row-wise dot products, each the BLAS dot of the one-row case
-                grad[:, i_eta] = -np.matmul(a[:, None, :],
-                                            (m * (states[k][rows] - x0))[:, :, None])[:, 0, 0]
-                _, ax_d = self.net.backward(_cache_rows(d_cache, rows), m * a,
-                                            out=grad[:, d0:d1])
-                _, ax_r = self.net.backward(_cache_rows(r_cache, rows), (1.0 - m) * a,
-                                            out=grad[:, r0:r1])
+                g_eta = -np.matmul(a[:, None, :],
+                                   (m * (states[k][rows] - x0))[:, :, None])[:, 0, 0]
+                if add:
+                    grad[:, i_eta] += g_eta
+                else:
+                    grad[:, i_eta] = g_eta
+                _, ax_d = d_net.backward(_cache_rows(d_cache, rows), m * a,
+                                         out=grad[:, d0:d1], add=add)
+                _, ax_r = r_net.backward(_cache_rows(r_cache, rows), (1.0 - m) * a,
+                                         out=grad[:, r0:r1], add=add)
                 a = a * (1.0 - th[:, i_eta, None] * m) + ax_d + ax_r
             return grad
 

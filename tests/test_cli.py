@@ -7,10 +7,19 @@ import numpy as np
 import pytest
 
 from kslab import methods as M
-from kslab.cli import _build_estimator, main, run_compare, run_train, run_reconstruct
+from kslab.cli import (
+    _build_estimator,
+    _read_checkpoint,
+    _write_checkpoint,
+    main,
+    run_compare,
+    run_reconstruct,
+    run_train,
+)
 from kslab.config import DEFAULT_CONFIG, config_json, resolve_config
 from kslab.errors import ConfigError
 from kslab.estimators import AffinePerPattern, make_estimator
+from kslab.rng import stream
 
 
 FAST_CFG = {
@@ -262,6 +271,9 @@ def _theta_b64(n_bytes):
      "base64"),
     ({"dtype": "<f8", "base64": _theta_b64(12)}, "multiple of 8"),
     ([0.0, 1.0], "re-run `kslab train`"),
+    ({"dtype": "<f8", "base64": _theta_b64(16)[:4] + "\u00e9" + _theta_b64(16)[5:]},
+     "base64"),
+    ({"dtype": "<f8", "base64": None}, "base64"),
 ])
 def test_reconstruct_rejects_malformed_theta(tmp_path, capsys, trained_checkpoint,
                                              theta, message):
@@ -273,6 +285,76 @@ def test_reconstruct_rejects_malformed_theta(tmp_path, capsys, trained_checkpoin
                  "--checkpoint", str(ckpt), "--out", str(tmp_path)])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+def _estimators():
+    """An estimator of each family with enrolled patterns and a theta holding
+    -0.0, a subnormal and values of every magnitude."""
+    rng = stream(14, "writer")
+    members = rng.random((3, 8)) < 0.5
+    for family, opts in (("affine_per_pattern", {}), ("tiny_net", {"width_factor": 1}),
+                         ("toy_cascade", {"cascades": 1, "seed": 2})):
+        est = make_estimator(family, 8, **opts)
+        if family == "affine_per_pattern":
+            est.ensure_patterns(members)
+        est.theta = rng.standard_normal(est.theta.shape) * 10.0 ** rng.integers(-300, 300,
+                                                                            est.theta.shape)
+        est.theta[:2] = (-0.0, 5e-324)
+        yield est
+
+
+def _expected_checkpoint_bytes(checkpoint, est):
+    return (json.dumps({**checkpoint, "estimator": est.to_checkpoint()},
+                       sort_keys=True, allow_nan=False) + "\n").encode("ascii")
+
+
+# config strings a JSON writer must escape, and the writer's own stand-ins
+AWKWARD = ["nul\x00", 'quote"d', "back\\slash", "caf\u00e9 \u2603 \U0001f600", "line\nbreak",
+           "theta-base64-0", '"theta-base64-0"', "x\"theta-base64-1"]
+
+
+@pytest.mark.parametrize("est", _estimators(), ids=lambda est: est.family)
+@pytest.mark.parametrize("config", [
+    {"seed": 1},
+    {"strings": AWKWARD, "nested": {"base64": "theta-base64-0", "theta-base64-1": [1.5, None]}},
+    {"theta-base64-0": "theta-base64-1", "theta-base64-2": {"base64": "theta-base64-3"}},
+], ids=["plain", "awkward", "stand_ins"])
+def test_write_checkpoint_bytes_are_json_dumps(tmp_path, est, config):
+    """The streamed file is json.dumps of the whole checkpoint and a newline,
+    byte for byte, whatever the config's strings, and reads back bit for bit."""
+    checkpoint = {"artifact_version": "v", "config": {"model": {}, **config},
+                  "method": M.ROBUST_SSDU, "alpha": 0.75}
+    path = tmp_path / "checkpoint.json"
+    _write_checkpoint(path, checkpoint, est)
+    assert path.read_bytes() == _expected_checkpoint_bytes(checkpoint, est)
+    _, back = _read_checkpoint(path)
+    assert back.theta.tobytes() == est.theta.tobytes()
+
+
+def test_write_checkpoint_refuses_nan(tmp_path):
+    est = make_estimator("tiny_net", 4, width_factor=1)
+    path = tmp_path / "checkpoint.json"
+    with pytest.raises(ValueError, match="JSON compliant"):
+        _write_checkpoint(path, {"config": {"lr": float("nan")}}, est)
+    assert not path.exists()  # refused before the file is opened
+
+
+def test_write_checkpoint_streams_theta(tmp_path):
+    """Writing a 132,098-parameter checkpoint allocates well under its base64
+    text: theta's base64 is streamed from its buffer, never held whole."""
+    import tracemalloc
+
+    est = make_estimator("toy_cascade", 64, cascades=2, seed=1)
+    b64_length = 4 * -(-est.theta.nbytes // 3)
+    path = tmp_path / "checkpoint.json"
+    tracemalloc.start()
+    try:
+        _write_checkpoint(path, {"config": {"seed": 1}}, est)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == _expected_checkpoint_bytes({"config": {"seed": 1}}, est)
+    assert peak < 1.5 * b64_length, peak / b64_length
 
 
 @pytest.mark.parametrize("damage,message", [

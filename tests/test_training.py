@@ -5,7 +5,7 @@ import pytest
 
 from kslab import methods as M
 from kslab.errors import ConfigError
-from kslab.estimators import AffinePerPattern, TinyNet, ToyCascade
+from kslab.estimators import AffinePerPattern, Mlp, TinyNet, ToyCascade
 from kslab.inference import reconstruct
 from kslab.kspace import SamplingMask, apply_mask, full_mask, mask_algebra
 from kslab.metrics import nmse
@@ -523,6 +523,61 @@ def test_lockstep_stacks_match_cells_trained_alone(batch_size):
         start[:initial[k].shape[0]] = initial[k]
         assert not np.array_equal(cell.est.theta, start)
         assert [("val_nmse" in row) for row in history] == [True, False, True]
+
+
+def test_toy_cascade_stack_cuts_layer_views_once(monkeypatch):
+    """Over 10 stacked steps of one parameter array, each segment network of
+    a 2-cascade stack cuts its layer views once, not on each of the 40
+    network forward passes, and the stack trains as its cells alone do."""
+    cut, calls = {}, []
+    layers = Mlp._layers
+
+    def counting(self, theta):
+        calls.append(self)
+        if self._theta is not theta:
+            cut[id(self)] = cut.get(id(self), 0) + 1
+        return layers(self, theta)
+
+    def cells():
+        model = model_preset("banded", sigma_n=0.2, alpha=0.75)
+        return [Cell(TrainSpec(method=method, epochs=1, seed=k, alpha=0.75),
+                     ToyCascade(model.q, cascades=2, seed=k), build_dataset(model, 10, k), model)
+                for k, method in enumerate((M.NOISIER2FULL, M.ROBUST_SSDU))]
+
+    monkeypatch.setattr(Mlp, "_layers", counting)
+    stacked = cells()
+    [(positions, _, _)] = train_cells(stacked, validate_every=0)
+    assert positions == [0, 1]
+    assert len(calls) == 40
+    assert sorted(cut.values()) == [1, 1, 1, 1]
+    for cell, alone in zip(stacked, cells()):
+        train(*alone, validate_every=0)
+        assert np.array_equal(cell.est.theta, alone.est.theta)
+
+
+@pytest.mark.parametrize("batch_size", [1, 2])
+def test_training_holds_one_gradient(batch_size):
+    """Training a large single cell (toy_cascade on bernoulli2d q = 64,
+    132,098 parameters) holds theta, the Adam moments m and v and one
+    gradient: the previous step's gradient goes before the next pullback
+    and a batch adds each item's gradient into the first's. The slack covers
+    Adam's two scratch blocks and half a parameter array for everything
+    else; a second live gradient exceeds it."""
+    import tracemalloc
+
+    model = model_preset("bernoulli2d", q=64, sigma_n=0.1, alpha=0.75)
+    data = build_dataset(model, 6, seed=3)
+    spec = TrainSpec(method=M.ROBUST_SSDU, epochs=2, batch_size=batch_size, seed=4, alpha=0.75)
+    tracemalloc.start()
+    try:
+        est = ToyCascade(model.q, cascades=2, seed=1)
+        train(spec, est, data, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    array = est.theta.nbytes
+    assert est.theta.shape == (132_098,)
+    assert peak < 4 * array + 2 * ADAM_BLOCK * 8 + array // 2, peak / array
 
 
 def test_train_cells_draws_each_cell_as_its_stack_forms():
