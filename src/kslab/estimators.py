@@ -27,8 +27,8 @@ checkpoint pair ``to_checkpoint`` / ``from_checkpoint`` and the CLI all read
 that declaration.
 """
 
+import base64
 import binascii
-import sys
 import warnings
 
 import numpy as np
@@ -86,14 +86,6 @@ def write_theta_base64(fh, theta: np.ndarray) -> None:
         fh.write(binascii.b2a_base64(raw[start:start + THETA_CHUNK], newline=False))
 
 
-def _a2b_base64_strict(text) -> bytes:
-    """The bytes of strict base64 ``text`` (an ASCII string), read in place."""
-    if sys.version_info < (3, 11):  # no strict_mode; the same check, via a bytes copy
-        import base64
-        return base64.b64decode(text, validate=True)
-    return binascii.a2b_base64(text, strict_mode=True)
-
-
 def decode_theta(payload, n_params: int) -> np.ndarray:
     """Inverse of ``encode_theta``; rejects malformed payloads and wrong lengths."""
     if isinstance(payload, list):
@@ -105,7 +97,7 @@ def decode_theta(payload, n_params: int) -> np.ndarray:
         raise ValidationError(f"checkpoint theta dtype must be {THETA_DTYPE!r}, "
                               f"got {payload.get('dtype')!r}")
     try:
-        raw = _a2b_base64_strict(payload.get("base64"))
+        raw = base64.b64decode(payload.get("base64"), validate=True)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"checkpoint theta is not valid base64: {exc}") from None
     if len(raw) % 8:
@@ -197,14 +189,12 @@ class Mlp:
         y += b
         return y, (layers, hs, zs)
 
-    def backward(self, cache, gy: np.ndarray, out=None, input_grad: bool = True,
-                 add: bool = False):
+    def backward(self, cache, gy: np.ndarray, out=None, input_grad: bool = True):
         """Gradients of <gy_c, output_c> w.r.t. each parameter row and input row.
 
         ``out``, if given, is the (C, segment) array the parameter gradients
-        are written to; every entry is written, or, with ``add``, added to
-        (one layer's weight gradient at a time is formed beside it). The
-        input gradient is None unless ``input_grad``.
+        are written to; every entry is written. The input gradient is None
+        unless ``input_grad``.
         """
         layers, hs, zs = cache
         grad = np.empty((gy.shape[0], self.n_params)) if out is None else out
@@ -216,13 +206,9 @@ class Mlp:
             o = self.offsets[k]
             n_w = w.shape[1] * w.shape[2]
             # splitting the last axis of a column slice is always a view
-            w_grad = grad[:, o:o + n_w].reshape(w.shape)
-            if add:
-                w_grad += g[:, :, None] * hs[k][:, None, :]
-                grad[:, o + n_w:o + n_w + w.shape[1]] += g
-            else:
-                np.multiply(g[:, :, None], hs[k][:, None, :], out=w_grad)
-                grad[:, o + n_w:o + n_w + w.shape[1]] = g
+            np.multiply(g[:, :, None], hs[k][:, None, :],
+                        out=grad[:, o:o + n_w].reshape(w.shape))
+            grad[:, o + n_w:o + n_w + w.shape[1]] = g
             g = np.matmul(wt, g[..., None])[..., 0] if k or input_grad else None
         return grad, g
 
@@ -294,12 +280,10 @@ class Estimator:
         """Outputs (C, q) of the parameter rows theta (C, P) on y_in (C, q) with
         supports member (C, q), and their pullback.
 
-        ``pullback(cot, rows=slice(None), into=None)`` returns the gradients
-        of ``Re <cot_c, out_c>`` for the output rows ``rows`` (a slice), one
-        parameter row each, from cotangents of those rows; given ``into``, a
-        gradient array of that shape, it adds them to ``into`` in place and
-        returns it. Nothing is validated: callers pass finite complex128 and
-        bool arrays.
+        ``pullback(cot, rows=slice(None))`` returns the gradients of
+        ``Re <cot_c, out_c>`` for the output rows ``rows`` (a slice), one
+        parameter row each, from cotangents of those rows. Nothing is
+        validated: callers pass finite complex128 and bool arrays.
         """
         raise NotImplementedError
 
@@ -455,22 +439,18 @@ class AffinePerPattern(Estimator):
             a, b = self._blocks(theta[rows, start:start + bs])
             out[rows] = np.matmul(a, y_in[rows, :, None])[..., 0] + b
 
-        def pullback(cot, rows=slice(None), into=None) -> np.ndarray:
+        def pullback(cot, rows=slice(None)) -> np.ndarray:
             grad = np.zeros((len(cot), theta.shape[1]))
             if len(groups) == 1:
                 start = groups[0][0]
                 grad[:, start:start + bs] = _block_grads(cot, y_in[rows])
-            else:
-                at = np.full(len(y_in), -1)  # position of each input row in cot
-                at[rows] = np.arange(len(cot))
-                for start, group in groups:
-                    group = group[at[group] >= 0]
-                    grad[at[group], start:start + bs] = _block_grads(cot[at[group]],
-                                                                     y_in[group])
-            if into is None:
                 return grad
-            into += grad  # every entry, as into + grad adds them: -0 + 0 is +0
-            return into
+            at = np.full(len(y_in), -1)  # position of each input row in cot
+            at[rows] = np.arange(len(cot))
+            for start, group in groups:
+                group = group[at[group] >= 0]
+                grad[at[group], start:start + bs] = _block_grads(cot[at[group]], y_in[group])
+            return grad
 
         return out, pullback
 
@@ -540,9 +520,9 @@ class TinyNet(Estimator):
     def forward_vjp_stack(self, theta, y_in, member):
         out, cache = self.mlp.forward(theta, complex_to_real(y_in))
 
-        def pullback(cot, rows=slice(None), into=None) -> np.ndarray:
+        def pullback(cot, rows=slice(None)) -> np.ndarray:
             return self.mlp.backward(_cache_rows(cache, rows), complex_to_real(cot),
-                                     out=into, input_grad=False, add=into is not None)[0]
+                                     input_grad=False)[0]
 
         return real_to_complex(out), pullback
 
@@ -615,27 +595,21 @@ class ToyCascade(Estimator):
             states.append(s)
             caches.append((d_cache, r_cache))
 
-        def pullback(cot, rows=slice(None), into=None) -> np.ndarray:
+        def pullback(cot, rows=slice(None)) -> np.ndarray:
             th, m = theta[rows], mvec[rows]
             x0 = x[rows]
-            add = into is not None
-            # eta, G_D and G_R cover every entry
-            grad = into if add else np.empty_like(th)
+            grad = np.empty_like(th)  # eta, G_D and G_R cover every entry
             a = complex_to_real(cot)
             for k in range(self.cascades - 1, -1, -1):
                 i_eta, (d0, d1), (r0, r1) = self._offsets(k)
                 (d_net, r_net), (d_cache, r_cache) = self.nets[k], caches[k]
                 # row-wise dot products, each the BLAS dot of the one-row case
-                g_eta = -np.matmul(a[:, None, :],
-                                   (m * (states[k][rows] - x0))[:, :, None])[:, 0, 0]
-                if add:
-                    grad[:, i_eta] += g_eta
-                else:
-                    grad[:, i_eta] = g_eta
+                grad[:, i_eta] = -np.matmul(a[:, None, :],
+                                            (m * (states[k][rows] - x0))[:, :, None])[:, 0, 0]
                 _, ax_d = d_net.backward(_cache_rows(d_cache, rows), m * a,
-                                         out=grad[:, d0:d1], add=add)
+                                         out=grad[:, d0:d1])
                 _, ax_r = r_net.backward(_cache_rows(r_cache, rows), (1.0 - m) * a,
-                                         out=grad[:, r0:r1], add=add)
+                                         out=grad[:, r0:r1])
                 a = a * (1.0 - th[:, i_eta, None] * m) + ax_d + ax_r
             return grad
 

@@ -226,8 +226,7 @@ def method_rows(method: M.Method, alpha: float, y, omega, lam, ntilde, target,
 
 
 def stack_loss_and_grad(est: Estimator, theta: np.ndarray, rows: Rows,
-                        lambda_n2r: np.ndarray, into: np.ndarray | None = None
-                        ) -> tuple[np.ndarray, np.ndarray]:
+                        lambda_n2r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Losses (C,) and exact gradients (C, P) of C cells, one item each.
 
     Row c of ``theta`` and of every array in ``rows`` belongs to cell c. One
@@ -235,35 +234,22 @@ def stack_loss_and_grad(est: Estimator, theta: np.ndarray, rows: Rows,
     its gradient. The cells with a consistency term come first; ``rows.y_c``
     has a row for each and ``lambda_n2r`` their weights: they add
     ``lambda_n2r ||f_c - f||^2`` for the output f_c on their consistency input.
-    ``into``, if given, is a (C, P) gradient that the step's gradients are
-    added to in place and that is returned: a batch sums its items' gradients
-    without a second full-length array beside the sum.
     """
     f, pullback = est.forward_vjp_stack(theta, rows.y_in, rows.m_in)
     r = f - rows.target
     # the operations of np.sum(w2 * np.abs(r) ** 2), without np.sum's Python wrapper
     loss = np.add.reduce(rows.w2 * np.square(np.abs(r)), axis=-1)
     # 2 pullback(w2 r) to the bit: the pullback is linear and doubling is exact
-    cot = (rows.w2 * r) * 2.0
-    if rows.y_c is None:
-        return loss, pullback(cot) if into is None else pullback(cot, into=into)
-    grad = pullback(cot)
-    n_cons = rows.y_c.shape[0]
-    # a whole stack is passed as itself, so the forward pass reuses the
-    # stack's layer views and the pullback its cache
-    whole = n_cons == theta.shape[0]
-    cons = slice(None) if whole else slice(0, n_cons)
-    f_c, pullback_c = est.forward_vjp_stack(theta if whole else theta[cons],
-                                            rows.y_c, rows.m_c)
-    rc = f_c - f[cons]
-    loss[cons] = loss[cons] + lambda_n2r * np.add.reduce(np.square(np.abs(rc)), axis=-1)
-    scale = (2.0 * lambda_n2r)[:, None]
-    grad[cons] += scale * pullback_c(rc)
-    grad[cons] -= scale * pullback(rc, cons)
-    if into is None:
-        return loss, grad
-    into += grad
-    return loss, into
+    grad = pullback((rows.w2 * r) * 2.0)
+    if rows.y_c is not None:
+        cons = slice(0, rows.y_c.shape[0])
+        f_c, pullback_c = est.forward_vjp_stack(theta[cons], rows.y_c, rows.m_c)
+        rc = f_c - f[cons]
+        loss[cons] = loss[cons] + lambda_n2r * np.add.reduce(np.square(np.abs(rc)), axis=-1)
+        scale = (2.0 * lambda_n2r)[:, None]
+        grad[cons] += scale * pullback_c(rc)
+        grad[cons] -= scale * pullback(rc, cons)
+    return loss, grad
 
 
 def _require(item, attr: str, method: str):
@@ -513,7 +499,7 @@ def _train_stack(cells: list[Cell], validate_every: int) -> list[list[dict]]:
         for start in range(0, n, spec.batch_size):
             grad = None  # the previous step's gradient goes before the next is built
             for s in range(start, min(start + spec.batch_size, n)):
-                loss, grad = stack_loss_and_grad(est, params, steps[s], lambda_n2r, grad)
+                loss, g = stack_loss_and_grad(est, params, steps[s], lambda_n2r)
                 if not np.isfinite(loss).all():
                     bad = cells[int(np.argmin(np.isfinite(loss)))]
                     raise TrainingDiverged(
@@ -521,6 +507,9 @@ def _train_stack(cells: list[Cell], validate_every: int) -> list[list[dict]]:
                         f"{bad.model.noise.sigma_n:g}, epoch {epoch}, step "
                         f"{start // spec.batch_size}: the training loss is not finite")
                 totals += loss
+                # in place: the float operation of grad + g, without a third array
+                grad = g if grad is None else np.add(grad, g, out=grad)
+                del g  # grad alone holds the sum
             adam_step(state, params, grad)
         del rows, steps, grad  # before the next epoch's are built
         for run, history, total in zip(runs, histories, totals):

@@ -315,32 +315,6 @@ def test_toy_cascade_rows_match_rows_alone():
     assert np.allclose(np.sum(grad * d, axis=1), fd, rtol=1e-6, atol=1e-8)
 
 
-@pytest.mark.parametrize("family,opts", [
-    ("affine_per_pattern", {}),
-    ("tiny_net", {"hidden_layers": 2, "width_factor": 2, "seed": 3}),
-    ("toy_cascade", {"cascades": 2, "seed": 4}),
-])
-def test_pullback_into_adds_to_the_given_gradient_bitwise(family, opts):
-    """``pullback(cot, rows, into=g)`` leaves ``g + pullback(cot, rows)`` in g,
-    entry for entry and sign of zero included, and returns g."""
-    q, n = 4, 6
-    est = make_estimator(family, q, **opts)
-    rng = stream(9, "into", family)
-    members = rng.random((n, q)) < 0.6
-    if family == "affine_per_pattern":
-        est.ensure_patterns(members)
-    y = np.where(members, rng.standard_normal((n, q)) + 1j * rng.standard_normal((n, q)), 0.0)
-    theta = est.theta + 0.1 * rng.standard_normal((n, est.theta.shape[0]))
-    _, pullback = est.forward_vjp_stack(theta, y, members)
-    for rows in (slice(None), slice(1, 4)):
-        cot = rng.standard_normal((n, q))[rows] + 1j * rng.standard_normal((n, q))[rows]
-        into = rng.standard_normal((len(cot), theta.shape[1]))
-        into[:, ::3] = -0.0
-        expected = into + pullback(cot, rows)
-        assert pullback(cot, rows, into=into) is into
-        assert into.tobytes() == expected.tobytes()
-
-
 def test_affine_no_patterns_raises():
     est = AffinePerPattern(2)
     with pytest.raises(ValidationError):
