@@ -213,16 +213,6 @@ class Mlp:
         return grad, g
 
 
-def _cache_rows(cache, rows: slice):
-    """An ``Mlp.forward`` cache restricted to the rows ``rows``; the whole cache
-    for ``slice(None)``."""
-    if rows == slice(None):
-        return cache
-    layers, hs, zs = cache
-    return ([tuple(v[rows] for v in layer) for layer in layers],
-            [h[rows] for h in hs], [z[rows] for z in zs])
-
-
 # Multiplying a word of eight 0/1 bytes by this constant (mod 2^64) gathers
 # byte i's bit into bit 56 + i: every partial product lands on its own bit.
 _GATHER_BYTES = np.uint64(0x0102040810204080)
@@ -280,10 +270,9 @@ class Estimator:
         """Outputs (C, q) of the parameter rows theta (C, P) on y_in (C, q) with
         supports member (C, q), and their pullback.
 
-        ``pullback(cot, rows=slice(None))`` returns the gradients of
-        ``Re <cot_c, out_c>`` for the output rows ``rows`` (a slice), one
-        parameter row each, from cotangents of those rows. Nothing is
-        validated: callers pass finite complex128 and bool arrays.
+        ``pullback(cot)`` returns the (C, P) gradients of ``Re <cot_c, out_c>``,
+        one parameter row each, from cotangents (C, q) of every row. Nothing
+        is validated: callers pass finite complex128 and bool arrays.
         """
         raise NotImplementedError
 
@@ -439,17 +428,10 @@ class AffinePerPattern(Estimator):
             a, b = self._blocks(theta[rows, start:start + bs])
             out[rows] = np.matmul(a, y_in[rows, :, None])[..., 0] + b
 
-        def pullback(cot, rows=slice(None)) -> np.ndarray:
-            grad = np.zeros((len(cot), theta.shape[1]))
-            if len(groups) == 1:
-                start = groups[0][0]
-                grad[:, start:start + bs] = _block_grads(cot, y_in[rows])
-                return grad
-            at = np.full(len(y_in), -1)  # position of each input row in cot
-            at[rows] = np.arange(len(cot))
-            for start, group in groups:
-                group = group[at[group] >= 0]
-                grad[at[group], start:start + bs] = _block_grads(cot[at[group]], y_in[group])
+        def pullback(cot) -> np.ndarray:
+            grad = np.zeros(theta.shape)
+            for start, rows in groups:
+                grad[rows, start:start + bs] = _block_grads(cot[rows], y_in[rows])
             return grad
 
         return out, pullback
@@ -520,9 +502,8 @@ class TinyNet(Estimator):
     def forward_vjp_stack(self, theta, y_in, member):
         out, cache = self.mlp.forward(theta, complex_to_real(y_in))
 
-        def pullback(cot, rows=slice(None)) -> np.ndarray:
-            return self.mlp.backward(_cache_rows(cache, rows), complex_to_real(cot),
-                                     input_grad=False)[0]
+        def pullback(cot) -> np.ndarray:
+            return self.mlp.backward(cache, complex_to_real(cot), input_grad=False)[0]
 
         return real_to_complex(out), pullback
 
@@ -595,22 +576,18 @@ class ToyCascade(Estimator):
             states.append(s)
             caches.append((d_cache, r_cache))
 
-        def pullback(cot, rows=slice(None)) -> np.ndarray:
-            th, m = theta[rows], mvec[rows]
-            x0 = x[rows]
-            grad = np.empty_like(th)  # eta, G_D and G_R cover every entry
+        def pullback(cot) -> np.ndarray:
+            grad = np.empty(theta.shape)  # eta, G_D and G_R cover every entry
             a = complex_to_real(cot)
             for k in range(self.cascades - 1, -1, -1):
                 i_eta, (d0, d1), (r0, r1) = self._offsets(k)
                 (d_net, r_net), (d_cache, r_cache) = self.nets[k], caches[k]
                 # row-wise dot products, each the BLAS dot of the one-row case
                 grad[:, i_eta] = -np.matmul(a[:, None, :],
-                                            (m * (states[k][rows] - x0))[:, :, None])[:, 0, 0]
-                _, ax_d = d_net.backward(_cache_rows(d_cache, rows), m * a,
-                                         out=grad[:, d0:d1])
-                _, ax_r = r_net.backward(_cache_rows(r_cache, rows), (1.0 - m) * a,
-                                         out=grad[:, r0:r1])
-                a = a * (1.0 - th[:, i_eta, None] * m) + ax_d + ax_r
+                                            (mvec * (states[k] - x))[:, :, None])[:, 0, 0]
+                _, ax_d = d_net.backward(d_cache, mvec * a, out=grad[:, d0:d1])
+                _, ax_r = r_net.backward(r_cache, (1.0 - mvec) * a, out=grad[:, r0:r1])
+                a = a * (1.0 - theta[:, i_eta, None] * mvec) + ax_d + ax_r
             return grad
 
         return real_to_complex(states[-1]), pullback

@@ -8,9 +8,7 @@ independent route:
 * closed-form population minimizers of each method's loss (from the
   estimators module) checked against those conditional means;
 * Monte Carlo checks of the conditional-noise identity and of the
-  gradient-equivalence claims behind the loss weightings;
-* a brute-force enumeration oracle over small discrete models as a
-  non-Gaussian sanity check.
+  gradient-equivalence claims behind the loss weightings.
 
 Monte Carlo checks use the uniform statistical tolerance of three combined
 standard errors and always report the standard error alongside the
@@ -21,7 +19,6 @@ a fixed order, so results are reproducible.
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -31,10 +28,10 @@ from . import training
 from .errors import ConfigError, ValidationError
 from .estimators import AffinePerPattern, Estimator, closed_form_affine_fit, group_rows
 from .inference import correct
-from .kspace import SamplingMask, apply_mask, as_kspace, mask_algebra
+from .kspace import SamplingMask, apply_mask, mask_algebra
 from .noise import NoiseSpec, complex_gaussian
 from .rng import stream
-from .sampling import COLUMN_POLYNOMIAL, MaskDistribution, compute_P, compute_k, validate_mask_conditions
+from .sampling import COLUMN_POLYNOMIAL, MaskDistribution, compute_P, compute_k
 from .synthetic import MeasurementModel, gaussian_ground_truth
 
 TARGET_Y0 = "y0"
@@ -412,6 +409,12 @@ def _mse_errors(method: str, est: AffinePerPattern, model: MeasurementModel,
     return np.sum(np.abs(est_y - draws.y0) ** 2, axis=1)
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """The dot product of two long vectors, summed in an order that does not
+    depend on the BLAS thread count (``np.dot`` sums in threaded BLAS)."""
+    return float(np.einsum("i,i->", a, b))
+
+
 def mc_corrected_mse(method: str, est: Estimator, model: MeasurementModel,
                      samples: int, seed: int) -> tuple[float, float]:
     """Theory-mode reconstruction MSE over fresh draws (mean, standard error)."""
@@ -423,7 +426,7 @@ def mc_corrected_mse(method: str, est: Estimator, model: MeasurementModel,
     for rng, count in _shards(seed, "mse", samples):
         err = _mse_errors(method, est, model, _draw_shard(model, rng, count))
         total += float(err.sum())
-        total_sq += float(np.dot(err, err))
+        total_sq += _dot(err, err)
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0)
     return mean, math.sqrt(var / samples)
@@ -435,10 +438,10 @@ def mc_corrected_mse(method: str, est: Estimator, model: MeasurementModel,
 
 def _origin_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """Least-squares slope through the origin and its standard error."""
-    sxx = float(np.dot(x, x))
-    slope = float(np.dot(x, y)) / sxx
+    sxx = _dot(x, x)
+    slope = _dot(x, y) / sxx
     resid = y - slope * x
-    se = math.sqrt(float(np.dot(resid, resid)) / (x.size - 1) / sxx)
+    se = math.sqrt(_dot(resid, resid) / (x.size - 1) / sxx)
     return slope, se
 
 
@@ -549,8 +552,7 @@ def _gradient_moments(claim: str, est: AffinePerPattern, model: MeasurementModel
         part = training.Rows(*(None if a is None else a[block] for a in rows))
         theta = np.broadcast_to(est.theta, (part.y_in.shape[0], n_params))
         f, pullback = est.forward_vjp_stack(theta, part.y_in, part.m_in)
-        grads = {"surr": training.stack_loss_and_grad(_Forwarded(f, pullback), theta,
-                                                      part, None)[1]}
+        grads = {"surr": training.stack_loss_and_grad(_Forwarded(f, pullback), theta, part)[1]}
         d = np.where(part.m_in, (1.0 + alpha ** 2) / alpha ** 2, 1.0)
         est_y = correct(f, part.y_in, part.m_in, alpha)
         grads["oracle"] = 2.0 * pullback(d * (est_y - draws.y0[block]))
@@ -666,138 +668,6 @@ def check_gradient_equivalence(claim: str, est: Estimator, model: MeasurementMod
             f"batched gradients deviate from the per-draw training and oracle "
             f"gradients by {crosscheck:.3e} relative (tolerance {CROSSCHECK_RTOL:g})")
     return report
-
-
-# ---------------------------------------------------------------------------
-# Brute-force discrete oracle
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DiscreteModel:
-    """Small fully-discrete measurement model for exhaustive conditioning.
-
-    Per entry: the ground truth takes one of at most four complex atoms;
-    both noise layers take values on small documented complex grids. Masks
-    are independent Bernoulli with the given probabilities. Everything is
-    enumerable, so conditional means are computable by direct summation.
-    """
-
-    atoms: tuple          # ((value, prob), ...) shared by all entries
-    noise_grid: tuple     # ((value, prob), ...) measurement noise
-    further_grid: tuple   # ((value, prob), ...) further noise
-    p: tuple              # P[j in Omega]
-    ptilde: tuple         # P[j in Lambda]
-
-    def __post_init__(self):
-        if len(self.atoms) > 4:
-            raise ConfigError("discrete alphabet capped at 4 symbols per entry")
-        if len(self.p) > 4:
-            raise ConfigError("discrete models capped at q = 4")
-        for dist in (self.atoms, self.noise_grid, self.further_grid):
-            total = sum(prob for _, prob in dist)
-            if abs(total - 1.0) > 1e-12:
-                raise ValidationError("distribution weights must sum to 1")
-        validate_mask_conditions(np.asarray(self.p), np.asarray(self.ptilde))
-
-    @property
-    def q(self) -> int:
-        return len(self.p)
-
-
-def two_point_noise_grid(sigma: float) -> tuple:
-    """Four-point complex grid (+-g +-ig)/..., matching variance sigma^2.
-
-    Each real channel takes +-sigma/sqrt(2) with probability 1/2, the
-    discrete analog of the circular Gaussian convention.
-    """
-    if sigma == 0.0:
-        return ((0.0 + 0.0j, 1.0),)
-    g = sigma / math.sqrt(2.0)
-    return tuple((complex(sr * g, si * g), 0.25) for sr in (-1, 1) for si in (-1, 1))
-
-
-def _entry_tables(model: DiscreteModel, ytilde_j: complex, in_intersect: bool,
-                  target: str):
-    """Sum of config probabilities and probability-weighted targets for entry j."""
-    weight = 0.0
-    num = 0.0 + 0.0j
-    for (a, pa), (nn, pn), (nt, pt) in product(model.atoms, model.noise_grid,
-                                               model.further_grid):
-        prob = pa * pn * pt
-        obs = a + nn + nt if in_intersect else 0.0 + 0.0j
-        if abs(obs - ytilde_j) > 1e-12:
-            continue
-        weight += prob
-        if target == TARGET_Y0:
-            num += prob * a
-        else:
-            num += prob * (a + nn)
-    return weight, num
-
-
-def brute_force_conditional(model: DiscreteModel, ytilde, target: str = TARGET_Y0) -> np.ndarray:
-    """Exact conditional mean of the target given the further-corrupted data.
-
-    Enumerates the joint law of ground truth, both noise layers and both
-    masks, conditioning on the exact observed vector. Masks are conditioned
-    through the observation only: in a discrete model a measured zero has
-    positive probability, and this oracle resolves that ambiguity by honest
-    enumeration rather than by assuming mask knowledge.
-    """
-    if target not in (TARGET_Y0, TARGET_Y0_PLUS_N):
-        raise ConfigError(f"unknown target {target!r}")
-    q = model.q
-    obs = as_kspace(ytilde, q)
-    total_like = 0.0
-    total_num = np.zeros(q, dtype=np.complex128)
-    for omega_bits in product((False, True), repeat=q):
-        p_omega = math.prod(model.p[j] if omega_bits[j] else 1.0 - model.p[j]
-                            for j in range(q))
-        if p_omega == 0.0:
-            continue
-        for lam_bits in product((False, True), repeat=q):
-            p_lam = math.prod(model.ptilde[j] if lam_bits[j] else 1.0 - model.ptilde[j]
-                              for j in range(q))
-            if p_lam == 0.0:
-                continue
-            weights = np.empty(q)
-            nums = np.empty(q, dtype=np.complex128)
-            for j in range(q):
-                inter = omega_bits[j] and lam_bits[j]
-                weights[j], nums[j] = _entry_tables(model, obs[j], inter, target)
-            like = float(np.prod(weights))
-            if like == 0.0:
-                continue
-            p_masks = p_omega * p_lam
-            total_like += p_masks * like
-            for j in range(q):
-                rest = like / weights[j]
-                total_num[j] += p_masks * rest * nums[j]
-    if total_like == 0.0:
-        raise ValidationError("observation has zero probability under the model")
-    return total_num / total_like
-
-
-def draw_discrete(model: DiscreteModel, rng: np.random.Generator, count: int | None = None):
-    """A joint draw (y0, n, ntilde, omega, lam, ytilde) from the discrete model.
-
-    One draw of length-q vectors, or ``count`` draws as (count, q) rows. Each
-    alphabet is sampled with one ``rng.choice`` call, in the order y0, n,
-    ntilde, then the two masks; a single draw is the ``count=1`` row.
-    """
-    shape = (model.q,) if count is None else (count, model.q)
-
-    def pick(dist):
-        values = np.array([v for v, _ in dist], dtype=np.complex128)
-        return values[rng.choice(len(dist), size=shape, p=[p for _, p in dist])]
-
-    y0 = pick(model.atoms)
-    n = pick(model.noise_grid)
-    nt = pick(model.further_grid)
-    omega = rng.random(shape) < np.asarray(model.p)
-    lam = rng.random(shape) < np.asarray(model.ptilde)
-    ytilde = np.where(omega & lam, y0 + n + nt, 0.0 + 0.0j)
-    return y0, n, nt, omega, lam, ytilde
 
 
 # ---------------------------------------------------------------------------

@@ -225,14 +225,14 @@ def method_rows(method: M.Method, alpha: float, y, omega, lam, ntilde, target,
     return Rows(y_in, m_in, target, w2, *method.consistency.build(y, omega, lam, ntilde))
 
 
-def stack_loss_and_grad(est: Estimator, theta: np.ndarray, rows: Rows,
-                        lambda_n2r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def stack_loss_and_grad(est: Estimator, theta: np.ndarray, rows: Rows, cons=None,
+                        lambda_n2r=None) -> tuple[np.ndarray, np.ndarray]:
     """Losses (C,) and exact gradients (C, P) of C cells, one item each.
 
     Row c of ``theta`` and of every array in ``rows`` belongs to cell c. One
     forward pass f and its pullback give ``sum_j W_jj^2 |f_j - t_j|^2`` and
-    its gradient. The cells with a consistency term come first; ``rows.y_c``
-    has a row for each and ``lambda_n2r`` their weights: they add
+    its gradient. When ``rows.y_c`` is given, a consistency pass runs on
+    every row, and the cells ``cons`` (an index of the rows) add
     ``lambda_n2r ||f_c - f||^2`` for the output f_c on their consistency input.
     """
     f, pullback = est.forward_vjp_stack(theta, rows.y_in, rows.m_in)
@@ -242,13 +242,12 @@ def stack_loss_and_grad(est: Estimator, theta: np.ndarray, rows: Rows,
     # 2 pullback(w2 r) to the bit: the pullback is linear and doubling is exact
     grad = pullback((rows.w2 * r) * 2.0)
     if rows.y_c is not None:
-        cons = slice(0, rows.y_c.shape[0])
-        f_c, pullback_c = est.forward_vjp_stack(theta[cons], rows.y_c, rows.m_c)
-        rc = f_c - f[cons]
-        loss[cons] = loss[cons] + lambda_n2r * np.add.reduce(np.square(np.abs(rc)), axis=-1)
+        f_c, pullback_c = est.forward_vjp_stack(theta, rows.y_c, rows.m_c)
+        rc = f_c - f
+        loss[cons] += lambda_n2r * np.add.reduce(np.square(np.abs(rc[cons])), axis=-1)
         scale = (2.0 * lambda_n2r)[:, None]
-        grad[cons] += scale * pullback_c(rc)
-        grad[cons] -= scale * pullback(rc, cons)
+        grad[cons] += scale * pullback_c(rc)[cons]
+        grad[cons] -= scale * pullback(rc)[cons]
     return loss, grad
 
 
@@ -285,7 +284,8 @@ def loss_and_grad(spec: TrainSpec, est: Estimator, item: TrainItem) -> tuple[flo
                        None if lam is None else lam.member, ntilde, target, P)
     rows = Rows(*(None if a is None else a[None] for a in rows))
     _enroll(est, rows)
-    loss, grad = stack_loss_and_grad(est, est.theta[None], rows, np.array([spec.lambda_n2r]))
+    loss, grad = stack_loss_and_grad(est, est.theta[None], rows, slice(None),
+                                     np.array([spec.lambda_n2r]))
     return float(loss[0]), grad[0]
 
 
@@ -449,29 +449,45 @@ class _CellRun:
         return float(np.cumsum(nmse_rows(rec, data.y0))[-1]) / len(data)
 
 
-def _stack_epoch(runs: list[_CellRun], epoch: int, n_cons: int) -> Rows:
+def _stack_epoch(runs: list[_CellRun], epoch: int) -> Rows:
     """Every cell's epoch rows in its item order, as (n, C, q) arrays: step s reads [s].
 
-    Cells are built one at a time, so only one cell's epoch arrays exist
-    beside the stack's.
+    When a cell has a consistency term, a cell without one repeats its own
+    input and support (an enrolled pattern) as its consistency rows. Cells
+    are built one at a time, so only one cell's epoch arrays exist beside
+    the stack's.
     """
+    consistency = any(run.method.consistency is not None for run in runs)
     fields = [None] * len(Rows._fields)
     for c, run in enumerate(runs):
         rows, order = run.epoch_rows(epoch)
+        if consistency and rows.y_c is None:
+            rows = rows._replace(y_c=rows.y_in, m_c=rows.m_in)
         for k, arr in enumerate(rows):
             if arr is None:
                 continue
             if fields[k] is None:
-                width = n_cons if Rows._fields[k] in ("y_c", "m_c") else len(runs)
-                fields[k] = np.empty((arr.shape[0], width, arr.shape[1]), dtype=arr.dtype)
+                fields[k] = np.empty((arr.shape[0], len(runs), arr.shape[1]), dtype=arr.dtype)
             fields[k][:, c] = arr[order]
     return Rows(*fields)
 
 
+def _consistency_cells(cells: list[Cell]):
+    """The index of the cells with a consistency term, and their weights.
+
+    The index is a slice when it is every cell, so that a large cell trained
+    alone reads and writes its gradient through views: an index array would
+    copy the whole gradient.
+    """
+    has = [M.row(cell.spec.method).consistency is not None for cell in cells]
+    cons = slice(None) if all(has) else np.flatnonzero(has)
+    return cons, np.array([cell.spec.lambda_n2r for cell, h in zip(cells, has) if h])
+
+
 def _train_stack(cells: list[Cell], validate_every: int) -> list[list[dict]]:
-    """Train one stack in lockstep; cells with a consistency term come first."""
+    """Train one stack in lockstep, its cells in plan order."""
     runs = [_CellRun(cell) for cell in cells]
-    n_cons = sum(run.method.consistency is not None for run in runs)
+    cons, lambda_n2r = _consistency_cells(cells)
     est = cells[0].est
     spec = cells[0].spec
     theta = None  # a stack of one steps est.theta, which may grow
@@ -480,12 +496,11 @@ def _train_stack(cells: list[Cell], validate_every: int) -> list[list[dict]]:
         for c, cell in enumerate(cells):
             theta[c] = cell.est.theta
             cell.est.theta = theta[c]
-    lambda_n2r = np.array([cell.spec.lambda_n2r for cell in cells[:n_cons]])
     state = AdamState.from_spec(spec)
     n = len(cells[0].data)
     histories = [[] for _ in cells]
     for epoch in range(spec.epochs):
-        rows = _stack_epoch(runs, epoch, n_cons)
+        rows = _stack_epoch(runs, epoch)
         steps = [Rows(*(None if a is None else a[s] for a in rows)) for s in range(n)]
         if theta is None:
             # Only a stack of one can grow its parameters. Its patterns enroll
@@ -499,7 +514,7 @@ def _train_stack(cells: list[Cell], validate_every: int) -> list[list[dict]]:
         for start in range(0, n, spec.batch_size):
             grad = None  # the previous step's gradient goes before the next is built
             for s in range(start, min(start + spec.batch_size, n)):
-                loss, g = stack_loss_and_grad(est, params, steps[s], lambda_n2r)
+                loss, g = stack_loss_and_grad(est, params, steps[s], cons, lambda_n2r)
                 if not np.isfinite(loss).all():
                     bad = cells[int(np.argmin(np.isfinite(loss)))]
                     raise TrainingDiverged(
@@ -526,11 +541,7 @@ def _run_stack(stack: list[tuple[int, Cell]], validate_every: int):
     t0 = time.perf_counter()
     if len({id(cell.est) for _, cell in stack}) != len(stack):
         raise ConfigError("each cell needs its own estimator")
-    order = sorted(range(len(stack)),
-                   key=lambda k: M.row(stack[k][1].spec.method).consistency is None)
-    histories = [None] * len(stack)
-    for k, history in zip(order, _train_stack([stack[k][1] for k in order], validate_every)):
-        histories[k] = history
+    histories = _train_stack([cell for _, cell in stack], validate_every)
     return [position for position, _ in stack], histories, time.perf_counter() - t0
 
 

@@ -2,6 +2,10 @@
 
 import base64
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,6 +193,22 @@ def test_verify_cli_report_schema(tmp_path):
     names = {entry["name"] for entry in report["reports"]}
     assert f"population_minimizer[{M.ROBUST_SSDU}]" in names
     assert f"gradient_equivalence[{M.NOISIER2FULL}]" in names
+
+
+def test_verify_report_does_not_depend_on_blas_threads(tmp_path):
+    """`kslab verify --seed 1` writes the same report.json bytes under one and
+    two OpenBLAS threads. Each run is a subprocess, since OpenBLAS reads its
+    thread count when it loads."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        subprocess.run([sys.executable, "-m", "kslab.cli", "verify", "--seed", "1",
+                        "--out", str(out)], check=True, capture_output=True,
+                       env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path})
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def _reject_constant(name):

@@ -151,8 +151,6 @@ def _assert_rows_alone(est, theta, y, members, cot):
         out_c, pullback_c = est.forward_vjp_stack(theta[c:c + 1], y[c:c + 1], members[c:c + 1])
         assert np.array_equal(out[c], out_c[0])
         assert np.array_equal(grad[c], pullback_c(cot[c:c + 1])[0])
-    for rows in (slice(2, 7), slice(0, 1), slice(5, None)):
-        assert np.array_equal(pullback(cot[rows], rows), grad[rows])
 
 
 def test_affine_stack_rows_match_rows_alone_distinct_theta():
@@ -291,12 +289,11 @@ def test_pullback_stays_valid_after_a_later_forward():
     expected = pullback(cot)
     est.forward_vjp_stack(rng.standard_normal(theta.shape), 2.0 * y, members)
     assert np.array_equal(pullback(cot), expected)
-    assert np.array_equal(pullback(cot[1:], slice(1, None)), expected[1:])
 
 
 def test_toy_cascade_rows_match_rows_alone():
-    """A cascade's pullback over a slice of rows carries each network's input
-    gradient into the earlier cascade, as the rows alone do."""
+    """A cascade's stacked pullback carries each network's input gradient
+    into the earlier cascade, as the rows alone do."""
     q, n = 4, 6
     est = ToyCascade(q, cascades=2, seed=4)
     rng = stream(8, "cascade_rows")
@@ -306,12 +303,12 @@ def test_toy_cascade_rows_match_rows_alone():
     theta = est.theta + 0.1 * rng.standard_normal((n, est.theta.shape[0]))
     _assert_rows_alone(est, theta, y, members, cot)
     # and the gradient is right: a directional derivative per row, by central differences
-    rows, step = slice(1, 4), 1e-6
-    grad = est.forward_vjp_stack(theta, y, members)[1](cot[rows], rows)
-    d = rng.standard_normal(theta[rows].shape)
-    plus, minus = (est.forward_vjp_stack(theta[rows] + sign * step * d, y[rows], members[rows])[0]
+    step = 1e-6
+    grad = est.forward_vjp_stack(theta, y, members)[1](cot)
+    d = rng.standard_normal(theta.shape)
+    plus, minus = (est.forward_vjp_stack(theta + sign * step * d, y, members)[0]
                    for sign in (1.0, -1.0))
-    fd = np.sum((np.conj(cot[rows]) * (plus - minus)).real, axis=1) / (2 * step)
+    fd = np.sum((np.conj(cot) * (plus - minus)).real, axis=1) / (2 * step)
     assert np.allclose(np.sum(grad * d, axis=1), fd, rtol=1e-6, atol=1e-8)
 
 

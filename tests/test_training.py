@@ -450,18 +450,20 @@ def test_robust_reduction_to_noisier2full_on_full_omega():
 
 
 def _lockstep_cells(batch_size):
-    """A mixed tiny_net stack of all 8 methods, a 2-cell toy_cascade stack and
-    an affine cell (Noise2Recon-SS: two patterns enroll per step)."""
+    """A mixed tiny_net stack of all 8 methods plus a Noise2Recon-SS cell at
+    lambda_n2r = 0, a 2-cell toy_cascade stack and an affine cell
+    (Noise2Recon-SS: two patterns enroll per step)."""
     models = [model_preset("banded", sigma_n=s, alpha=0.75) for s in (0.1, 0.3)]
-    plan = [(TinyNet, {"width_factor": 1}, m) for m in M.ALL_METHODS]
-    plan += [(ToyCascade, {"cascades": 2}, m) for m in (M.NOISE2RECON_SS, M.ROBUST_SSDU)]
-    plan += [(AffinePerPattern, {}, M.NOISE2RECON_SS)]
+    plan = [(TinyNet, {"width_factor": 1}, m, 0.7) for m in M.ALL_METHODS]
+    plan += [(TinyNet, {"width_factor": 1}, M.NOISE2RECON_SS, 0.0)]
+    plan += [(ToyCascade, {"cascades": 2}, m, 0.7) for m in (M.NOISE2RECON_SS, M.ROBUST_SSDU)]
+    plan += [(AffinePerPattern, {}, M.NOISE2RECON_SS, 0.7)]
     cells = []
-    for k, (family, opts, method) in enumerate(plan):
+    for k, (family, opts, method, lambda_n2r) in enumerate(plan):
         model = models[k % 2]
         opts = opts if family is AffinePerPattern else {**opts, "seed": k}
         spec = TrainSpec(method=method, epochs=3, lr=5e-3, seed=80 + k, alpha=0.75,
-                         lambda_n2r=0.7, batch_size=batch_size)
+                         lambda_n2r=lambda_n2r, batch_size=batch_size)
         cells.append(Cell(spec, family(model.q, **opts), build_dataset(model, 5, seed=80 + k),
                           model))
     return cells
@@ -506,7 +508,7 @@ def test_lockstep_stacks_match_cells_trained_alone(batch_size):
     together = _lockstep_cells(batch_size)
     initial = [cell.est.theta.copy() for cell in together]
     stacked = list(train_cells(together, validate_every=2))
-    assert sorted(len(positions) for positions, _, _ in stacked) == [1, 2, 8]
+    assert sorted(len(positions) for positions, _, _ in stacked) == [1, 2, 9]
     histories = {k: history for positions, stack_histories, _ in stacked
                  for k, history in zip(positions, stack_histories)}
     for k, cell in enumerate(together):
@@ -525,10 +527,11 @@ def test_lockstep_stacks_match_cells_trained_alone(batch_size):
         assert [("val_nmse" in row) for row in history] == [True, False, True]
 
 
-def test_toy_cascade_stack_cuts_layer_views_once(monkeypatch):
-    """Over 10 stacked steps of one parameter array, each segment network of
-    a 2-cascade stack cuts its layer views once, not on each of the 40
-    network forward passes, and the stack trains as its cells alone do."""
+def _view_cuts(monkeypatch, family, opts, methods):
+    """Train one cell per method (``family`` with ``opts``) as one stack of 10
+    steps, counting ``Mlp._layers`` calls and each network's view cuts; the
+    stack must train as its cells alone do. Returns the number of calls and
+    the sorted cuts per network."""
     cut, calls = {}, []
     layers = Mlp._layers
 
@@ -541,18 +544,34 @@ def test_toy_cascade_stack_cuts_layer_views_once(monkeypatch):
     def cells():
         model = model_preset("banded", sigma_n=0.2, alpha=0.75)
         return [Cell(TrainSpec(method=method, epochs=1, seed=k, alpha=0.75),
-                     ToyCascade(model.q, cascades=2, seed=k), build_dataset(model, 10, k), model)
-                for k, method in enumerate((M.NOISIER2FULL, M.ROBUST_SSDU))]
+                     family(model.q, seed=k, **opts), build_dataset(model, 10, k), model)
+                for k, method in enumerate(methods)]
 
     monkeypatch.setattr(Mlp, "_layers", counting)
     stacked = cells()
     [(positions, _, _)] = train_cells(stacked, validate_every=0)
-    assert positions == [0, 1]
-    assert len(calls) == 40
-    assert sorted(cut.values()) == [1, 1, 1, 1]
+    assert positions == list(range(len(methods)))
+    counts = len(calls), sorted(cut.values())
     for cell, alone in zip(stacked, cells()):
         train(*alone, validate_every=0)
         assert np.array_equal(cell.est.theta, alone.est.theta)
+    return counts
+
+
+def test_toy_cascade_stack_cuts_layer_views_once(monkeypatch):
+    """Over 10 stacked steps of one parameter array, each segment network of
+    a 2-cascade stack cuts its layer views once, not on each of the 40
+    network forward passes, and the stack trains as its cells alone do."""
+    assert _view_cuts(monkeypatch, ToyCascade, {"cascades": 2},
+                      (M.NOISIER2FULL, M.ROBUST_SSDU)) == (40, [1, 1, 1, 1])
+
+
+def test_mixed_stack_with_consistency_cuts_layer_views_once(monkeypatch):
+    """A tiny_net stack holding a Noise2Recon-SS cell among others runs its
+    consistency forward pass on the stack's own parameter array, so over 10
+    steps (20 forward passes) its network cuts its layer views once."""
+    assert _view_cuts(monkeypatch, TinyNet, {"width_factor": 1},
+                      (M.NOISIER2FULL, M.NOISE2RECON_SS, M.ROBUST_SSDU)) == (20, [1])
 
 
 @pytest.mark.parametrize("batch_size,gradients", [(1, 1), (2, 2)])

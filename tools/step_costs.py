@@ -4,8 +4,9 @@ Each AC-7 stack has 8 ``tiny_net`` cells on the AC-7 model: banded q = 8,
 ``width_factor`` 2 (layers 16-16-16-16, 816 parameters per cell), 256
 training items, learning rate 5e-3, alpha 1. There is one stack per training
 method, whose 8 cells run that method alone at sigma_n 0.1 and 0.3 (4 seeds
-each), and the AC-7 mixed stack: fully_supervised, noisier2full,
-standard_ssdu and robust_ssdu at sigma_n 0.1 and 0.3. Beside them runs one
+each), the AC-7 mixed stack: fully_supervised, noisier2full,
+standard_ssdu and robust_ssdu at sigma_n 0.1 and 0.3, and an all-methods
+stack: one cell per method at sigma_n 0.1. Beside them runs one
 stack shaped like the benchmark's train-2d workload: one ``toy_cascade``
 cell (2 cascades, 2,101,250 parameters) on bernoulli2d q = 256, 16 training
 items, robust_ssdu at sigma_n 0.1 and alpha 0.75.
@@ -50,6 +51,7 @@ from kslab.training import (  # noqa: E402
     Rows,
     TrainSpec,
     _CellRun,
+    _consistency_cells,
     _stack_epoch,
     adam_step,
     build_dataset,
@@ -63,14 +65,12 @@ TRAIN_2D = "train_2d_toy_cascade"
 
 
 def _cells(plan) -> list[Cell]:
-    """One cell per (method, sigma_n), seeded by its position; consistency
-    cells first, as a stack trains them."""
+    """One cell per (method, sigma_n), seeded by its position, in plan order."""
     models = {s: model_preset("banded", sigma_n=s, alpha=1.0) for s in SIGMAS}
-    cells = [Cell(TrainSpec(method=method, lr=5e-3, seed=seed, alpha=1.0),
-                  TinyNet(models[sigma].q, width_factor=2, seed=seed),
-                  build_dataset(models[sigma], N_TRAIN, seed), models[sigma])
-             for seed, (method, sigma) in enumerate(plan)]
-    return sorted(cells, key=lambda cell: M.row(cell.spec.method).consistency is None)
+    return [Cell(TrainSpec(method=method, lr=5e-3, seed=seed, alpha=1.0),
+                 TinyNet(models[sigma].q, width_factor=2, seed=seed),
+                 build_dataset(models[sigma], N_TRAIN, seed), models[sigma])
+            for seed, (method, sigma) in enumerate(plan)]
 
 
 def _train_2d_cells() -> list[Cell]:
@@ -84,19 +84,18 @@ def steps(cells: list[Cell]) -> Iterator[tuple[float, float]]:
     seconds of forward+pullback and of Adam. As in training, a step's
     gradient is let go before the next one is built."""
     runs = [_CellRun(cell) for cell in cells]
-    n_cons = sum(run.method.consistency is not None for run in runs)
+    cons, lambda_n2r = _consistency_cells(cells)
     est = cells[0].est
     theta = np.stack([cell.est.theta for cell in cells])
     for cell, row in zip(cells, theta):  # one copy of the parameters, as in training
         cell.est.theta = row
-    lambda_n2r = np.array([cell.spec.lambda_n2r for cell in cells[:n_cons]])
     state = AdamState.from_spec(cells[0].spec)
     for epoch in itertools.count():
-        rows = _stack_epoch(runs, epoch, n_cons)
+        rows = _stack_epoch(runs, epoch)
         for s in range(len(cells[0].data)):
             step = Rows(*(None if a is None else a[s] for a in rows))
             t0 = perf_counter()
-            _, grad = stack_loss_and_grad(est, theta, step, lambda_n2r)
+            _, grad = stack_loss_and_grad(est, theta, step, cons, lambda_n2r)
             t1 = perf_counter()
             adam_step(state, theta, grad)
             t2 = perf_counter()
@@ -137,6 +136,7 @@ def main() -> None:
              for method in M.ALL_METHODS]
     plans.append(("ac7_mixed", [(method, sigma) for sigma in SIGMAS
                                 for method in AC7_METHODS]))
+    plans.append(("all_methods", [(method, SIGMAS[0]) for method in M.ALL_METHODS]))
     stacks = {name: (lambda plan=plan: _cells(plan)) for name, plan in plans}
     stacks[TRAIN_2D] = _train_2d_cells
     print(f"# us per stacked step, least of {args.epochs} epoch medians: 8 tiny_net cells "
