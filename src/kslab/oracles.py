@@ -552,7 +552,8 @@ def _gradient_moments(claim: str, est: AffinePerPattern, model: MeasurementModel
         part = training.Rows(*(None if a is None else a[block] for a in rows))
         theta = np.broadcast_to(est.theta, (part.y_in.shape[0], n_params))
         f, pullback = est.forward_vjp_stack(theta, part.y_in, part.m_in)
-        grads = {"surr": training.stack_loss_and_grad(_Forwarded(f, pullback), theta, part)[1]}
+        grads = {"surr": training.stack_loss_and_grad(_Forwarded(f, pullback), theta, part,
+                                                          None, None)[1]}
         d = np.where(part.m_in, (1.0 + alpha ** 2) / alpha ** 2, 1.0)
         est_y = correct(f, part.y_in, part.m_in, alpha)
         grads["oracle"] = 2.0 * pullback(d * (est_y - draws.y0[block]))

@@ -225,15 +225,16 @@ def method_rows(method: M.Method, alpha: float, y, omega, lam, ntilde, target,
     return Rows(y_in, m_in, target, w2, *method.consistency.build(y, omega, lam, ntilde))
 
 
-def stack_loss_and_grad(est: Estimator, theta: np.ndarray, rows: Rows, cons=None,
-                        lambda_n2r=None) -> tuple[np.ndarray, np.ndarray]:
+def stack_loss_and_grad(est: Estimator, theta: np.ndarray, rows: Rows, cons,
+                        lambda_n2r) -> tuple[np.ndarray, np.ndarray]:
     """Losses (C,) and exact gradients (C, P) of C cells, one item each.
 
     Row c of ``theta`` and of every array in ``rows`` belongs to cell c. One
     forward pass f and its pullback give ``sum_j W_jj^2 |f_j - t_j|^2`` and
     its gradient. When ``rows.y_c`` is given, a consistency pass runs on
-    every row, and the cells ``cons`` (an index of the rows) add
-    ``lambda_n2r ||f_c - f||^2`` for the output f_c on their consistency input.
+    every row, and the cells where the bool mask ``cons`` (C,) is set add
+    ``lambda_n2r ||f_c - f||^2`` for the output f_c on their consistency
+    input; the other rows of loss and gradient are left as they are.
     """
     f, pullback = est.forward_vjp_stack(theta, rows.y_in, rows.m_in)
     r = f - rows.target
@@ -244,10 +245,11 @@ def stack_loss_and_grad(est: Estimator, theta: np.ndarray, rows: Rows, cons=None
     if rows.y_c is not None:
         f_c, pullback_c = est.forward_vjp_stack(theta, rows.y_c, rows.m_c)
         rc = f_c - f
-        loss[cons] += lambda_n2r * np.add.reduce(np.square(np.abs(rc[cons])), axis=-1)
-        scale = (2.0 * lambda_n2r)[:, None]
-        grad[cons] += scale * pullback_c(rc)[cons]
-        grad[cons] -= scale * pullback(rc)[cons]
+        np.add(loss, lambda_n2r * np.add.reduce(np.square(np.abs(rc)), axis=-1),
+               out=loss, where=cons)
+        scale, rowwise = (2.0 * lambda_n2r)[:, None], cons[:, None]
+        np.add(grad, scale * pullback_c(rc), out=grad, where=rowwise)
+        np.subtract(grad, scale * pullback(rc), out=grad, where=rowwise)
     return loss, grad
 
 
@@ -284,7 +286,7 @@ def loss_and_grad(spec: TrainSpec, est: Estimator, item: TrainItem) -> tuple[flo
                        None if lam is None else lam.member, ntilde, target, P)
     rows = Rows(*(None if a is None else a[None] for a in rows))
     _enroll(est, rows)
-    loss, grad = stack_loss_and_grad(est, est.theta[None], rows, slice(None),
+    loss, grad = stack_loss_and_grad(est, est.theta[None], rows, np.array([True]),
                                      np.array([spec.lambda_n2r]))
     return float(loss[0]), grad[0]
 
@@ -449,15 +451,14 @@ class _CellRun:
         return float(np.cumsum(nmse_rows(rec, data.y0))[-1]) / len(data)
 
 
-def _stack_epoch(runs: list[_CellRun], epoch: int) -> Rows:
+def _stack_epoch(runs: list[_CellRun], epoch: int, consistency: bool) -> Rows:
     """Every cell's epoch rows in its item order, as (n, C, q) arrays: step s reads [s].
 
-    When a cell has a consistency term, a cell without one repeats its own
-    input and support (an enrolled pattern) as its consistency rows. Cells
-    are built one at a time, so only one cell's epoch arrays exist beside
-    the stack's.
+    With ``consistency`` (some cell has a consistency term), a cell without
+    one repeats its own input and support (an enrolled pattern) as its
+    consistency rows. Cells are built one at a time, so only one cell's
+    epoch arrays exist beside the stack's.
     """
-    consistency = any(run.method.consistency is not None for run in runs)
     fields = [None] * len(Rows._fields)
     for c, run in enumerate(runs):
         rows, order = run.epoch_rows(epoch)
@@ -472,16 +473,12 @@ def _stack_epoch(runs: list[_CellRun], epoch: int) -> Rows:
     return Rows(*fields)
 
 
-def _consistency_cells(cells: list[Cell]):
-    """The index of the cells with a consistency term, and their weights.
-
-    The index is a slice when it is every cell, so that a large cell trained
-    alone reads and writes its gradient through views: an index array would
-    copy the whole gradient.
-    """
-    has = [M.row(cell.spec.method).consistency is not None for cell in cells]
-    cons = slice(None) if all(has) else np.flatnonzero(has)
-    return cons, np.array([cell.spec.lambda_n2r for cell, h in zip(cells, has) if h])
+def _consistency_cells(cells: list[Cell]) -> tuple[np.ndarray, np.ndarray]:
+    """A mask (C,) of the cells with a consistency term, from the method table
+    (a cell at lambda_n2r = 0 still gets its ``+ 0 * ...`` update), and their
+    weights (C,), 0 elsewhere."""
+    has = np.array([M.row(cell.spec.method).consistency is not None for cell in cells])
+    return has, np.where(has, [cell.spec.lambda_n2r for cell in cells], 0.0)
 
 
 def _train_stack(cells: list[Cell], validate_every: int) -> list[list[dict]]:
@@ -500,7 +497,7 @@ def _train_stack(cells: list[Cell], validate_every: int) -> list[list[dict]]:
     n = len(cells[0].data)
     histories = [[] for _ in cells]
     for epoch in range(spec.epochs):
-        rows = _stack_epoch(runs, epoch)
+        rows = _stack_epoch(runs, epoch, cons.any())
         steps = [Rows(*(None if a is None else a[s] for a in rows)) for s in range(n)]
         if theta is None:
             # Only a stack of one can grow its parameters. Its patterns enroll

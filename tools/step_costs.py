@@ -91,7 +91,7 @@ def steps(cells: list[Cell]) -> Iterator[tuple[float, float]]:
         cell.est.theta = row
     state = AdamState.from_spec(cells[0].spec)
     for epoch in itertools.count():
-        rows = _stack_epoch(runs, epoch)
+        rows = _stack_epoch(runs, epoch, cons.any())
         for s in range(len(cells[0].data)):
             step = Rows(*(None if a is None else a[s] for a in rows))
             t0 = perf_counter()
