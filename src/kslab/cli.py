@@ -210,10 +210,6 @@ def run_compare(cfg: dict, out_dir: Path) -> Path:
     return out
 
 
-SWEEP_METHODS = (M.NOISIER2FULL, M.NOISIER2FULL_UNWEIGHTED,
-                 M.ROBUST_SSDU, M.ROBUST_SSDU_UNWEIGHTED)
-
-
 def run_alpha_sweep(cfg: dict, out_dir: Path) -> Path:
     """NMSE of the corrected methods across the further-noise ratio grid."""
     master = cfg["seed"]
@@ -227,7 +223,7 @@ def run_alpha_sweep(cfg: dict, out_dir: Path) -> Path:
     for alpha in cfg["sweep"]["alphas"]:
         model_a = _build_model(cfg, sigma_n=sigma, alpha=alpha, R_omega=r_omega)
         plan += [(method, model_a, alpha, f"sweep_{method}_a{alpha:g}")
-                 for method in SWEEP_METHODS]
+                 for method in M.CORRECTED_METHODS]
     test = _test_set(model, cfg, master, "sweep")
     timing_rows = []
 

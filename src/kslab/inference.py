@@ -28,7 +28,8 @@ MODES = (MODE_THEORY, MODE_PRACTICAL)
 def correct(f_out, input_used, member, alpha: float) -> np.ndarray:
     """((1 + a^2) f - input) / a^2 on the set ``member``, f elsewhere (bit-for-bit).
 
-    Row by row: one output (q,) or a stack (n, q) with matching inputs and sets.
+    Entry by entry, on arrays of any one shape: one output (q,), a stack
+    (n, q), or coefficient maps (n, q, q) with the identity as the input.
     """
     if alpha == 0.0:
         raise ValidationError("alpha must be nonzero for the correction")
@@ -44,20 +45,30 @@ def _require_supported(y: np.ndarray, omega: np.ndarray) -> None:
         raise ValidationError(f"measurements nonzero off the sampling set (index {j})")
 
 
+def estimate_rows(method: str, est: Estimator, y_in, m_in, alpha: float) -> np.ndarray:
+    """The method's estimates (n, q) from network inputs y_in (n, q) with
+    supports m_in (n, q): one stacked forward pass under the estimator's
+    theta, broadcast without a copy, corrected on m_in when the method's
+    input carries the further noise."""
+    theta = np.broadcast_to(est.theta, (y_in.shape[0], est.theta.shape[0]))
+    f = est.forward_vjp_stack(theta, y_in, m_in)[0]
+    return correct(f, y_in, m_in, alpha) if method in M.CORRECTED_METHODS else f
+
+
 def reconstruct_rows(method: str, est: Estimator, y, omega, noise_spec, lambda_dist=None,
                      mode: str = MODE_PRACTICAL, rngs: Iterable[np.random.Generator] | None = None
                      ) -> np.ndarray:
     """Estimates (n, q) of the ground truth from measured data y (n, q) with
     first-level memberships omega (n, q), as the method's row prescribes.
 
-    Methods whose training input carries the further noise are corrected.
-    Theory mode feeds such a method a fresh input of its training kind: for
-    each row in turn, a second-level mask drawn from lambda_dist (Lambda ∩
-    Omega inputs only), then further noise, both from that row's generator
-    in ``rngs`` (exactly one per row). Practical mode feeds the data itself,
-    corrects on Omega and reads no generator. All rows are then forwarded
-    in one stacked call under the estimator's theta, broadcast without a
-    copy, so each row gets the bits it gets alone.
+    Both modes require y to be zero off omega. Methods whose training input
+    carries the further noise are corrected. Theory mode feeds such a method
+    a fresh input of its training kind: for each row in turn, a second-level
+    mask drawn from lambda_dist (Lambda ∩ Omega inputs only), then further
+    noise, both from that row's generator in ``rngs`` (exactly one per row).
+    Practical mode feeds the data itself, corrects on Omega and reads no
+    generator. All rows then go through ``estimate_rows``, so each row gets
+    the bits it gets alone.
     """
     row = M.row(method)
     if mode not in MODES:
@@ -66,12 +77,10 @@ def reconstruct_rows(method: str, est: Estimator, y, omega, noise_spec, lambda_d
     omega = np.asarray(omega, dtype=bool)
     if omega.shape != arr.shape:
         raise DimensionError(f"memberships {omega.shape} do not match the data {arr.shape}")
-    theta = np.broadcast_to(est.theta, (arr.shape[0], est.theta.shape[0]))
-    if not row.input.further_noise:
-        return est.forward_vjp_stack(theta, arr, omega)[0]
+    _require_supported(arr, omega)
     alpha = noise_spec.alpha
-    if mode == MODE_PRACTICAL:
-        return correct(est.forward_vjp_stack(theta, arr, omega)[0], arr, omega, alpha)
+    if mode == MODE_PRACTICAL or not row.input.further_noise:
+        return estimate_rows(method, est, arr, omega, alpha)
 
     if rngs is None:
         raise ConfigError("theory mode requires an rng for the fresh corruption draws")
@@ -80,9 +89,8 @@ def reconstruct_rows(method: str, est: Estimator, y, omega, noise_spec, lambda_d
     lam, ntilde = second_level_draws(rngs, *arr.shape,
                                      lambda_dist if row.input.on_intersect else None,
                                      alpha * noise_spec.sigma_n)
-    _require_supported(arr, omega)
     y_in, m_in = row.input.build(arr, omega, lam, ntilde)
-    return correct(est.forward_vjp_stack(theta, y_in, m_in)[0], y_in, m_in, alpha)
+    return estimate_rows(method, est, y_in, m_in, alpha)
 
 
 def reconstruct(method: str, est: Estimator, y, omega: SamplingMask, noise_spec,

@@ -103,6 +103,9 @@ METHODS = {
 
 ALL_METHODS = tuple(METHODS)
 
+# Methods that correct at inference: those whose input carries ntilde, in table order.
+CORRECTED_METHODS = tuple(m for m in ALL_METHODS if METHODS[m].input.further_noise)
+
 # Methods with a population-minimizer proof (all but Noise2Recon-SS).
 PROOF_BACKED_METHODS = tuple(m for m in ALL_METHODS if m != NOISE2RECON_SS)
 

@@ -27,15 +27,14 @@ from . import methods as M
 from . import training
 from .errors import ConfigError, ValidationError
 from .estimators import AffinePerPattern, Estimator, closed_form_affine_fit, group_rows
-from .inference import correct
+from .inference import correct, estimate_rows
 from .kspace import SamplingMask, apply_mask, mask_algebra
+from .methods import TARGET_Y0, TARGET_Y0_PLUS_N  # re-exported: the method table's targets
 from .noise import NoiseSpec, complex_gaussian
 from .rng import stream
 from .sampling import COLUMN_POLYNOMIAL, MaskDistribution, compute_P, compute_k
 from .synthetic import MeasurementModel, gaussian_ground_truth
 
-TARGET_Y0 = "y0"
-TARGET_Y0_PLUS_N = "y0_plus_n"
 COND_ON_Y = "on_Y"
 COND_ON_YTILDE = "on_ytilde"
 
@@ -305,16 +304,16 @@ def check_population_minimizer(method: str, model: MeasurementModel,
 
 
 def corrected_coefficients(a_fit: np.ndarray, pattern, alpha: float) -> np.ndarray:
-    """Apply the additive correction to fitted coefficient matrices.
+    """``inference.correct`` applied to fitted coefficient matrices.
 
-    Row-wise algebra of the correction: on the corrected set the estimate
-    ((1 + a^2) f - input) / a^2 becomes ((1 + a^2) A_j - e_j) / a^2.
+    Column k of A is the output on input e_k, so A is corrected entry by
+    entry with the identity as the input and the pattern along each column.
     ``a_fit`` is (q, q) for a ``SamplingMask`` ``pattern``, or (n, q, q) for
     pattern rows (n, q) of bool.
     """
     member = pattern.member if isinstance(pattern, SamplingMask) else pattern
-    eye = np.eye(a_fit.shape[-1], dtype=np.complex128)
-    return np.where(member[..., None], ((1.0 + alpha ** 2) * a_fit - eye) / alpha ** 2, a_fit)
+    eye = np.broadcast_to(np.eye(a_fit.shape[-1], dtype=np.complex128), a_fit.shape)
+    return correct(a_fit, eye, np.broadcast_to(member[..., None], a_fit.shape), alpha)
 
 
 def check_correction_identity(method: str, model: MeasurementModel,
@@ -403,9 +402,7 @@ def _mse_errors(method: str, est: AffinePerPattern, model: MeasurementModel,
                 draws: _Draws) -> np.ndarray:
     """Per-draw || theory-mode corrected reconstruction - ground truth ||^2."""
     y_in, m_in = M.row(method).input.build(draws.y, draws.omega, draws.lam, draws.ntilde)
-    theta = np.broadcast_to(est.theta, (y_in.shape[0], est.theta.shape[0]))
-    f, _ = est.forward_vjp_stack(theta, y_in, m_in)
-    est_y = correct(f, y_in, m_in, model.noise.alpha)
+    est_y = estimate_rows(method, est, y_in, m_in, model.noise.alpha)
     return np.sum(np.abs(est_y - draws.y0) ** 2, axis=1)
 
 
@@ -418,7 +415,7 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 def mc_corrected_mse(method: str, est: Estimator, model: MeasurementModel,
                      samples: int, seed: int) -> tuple[float, float]:
     """Theory-mode reconstruction MSE over fresh draws (mean, standard error)."""
-    if not M.row(method).input.further_noise:
+    if method not in M.CORRECTED_METHODS:
         raise ConfigError(f"{method!r} applies no correction")
     _require_affine(est)
     total = 0.0
@@ -511,25 +508,15 @@ def _oracle_gradient(method: str, est: Estimator, model: MeasurementModel,
     return 2.0 * est.vjp(y_tilde, m_in, d * (est_y - y0))
 
 
-class _Forwarded:
-    """An estimator whose stacked forward pass on a block is already done:
-    ``forward_vjp_stack`` returns that pass's outputs and pullback."""
-
-    def __init__(self, out: np.ndarray, pullback):
-        self.forwarded = (out, pullback)
-
-    def forward_vjp_stack(self, theta, y_in, member):
-        return self.forwarded
-
-
 def _gradient_moments(claim: str, est: AffinePerPattern, model: MeasurementModel,
                       draws: _Draws) -> tuple[dict, dict, float]:
     """Sums and sums of squares of the per-draw surrogate, oracle and difference gradients.
 
     Rows go in blocks of ``MOMENT_BLOCK`` gradient entries, and each block
-    runs one forward pass. The surrogate gradients are training's own step
-    (``training.method_rows`` and ``training.stack_loss_and_grad``, handed
-    that pass); the oracle gradients come from the same pass's pullback.
+    runs one forward pass. The surrogate gradients are training's own
+    weighted loss (``training.method_rows`` and
+    ``training.weighted_loss_and_grad`` on that pass); the oracle gradients
+    come from the same pass's pullback.
     The first draw of each distinct (Omega, Lambda) pair is recomputed
     through ``training.loss_and_grad`` and ``_oracle_gradient``; the third
     value is the largest deviation of a batched gradient row from its
@@ -552,8 +539,7 @@ def _gradient_moments(claim: str, est: AffinePerPattern, model: MeasurementModel
         part = training.Rows(*(None if a is None else a[block] for a in rows))
         theta = np.broadcast_to(est.theta, (part.y_in.shape[0], n_params))
         f, pullback = est.forward_vjp_stack(theta, part.y_in, part.m_in)
-        grads = {"surr": training.stack_loss_and_grad(_Forwarded(f, pullback), theta, part,
-                                                          None, None)[1]}
+        grads = {"surr": training.weighted_loss_and_grad(f, pullback, part)[1]}
         d = np.where(part.m_in, (1.0 + alpha ** 2) / alpha ** 2, 1.0)
         est_y = correct(f, part.y_in, part.m_in, alpha)
         grads["oracle"] = 2.0 * pullback(d * (est_y - draws.y0[block]))

@@ -225,23 +225,29 @@ def method_rows(method: M.Method, alpha: float, y, omega, lam, ntilde, target,
     return Rows(y_in, m_in, target, w2, *method.consistency.build(y, omega, lam, ntilde))
 
 
+def weighted_loss_and_grad(f: np.ndarray, pullback, rows: Rows) -> tuple[np.ndarray, np.ndarray]:
+    """Losses ``sum_j W_jj^2 |f_j - t_j|^2`` (C,) and their exact gradients
+    (C, P) from a forward pass f (C, q) on ``rows.y_in`` and its pullback."""
+    r = f - rows.target
+    # the operations of np.sum(w2 * np.abs(r) ** 2), without np.sum's Python wrapper
+    loss = np.add.reduce(rows.w2 * np.square(np.abs(r)), axis=-1)
+    # 2 pullback(w2 r) to the bit: the pullback is linear and doubling is exact
+    return loss, pullback((rows.w2 * r) * 2.0)
+
+
 def stack_loss_and_grad(est: Estimator, theta: np.ndarray, rows: Rows, cons,
                         lambda_n2r) -> tuple[np.ndarray, np.ndarray]:
     """Losses (C,) and exact gradients (C, P) of C cells, one item each.
 
     Row c of ``theta`` and of every array in ``rows`` belongs to cell c. One
-    forward pass f and its pullback give ``sum_j W_jj^2 |f_j - t_j|^2`` and
-    its gradient. When ``rows.y_c`` is given, a consistency pass runs on
-    every row, and the cells where the bool mask ``cons`` (C,) is set add
-    ``lambda_n2r ||f_c - f||^2`` for the output f_c on their consistency
-    input; the other rows of loss and gradient are left as they are.
+    forward pass f and its pullback give the weighted loss and its gradient
+    (``weighted_loss_and_grad``). When ``rows.y_c`` is given, a consistency
+    pass runs on every row, and the cells where the bool mask ``cons`` (C,)
+    is set add ``lambda_n2r ||f_c - f||^2`` for the output f_c on their
+    consistency input; the other rows of loss and gradient are left as they are.
     """
     f, pullback = est.forward_vjp_stack(theta, rows.y_in, rows.m_in)
-    r = f - rows.target
-    # the operations of np.sum(w2 * np.abs(r) ** 2), without np.sum's Python wrapper
-    loss = np.add.reduce(rows.w2 * np.square(np.abs(r)), axis=-1)
-    # 2 pullback(w2 r) to the bit: the pullback is linear and doubling is exact
-    grad = pullback((rows.w2 * r) * 2.0)
+    loss, grad = weighted_loss_and_grad(f, pullback, rows)
     if rows.y_c is not None:
         f_c, pullback_c = est.forward_vjp_stack(theta, rows.y_c, rows.m_c)
         rc = f_c - f

@@ -196,19 +196,31 @@ def test_verify_cli_report_schema(tmp_path):
 
 
 def test_verify_report_does_not_depend_on_blas_threads(tmp_path):
-    """`kslab verify --seed 1` writes the same report.json bytes under one and
-    two OpenBLAS threads. Each run is a subprocess, since OpenBLAS reads its
-    thread count when it loads."""
+    """`kslab verify --seed 1` writes the same report.json bytes, and a small
+    theory-mode `compare` of all 8 methods the same results.csv bytes, under
+    one and two OpenBLAS threads. Each run is a subprocess, one at a time,
+    since OpenBLAS reads its thread count when it loads."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    reports = []
+    cfg_path = write_cfg(tmp_path, {
+        "model": {"preset": "banded", "sigma_n": 0.3},
+        "train": {"epochs": 2, "n_train": 16},
+        "eval": {"n_test": 16},
+        "compare": {"methods": list(M.ALL_METHODS), "sigma_n": [0.3]},
+        "mode": "theory",
+        "seed": 3,
+    })
+    outputs = []
     for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
         out = tmp_path / f"threads{threads}"
         subprocess.run([sys.executable, "-m", "kslab.cli", "verify", "--seed", "1",
-                        "--out", str(out)], check=True, capture_output=True,
-                       env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path})
-        reports.append((out / "report.json").read_bytes())
-    assert reports[0] == reports[1]
+                        "--out", str(out / "verify")], check=True, capture_output=True, env=env)
+        subprocess.run([sys.executable, "-m", "kslab.cli", "compare", "--config", cfg_path,
+                        "--out", str(out / "compare")], check=True, capture_output=True, env=env)
+        outputs.append([(out / "verify" / "report.json").read_bytes(),
+                        (out / "compare" / "results.csv").read_bytes()])
+    assert outputs[0] == outputs[1]
 
 
 def _reject_constant(name):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kslab.errors import DimensionError, ValidationError
 from kslab.kspace import (
@@ -84,6 +86,23 @@ def test_mask_algebra_derived_probs():
     alg = mask_algebra(omega, lam)
     assert np.allclose(alg.intersect.probs, [0.4, 0.1])
     assert np.allclose(alg.omega_minus_lambda.probs, [0.4, 0.3])
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), q=st.integers(1, 16))
+def test_mask_algebra_partition_property(data, q):
+    """Omega ∩ Lambda and Omega \\ Lambda are disjoint and together make
+    Omega, with probabilities p * ptilde and p * (1 - ptilde)."""
+    def draw(elements):
+        return np.array(data.draw(st.lists(elements, min_size=q, max_size=q)))
+
+    omega = SamplingMask(draw(st.booleans()), draw(st.floats(0.0, 1.0)))
+    lam = SamplingMask(draw(st.booleans()), draw(st.floats(0.0, 1.0)))
+    alg = mask_algebra(omega, lam)
+    assert not np.any(alg.intersect.member & alg.omega_minus_lambda.member)
+    assert np.array_equal(alg.intersect.member | alg.omega_minus_lambda.member, omega.member)
+    assert np.array_equal(alg.intersect.probs, omega.probs * lam.probs)
+    assert np.array_equal(alg.omega_minus_lambda.probs, omega.probs * (1.0 - lam.probs))
 
 
 def test_dft_delta_to_constant():

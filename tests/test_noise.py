@@ -6,7 +6,7 @@ import pytest
 from kslab import methods as M
 from kslab.errors import ValidationError
 from kslab.estimators import AffinePerPattern
-from kslab.inference import MODE_THEORY, reconstruct
+from kslab.inference import MODE_PRACTICAL, MODE_THEORY, reconstruct
 from kslab.kspace import SamplingMask, apply_mask, full_mask
 from kslab.noise import (
     NoiseSpec,
@@ -69,16 +69,18 @@ def test_corrupt_noisier2full_tiny_alpha_limit():
 
 
 def test_corrupt_rejects_unsupported_measurements():
+    """Both modes reject data that is nonzero off the sampling set."""
     model = model_preset("banded", sigma_n=0.1, alpha=1.0)
     q = model.q
     omega = SamplingMask.from_indices(q, [0], np.full(q, 0.5))
     est = AffinePerPattern(q)
     est.ensure_pattern(omega)
     y = np.ones(q, dtype=complex)  # nonzero off omega
-    for method in (M.NOISIER2FULL, M.ROBUST_SSDU):
-        with pytest.raises(ValidationError, match="off the sampling set"):
-            reconstruct(method, est, y, omega, model.noise, model.lambda_dist,
-                        MODE_THEORY, stream(6, "b"))
+    for mode in (MODE_THEORY, MODE_PRACTICAL):
+        for method in (M.NOISIER2FULL, M.ROBUST_SSDU):
+            with pytest.raises(ValidationError, match="off the sampling set"):
+                reconstruct(method, est, y, omega, model.noise, model.lambda_dist,
+                            mode, stream(6, "b"))
 
 
 def test_corrupt_robust_ssdu_support_and_variance():

@@ -4,6 +4,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kslab import methods as M
 from kslab.errors import ConfigError, ValidationError
@@ -23,12 +25,14 @@ from kslab.oracles import (
     check_correction_identity,
     check_gradient_equivalence,
     check_population_minimizer,
+    corrected_coefficients,
     enumerate_patterns,
     gaussian_conditional_mean,
     gradient_check_model,
     input_level,
     mc_corrected_mse,
     posterior_error_trace,
+    run_oracle_suite,
     _draw_shard,
     _gradient_moments,
     _mse_errors,
@@ -333,6 +337,61 @@ def test_population_minimizer_catches_shifted_stack_write(monkeypatch):
     model = model_preset("banded", sigma_n=0.3, alpha=0.75)
     for method in FITTED_METHODS:
         assert check_population_minimizer(method, model).passed is False
+
+
+CORRECTION_CHECKS = {f"correction_identity[{M.NOISIER2FULL}]",
+                     f"correction_identity[{M.ROBUST_SSDU}]", "correction_algebra"}
+
+
+@pytest.mark.parametrize("defect,caught", [
+    (None, set()),
+    ("alpha_for_alpha_squared", CORRECTION_CHECKS | {f"corrected_mse[{M.NOISIER2FULL}]",
+                                                     f"corrected_mse[{M.ROBUST_SSDU}]"}),
+    ("P_to_P_squared", {"appendix_identity_P_times_one_minus_k"}),
+])
+def test_oracle_suite_catches_injected_defects(defect, caught, monkeypatch):
+    """Each injected defect fails the named checks of the verify suite
+    (banded, sigma_n 0.3, alpha 0.75, default sample counts); the clean code
+    passes every proof-backed check. The correction's divisor alpha^2 becomes
+    alpha in every binding of ``inference.correct``: the exact correction
+    checks apply the function that scoring runs, so they fail with it."""
+    import kslab.inference as inference_mod
+    import kslab.oracles as oracles_mod
+
+    if defect == "alpha_for_alpha_squared":
+        def alpha_for_alpha_squared(f_out, input_used, member, alpha):
+            out = f_out.copy()
+            out[member] = ((1.0 + alpha ** 2) * f_out[member] - input_used[member]) / alpha
+            return out
+
+        for module in (inference_mod, oracles_mod):
+            monkeypatch.setattr(module, "correct", alpha_for_alpha_squared)
+    elif defect == "P_to_P_squared":
+        compute_p = oracles_mod.compute_P
+        monkeypatch.setattr(oracles_mod, "compute_P", lambda p, pt: compute_p(p, pt) ** 2)
+    model = model_preset("banded", sigma_n=0.3, alpha=0.75)
+    reports = {r.name: r for r in run_oracle_suite(model, seed=0)}
+    failed = {name for name, r in reports.items() if r.passed is False}
+    if defect is None:
+        assert failed == set()
+    assert caught <= failed
+    if defect == "alpha_for_alpha_squared":
+        assert all(reports[name].estimate > 0.1 for name in CORRECTION_CHECKS)
+
+
+@settings(max_examples=50, deadline=None)
+@given(q=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1), alpha=st.floats(0.05, 2.0),
+       data=st.data())
+def test_corrected_coefficients_match_corrected_outputs(q, seed, alpha, data):
+    """The corrected map applied to y is the correction of the map's output
+    on y: both forms of the correction agree on random complex maps."""
+    member = np.array(data.draw(st.lists(st.booleans(), min_size=q, max_size=q)))
+    rng = stream(seed, "correction_forms")
+    a = rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q))
+    y = rng.standard_normal(q) + 1j * rng.standard_normal(q)
+    want = correct(a @ y, y, member, alpha)
+    got = corrected_coefficients(a, member, alpha) @ y
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
 def test_appendix_identity_report():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kslab.errors import ConfigError, ValidationError
 from kslab.rng import stream
@@ -129,6 +131,16 @@ def test_P_times_one_minus_k_identity():
         pt = rng.uniform(0.0, 0.95, q)
         ident = compute_P(p, pt) * (1.0 - compute_k(p, pt))
         assert np.abs(ident - 1.0).max() <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), q=st.integers(1, 16))
+def test_P_times_one_minus_k_identity_property(data, q):
+    """P (1 - k) = 1 over the ranges of the appendix-identity check."""
+    p = np.array(data.draw(st.lists(st.floats(0.05, 1.0), min_size=q, max_size=q)))
+    pt = np.array(data.draw(st.lists(st.floats(0.0, 0.95), min_size=q, max_size=q)))
+    ident = compute_P(p, pt) * (1.0 - compute_k(p, pt))
+    assert np.abs(ident - 1.0).max() <= 1e-12
 
 
 def test_validate_mask_conditions_passes_center():
