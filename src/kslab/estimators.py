@@ -417,15 +417,16 @@ class AffinePerPattern(Estimator):
 
     def forward_vjp_stack(self, theta, y_in, member):
         """Rows grouped by input pattern, each distinct one resolved (and
-        warned about) once; one stacked matmul per group, one BLAS gemv per
-        row, so each row gets the bits it gets alone."""
+        warned about) once; one map per group and one BLAS gemv per row, so
+        each row gets the bits it gets alone. Without a stack layout, theta
+        is one vector: one row, or rows broadcast from it (stride 0)."""
+        if theta.shape[0] > 1 and theta.strides[0] != 0:
+            raise DimensionError("affine_per_pattern takes one theta, not distinct rows")
         bs = self.block_size
         groups = [(self._resolve(member[rows[0]]) * bs, rows) for rows in group_rows(member)]
-        if len(groups) == 1:  # one pattern (every one-row call): index by views
-            groups = [(groups[0][0], slice(None))]
         out = np.empty_like(y_in)
         for start, rows in groups:
-            a, b = self._blocks(theta[rows, start:start + bs])
+            a, b = self._blocks(theta[0, start:start + bs])
             out[rows] = np.matmul(a, y_in[rows, :, None])[..., 0] + b
 
         def pullback(cot) -> np.ndarray:

@@ -62,7 +62,7 @@ def second_level_draws(rngs: Iterable[np.random.Generator], n: int, q: int,
     if sigma is not None and sigma < 0.0:
         raise ValidationError("sigma must be >= 0")
     draw_u, draw_z = lambda_dist is not None, sigma is not None
-    uniforms = np.empty((n, lambda_dist.site_probs().shape[0] if draw_u else 0))
+    uniforms = np.empty((n, q if draw_u else 0))
     # both channels of an item in one call: standard_normal(2q) draws what two
     # consecutive standard_normal(q) calls draw
     normals = np.empty((n, 2 * q if draw_z else 0))

@@ -44,6 +44,12 @@ SHARD_SIZE = 4096  # Monte Carlo draws per shard, each shard from its own substr
 CROSSCHECK_RTOL = 1e-12  # batched vs per-draw library gradients
 MOMENT_BLOCK = 1 << 18  # gradient entries (rows x parameters) reduced at a time
 SOLVE_BLOCK = 1 << 16  # entries (patterns x q x size^2) of one stacked oracle solve
+# Tolerances of the exact checks: largest absolute entrywise deviation
+MINIMIZER_TOL = 1e-8  # fitted maps vs conditional-mean coefficients
+CORRECTION_TOL = 1e-8  # corrected fitted maps vs the clean conditional mean
+ALGEBRA_TOL = 1e-10  # corrected noisy-target vs clean conditional means
+APPENDIX_TOL = 1e-12  # P (1 - k) vs 1
+GRADIENT_CHECK_Q = 2  # indices of the gradient-check model
 
 
 @dataclass
@@ -275,7 +281,6 @@ def fit_all_patterns(model: MeasurementModel, method: str) -> AffinePerPattern:
 
 
 def check_population_minimizer(method: str, model: MeasurementModel,
-                               tol: float = 1e-8,
                                fit: AffinePerPattern | None = None) -> OracleReport:
     """Closed-form loss minimizer vs the method's proven conditional-mean target.
 
@@ -285,7 +290,7 @@ def check_population_minimizer(method: str, model: MeasurementModel,
     if method == M.NOISE2RECON_SS:
         return OracleReport(
             name=f"population_minimizer[{method}]",
-            estimate=None, reference=0.0, tolerance=tol, passed=None,
+            estimate=None, reference=0.0, tolerance=MINIMIZER_TOL, passed=None,
             notes={"descriptive": "no population-minimizer proof; the method "
                                   "applies no inference correction"},
         )
@@ -297,7 +302,7 @@ def check_population_minimizer(method: str, model: MeasurementModel,
     diff = np.abs(a_fit[compare] - expected[compare])
     return OracleReport(
         name=f"population_minimizer[{method}]",
-        estimate=float(diff.max()) if diff.size else 0.0, reference=0.0, tolerance=tol,
+        estimate=float(diff.max()) if diff.size else 0.0, reference=0.0, tolerance=MINIMIZER_TOL,
         notes={"patterns": len(members),
                "unconstrained_rows": int(np.count_nonzero(~compare))},
     ).finalize()
@@ -317,7 +322,6 @@ def corrected_coefficients(a_fit: np.ndarray, pattern, alpha: float) -> np.ndarr
 
 
 def check_correction_identity(method: str, model: MeasurementModel,
-                              tol: float = 1e-8,
                               fit: AffinePerPattern | None = None) -> OracleReport:
     """Fitted map composed with the correction vs the clean conditional mean.
 
@@ -332,12 +336,12 @@ def check_correction_identity(method: str, model: MeasurementModel,
     target = gaussian_conditional_mean(model, members, TARGET_Y0, COND_ON_YTILDE)
     return OracleReport(
         name=f"correction_identity[{method}]",
-        estimate=float(np.abs(corrected - target).max()), reference=0.0, tolerance=tol,
+        estimate=float(np.abs(corrected - target).max()), reference=0.0, tolerance=CORRECTION_TOL,
         notes={"patterns": len(members)},
     ).finalize()
 
 
-def check_correction_algebra(model: MeasurementModel, tol: float = 1e-10) -> OracleReport:
+def check_correction_algebra(model: MeasurementModel) -> OracleReport:
     """Exact algebra linking the two conditional means on the observed set.
 
     The clean conditional mean equals the alpha-corrected transform of the
@@ -351,7 +355,7 @@ def check_correction_algebra(model: MeasurementModel, tol: float = 1e-10) -> Ora
         corrected = corrected_coefficients(noisy, members, model.noise.alpha)
         worst = max(worst, float(np.abs(corrected - clean).max()))
     return OracleReport(
-        name="correction_algebra", estimate=worst, reference=0.0, tolerance=tol,
+        name="correction_algebra", estimate=worst, reference=0.0, tolerance=ALGEBRA_TOL,
     ).finalize()
 
 
@@ -560,7 +564,7 @@ def _gradient_moments(claim: str, est: AffinePerPattern, model: MeasurementModel
     return sums, sums_sq, worst
 
 
-def gradient_check_model(sigma_n: float, alpha: float, q: int = 2) -> MeasurementModel:
+def gradient_check_model(sigma_n: float, alpha: float) -> MeasurementModel:
     """Small well-posed model for the Monte Carlo gradient checks.
 
     The gradient-equivalence claims hold for any mask law satisfying the
@@ -574,6 +578,7 @@ def gradient_check_model(sigma_n: float, alpha: float, q: int = 2) -> Measuremen
     """
     from .synthetic import banded_prior_cov
 
+    q = GRADIENT_CHECK_Q
     omega = MaskDistribution(COLUMN_POLYNOMIAL, q, 1.4, 0, 2.0)
     lam = MaskDistribution(COLUMN_POLYNOMIAL, q, 1.8, 0, 2.0)
     return MeasurementModel(banded_prior_cov(q), NoiseSpec(sigma_n, alpha), omega, lam)
@@ -661,7 +666,7 @@ def check_gradient_equivalence(claim: str, est: Estimator, model: MeasurementMod
 # Appendix identity
 # ---------------------------------------------------------------------------
 
-def check_appendix_identity(n_pairs: int, seed: int, tol: float = 1e-12) -> OracleReport:
+def check_appendix_identity(n_pairs: int, seed: int) -> OracleReport:
     """P_jj (1 - k_j) = 1 on random probability pairs."""
     rng = stream(seed, "appendix_identity")
     worst = 0.0
@@ -673,7 +678,7 @@ def check_appendix_identity(n_pairs: int, seed: int, tol: float = 1e-12) -> Orac
         worst = max(worst, float(np.abs(ident - 1.0).max()))
     return OracleReport(
         name="appendix_identity_P_times_one_minus_k",
-        estimate=worst, reference=0.0, tolerance=tol, notes={"pairs": n_pairs},
+        estimate=worst, reference=0.0, tolerance=APPENDIX_TOL, notes={"pairs": n_pairs},
     ).finalize()
 
 

@@ -6,7 +6,10 @@ where ``d_j`` is the distance from the k-space center normalized so the
 farthest index has d = 0.5 (keeping every probability strictly positive),
 a block of ``n_center`` central indices is always sampled, and the scale
 ``s`` is found by bisection so the acceleration factor q / sum(probs) hits
-its target within 1%.
+its target within 1%. The two kinds differ only in the distance
+(``center_distances``): along one axis for ``column_polynomial``, on a
+flattened 2-D grid for ``bernoulli2d_polynomial``. Either way there is one
+inclusion probability per index.
 
 For accelerated densities (target > 1) the cap is 1 - 1e-3 rather than 1:
 only the forced center is sampled with certainty. Without the cap, a
@@ -47,17 +50,28 @@ def default_n_center(q: int) -> int:
     return max(2, q // 16)
 
 
+def center_distances(q: int, shape: tuple | None = None) -> np.ndarray:
+    """Distance of each index from the k-space center: |j - (q - 1) / 2| in
+    1-D, the distance from the grid center on a flattened (nx, ny) grid."""
+    if shape is None:
+        return np.abs(np.arange(q) - (q - 1) / 2.0)
+    nx, ny = shape
+    cx, cy = (nx - 1) / 2.0, (ny - 1) / 2.0
+    gx, gy = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    return np.hypot(gx - cx, gy - cy).ravel()
+
+
 @dataclass(frozen=True)
 class MaskDistribution:
-    """Variable-density Bernoulli mask law.
+    """Variable-density Bernoulli mask law: one independent draw per index.
 
-    kind : "column_polynomial" or "bernoulli2d_polynomial"
+    kind : "column_polynomial" (1-D) or "bernoulli2d_polynomial" (a
+        flattened 2-D grid); the two differ only in ``center_distances``
     q : total number of k-space indices
     target_accel : desired q / sum(probs)
-    n_center : count of always-sampled central indices (central columns for
-        the 2-D column kind)
+    n_center : count of always-sampled central indices
     degree : polynomial decay exponent of the density
-    shape : (nx, ny) for the flattened 2-D mode, None for 1-D
+    shape : (nx, ny) of the grid, given exactly for "bernoulli2d_polynomial"
     """
 
     kind: str
@@ -72,125 +86,82 @@ class MaskDistribution:
             raise ConfigError(f"unknown mask kind {self.kind!r}")
         if self.q < 1:
             raise ConfigError("q must be >= 1")
-        if self.shape is not None:
-            nx, ny = self.shape
-            if nx * ny != self.q:
-                raise ConfigError(f"shape {self.shape} does not flatten to q={self.q}")
-        if self.kind == BERNOULLI2D_POLYNOMIAL and self.shape is None:
-            raise ConfigError("bernoulli2d_polynomial requires a 2-D shape")
-        if self.n_center < 0 or self.n_center > self._n_sites():
-            raise ConfigError(f"n_center must be in [0, {self._n_sites()}]")
+        if (self.shape is not None) != (self.kind == BERNOULLI2D_POLYNOMIAL):
+            raise ConfigError(f"a 2-D shape goes with {BERNOULLI2D_POLYNOMIAL} only: "
+                              f"got kind {self.kind!r}, shape {self.shape}")
+        if self.shape is not None and self.shape[0] * self.shape[1] != self.q:
+            raise ConfigError(f"shape {self.shape} does not flatten to q={self.q}")
+        if self.n_center < 0 or self.n_center > self.q:
+            raise ConfigError(f"n_center must be in [0, {self.q}]")
         if self.target_accel < 1.0:
             raise ConfigError("target_accel must be >= 1")
-        if self.n_center > 0 and self.target_accel > self._n_sites() / self.n_center + 1e-12:
+        if self.n_center > 0 and self.target_accel > self.q / self.n_center + 1e-12:
             raise ConfigError(
                 f"target_accel {self.target_accel} unattainable with "
-                f"{self.n_center} always-sampled indices out of {self._n_sites()}"
+                f"{self.n_center} always-sampled indices out of {self.q}"
             )
-
-    def _n_sites(self) -> int:
-        # Sites carrying independent inclusion decisions: columns for the
-        # 2-D column kind, individual indices otherwise.
-        if self.kind == COLUMN_POLYNOMIAL and self.shape is not None:
-            return self.shape[1]
-        return self.q
-
-    def _site_distances(self) -> np.ndarray:
-        if self.kind == BERNOULLI2D_POLYNOMIAL:
-            nx, ny = self.shape
-            cx, cy = (nx - 1) / 2.0, (ny - 1) / 2.0
-            gx, gy = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-            return np.hypot(gx - cx, gy - cy).ravel()
-        n = self._n_sites()
-        return np.abs(np.arange(n) - (n - 1) / 2.0)
-
-    def site_probs(self) -> np.ndarray:
-        """Per-site inclusion probabilities (per column in the 2-D column kind).
-
-        The bisection result is cached per distribution; the returned array
-        is read-only and shared.
-        """
-        return _site_probs_cached(self)
-
-    def _site_probs_impl(self) -> np.ndarray:
-        dist = self._site_distances()
-        n = dist.shape[0]
-        center = np.zeros(n, dtype=bool)
-        if self.n_center > 0:
-            order = np.lexsort((np.arange(n), dist))
-            center[order[: self.n_center]] = True
-        dmax = dist.max()
-        d = dist / (2.0 * dmax) if dmax > 0 else dist
-        weight = (1.0 - d) ** self.degree
-        cap = 1.0 if self.target_accel == 1.0 else _PROB_CAP
-
-        def probs_at(s):
-            p = np.minimum(cap, s * weight)
-            p[p >= 1.0 - 1e-9] = 1.0  # reachable only when cap is 1
-            p[center] = 1.0
-            return p
-
-        def accel_at(s):
-            return n / probs_at(s).sum()
-
-        hi = 4.0 / weight.min()
-        if accel_at(hi) > self.target_accel:
-            raise ConfigError("density scale bracket failed; target_accel too low")
-        lo = 0.0
-        for _ in range(_BISECT_ITERS):
-            mid = 0.5 * (lo + hi)
-            if accel_at(mid) > self.target_accel:
-                lo = mid
-            else:
-                hi = mid
-        probs = probs_at(hi)
-        got = n / probs.sum()
-        if abs(got - self.target_accel) > _ACCEL_RTOL * self.target_accel:
-            raise ConfigError(
-                f"density scaling missed target acceleration: {got} vs {self.target_accel}"
-            )
-        if np.any(probs <= 0.0):
-            raise ConfigError("density scaling produced a zero probability")
-        return probs
 
     def probs(self) -> np.ndarray:
-        """Length-q per-index inclusion probabilities."""
-        return _index_probs_cached(self)
+        """Length-q per-index inclusion probabilities, bisected once per
+        distribution; the returned array is read-only and shared."""
+        return _density(self)
 
     def draw(self, rng: np.random.Generator) -> SamplingMask:
-        """Draw one mask. Column-kind 2-D masks decide per column and broadcast."""
+        """Draw one mask."""
         return _mask_unchecked(self.draw_members(rng, 1)[0], self.probs())
 
     def draw_members(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Membership rows of ``count`` independent masks, shape (count, q)."""
-        return self.members(rng.random((count, self.site_probs().shape[0])))
+        return self.members(rng.random((count, self.q)))
 
     def members(self, uniforms: np.ndarray) -> np.ndarray:
-        """Membership rows (count, q) of masks from uniform draws (count, sites):
-        a site is sampled when its draw falls below its probability."""
-        picked = uniforms < self.site_probs()
-        if self.kind == COLUMN_POLYNOMIAL and self.shape is not None:
-            count = picked.shape[0]
-            nx, ny = self.shape
-            return np.broadcast_to(picked[:, None, :], (count, nx, ny)).reshape(count, self.q)
-        return picked
+        """Membership rows (count, q) of masks from uniform draws (count, q):
+        an index is sampled when its draw falls below its probability."""
+        return uniforms < self.probs()
 
 
 @lru_cache(maxsize=64)
-def _site_probs_cached(dist: MaskDistribution) -> np.ndarray:
-    probs = dist._site_probs_impl()
+def _density(dist: MaskDistribution) -> np.ndarray:
+    n = dist.q
+    distance = center_distances(n, dist.shape)
+    center = np.zeros(n, dtype=bool)
+    if dist.n_center > 0:
+        order = np.lexsort((np.arange(n), distance))
+        center[order[: dist.n_center]] = True
+    dmax = distance.max()
+    d = distance / (2.0 * dmax) if dmax > 0 else distance
+    weight = (1.0 - d) ** dist.degree
+    cap = 1.0 if dist.target_accel == 1.0 else _PROB_CAP
+
+    def probs_at(s):
+        p = np.minimum(cap, s * weight)
+        p[p >= 1.0 - 1e-9] = 1.0  # reachable only when cap is 1
+        p[center] = 1.0
+        return p
+
+    def accel_at(s):
+        return n / probs_at(s).sum()
+
+    hi = 4.0 / weight.min()
+    if accel_at(hi) > dist.target_accel:
+        raise ConfigError("density scale bracket failed; target_accel too low")
+    lo = 0.0
+    for _ in range(_BISECT_ITERS):
+        mid = 0.5 * (lo + hi)
+        if accel_at(mid) > dist.target_accel:
+            lo = mid
+        else:
+            hi = mid
+    probs = probs_at(hi)
+    got = n / probs.sum()
+    if abs(got - dist.target_accel) > _ACCEL_RTOL * dist.target_accel:
+        raise ConfigError(
+            f"density scaling missed target acceleration: {got} vs {dist.target_accel}"
+        )
+    if np.any(probs <= 0.0):
+        raise ConfigError("density scaling produced a zero probability")
     probs.setflags(write=False)
     return probs
-
-
-@lru_cache(maxsize=64)
-def _index_probs_cached(dist: MaskDistribution) -> np.ndarray:
-    site = dist.site_probs()
-    if dist.kind == COLUMN_POLYNOMIAL and dist.shape is not None:
-        nx, ny = dist.shape
-        site = np.broadcast_to(site, (nx, ny)).ravel().copy()
-        site.setflags(write=False)
-    return site
 
 
 def build_density(dist: MaskDistribution) -> np.ndarray:

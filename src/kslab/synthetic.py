@@ -31,6 +31,7 @@ from .sampling import (
     BERNOULLI2D_POLYNOMIAL,
     COLUMN_POLYNOMIAL,
     MaskDistribution,
+    center_distances,
     default_n_center,
     validate_mask_conditions,
 )
@@ -101,14 +102,7 @@ def ground_truth_from_normals(model: MeasurementModel, re: np.ndarray,
 
 
 def diagonal_prior_variances(q: int, shape=None) -> np.ndarray:
-    if shape is None:
-        dist = np.abs(np.arange(q) - (q - 1) / 2.0)
-    else:
-        nx, ny = shape
-        cx, cy = (nx - 1) / 2.0, (ny - 1) / 2.0
-        gx, gy = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-        dist = np.hypot(gx - cx, gy - cy).ravel()
-    return 1.0 / (1.0 + dist) ** 2
+    return 1.0 / (1.0 + center_distances(q, shape)) ** 2
 
 
 def banded_prior_cov(q: int, support_frac: float = 0.5, floor: float = 0.05) -> np.ndarray:

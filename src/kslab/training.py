@@ -139,7 +139,7 @@ def draw_dataset(model: MeasurementModel, rngs: Iterable[np.random.Generator], n
     # an item's four channels in one call, as one standard_normal(4q) draws
     # what four consecutive standard_normal(q) calls draw
     normals = np.empty((n_items, 4 * q))
-    uniforms = np.empty((n_items, model.omega_dist.site_probs().shape[0]))
+    uniforms = np.empty((n_items, q))
     for z, u, rng in zip(normals, uniforms, rngs, strict=True):
         rng.standard_normal(out=z)
         rng.random(out=u)
@@ -428,6 +428,10 @@ class _CellRun:
         spec, data, model = cell.spec, cell.data, cell.model
         self.cell = cell
         self.method = M.row(spec.method)
+        if (self.method.weight in (M.WEIGHT_NOISIER2FULL, M.WEIGHT_ROBUST_SSDU)
+                and spec.alpha != model.noise.alpha):
+            raise ConfigError(f"method {spec.method!r} weights its loss at alpha {spec.alpha:g} "
+                              f"but draws its further noise at alpha {model.noise.alpha:g}")
         self.seed = spec.seed
         self.target = _target(self.method, spec.method, data)
         self.P = (compute_P(model.omega_probs(), model.lambda_probs())

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from kslab import methods as M
-from kslab.errors import ConfigError, ValidationError
+from kslab.errors import ConfigError, DimensionError, ValidationError
 from kslab.estimators import (
     AffinePerPattern,
     Estimator,
@@ -153,10 +153,14 @@ def _assert_rows_alone(est, theta, y, members, cot):
         assert np.array_equal(grad[c], pullback_c(cot[c:c + 1])[0])
 
 
-def test_affine_stack_rows_match_rows_alone_distinct_theta():
-    est, y, members, cot = _affine_stack_case(4, 12, 1)
+def test_affine_stack_rejects_distinct_theta_rows():
+    """The family has no stack layout: it takes one parameter vector (one
+    row, or rows broadcast from it), and distinct rows raise rather than
+    run under row 0."""
+    est, y, members, _ = _affine_stack_case(4, 12, 1)
     theta = stream(2, "rows_theta").standard_normal((12, est.theta.shape[0]))
-    _assert_rows_alone(est, theta, y, members, cot)
+    with pytest.raises(DimensionError, match="one theta"):
+        est.forward_vjp_stack(theta, y, members)
 
 
 def test_affine_stack_rows_match_rows_alone_broadcast_theta():

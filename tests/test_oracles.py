@@ -341,6 +341,8 @@ def test_population_minimizer_catches_shifted_stack_write(monkeypatch):
 
 CORRECTION_CHECKS = {f"correction_identity[{M.NOISIER2FULL}]",
                      f"correction_identity[{M.ROBUST_SSDU}]", "correction_algebra"}
+GRADIENT_CHECKS = {f"gradient_equivalence[{M.NOISIER2FULL}]",
+                   f"gradient_equivalence[{M.ROBUST_SSDU}]"}
 
 
 @pytest.mark.parametrize("defect,caught", [
@@ -348,24 +350,29 @@ CORRECTION_CHECKS = {f"correction_identity[{M.NOISIER2FULL}]",
     ("alpha_for_alpha_squared", CORRECTION_CHECKS | {f"corrected_mse[{M.NOISIER2FULL}]",
                                                      f"corrected_mse[{M.ROBUST_SSDU}]"}),
     ("P_to_P_squared", {"appendix_identity_P_times_one_minus_k"}),
+    ("alpha_for_both_alpha_squared", CORRECTION_CHECKS | GRADIENT_CHECKS),
 ])
 def test_oracle_suite_catches_injected_defects(defect, caught, monkeypatch):
     """Each injected defect fails the named checks of the verify suite
     (banded, sigma_n 0.3, alpha 0.75, default sample counts); the clean code
-    passes every proof-backed check. The correction's divisor alpha^2 becomes
-    alpha in every binding of ``inference.correct``: the exact correction
-    checks apply the function that scoring runs, so they fail with it."""
+    passes every proof-backed check. In every binding of ``inference.correct``
+    the correction's divisor alpha^2 becomes alpha, or both of its alpha^2
+    do: the exact correction checks apply the function that scoring runs, so
+    they fail with it. The second defect is milder; the gradient checks,
+    whose oracle gradient is corrected, catch it too."""
     import kslab.inference as inference_mod
     import kslab.oracles as oracles_mod
 
-    if defect == "alpha_for_alpha_squared":
-        def alpha_for_alpha_squared(f_out, input_used, member, alpha):
+    if defect in ("alpha_for_alpha_squared", "alpha_for_both_alpha_squared"):
+        power = 2 if defect == "alpha_for_alpha_squared" else 1
+
+        def defective_correct(f_out, input_used, member, alpha):
             out = f_out.copy()
-            out[member] = ((1.0 + alpha ** 2) * f_out[member] - input_used[member]) / alpha
+            out[member] = ((1.0 + alpha ** power) * f_out[member] - input_used[member]) / alpha
             return out
 
         for module in (inference_mod, oracles_mod):
-            monkeypatch.setattr(module, "correct", alpha_for_alpha_squared)
+            monkeypatch.setattr(module, "correct", defective_correct)
     elif defect == "P_to_P_squared":
         compute_p = oracles_mod.compute_P
         monkeypatch.setattr(oracles_mod, "compute_P", lambda p, pt: compute_p(p, pt) ** 2)

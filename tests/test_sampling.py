@@ -48,32 +48,19 @@ def test_density_2d_bernoulli():
     assert abs(64 / probs.sum() - 3.0) <= 0.03
 
 
-def test_column_kind_2d_broadcasts_columns():
-    dist = MaskDistribution("column_polynomial", 24, 2.0, 2, shape=(4, 6))
-    mask = dist.draw(stream(0, "draw"))
-    grid = np.asarray(mask.member).reshape(4, 6)
-    assert np.all(grid == grid[0])  # each column fully on or off
-    probs = np.asarray(mask.probs).reshape(4, 6)
-    assert np.all(probs == probs[0])
-
-
 @pytest.mark.parametrize("dist", [
     MaskDistribution("column_polynomial", 16, 2.0, 2),
-    MaskDistribution("column_polynomial", 24, 2.0, 2, shape=(4, 6)),
     MaskDistribution("bernoulli2d_polynomial", 64, 3.0, 4, shape=(8, 8)),
 ])
 def test_draw_members_rows_match_single_draws(dist):
     """Batched membership rows keep the per-mask stream layout: the rows of
-    one batch are consecutive single draws (one uniform per site, compared
-    with the site probability, broadcast over rows in the column kind)."""
+    one batch are consecutive single draws (one uniform per index, compared
+    with its probability)."""
     rows = dist.draw_members(stream(2, "rows"), 5)
     assert rows.shape == (5, dist.q) and rows.dtype == bool
     rng = stream(2, "rows")
     for row in rows:
-        picked = rng.random(dist.site_probs().shape[0]) < dist.site_probs()
-        if dist.shape is not None and dist.kind == "column_polynomial":
-            picked = np.broadcast_to(picked, dist.shape).ravel()
-        assert np.array_equal(row, picked)
+        assert np.array_equal(row, rng.random(dist.q) < dist.probs())
     assert np.array_equal(dist.draw(stream(3, "one")).member,
                           dist.draw_members(stream(3, "one"), 1)[0])
 
@@ -149,5 +136,10 @@ def test_validate_mask_conditions_passes_center():
 
 
 def test_mask_distribution_rejects_bad_kind():
-    with pytest.raises(ConfigError):
-        MaskDistribution("poisson_disc", 8, 2.0, 2)
+    """An unknown kind, and a shape given with any kind but the 2-D one or
+    missing from it: every law draws one Bernoulli per index."""
+    for kind, q, shape in [("poisson_disc", 8, None),
+                           ("column_polynomial", 24, (4, 6)),
+                           ("bernoulli2d_polynomial", 64, None)]:
+        with pytest.raises(ConfigError):
+            MaskDistribution(kind, q, 2.0, 2, shape=shape)

@@ -613,11 +613,21 @@ def test_train_cells_draws_each_cell_as_its_stack_forms():
     def cells():
         for k, est in enumerate(plan):
             drawn.append(k)
-            yield Cell(TrainSpec(method=M.ROBUST_SSDU, epochs=1, seed=k), est,
+            yield Cell(TrainSpec(method=M.ROBUST_SSDU, epochs=1, seed=k, alpha=0.75), est,
                        build_dataset(model, 2, seed=k), model)
 
     seen = [(positions, len(drawn)) for positions, _, _ in train_cells(cells(), 0)]
     assert seen == [([0], 1), ([1, 2], 4), ([3], 4), ([4], 5)]
+
+
+@pytest.mark.parametrize("method", [M.NOISIER2FULL, M.ROBUST_SSDU])
+def test_train_rejects_weight_alpha_other_than_model_alpha(method):
+    """A weighted loss at one alpha and further noise (and correction) at
+    another would train a loss whose weights do not match its own noise."""
+    model = model_preset("banded", sigma_n=0.3, alpha=0.75)
+    with pytest.raises(ConfigError, match="alpha 1 but .* alpha 0.75"):
+        train(TrainSpec(method=method, epochs=1), TinyNet(model.q), build_dataset(model, 2, 0),
+              model)
 
 
 @pytest.mark.parametrize("preset", ["banded", "bernoulli2d"])

@@ -2,7 +2,10 @@
 
 Runs, in a temporary directory and in this process:
 
-* ``compare`` with all 8 methods, for each estimator family and mode;
+* ``compare`` with all 8 methods, for each estimator family and mode, and
+  once more with ``tiny_net`` in practical mode on the ``diagonal`` preset
+  (q = 16), whose prior variances and 1-D mask density both come from
+  ``sampling.center_distances``;
 * ``sweep-alpha``;
 * ``train`` then ``reconstruct``, for each family and mode, and for
   ``toy_cascade`` on ``bernoulli2d`` with q = 64 (132,098 parameters, so the
@@ -96,6 +99,10 @@ def output_digests(root: Path) -> dict:
         cfg = _config(root, f"{family}_fields", estimator={"family": family, **fields})
         for mode in MODES:
             _train_reconstruct(root, digests, f"{family}_fields", cfg, mode)
+    diagonal = _config(root, "diagonal", model={"preset": "diagonal"},
+                       estimator={"family": "tiny_net"})
+    _run(root, digests, "compare_diagonal",
+         ["compare", "--config", str(diagonal), "--mode", "practical"])
     base = _config(root, "base")
     _run(root, digests, "sweep-alpha", ["sweep-alpha", "--config", str(base)])
     for seed in (1, 2):
