@@ -50,6 +50,7 @@ def test_density_2d_bernoulli():
 
 @pytest.mark.parametrize("dist", [
     MaskDistribution("column_polynomial", 16, 2.0, 2),
+    MaskDistribution("column_polynomial", 24, 2.0, 2),
     MaskDistribution("bernoulli2d_polynomial", 64, 3.0, 4, shape=(8, 8)),
 ])
 def test_draw_members_rows_match_single_draws(dist):
