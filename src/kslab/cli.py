@@ -17,18 +17,20 @@ diverged (a non-finite training loss; no results are written).
 
 import argparse
 import csv
-import itertools
+import hashlib
 import json
 import math
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from . import methods as M
 from .config import ALPHA_DEFAULTS, config_json, load_config
 from .errors import ConfigError, TrainingDiverged, ValidationError
-from .estimators import FAMILIES, load_checkpoint, make_estimator, write_theta_base64
+from .estimators import FAMILIES, load_checkpoint, make_estimator
 from .inference import reconstruct_rows
 from .kspace import kspace_to_json, magnitude_image
 from .metrics import mean_and_se, nmse_rows, ssim_rows
@@ -291,28 +293,60 @@ def run_train(cfg: dict, out_dir: Path) -> Path:
     return out
 
 
-def _write_checkpoint(path: Path, checkpoint: dict, est) -> None:
-    """Write ``{**checkpoint, "estimator": est.to_checkpoint()}`` to ``path``.
+THETA_DTYPE = "<f8"
+THETA_KEYS = ("dtype", "file", "count", "sha256")
 
-    The file holds exactly ``json.dumps(..., sort_keys=True, allow_nan=False)``
-    and a newline, but theta's base64 text is streamed from its buffer
-    (``write_theta_base64``) into a skeleton dumped around a stand-in, never
-    built as one string. The stand-in is the first ``theta-base64-<n>``
-    whose JSON form the skeleton holds once, so a config string or key that
-    spells it cannot be mistaken for it.
+
+def _write_checkpoint(path: Path, checkpoint: dict, est) -> None:
+    """Write theta's little-endian float64 bytes to a sidecar file next to
+    ``path``, then ``{**checkpoint, "estimator": ...}`` to ``path`` as
+    ``json.dumps(..., sort_keys=True, allow_nan=False)`` and a newline.
+
+    The estimator's ``theta`` is ``{dtype, file, count, sha256}`` of the
+    sidecar, which is hashed and written from theta's own buffer. The JSON is
+    dumped before either file is opened, so a NaN or an infinity writes nothing.
     """
-    for n in itertools.count():
-        mark = f"theta-base64-{n}"
-        text = json.dumps({**checkpoint, "estimator": est.to_checkpoint(theta_text=mark)},
-                          sort_keys=True, allow_nan=False)
-        quoted = json.dumps(mark)
-        if text.count(quoted) == 1:
-            break
-    head, tail = text.split(quoted)
-    with open(path, "wb") as fh:  # the skeleton is ASCII: dumps escapes the rest
-        fh.write(head.encode("ascii") + b'"')
-        write_theta_base64(fh, est.theta)
-        fh.write(b'"' + tail.encode("ascii") + b"\n")
+    theta = np.ascontiguousarray(est.theta, dtype=THETA_DTYPE)
+    sidecar = path.with_suffix(".theta.f64")
+    ref = {"dtype": THETA_DTYPE, "file": sidecar.name, "count": theta.size,
+           "sha256": hashlib.sha256(theta).hexdigest()}
+    text = json.dumps({**checkpoint, "estimator": {**est.to_checkpoint(), "theta": ref}},
+                      sort_keys=True, allow_nan=False)
+    theta.tofile(sidecar)
+    path.write_bytes(text.encode("ascii") + b"\n")  # dumps escapes every non-ASCII
+
+
+def _read_theta(path: Path, ref) -> np.ndarray:
+    """The parameter vector that the ``estimator.theta`` object of the
+    checkpoint at ``path`` refers to, read once from its sidecar into a fresh
+    writable array; ValidationError otherwise."""
+    if isinstance(ref, list) or (isinstance(ref, dict) and "base64" in ref):
+        form = "a list of numbers" if isinstance(ref, list) else "base64 text"
+        raise ValidationError(f"checkpoint theta is {form}, an older checkpoint format; "
+                              f"re-run `kslab train` to write a current checkpoint")
+    if not isinstance(ref, dict) or any(key not in ref for key in THETA_KEYS):
+        raise ValidationError(f"checkpoint theta must be an object {{{', '.join(THETA_KEYS)}}}")
+    name, count = ref["file"], ref["count"]
+    if ref["dtype"] != THETA_DTYPE:
+        raise ValidationError(f"checkpoint theta dtype must be {THETA_DTYPE!r}, "
+                              f"got {ref['dtype']!r}")
+    if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
+        raise ValidationError(f"checkpoint theta file must be a file name without a "
+                              f"directory, got {name!r}")
+    if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+        raise ValidationError(f"checkpoint theta count must be an integer >= 0, got {count!r}")
+    sidecar = path.parent / name
+    try:
+        size = sidecar.stat().st_size
+        if size != 8 * count:
+            raise ValidationError(f"theta file {sidecar} holds {size} bytes, "
+                                  f"not 8 * count = {8 * count}")
+        theta = np.fromfile(sidecar, dtype=THETA_DTYPE, count=count)
+    except OSError as exc:
+        raise ValidationError(f"theta file {sidecar} cannot be read ({exc})") from None
+    if hashlib.sha256(theta).hexdigest() != ref["sha256"]:
+        raise ValidationError(f"theta file {sidecar} does not match the checkpoint's sha256")
+    return theta
 
 
 def _read_checkpoint(path: Path):
@@ -331,12 +365,18 @@ def _read_checkpoint(path: Path):
     config = checkpoint["config"]
     if not isinstance(config, dict) or not isinstance(config.get("model"), dict):
         raise ConfigError(f"checkpoint {path}: config.model is missing or not an object")
+    method = checkpoint["method"]
+    if not isinstance(method, str) or method not in M.METHODS:
+        raise ConfigError(f"checkpoint {path}: unknown method {method!r}")
     alpha = checkpoint["alpha"]
     if not (isinstance(alpha, (int, float)) and not isinstance(alpha, bool)
             and math.isfinite(alpha) and alpha > 0):
         raise ConfigError(f"checkpoint {path}: alpha must be a positive number, got {alpha!r}")
+    estimator = checkpoint["estimator"]
     try:
-        return checkpoint, load_checkpoint(checkpoint["estimator"])
+        if not isinstance(estimator, dict):
+            raise ConfigError("estimator must be an object")
+        return checkpoint, load_checkpoint(estimator, _read_theta(path, estimator.get("theta")))
     except (ConfigError, ValidationError) as exc:
         raise ConfigError(f"checkpoint {path}: {exc}") from None
 
@@ -344,7 +384,9 @@ def _read_checkpoint(path: Path):
 def run_reconstruct(cfg: dict, checkpoint_path: Path, out_dir: Path) -> Path:
     checkpoint, est = _read_checkpoint(checkpoint_path)
     trained = checkpoint["config"]["model"]
-    for key in ("preset", "q", "sigma_n"):
+    # q is compared resolved (model.q against est.q below): a preset's default
+    # and the same value written out are one model
+    for key in ("preset", "sigma_n"):
         if trained.get(key) != cfg["model"][key]:
             raise ConfigError(f"model.{key}: the checkpoint was trained with "
                               f"{trained.get(key)!r}, this run has {cfg['model'][key]!r}")

@@ -27,8 +27,6 @@ checkpoint pair ``to_checkpoint`` / ``from_checkpoint`` and the CLI all read
 that declaration.
 """
 
-import base64
-import binascii
 import warnings
 
 import numpy as np
@@ -38,12 +36,6 @@ from .errors import ConfigError, DimensionError, ValidationError
 from .kspace import SamplingMask, as_kspace
 from .rng import stream
 from .sampling import compute_P, compute_k
-
-THETA_DTYPE = "<f8"
-
-# Bytes of theta per base64 call when its text is streamed to a file: a
-# multiple of 3, so the chunks' texts join into the text of the whole.
-THETA_CHUNK = 3 << 16
 
 # Entries (patterns x q x size^2) of one stacked closed-form solve, at most;
 # on banded q = 8 (at most 20 patterns of one size) each size is one call.
@@ -61,52 +53,6 @@ def complex_to_real(z: np.ndarray) -> np.ndarray:
 def real_to_complex(x: np.ndarray) -> np.ndarray:
     q = x.shape[-1] // 2
     return x[..., :q] + 1j * x[..., q:]
-
-
-def _theta_bytes(theta: np.ndarray) -> memoryview:
-    """The little-endian float64 bytes of a parameter vector, read from its
-    own buffer when it is a contiguous ``<f8`` array."""
-    return memoryview(np.ascontiguousarray(theta, dtype=THETA_DTYPE)).cast("B")
-
-
-def encode_theta(theta: np.ndarray, text: str | None = None) -> dict:
-    """Checkpoint form of a parameter vector: base64 of its little-endian float64
-    bytes. ``text``, if given, stands in for the base64 text, for a writer
-    that streams it (``write_theta_base64``)."""
-    if text is None:
-        text = binascii.b2a_base64(_theta_bytes(theta), newline=False).decode("ascii")
-    return {"dtype": THETA_DTYPE, "base64": text}
-
-
-def write_theta_base64(fh, theta: np.ndarray) -> None:
-    """Write the base64 text of ``encode_theta(theta)`` to the binary file
-    ``fh``, ``THETA_CHUNK`` bytes of theta's buffer at a time."""
-    raw = _theta_bytes(theta)
-    for start in range(0, len(raw), THETA_CHUNK):
-        fh.write(binascii.b2a_base64(raw[start:start + THETA_CHUNK], newline=False))
-
-
-def decode_theta(payload, n_params: int) -> np.ndarray:
-    """Inverse of ``encode_theta``; rejects malformed payloads and wrong lengths."""
-    if isinstance(payload, list):
-        raise ValidationError("checkpoint theta is a list of numbers, an older checkpoint "
-                              "format; re-run `kslab train` to write a current checkpoint")
-    if not isinstance(payload, dict):
-        raise ValidationError("checkpoint theta must be an object {dtype, base64}")
-    if payload.get("dtype") != THETA_DTYPE:
-        raise ValidationError(f"checkpoint theta dtype must be {THETA_DTYPE!r}, "
-                              f"got {payload.get('dtype')!r}")
-    try:
-        raw = base64.b64decode(payload.get("base64"), validate=True)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"checkpoint theta is not valid base64: {exc}") from None
-    if len(raw) % 8:
-        raise ValidationError(f"checkpoint theta has {len(raw)} bytes, not a multiple of 8")
-    if len(raw) // 8 != n_params:
-        raise ValidationError(f"checkpoint theta has {len(raw) // 8} parameters, "
-                              f"the estimator needs {n_params}")
-    # astype copies: the buffer is read-only and training updates theta in place
-    return np.frombuffer(raw, dtype=THETA_DTYPE).astype(np.float64)
 
 
 def _checkpoint_int(data: dict, key: str, minimum: int | None = 1) -> int:
@@ -299,19 +245,21 @@ class Estimator:
         """Length of theta that this estimator's fields (and patterns) imply."""
         raise NotImplementedError
 
-    def to_checkpoint(self, theta_text: str | None = None) -> dict:
-        """JSON form: family, q, each of ``fields`` and theta (see
-        ``encode_theta``, which ``theta_text`` is handed to)."""
+    def to_checkpoint(self) -> dict:
+        """JSON form of everything but theta: family, q and each of ``fields``."""
         return {"family": self.family, "q": self.q,
-                **{name: getattr(self, name) for name, _ in self.fields},
-                "theta": encode_theta(self.theta, theta_text)}
+                **{name: getattr(self, name) for name, _ in self.fields}}
 
     @classmethod
-    def from_checkpoint(cls, data: dict) -> "Estimator":
-        """Inverse of ``to_checkpoint``: ConfigError naming a bad field, KeyError
-        a missing one, ValidationError a bad theta. No initialization is drawn."""
+    def from_checkpoint(cls, data: dict, theta: np.ndarray) -> "Estimator":
+        """Inverse of ``to_checkpoint``, taking ``theta`` as it is (not copied):
+        ConfigError naming a bad field, KeyError a missing one, ValidationError
+        a theta of the wrong length. No initialization is drawn."""
         est = cls._from_fields(data)
-        est.theta = decode_theta(data["theta"], est.n_params)
+        if theta.shape != (est.n_params,):
+            raise ValidationError(f"checkpoint theta has {theta.size} parameters, "
+                                  f"the estimator needs {est.n_params}")
+        est.theta = theta
         return est
 
     @classmethod
@@ -437,10 +385,10 @@ class AffinePerPattern(Estimator):
 
         return out, pullback
 
-    def to_checkpoint(self, theta_text: str | None = None) -> dict:
+    def to_checkpoint(self) -> dict:
         """The common checkpoint plus ``patterns``: each enrolled pattern's
         sampled indices, in enrollment (theta block) order."""
-        data = super().to_checkpoint(theta_text)
+        data = super().to_checkpoint()
         data["patterns"] = [np.flatnonzero(m).tolist() for m in self._members]
         return data
 
@@ -608,14 +556,13 @@ def make_estimator(family: str, q: int, **opts) -> Estimator:
     return FAMILIES[family](q, **opts)
 
 
-def load_checkpoint(data: dict) -> Estimator:
-    if not isinstance(data, dict):
-        raise ConfigError("estimator must be an object")
+def load_checkpoint(data: dict, theta: np.ndarray) -> Estimator:
+    """The estimator of a checkpoint's ``estimator`` object and its theta."""
     family = data.get("family")
     if not isinstance(family, str) or family not in FAMILIES:
         raise ConfigError(f"unknown estimator family {family!r} in checkpoint")
     try:
-        return FAMILIES[family].from_checkpoint(data)
+        return FAMILIES[family].from_checkpoint(data, theta)
     except KeyError as exc:
         raise ConfigError(f"estimator.{exc.args[0]} is missing") from None
 

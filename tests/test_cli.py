@@ -1,10 +1,13 @@
 """Configuration validation and the command-line pipelines."""
 
 import base64
+import hashlib
+import itertools
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +17,7 @@ from kslab import methods as M
 from kslab.cli import (
     _build_estimator,
     _read_checkpoint,
+    _read_theta,
     _write_checkpoint,
     main,
     run_compare,
@@ -286,37 +290,84 @@ CKPT_CFG = {
 }
 
 
+THETA_FILE = "checkpoint.theta.f64"
+
+
 @pytest.fixture(scope="module")
 def trained_checkpoint(tmp_path_factory):
+    """A ``kslab train`` checkpoint's JSON and the bytes of its theta file."""
     out = tmp_path_factory.mktemp("ckpt")
     assert main(["train", "--config", write_cfg(out, CKPT_CFG), "--out", str(out)]) == 0
-    return json.loads((out / "checkpoint.json").read_text())
+    return json.loads((out / "checkpoint.json").read_text()), (out / THETA_FILE).read_bytes()
+
+
+def _theta_ref(raw: bytes) -> dict:
+    """The checkpoint's ``estimator.theta`` object for a theta file of ``raw``."""
+    return {"dtype": "<f8", "file": THETA_FILE, "count": len(raw) // 8,
+            "sha256": hashlib.sha256(raw).hexdigest()}
+
+
+def _reconstruct_from(tmp_path, capsys, text: str, raw: bytes | None):
+    """Run ``kslab reconstruct`` on the checkpoint ``text`` with ``raw`` as its
+    theta file (none if None); the checkpoint path, exit code and stderr."""
+    ckpt = tmp_path / "checkpoint.json"
+    ckpt.write_text(text)
+    if raw is not None:
+        (tmp_path / THETA_FILE).write_bytes(raw)
+    code = main(["reconstruct", "--config", write_cfg(tmp_path, CKPT_CFG),
+                 "--checkpoint", str(ckpt), "--out", str(tmp_path)])
+    return ckpt, code, capsys.readouterr().err
 
 
 def _theta_b64(n_bytes):
     return base64.b64encode(bytes(n_bytes)).decode("ascii")
 
 
+PLACEHOLDER = {"dtype": "<f8", "file": THETA_FILE, "count": 352, "sha256": "0" * 64}
+
+
 @pytest.mark.parametrize("theta,message", [
-    ({"dtype": ">f8", "base64": _theta_b64(16)}, "dtype"),
-    ({"dtype": "<f8", "base64": _theta_b64(16)[:4] + "\n" + _theta_b64(16)[4:]},
-     "base64"),
-    ({"dtype": "<f8", "base64": _theta_b64(12)}, "multiple of 8"),
+    ({**PLACEHOLDER, "dtype": ">f8"}, "dtype"),
+    ({"dtype": "<f8", "base64": _theta_b64(16)}, "base64"),
+    ({**PLACEHOLDER, "file": "sub/" + THETA_FILE}, "without a directory"),
     ([0.0, 1.0], "re-run `kslab train`"),
-    ({"dtype": "<f8", "base64": _theta_b64(16)[:4] + "\u00e9" + _theta_b64(16)[5:]},
-     "base64"),
-    ({"dtype": "<f8", "base64": None}, "base64"),
+    ({**PLACEHOLDER, "file": ".."}, "without a directory"),
+    ({**PLACEHOLDER, "count": "352"}, "count must be an integer"),
+    ({"dtype": "<f8", "file": THETA_FILE, "count": 352}, "{dtype, file, count, sha256}"),
 ])
 def test_reconstruct_rejects_malformed_theta(tmp_path, capsys, trained_checkpoint,
                                              theta, message):
-    checkpoint = json.loads(json.dumps(trained_checkpoint))
+    checkpoint, raw = trained_checkpoint
+    checkpoint = json.loads(json.dumps(checkpoint))
     checkpoint["estimator"]["theta"] = theta
-    ckpt = tmp_path / "checkpoint.json"
-    ckpt.write_text(json.dumps(checkpoint))
-    code = main(["reconstruct", "--config", write_cfg(tmp_path, CKPT_CFG),
-                 "--checkpoint", str(ckpt), "--out", str(tmp_path)])
+    ckpt, code, err = _reconstruct_from(tmp_path, capsys, json.dumps(checkpoint), raw)
     assert code == 2
-    assert message in capsys.readouterr().err
+    assert message in err and str(ckpt) in err
+    if isinstance(theta, list) or "base64" in theta:  # an older checkpoint format
+        assert "re-run `kslab train`" in err
+
+
+@pytest.mark.parametrize("damage,message", [
+    ("missing", "cannot be read"),
+    ("short", "bytes, not 8 * count"),
+    ("long", "bytes, not 8 * count"),
+    ("flipped_byte", "sha256"),
+])
+def test_reconstruct_rejects_damaged_theta_file(tmp_path, capsys, trained_checkpoint,
+                                                damage, message):
+    checkpoint, raw = trained_checkpoint
+    if damage == "missing":
+        raw = None
+    elif damage == "short":
+        raw = raw[:-8]
+    elif damage == "long":
+        raw = raw + bytes(8)
+    else:
+        raw = raw[:100] + bytes([raw[100] ^ 1]) + raw[101:]
+    ckpt, code, err = _reconstruct_from(tmp_path, capsys, json.dumps(checkpoint), raw)
+    assert code == 2
+    assert message in err and str(ckpt) in err
+    assert not (tmp_path / "reconstructions.csv").exists()
 
 
 def _estimators():
@@ -336,11 +387,12 @@ def _estimators():
 
 
 def _expected_checkpoint_bytes(checkpoint, est):
-    return (json.dumps({**checkpoint, "estimator": est.to_checkpoint()},
+    estimator = {**est.to_checkpoint(), "theta": _theta_ref(est.theta.astype("<f8").tobytes())}
+    return (json.dumps({**checkpoint, "estimator": estimator},
                        sort_keys=True, allow_nan=False) + "\n").encode("ascii")
 
 
-# config strings a JSON writer must escape, and the writer's own stand-ins
+# config strings a JSON writer must escape, and strings that spell checkpoint parts
 AWKWARD = ["nul\x00", 'quote"d', "back\\slash", "caf\u00e9 \u2603 \U0001f600", "line\nbreak",
            "theta-base64-0", '"theta-base64-0"', "x\"theta-base64-1"]
 
@@ -349,18 +401,30 @@ AWKWARD = ["nul\x00", 'quote"d', "back\\slash", "caf\u00e9 \u2603 \U0001f600", "
 @pytest.mark.parametrize("config", [
     {"seed": 1},
     {"strings": AWKWARD, "nested": {"base64": "theta-base64-0", "theta-base64-1": [1.5, None]}},
-    {"theta-base64-0": "theta-base64-1", "theta-base64-2": {"base64": "theta-base64-3"}},
+    {"theta-base64-0": "theta-base64-1", "sha256": {"file": THETA_FILE, "count": 3}},
 ], ids=["plain", "awkward", "stand_ins"])
 def test_write_checkpoint_bytes_are_json_dumps(tmp_path, est, config):
-    """The streamed file is json.dumps of the whole checkpoint and a newline,
-    byte for byte, whatever the config's strings, and reads back bit for bit."""
+    """checkpoint.json is json.dumps of the whole checkpoint and a newline, byte
+    for byte, whatever the config's strings; the theta file holds theta's
+    little-endian float64 bytes, and both read back bit for bit."""
     checkpoint = {"artifact_version": "v", "config": {"model": {}, **config},
                   "method": M.ROBUST_SSDU, "alpha": 0.75}
     path = tmp_path / "checkpoint.json"
     _write_checkpoint(path, checkpoint, est)
     assert path.read_bytes() == _expected_checkpoint_bytes(checkpoint, est)
+    assert (tmp_path / THETA_FILE).read_bytes() == est.theta.astype("<f8").tobytes()
     _, back = _read_checkpoint(path)
     assert back.theta.tobytes() == est.theta.tobytes()
+    back.theta += 1.0  # the loaded vector is writable (training updates it in place)
+
+
+def test_theta_file_is_bit_exact(tmp_path):
+    est = make_estimator("affine_per_pattern", 4)
+    est.theta = np.array([0.1, -0.0, 1e-310, np.pi, -2.5e300, np.nextafter(1.0, 2.0)])
+    path = tmp_path / "checkpoint.json"
+    _write_checkpoint(path, {"config": {"seed": 1}}, est)
+    back = _read_theta(path, json.loads(path.read_text())["estimator"]["theta"])
+    assert back.tobytes() == est.theta.tobytes()
 
 
 def test_write_checkpoint_refuses_nan(tmp_path):
@@ -368,25 +432,39 @@ def test_write_checkpoint_refuses_nan(tmp_path):
     path = tmp_path / "checkpoint.json"
     with pytest.raises(ValueError, match="JSON compliant"):
         _write_checkpoint(path, {"config": {"lr": float("nan")}}, est)
-    assert not path.exists()  # refused before the file is opened
+    assert list(tmp_path.iterdir()) == []  # refused before either file is opened
+
+
+def _traced_peak(call) -> tuple:
+    """``call()``'s result and the peak of the memory it traced."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_write_checkpoint_streams_theta(tmp_path):
-    """Writing a 132,098-parameter checkpoint allocates well under its base64
-    text: theta's base64 is streamed from its buffer, never held whole."""
-    import tracemalloc
-
+    """Writing a 132,098-parameter checkpoint allocates well under theta's
+    bytes: the theta file is hashed and written from theta's own buffer."""
     est = make_estimator("toy_cascade", 64, cascades=2, seed=1)
-    b64_length = 4 * -(-est.theta.nbytes // 3)
     path = tmp_path / "checkpoint.json"
-    tracemalloc.start()
-    try:
-        _write_checkpoint(path, {"config": {"seed": 1}}, est)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = _traced_peak(lambda: _write_checkpoint(path, {"config": {"seed": 1}}, est))
     assert path.read_bytes() == _expected_checkpoint_bytes({"config": {"seed": 1}}, est)
-    assert peak < 1.5 * b64_length, peak / b64_length
+    assert peak < 0.1 * est.theta.nbytes, peak / est.theta.nbytes
+
+
+def test_read_checkpoint_holds_theta_once(tmp_path):
+    """Reading a 132,098-parameter checkpoint peaks under 1.5 times theta's
+    bytes: the theta file is read once, into the array the estimator keeps."""
+    est = make_estimator("toy_cascade", 64, cascades=2, seed=1)
+    path = tmp_path / "checkpoint.json"
+    _write_checkpoint(path, {"artifact_version": "v", "config": {"model": {}},
+                             "method": M.ROBUST_SSDU, "alpha": 0.75}, est)
+    (_, back), peak = _traced_peak(lambda: _read_checkpoint(path))
+    assert back.theta.tobytes() == est.theta.tobytes()
+    assert peak < 1.5 * est.theta.nbytes, peak / est.theta.nbytes
 
 
 @pytest.mark.parametrize("damage,message", [
@@ -400,10 +478,12 @@ def test_write_checkpoint_streams_theta(tmp_path):
     ("alpha_string", "alpha must be a positive number"),
     ("theta_shortened", "checkpoint theta has 2 parameters"),
     ("estimator_other_q", "estimator dimension 4 does not match"),
+    ("unknown_method", "unknown method 'bogus'"),
 ])
 def test_reconstruct_rejects_damaged_checkpoint(tmp_path, capsys, trained_checkpoint,
                                                 damage, message):
-    checkpoint = json.loads(json.dumps(trained_checkpoint))
+    checkpoint, raw = trained_checkpoint
+    checkpoint = json.loads(json.dumps(checkpoint))
     if damage == "no_config":
         del checkpoint["config"]
     elif damage == "no_model":
@@ -415,27 +495,32 @@ def test_reconstruct_rejects_damaged_checkpoint(tmp_path, capsys, trained_checkp
     elif damage == "estimator_q_null":
         checkpoint["estimator"]["q"] = None
     elif damage == "estimator_patterns_int":
-        checkpoint["estimator"] = {**AffinePerPattern(8).to_checkpoint(), "patterns": 3}
+        checkpoint["estimator"] = {**AffinePerPattern(8).to_checkpoint(), "patterns": 3,
+                                   "theta": checkpoint["estimator"]["theta"]}
     elif damage == "alpha_string":
         checkpoint["alpha"] = "0.75"
-    elif damage == "theta_shortened":
-        checkpoint["estimator"]["theta"]["base64"] = _theta_b64(16)
+    elif damage == "theta_shortened":  # a whole theta file of the wrong count
+        raw = bytes(16)
+        checkpoint["estimator"]["theta"] = _theta_ref(raw)
     elif damage == "estimator_other_q":
-        checkpoint["estimator"] = AffinePerPattern(4).to_checkpoint()
+        raw = b""
+        checkpoint["estimator"] = {**AffinePerPattern(4).to_checkpoint(),
+                                   "theta": _theta_ref(raw)}
+    elif damage == "unknown_method":
+        checkpoint["method"] = "bogus"
     text = json.dumps(checkpoint)
-    ckpt = tmp_path / "checkpoint.json"
-    ckpt.write_text(text[:1000] if damage == "truncated" else text)
-    code = main(["reconstruct", "--config", write_cfg(tmp_path, CKPT_CFG),
-                 "--checkpoint", str(ckpt), "--out", str(tmp_path)])
+    ckpt, code, err = _reconstruct_from(tmp_path, capsys,
+                                        text[:1000] if damage == "truncated" else text, raw)
     assert code == 2
-    err = capsys.readouterr().err
     assert message in err and str(ckpt) in err
 
 
 def test_reconstruct_rejects_checkpoint_from_another_model(tmp_path, capsys,
                                                            trained_checkpoint):
+    checkpoint, raw = trained_checkpoint
     ckpt = tmp_path / "checkpoint.json"
-    ckpt.write_text(json.dumps(trained_checkpoint))
+    ckpt.write_text(json.dumps(checkpoint))
+    (tmp_path / THETA_FILE).write_bytes(raw)
     cfg = json.loads(json.dumps(CKPT_CFG))
     cfg["model"]["sigma_n"] = 0.3
     code = main(["reconstruct", "--config", write_cfg(tmp_path, cfg),
@@ -443,6 +528,29 @@ def test_reconstruct_rejects_checkpoint_from_another_model(tmp_path, capsys,
     assert code == 2
     assert "model.sigma_n" in capsys.readouterr().err
     assert not (tmp_path / "reconstructions.csv").exists()
+
+
+def test_reconstruct_compares_resolved_q(tmp_path):
+    """The banded preset's own q = 8, written out or left to the preset, is one
+    model: a checkpoint trained under either config reconstructs under the
+    other, and writes the table of the matching config."""
+    configs = {"default": CKPT_CFG,
+               "explicit": {**CKPT_CFG, "model": {**CKPT_CFG["model"], "q": 8}}}
+    paths = {}
+    for name, cfg in configs.items():
+        (tmp_path / name).mkdir()
+        paths[name] = write_cfg(tmp_path / name, cfg)
+        assert main(["train", "--config", paths[name],
+                     "--out", str(tmp_path / name / "train")]) == 0
+    tables = {}
+    for trained, run in itertools.product(configs, configs):
+        out = tmp_path / f"{trained}_{run}"
+        assert main(["reconstruct", "--config", paths[run], "--checkpoint",
+                     str(tmp_path / trained / "train" / "checkpoint.json"),
+                     "--out", str(out)]) == 0
+        tables[trained, run] = (out / "reconstructions.csv").read_bytes()
+    assert tables["explicit", "default"] == tables["default", "default"]
+    assert tables["default", "explicit"] == tables["explicit", "explicit"]
 
 
 def test_cli_seed_and_mode_overrides(tmp_path):

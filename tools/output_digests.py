@@ -17,7 +17,10 @@ Runs, in a temporary directory and in this process:
   the stacked closed-form oracles an empty and a full support.
 
 Keys are ``<run>/<file>``, plus ``<run>/exit`` for each subcommand's exit
-code. ``timings.csv`` holds wall-clock times and is left out. Two trees
+code. A ``train`` run's files are ``checkpoint.json`` and the raw theta file
+it names, ``checkpoint.theta.f64``, each with its own key; the JSON holds
+the theta file's sha256, so a change in theta moves both digests.
+``timings.csv`` holds wall-clock times and is left out. Two trees
 produce the same outputs when their JSON is the same, so diff the output
 of this script at two commits:
 
