@@ -610,7 +610,7 @@ def _support_groups(members: np.ndarray):
     """
     q = members.shape[1]
     sizes = np.count_nonzero(members, axis=1)
-    for size in np.unique(sizes[sizes > 0]).tolist():
+    for size in sorted(set(sizes[sizes > 0].tolist())):
         rows = np.flatnonzero(sizes == size)
         supports = np.nonzero(members[rows])[1].reshape(len(rows), size)
         step = max(1, FIT_BLOCK // (q * size * size))

@@ -119,7 +119,7 @@ def _observed_blocks(members: np.ndarray):
     """
     q = members.shape[1]
     sizes = np.count_nonzero(members, axis=1)
-    for size in np.unique(sizes[sizes > 0]).tolist():
+    for size in sorted(set(sizes[sizes > 0].tolist())):
         rows = np.flatnonzero(sizes == size)
         observed = np.nonzero(members[rows])[1].reshape(len(rows), size)
         step = max(1, SOLVE_BLOCK // (q * size * size))
@@ -437,13 +437,24 @@ def mc_corrected_mse(method: str, est: Estimator, model: MeasurementModel,
 # Conditional-noise identity (Monte Carlo regression)
 # ---------------------------------------------------------------------------
 
-def _origin_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Least-squares slope through the origin and its standard error."""
-    sxx = _dot(x, x)
+def _origin_slope(x: np.ndarray, y: np.ndarray, sxx: float,
+                  resid: np.ndarray) -> tuple[float, float]:
+    """Least-squares slope through the origin (``sxx`` = x . x) and its
+    standard error; the residual y - slope * x is written into ``resid``."""
     slope = _dot(x, y) / sxx
-    resid = y - slope * x
+    np.multiply(x, slope, out=resid)
+    np.subtract(y, resid, out=resid)
     se = math.sqrt(_dot(resid, resid) / (x.size - 1) / sxx)
     return slope, se
+
+
+def _channels(rng: np.random.Generator, samples: int, sigma: float) -> np.ndarray:
+    """The channels of ``z = complex_gaussian(samples, sigma, rng)`` as one
+    (2, samples) draw, flattened: the values of
+    ``np.concatenate([z.real, z.imag])``, up to the signs of zeros at sigma 0."""
+    ch = rng.standard_normal((2, samples))
+    ch *= sigma / np.sqrt(2.0)
+    return ch.reshape(-1)
 
 
 def check_conditional_noise_identity(model: MeasurementModel, samples: int,
@@ -454,23 +465,27 @@ def check_conditional_noise_identity(model: MeasurementModel, samples: int,
     alpha^2 times the slope of the measurement noise; equivalently the
     combination (further - alpha^2 * measurement) has zero slope. Also
     checks each slope against its closed-form Gaussian regression value.
+    Real and imaginary channels are independent scalar samples; the check
+    holds four channel vectors (x, n, ntilde and one residual).
     """
     sigma0_sq = float(model.prior_cov[0, 0].real)
     sigma_n = model.noise.sigma_n
     alpha = model.noise.alpha
     rng = stream(seed, "noise_identity")
-    y0 = complex_gaussian(samples, math.sqrt(sigma0_sq), rng)
-    n = complex_gaussian(samples, sigma_n, rng)
-    ntilde = complex_gaussian(samples, alpha * sigma_n, rng)
-    ytilde = y0 + n + ntilde
-    # Real and imaginary channels are independent scalar samples.
-    x = np.concatenate([ytilde.real, ytilde.imag])
-    n_ch = np.concatenate([n.real, n.imag])
-    nt_ch = np.concatenate([ntilde.real, ntilde.imag])
+    x = _channels(rng, samples, math.sqrt(sigma0_sq))
+    n_ch = _channels(rng, samples, sigma_n)
+    nt_ch = _channels(rng, samples, alpha * sigma_n)
+    # x = y0 + n + ntilde, added in that order
+    x += n_ch
+    x += nt_ch
 
-    slope_diff, se_diff = _origin_slope(x, nt_ch - alpha ** 2 * n_ch)
-    slope_n, se_n = _origin_slope(x, n_ch)
-    slope_nt, se_nt = _origin_slope(x, nt_ch)
+    sxx = _dot(x, x)
+    resid = np.empty_like(x)
+    slope_n, se_n = _origin_slope(x, n_ch, sxx, resid)
+    slope_nt, se_nt = _origin_slope(x, nt_ch, sxx, resid)
+    n_ch *= alpha ** 2
+    nt_ch -= n_ch
+    slope_diff, se_diff = _origin_slope(x, nt_ch, sxx, resid)
     var_ytilde = sigma0_sq + (1.0 + alpha ** 2) * sigma_n ** 2
     ref_n = sigma_n ** 2 / var_ytilde
     ref_nt = alpha ** 2 * ref_n

@@ -1,6 +1,13 @@
 """Conditional-mean oracles, population-minimizer checks, and MC identities."""
 
+import json
+import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +22,7 @@ from kslab.noise import NoiseSpec, complex_gaussian
 from kslab.oracles import (
     COND_ON_Y,
     COND_ON_YTILDE,
+    N_SIGMA,
     TARGET_Y0,
     TARGET_Y0_PLUS_N,
     OracleReport,
@@ -420,6 +428,96 @@ def test_conditional_noise_identity_sigma_zero():
     report = check_conditional_noise_identity(model, 50_000, seed=7)
     assert report.passed is True
     assert report.notes["slope_further_noise"] == 0.0
+
+
+def _complex_noise_identity_reference(model, samples, seed):
+    """The conditional-noise check on complex arrays, split into channels
+    with ``np.concatenate``: an independent route to its report."""
+    def draw(sigma, rng):
+        return (sigma / np.sqrt(2.0)) * (rng.standard_normal(samples)
+                                         + 1j * rng.standard_normal(samples))
+
+    def origin_slope(x, y):
+        sxx = float(np.einsum("i,i->", x, x))
+        slope = float(np.einsum("i,i->", x, y)) / sxx
+        resid = y - slope * x
+        return slope, math.sqrt(float(np.einsum("i,i->", resid, resid)) / (x.size - 1) / sxx)
+
+    sigma0_sq = float(model.prior_cov[0, 0].real)
+    sigma_n = model.noise.sigma_n
+    alpha = model.noise.alpha
+    rng = stream(seed, "noise_identity")
+    y0 = draw(math.sqrt(sigma0_sq), rng)
+    n = draw(sigma_n, rng)
+    ntilde = draw(alpha * sigma_n, rng)
+    ytilde = y0 + n + ntilde
+    x = np.concatenate([ytilde.real, ytilde.imag])
+    n_ch = np.concatenate([n.real, n.imag])
+    nt_ch = np.concatenate([ntilde.real, ntilde.imag])
+    slope_diff, se_diff = origin_slope(x, nt_ch - alpha ** 2 * n_ch)
+    slope_n, se_n = origin_slope(x, n_ch)
+    slope_nt, se_nt = origin_slope(x, nt_ch)
+    ref_n = sigma_n ** 2 / (sigma0_sq + (1.0 + alpha ** 2) * sigma_n ** 2)
+    ref_nt = alpha ** 2 * ref_n
+    ok = (abs(slope_diff) <= N_SIGMA * se_diff if se_diff > 0 else slope_diff == 0.0)
+    ok = ok and (abs(slope_n - ref_n) <= N_SIGMA * se_n if se_n > 0 else slope_n == ref_n)
+    ok = ok and (abs(slope_nt - ref_nt) <= N_SIGMA * se_nt if se_nt > 0 else slope_nt == ref_nt)
+    return OracleReport(
+        name="conditional_noise_identity",
+        estimate=slope_diff, reference=0.0,
+        tolerance=N_SIGMA * se_diff, standard_error=se_diff, passed=bool(ok),
+        notes={
+            "alpha": alpha,
+            "slope_further_noise": slope_nt,
+            "slope_measurement_noise": slope_n,
+            "analytic_slopes": [ref_nt, ref_n],
+            "slope_ratio": (slope_nt / slope_n) if slope_n != 0.0 else None,
+        },
+    )
+
+
+@pytest.mark.parametrize("preset", ["scalar", "banded"])
+@pytest.mark.parametrize("seed", [6, 7])
+@pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0])
+@pytest.mark.parametrize("sigma_n", [0.0, 0.3])
+def test_conditional_noise_identity_matches_complex_route(preset, seed, alpha, sigma_n):
+    """The channel-wise check writes the report of the complex route, to
+    the sign of every zero (the JSON text is compared, not the floats)."""
+    model = model_preset(preset, sigma_n=sigma_n, alpha=alpha)
+    got = check_conditional_noise_identity(model, 50_000, seed)
+    want = _complex_noise_identity_reference(model, 50_000, seed)
+    assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+
+
+def test_conditional_noise_identity_holds_four_channel_vectors():
+    """Its traced peak stays under 4.5 vectors of 2 * samples float64
+    (x, n, ntilde and one residual; the complex route held 10)."""
+    samples = 200_000
+    model = model_preset("banded", sigma_n=0.3, alpha=0.5)
+    tracemalloc.start()
+    try:
+        check_conditional_noise_identity(model, samples, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * 16 * samples
+
+
+def test_oracle_suite_does_not_import_numpy_ma():
+    """The support-size grouping of the fit and of the oracles uses no
+    ``np.unique``, whose masked-array check imports ``numpy.ma``."""
+    code = (
+        "import sys\n"
+        "from kslab.oracles import run_oracle_suite\n"
+        "from kslab.synthetic import model_preset\n"
+        "run_oracle_suite(model_preset('scalar', 0.3, 0.5), seed=0, mse_samples=512,\n"
+        "                 slope_samples=1000, gradient_samples=512)\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": path})
 
 
 @pytest.mark.parametrize("claim", [M.NOISIER2FULL, M.ROBUST_SSDU])

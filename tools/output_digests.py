@@ -13,8 +13,10 @@ Runs, in a temporary directory and in this process:
 * ``train`` then ``reconstruct`` for ``tiny_net`` and ``toy_cascade`` with
   non-default hyperparameters (``NON_DEFAULT``) in each mode, so a field the
   config fails to hand to the estimator changes a checkpoint digest;
-* ``verify`` on two seeds, and on the ``scalar`` preset, whose q = 1 gives
-  the stacked closed-form oracles an empty and a full support.
+* ``verify`` on two seeds, on the ``scalar`` preset, whose q = 1 gives
+  the stacked closed-form oracles an empty and a full support, and on
+  ``banded`` at ``sigma_n`` 0, where the noise draws are signed zeros and
+  a change in how they are formed can flip the sign of a reported zero.
 
 Keys are ``<run>/<file>``, plus ``<run>/exit`` for each subcommand's exit
 code. A ``train`` run's files are ``checkpoint.json`` and the raw theta file
@@ -113,6 +115,8 @@ def output_digests(root: Path) -> dict:
              ["verify", "--config", str(base), "--seed", str(seed)])
     scalar = _config(root, "scalar", model={"preset": "scalar"})
     _run(root, digests, "verify_scalar", ["verify", "--config", str(scalar), "--seed", "1"])
+    sigma0 = _config(root, "sigma0", model={"sigma_n": 0.0})
+    _run(root, digests, "verify_sigma0", ["verify", "--config", str(sigma0), "--seed", "1"])
     return digests
 
 
