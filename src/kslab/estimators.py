@@ -95,14 +95,13 @@ class Mlp:
         self._theta = None
         self._views = None
 
-    def init(self, rng: np.random.Generator) -> np.ndarray:
-        theta = np.zeros(self.n_params)
-        off = 0
-        for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):
-            n_w = fan_out * fan_in
-            theta[off:off + n_w] = rng.standard_normal(n_w) / np.sqrt(fan_in)
-            off += n_w + fan_out  # biases stay zero
-        return theta
+    def init(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        """Draw the weights N(0, 1/fan_in) into a zeroed segment ``out``
+        (n_params,), layer by layer; the biases stay zero."""
+        for off, fan_in, fan_out in zip(self.offsets, self.sizes[:-1], self.sizes[1:]):
+            seg = out[off:off + fan_out * fan_in]
+            rng.standard_normal(out=seg)
+            seg /= np.sqrt(fan_in)
 
     def _layers(self, theta: np.ndarray) -> list:
         """(W, b, W^T) views of each layer for the rows of theta, cut once per
@@ -445,7 +444,8 @@ class TinyNet(Estimator):
         self.mlp = Mlp([2 * q] + [width] * self.hidden_layers + [2 * q])
         self.layout = (self.family, self.mlp.sizes)
         if theta is None:
-            theta = self.mlp.init(stream(self.seed, "tiny_net_init"))
+            theta = np.zeros(self.mlp.n_params)
+            self.mlp.init(stream(self.seed, "tiny_net_init"), theta)
         super().__init__(q, theta)
 
     def forward_vjp_stack(self, theta, y_in, member):
@@ -487,12 +487,12 @@ class ToyCascade(Estimator):
         self._segments = None
         if theta is None:
             rng = stream(self.seed, "toy_cascade_init")
-            parts = []
-            for d_net, r_net in self.nets:
-                parts.append(np.array([1.0]))
-                parts.append(d_net.init(rng))
-                parts.append(r_net.init(rng))
-            theta = np.concatenate(parts)
+            theta = np.zeros(self.n_params)
+            for k, (d_net, r_net) in enumerate(self.nets):
+                i_eta, (d0, d1), (r0, r1) = self._offsets(k)
+                theta[i_eta] = 1.0
+                d_net.init(rng, theta[d0:d1])
+                r_net.init(rng, theta[r0:r1])
         super().__init__(q, theta)
 
     def _offsets(self, k: int):

@@ -13,8 +13,9 @@ independent route:
 Monte Carlo checks use the uniform statistical tolerance of three combined
 standard errors and always report the standard error alongside the
 estimate. Sampling is sharded: each shard of ``SHARD_SIZE`` draws comes
-from its own derived substream as stacked arrays, and shards are reduced in
-a fixed order, so results are reproducible.
+from its own derived substream as stacked arrays, is drawn once for every
+method or claim that a check covers, and shards are reduced in a fixed
+order, so results are reproducible.
 """
 
 import math
@@ -416,21 +417,40 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a, b))
 
 
+def mc_corrected_mses(ests: dict[str, Estimator], model: MeasurementModel,
+                      samples: int, seed: int) -> dict[str, tuple[float, float]]:
+    """Theory-mode reconstruction MSE (mean, standard error) of each entry of
+    ``{method: estimator}`` over one set of fresh draws.
+
+    Every entry is checked before anything is drawn. Each shard is drawn
+    once and handed to the entries in mapping order; each entry adds its
+    sums in shard order, so its result is that of a run of its own.
+    """
+    for method, est in ests.items():
+        if method not in M.CORRECTED_METHODS:
+            raise ConfigError(f"{method!r} applies no correction")
+        _require_affine(est)
+    total = dict.fromkeys(ests, 0.0)
+    total_sq = dict.fromkeys(ests, 0.0)
+    for rng, count in _shards(seed, "mse", samples):
+        draws = _draw_shard(model, rng, count)
+        for method, est in ests.items():
+            err = _mse_errors(method, est, model, draws)
+            total[method] += float(err.sum())
+            total_sq[method] += _dot(err, err)
+        del draws  # one shard alive at a time
+    out = {}
+    for method in ests:
+        mean = total[method] / samples
+        var = max(total_sq[method] / samples - mean * mean, 0.0)
+        out[method] = (mean, math.sqrt(var / samples))
+    return out
+
+
 def mc_corrected_mse(method: str, est: Estimator, model: MeasurementModel,
                      samples: int, seed: int) -> tuple[float, float]:
     """Theory-mode reconstruction MSE over fresh draws (mean, standard error)."""
-    if method not in M.CORRECTED_METHODS:
-        raise ConfigError(f"{method!r} applies no correction")
-    _require_affine(est)
-    total = 0.0
-    total_sq = 0.0
-    for rng, count in _shards(seed, "mse", samples):
-        err = _mse_errors(method, est, model, _draw_shard(model, rng, count))
-        total += float(err.sum())
-        total_sq += _dot(err, err)
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
-    return mean, math.sqrt(var / samples)
+    return mc_corrected_mses({method: est}, model, samples, seed)[method]
 
 
 # ---------------------------------------------------------------------------
@@ -599,39 +619,10 @@ def gradient_check_model(sigma_n: float, alpha: float) -> MeasurementModel:
     return MeasurementModel(banded_prior_cov(q), NoiseSpec(sigma_n, alpha), omega, lam)
 
 
-def check_gradient_equivalence(claim: str, est: Estimator, model: MeasurementModel,
-                               samples: int, seed: int) -> OracleReport:
-    """Monte Carlo test that the weighted surrogate loss has the oracle gradient.
-
-    Averages, over fresh draws of ground truth, noises and masks, the
-    per-draw difference between the gradient of the method's weighted
-    surrogate loss and the gradient of the corrected-estimate loss against
-    the ground truth. Every component must be within three combined
-    standard errors of zero; the maximum standardized discrepancy is
-    reported. Use a model with moderate inclusion probabilities (see
-    ``gradient_check_model``) so every pattern is well sampled.
-
-    Draws are evaluated a shard at a time through training's own stacked
-    step (see ``_gradient_moments``); in each shard one draw per distinct
-    (Omega, Lambda) pair is recomputed through the per-draw training code,
-    and the check fails if its batched gradient row deviates from it by
-    more than ``CROSSCHECK_RTOL`` relative.
-    """
-    if claim not in (M.NOISIER2FULL, M.ROBUST_SSDU):
-        raise ConfigError("gradient equivalence is claimed for the weighted methods")
-    _require_affine(est)
-    est.ensure_patterns(enumerate_patterns(model, input_level(claim)).members)
-    n_params = est.theta.shape[0]
-    sums = {k: np.zeros(n_params) for k in ("surr", "oracle", "diff")}
-    sums_sq = {k: np.zeros(n_params) for k in ("surr", "oracle", "diff")}
-    crosscheck = 0.0
-    for rng, count in _shards(seed, "gradeq", samples):
-        shard_sums, shard_sums_sq, worst_rel = _gradient_moments(
-            claim, est, model, _draw_shard(model, rng, count))
-        crosscheck = max(crosscheck, worst_rel)
-        for key in sums:
-            sums[key] += shard_sums[key]
-            sums_sq[key] += shard_sums_sq[key]
+def _gradient_report(claim: str, sums: dict, sums_sq: dict, crosscheck: float,
+                     samples: int) -> OracleReport:
+    """The report of one claim from its gradient sums over all shards."""
+    n_params = sums["diff"].shape[0]
 
     def moments(key):
         mean = sums[key] / samples
@@ -677,6 +668,62 @@ def check_gradient_equivalence(claim: str, est: Estimator, model: MeasurementMod
     return report
 
 
+def check_gradient_equivalences(ests: dict[str, Estimator], model: MeasurementModel,
+                                samples: int, seed: int) -> dict[str, OracleReport]:
+    """Monte Carlo test that the weighted surrogate loss has the oracle
+    gradient, for each entry of ``{claim: estimator}``.
+
+    Averages, over fresh draws of ground truth, noises and masks, the
+    per-draw difference between the gradient of the method's weighted
+    surrogate loss and the gradient of the corrected-estimate loss against
+    the ground truth. Every component must be within three combined
+    standard errors of zero; the maximum standardized discrepancy is
+    reported. Use a model with moderate inclusion probabilities (see
+    ``gradient_check_model``) so every pattern is well sampled.
+
+    Draws are evaluated a shard at a time through training's own stacked
+    step (see ``_gradient_moments``); in each shard one draw per distinct
+    (Omega, Lambda) pair is recomputed through the per-draw training code,
+    and the check fails if its batched gradient row deviates from it by
+    more than ``CROSSCHECK_RTOL`` relative.
+
+    Every entry is checked before anything is drawn. Each shard is drawn
+    once and handed to the entries in mapping order; each entry adds its
+    sums in shard order, so its report is that of a run of its own.
+    """
+    for claim, est in ests.items():
+        if claim not in (M.NOISIER2FULL, M.ROBUST_SSDU):
+            raise ConfigError("gradient equivalence is claimed for the weighted methods")
+        _require_affine(est)
+    for claim, est in ests.items():
+        est.ensure_patterns(enumerate_patterns(model, input_level(claim)).members)
+
+    def zeros(est):
+        return {key: np.zeros(est.theta.shape[0]) for key in ("surr", "oracle", "diff")}
+
+    sums = {claim: zeros(est) for claim, est in ests.items()}
+    sums_sq = {claim: zeros(est) for claim, est in ests.items()}
+    crosscheck = dict.fromkeys(ests, 0.0)
+    for rng, count in _shards(seed, "gradeq", samples):
+        draws = _draw_shard(model, rng, count)
+        for claim, est in ests.items():
+            shard_sums, shard_sums_sq, worst_rel = _gradient_moments(claim, est, model, draws)
+            crosscheck[claim] = max(crosscheck[claim], worst_rel)
+            for key in shard_sums:
+                sums[claim][key] += shard_sums[key]
+                sums_sq[claim][key] += shard_sums_sq[key]
+        del draws  # one shard alive at a time
+    return {claim: _gradient_report(claim, sums[claim], sums_sq[claim], crosscheck[claim],
+                                    samples)
+            for claim in ests}
+
+
+def check_gradient_equivalence(claim: str, est: Estimator, model: MeasurementModel,
+                               samples: int, seed: int) -> OracleReport:
+    """``check_gradient_equivalences`` of the one entry ``{claim: est}``."""
+    return check_gradient_equivalences({claim: est}, model, samples, seed)[claim]
+
+
 # ---------------------------------------------------------------------------
 # Appendix identity
 # ---------------------------------------------------------------------------
@@ -712,9 +759,10 @@ def run_oracle_suite(model: MeasurementModel, seed: int = 0,
             for method in (M.NOISIER2FULL, M.ROBUST_SSDU)}
     for method in M.ALL_METHODS:
         reports.append(check_population_minimizer(method, model, fit=fits.get(method)))
+    mses = mc_corrected_mses(fits, model, mse_samples, seed)
     for method, fit in fits.items():
         reports.append(check_correction_identity(method, model, fit=fit))
-        mc_mean, mc_se = mc_corrected_mse(method, fit, model, mse_samples, seed)
+        mc_mean, mc_se = mses[method]
         analytic = analytic_posterior_mse(model, method)
         rel = abs(mc_mean - analytic) / analytic if analytic > 0 else 0.0
         reports.append(OracleReport(
@@ -726,13 +774,14 @@ def run_oracle_suite(model: MeasurementModel, seed: int = 0,
         ).finalize())
     reports.append(check_conditional_noise_identity(model, slope_samples, seed))
     grad_model = gradient_check_model(model.noise.sigma_n or 0.5, model.noise.alpha)
+    ests = {}
     for claim in (M.NOISIER2FULL, M.ROBUST_SSDU):
-        est = AffinePerPattern(grad_model.q)
+        est = ests[claim] = AffinePerPattern(grad_model.q)
         est.ensure_patterns(enumerate_patterns(grad_model, input_level(claim)).members)
         est.theta = stream(seed, "gradeq_theta", claim).standard_normal(
             est.theta.shape[0]) * 0.3
-        report = check_gradient_equivalence(claim, est, grad_model,
-                                            gradient_samples, seed)
+    for report in check_gradient_equivalences(ests, grad_model, gradient_samples,
+                                              seed).values():
         report.notes["model"] = "dedicated well-posed gradient-check model"
         reports.append(report)
     return reports

@@ -314,6 +314,38 @@ def test_toy_cascade_rows_match_rows_alone():
     assert np.allclose(np.sum(grad * d, axis=1), fd, rtol=1e-6, atol=1e-8)
 
 
+def _reference_init(rng, sizes) -> list:
+    """One network's parameters as the per-layer draws standard_normal(n) /
+    sqrt(fan_in), each followed by zero biases."""
+    parts = []
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        parts.append(rng.standard_normal(fan_out * fan_in) / np.sqrt(fan_in))
+        parts.append(np.zeros(fan_out))
+    return parts
+
+
+@pytest.mark.parametrize("q,hidden_layers,width_factor,seed", [(3, 2, 4, 0), (5, 1, 3, 7)])
+def test_tiny_net_init_matches_per_layer_reference(q, hidden_layers, width_factor, seed):
+    est = TinyNet(q, hidden_layers=hidden_layers, width_factor=width_factor, seed=seed)
+    sizes = [2 * q] + [max(2, width_factor * q)] * hidden_layers + [2 * q]
+    want = np.concatenate(_reference_init(stream(seed, "tiny_net_init"), sizes))
+    assert est.theta.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("q,cascades,seed", [(3, 2, 0), (4, 3, 5)])
+def test_toy_cascade_init_matches_per_layer_reference(q, cascades, seed):
+    """eta = 1, then G_D and G_R of each cascade, drawn in that order from
+    one generator."""
+    est = ToyCascade(q, cascades=cascades, seed=seed)
+    rng = stream(seed, "toy_cascade_init")
+    parts = []
+    for _ in range(cascades):
+        parts.append(np.ones(1))
+        for _net in range(2):
+            parts += _reference_init(rng, [2 * q, 2 * q, 2 * q])
+    assert est.theta.tobytes() == np.concatenate(parts).tobytes()
+
+
 def test_affine_no_patterns_raises():
     est = AffinePerPattern(2)
     with pytest.raises(ValidationError):

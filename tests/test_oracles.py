@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kslab import methods as M
@@ -32,13 +32,16 @@ from kslab.oracles import (
     check_correction_algebra,
     check_correction_identity,
     check_gradient_equivalence,
+    check_gradient_equivalences,
     check_population_minimizer,
     corrected_coefficients,
     enumerate_patterns,
+    fit_all_patterns,
     gaussian_conditional_mean,
     gradient_check_model,
     input_level,
     mc_corrected_mse,
+    mc_corrected_mses,
     posterior_error_trace,
     run_oracle_suite,
     _draw_shard,
@@ -156,6 +159,46 @@ def test_correction_algebra_exact():
     report = check_correction_algebra(model)
     assert report.passed is True
     assert report.estimate <= 1e-10
+
+
+@st.composite
+def _random_models(draw):
+    """Random measurement models, q 1 to 6: prior A A^H + c I with c >= 0.1
+    and A's entries of variance 1/q, so the prior's condition number
+    (||A||^2 + c) / c stays near 100 at most; sigma_n in [0, 2], alpha in
+    [0.2, 2] and valid 1-D mask laws. Lambda's always-sampled center lies
+    inside Omega's, and Lambda is accelerated (target at least 1.05)."""
+    q = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    c = draw(st.floats(0.1, 2.0))
+    sigma_n = draw(st.floats(0.0, 2.0))
+    alpha = draw(st.floats(0.2, 2.0))
+    rng = stream(seed, "random_model")
+    a = (rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q))) / np.sqrt(2 * q)
+    cov = a @ a.conj().T + c * np.eye(q)
+    cov = 0.5 * (cov + cov.conj().T)
+
+    def law(max_center, min_accel):
+        n_center = draw(st.integers(0, max_center))
+        top = min(4.0, 0.98 * q / n_center) if n_center else 4.0
+        accel = 1.0 if top < min_accel else draw(st.floats(min_accel, top))
+        degree = draw(st.floats(0.5, 8.0))
+        return MaskDistribution("column_polynomial", q, accel, n_center, degree), n_center
+
+    omega, omega_center = law(q, 1.0)
+    lam, _ = law(omega_center if omega_center < q else q - 1, 1.05)
+    try:
+        return MeasurementModel(cov, NoiseSpec(sigma_n, alpha), omega, lam)
+    except (ConfigError, ValidationError):
+        # a target acceleration the density bisection misses by over 1%
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=_random_models())
+def test_correction_algebra_on_random_models(model):
+    report = check_correction_algebra(model)
+    assert report.passed is True, report.estimate
 
 
 def test_pattern_enumeration_probabilities_sum_to_one():
@@ -811,7 +854,13 @@ def test_gradient_crosscheck_catches_misgrouped_rows(claim, monkeypatch):
     assert "crosscheck_failure" in report.notes
 
 
-def test_monte_carlo_oracles_reject_unsupported_inputs():
+def test_monte_carlo_oracles_reject_unsupported_inputs(monkeypatch):
+    """A wrong entry is rejected before anything is drawn, wherever it sits
+    in the mapping."""
+    import kslab.oracles as oracles_mod
+
+    drawn = []
+    monkeypatch.setattr(oracles_mod, "_draw_shard", lambda *args: drawn.append(args))
     model = gradient_check_model(0.5, 0.75)
     with pytest.raises(ConfigError):
         mc_corrected_mse(M.ROBUST_SSDU, TinyNet(model.q), model, 1000, seed=0)
@@ -819,6 +868,59 @@ def test_monte_carlo_oracles_reject_unsupported_inputs():
         mc_corrected_mse(M.STANDARD_SSDU, AffinePerPattern(model.q), model, 1000, seed=0)
     with pytest.raises(ConfigError):
         check_gradient_equivalence(M.ROBUST_SSDU, TinyNet(model.q), model, 1000, seed=0)
+    good = AffinePerPattern(model.q)
+    for ests in ({M.ROBUST_SSDU: good, M.STANDARD_SSDU: AffinePerPattern(model.q)},
+                 {M.NOISIER2FULL: good, M.ROBUST_SSDU: TinyNet(model.q)}):
+        with pytest.raises(ConfigError):
+            mc_corrected_mses(ests, model, 1000, seed=0)
+    for ests in ({M.NOISIER2FULL: good, M.ROBUST_SSDU_UNWEIGHTED: AffinePerPattern(model.q)},
+                 {M.ROBUST_SSDU: good, M.NOISIER2FULL: TinyNet(model.q)}):
+        with pytest.raises(ConfigError):
+            check_gradient_equivalences(ests, model, 1000, seed=0)
+    assert drawn == []
+    assert good.n_patterns == 0
+
+
+def test_oracle_suite_draws_each_shard_once(monkeypatch):
+    """At the default sample counts the suite draws its 5 ("mse", k) and 5
+    ("gradeq", k) shards once each: both corrected methods read each MSE
+    shard and both claims each gradient shard."""
+    import kslab.oracles as oracles_mod
+
+    counts = []
+    draw = oracles_mod._draw_shard
+
+    def counting_draw(model, rng, count):
+        counts.append(count)
+        return draw(model, rng, count)
+
+    monkeypatch.setattr(oracles_mod, "_draw_shard", counting_draw)
+    run_oracle_suite(model_preset("banded", sigma_n=0.3, alpha=0.75), seed=1)
+    assert len(counts) == 10
+    assert sum(counts) == 20_000 + 20_000
+
+
+@pytest.mark.parametrize("preset", ["banded", "scalar"])
+def test_oracle_suite_shared_draws_match_singular_calls(preset):
+    """Each corrected method and each claim reports what its own singular
+    call reports at the same seed: three shards, the last one partial."""
+    model = model_preset(preset, sigma_n=0.3, alpha=0.75)
+    seed, samples = 5, 2 * 4096 + 1000
+    reports = {r.name: r for r in run_oracle_suite(model, seed=seed, gradient_samples=samples,
+                                                   slope_samples=2000, mse_samples=samples)}
+    for method in (M.NOISIER2FULL, M.ROBUST_SSDU):
+        want = mc_corrected_mse(method, fit_all_patterns(model, method), model, samples, seed)
+        got = reports[f"corrected_mse[{method}]"]
+        assert json.dumps([got.estimate, got.standard_error]) == json.dumps(list(want))
+    grad_model = gradient_check_model(0.3, 0.75)
+    for claim in (M.NOISIER2FULL, M.ROBUST_SSDU):
+        est = AffinePerPattern(grad_model.q)
+        est.ensure_patterns(enumerate_patterns(grad_model, input_level(claim)).members)
+        est.theta = stream(seed, "gradeq_theta", claim).standard_normal(est.theta.shape[0]) * 0.3
+        want = check_gradient_equivalence(claim, est, grad_model, samples, seed)
+        want.notes["model"] = "dedicated well-posed gradient-check model"
+        got = reports[f"gradient_equivalence[{claim}]"]
+        assert json.dumps(got.to_json()) == json.dumps(want.to_json())
 
 
 def test_posterior_error_trace_empty_pattern_is_prior_energy():
