@@ -236,8 +236,13 @@ class Estimator:
     def vjp(self, y_in, m_in: SamplingMask, cotangent) -> np.ndarray:
         return self.forward_vjp(y_in, m_in)[1](cotangent)
 
-    def ensure_pattern(self, m_in: SamplingMask) -> None:
-        """Hook for families that key parameters on the input pattern."""
+    def ensure_patterns(self, members: np.ndarray):
+        """Hook for families that key parameters on the input pattern: enroll
+        pattern rows (n, q) in row order. Other families ignore it."""
+
+    def ensure_pattern(self, m_in: SamplingMask):
+        """``ensure_patterns`` of the one pattern row of a mask."""
+        return self.ensure_patterns(m_in.member[None])
 
     @property
     def n_params(self) -> int:
@@ -298,10 +303,6 @@ class AffinePerPattern(Estimator):
     def n_params(self) -> int:
         return self.n_patterns * self.block_size
 
-    def ensure_pattern(self, m_in: SamplingMask) -> int:
-        idx = self._patterns.get(m_in.key())  # every training step asks; most know it
-        return int(self.ensure_patterns(m_in.member[None])[0]) if idx is None else idx
-
     def ensure_patterns(self, members: np.ndarray) -> np.ndarray:
         """Block index of each pattern row (n, q), enrolling new ones in row order."""
         idx = np.empty(len(members), dtype=np.intp)
@@ -336,9 +337,6 @@ class AffinePerPattern(Estimator):
         a = seg[..., :q * q].reshape(lead) + 1j * seg[..., q * q:2 * q * q].reshape(lead)
         b = seg[..., 2 * q * q:2 * q * q + q] + 1j * seg[..., 2 * q * q + q:]
         return a, b
-
-    def set_block(self, m_in: SamplingMask, a: np.ndarray, b: np.ndarray) -> None:
-        self.set_blocks(m_in.member[None], np.asarray(a)[None], np.asarray(b)[None])
 
     def set_blocks(self, members: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
         """Write the maps a (n, q, q) and offsets b (n, q) of pattern rows (n, q)."""

@@ -89,10 +89,6 @@ class SamplingMask:
     def size(self) -> int:
         return int(np.count_nonzero(self.member))
 
-    def key(self) -> bytes:
-        """Hashable identifier of the support pattern (not the probs)."""
-        return self.member.tobytes()
-
     def to_json(self) -> dict:
         return {"indices": list(self.indices), "probs": [float(p) for p in self.probs]}
 

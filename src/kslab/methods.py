@@ -12,7 +12,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError
-from .kspace import SamplingMask, mask_algebra
 
 FULLY_SUPERVISED = "fully_supervised"
 SUPERVISED_WO_DENOISING = "supervised_wo_denoising"
@@ -53,12 +52,6 @@ class Input(NamedTuple):
             return (y + np.where(omega, ntilde, 0.0 + 0.0j) if self.further_noise else y), omega
         member = omega & lam
         return np.where(member, y + ntilde if self.further_noise else y, 0.0 + 0.0j), member
-
-    def build_masked(self, y, omega: SamplingMask, lam: SamplingMask | None,
-                     ntilde) -> tuple[np.ndarray, SamplingMask]:
-        """``build`` for one item, with the support as the mask the estimator keys on."""
-        y_in, _ = self.build(y, omega.member, None if lam is None else lam.member, ntilde)
-        return y_in, mask_algebra(omega, lam).intersect if self.on_intersect else omega
 
 
 OMEGA = Input(False, False)

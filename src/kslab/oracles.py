@@ -19,6 +19,7 @@ order, so results are reproducible.
 """
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -219,6 +220,10 @@ class PatternTable:
         for member, prob in zip(self.members, self.probs.tolist()):
             yield SamplingMask(member, self.level_probs), prob
 
+    def average(self, values: np.ndarray) -> float:
+        """The probability-weighted sum of per-pattern values (n,), added in table order."""
+        return float(np.cumsum(self.probs * values)[-1])
+
 
 def enumerate_patterns(model: MeasurementModel, level: str) -> PatternTable:
     """All support patterns of positive probability, with their probabilities.
@@ -275,18 +280,14 @@ def _expected_coefficients(method: str, model: MeasurementModel,
     raise ConfigError(f"no proven population target for {method!r}")
 
 
-def fit_all_patterns(model: MeasurementModel, method: str) -> AffinePerPattern:
-    """Closed-form fit of the method's loss at every enumerated input pattern."""
-    return closed_form_affine_fit(model, method,
-                                  enumerate_patterns(model, input_level(method)).members)
-
-
-def check_population_minimizer(method: str, model: MeasurementModel,
-                               fit: AffinePerPattern | None = None) -> OracleReport:
+def check_population_minimizer(method: str, model: MeasurementModel, table: PatternTable,
+                               fit: AffinePerPattern | None) -> OracleReport:
     """Closed-form loss minimizer vs the method's proven conditional-mean target.
 
-    ``fit`` is the method's ``fit_all_patterns`` result; it is computed when
-    not given. All enumerated patterns are compared as one stack.
+    ``table`` is the method's input level and ``fit`` the method's
+    ``closed_form_affine_fit`` at its patterns, which are compared as one
+    stack. Noise2Recon-SS has no proof: its report is descriptive and reads
+    neither (its ``fit`` is None).
     """
     if method == M.NOISE2RECON_SS:
         return OracleReport(
@@ -295,9 +296,7 @@ def check_population_minimizer(method: str, model: MeasurementModel,
             notes={"descriptive": "no population-minimizer proof; the method "
                                   "applies no inference correction"},
         )
-    if fit is None:
-        fit = fit_all_patterns(model, method)
-    members = enumerate_patterns(model, input_level(method)).members
+    members = table.members
     a_fit, _b = fit.get_blocks(members)
     expected, compare = _expected_coefficients(method, model, members)
     diff = np.abs(a_fit[compare] - expected[compare])
@@ -322,17 +321,15 @@ def corrected_coefficients(a_fit: np.ndarray, pattern, alpha: float) -> np.ndarr
     return correct(a_fit, eye, np.broadcast_to(member[..., None], a_fit.shape), alpha)
 
 
-def check_correction_identity(method: str, model: MeasurementModel,
-                              fit: AffinePerPattern | None = None) -> OracleReport:
+def check_correction_identity(method: str, model: MeasurementModel, table: PatternTable,
+                              fit: AffinePerPattern) -> OracleReport:
     """Fitted map composed with the correction vs the clean conditional mean.
 
-    ``fit`` is as in ``check_population_minimizer``.
+    ``table`` and ``fit`` are as in ``check_population_minimizer``.
     """
     if method not in (M.NOISIER2FULL, M.ROBUST_SSDU):
         raise ConfigError("correction identity applies to the corrected methods")
-    if fit is None:
-        fit = fit_all_patterns(model, method)
-    members = enumerate_patterns(model, input_level(method)).members
+    members = table.members
     corrected = corrected_coefficients(fit.get_blocks(members)[0], members, model.noise.alpha)
     target = gaussian_conditional_mean(model, members, TARGET_Y0, COND_ON_YTILDE)
     return OracleReport(
@@ -342,15 +339,17 @@ def check_correction_identity(method: str, model: MeasurementModel,
     ).finalize()
 
 
-def check_correction_algebra(model: MeasurementModel) -> OracleReport:
+def check_correction_algebra(model: MeasurementModel,
+                             tables: Iterable[PatternTable]) -> OracleReport:
     """Exact algebra linking the two conditional means on the observed set.
 
     The clean conditional mean equals the alpha-corrected transform of the
-    noisy-target conditional mean, row by row on the pattern.
+    noisy-target conditional mean, row by row on the pattern, at every
+    pattern of ``tables`` (the suite passes both levels).
     """
     worst = 0.0
-    for level in (LEVEL_OMEGA, LEVEL_INTERSECT):
-        members = enumerate_patterns(model, level).members
+    for table in tables:
+        members = table.members
         noisy = gaussian_conditional_mean(model, members, TARGET_Y0_PLUS_N, COND_ON_YTILDE)
         clean = gaussian_conditional_mean(model, members, TARGET_Y0, COND_ON_YTILDE)
         corrected = corrected_coefficients(noisy, members, model.noise.alpha)
@@ -366,8 +365,7 @@ def analytic_posterior_mse(model: MeasurementModel, method: str) -> float:
     The probability-weighted traces are added in enumeration order.
     """
     table = enumerate_patterns(model, input_level(method))
-    traces = posterior_error_trace(model, table.members, COND_ON_YTILDE)
-    return float(np.cumsum(table.probs * traces)[-1])
+    return table.average(posterior_error_trace(model, table.members, COND_ON_YTILDE))
 
 
 class _Draws(NamedTuple):
@@ -752,18 +750,27 @@ def run_oracle_suite(model: MeasurementModel, seed: int = 0,
                      gradient_samples: int = 20000,
                      slope_samples: int = 200000,
                      mse_samples: int = 20000) -> list[OracleReport]:
-    """All oracle checks on one model; descriptive reports carry passed=None."""
-    reports = [check_appendix_identity(100, seed)]
-    reports.append(check_correction_algebra(model))
-    fits = {method: fit_all_patterns(model, method)
-            for method in (M.NOISIER2FULL, M.ROBUST_SSDU)}
+    """All oracle checks on one model; descriptive reports carry passed=None.
+
+    Each pattern level is enumerated once, and each proof-backed method is
+    fitted once over its input level; the exact checks read those tables
+    and fits.
+    """
+    tables = {level: enumerate_patterns(model, level) for level in (LEVEL_OMEGA, LEVEL_INTERSECT)}
+    fits = {method: closed_form_affine_fit(model, method, tables[input_level(method)].members)
+            for method in M.PROOF_BACKED_METHODS}
+    reports = [check_appendix_identity(100, seed),
+               check_correction_algebra(model, tables.values())]
     for method in M.ALL_METHODS:
-        reports.append(check_population_minimizer(method, model, fit=fits.get(method)))
-    mses = mc_corrected_mses(fits, model, mse_samples, seed)
-    for method, fit in fits.items():
-        reports.append(check_correction_identity(method, model, fit=fit))
+        reports.append(check_population_minimizer(method, model, tables[input_level(method)],
+                                                  fits.get(method)))
+    corrected = {method: fits[method] for method in (M.NOISIER2FULL, M.ROBUST_SSDU)}
+    mses = mc_corrected_mses(corrected, model, mse_samples, seed)
+    for method, fit in corrected.items():
+        table = tables[input_level(method)]
+        reports.append(check_correction_identity(method, model, table, fit))
         mc_mean, mc_se = mses[method]
-        analytic = analytic_posterior_mse(model, method)
+        analytic = table.average(posterior_error_trace(model, table.members, COND_ON_YTILDE))
         rel = abs(mc_mean - analytic) / analytic if analytic > 0 else 0.0
         reports.append(OracleReport(
             name=f"corrected_mse[{method}]",

@@ -37,6 +37,11 @@ from .sampling import (
 )
 
 _PSD_TOL = 1e-10
+# Image-domain variance profile of the banded prior: unit variance on a
+# central block of this fraction of the indices, a small floor elsewhere so
+# the covariance stays invertible.
+BANDED_SUPPORT_FRAC = 0.5
+BANDED_FLOOR = 0.05
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,12 +110,10 @@ def diagonal_prior_variances(q: int, shape=None) -> np.ndarray:
     return 1.0 / (1.0 + center_distances(q, shape)) ** 2
 
 
-def banded_prior_cov(q: int, support_frac: float = 0.5, floor: float = 0.05) -> np.ndarray:
-    # Image-domain variance profile: unit variance on a central block,
-    # a small floor elsewhere so the covariance stays invertible.
-    width = max(1, int(round(support_frac * q)))
+def banded_prior_cov(q: int) -> np.ndarray:
+    width = max(1, int(round(BANDED_SUPPORT_FRAC * q)))
     lo = (q - width) // 2
-    v_img = np.full(q, floor)
+    v_img = np.full(q, BANDED_FLOOR)
     v_img[lo:lo + width] = 1.0
     f = _dft_matrix(q)
     return f @ np.diag(v_img.astype(np.complex128)) @ f.conj().T

@@ -297,12 +297,12 @@ def loss_and_grad(spec: TrainSpec, est: Estimator, item: TrainItem) -> tuple[flo
     return float(loss[0]), grad[0]
 
 
-def _enroll(est: Estimator, step: Rows) -> None:
-    """Enroll a step's input supports (C, q), then its consistency supports,
-    with an estimator that keys parameters on them."""
-    members = step.m_in if step.m_c is None else (*step.m_in, *step.m_c)
-    for member in members:
-        est.ensure_pattern(_mask_unchecked(member, np.ones(member.shape[0])))
+def _enroll(est: Estimator, rows: Rows) -> None:
+    """Enroll the supports of one step (C, q) or of every step (n, C, q) with
+    an estimator that keys parameters on them, in one call: step by step,
+    each step's input supports, then its consistency supports."""
+    members = rows.m_in if rows.m_c is None else np.concatenate([rows.m_in, rows.m_c], axis=-2)
+    est.ensure_patterns(members.reshape(-1, members.shape[-1]))
 
 
 @dataclass
@@ -508,14 +508,13 @@ def _train_stack(cells: list[Cell], validate_every: int) -> list[list[dict]]:
     histories = [[] for _ in cells]
     for epoch in range(spec.epochs):
         rows = _stack_epoch(runs, epoch, cons.any())
-        steps = [Rows(*(None if a is None else a[s] for a in rows)) for s in range(n)]
         if theta is None:
             # Only a stack of one can grow its parameters. Its patterns enroll
             # in step order before the epoch's first step; a block not yet
             # stepped has a zero gradient, which leaves it and its Adam
             # moments exactly zero, as if it enrolled at its own step.
-            for step in steps:
-                _enroll(est, step)
+            _enroll(est, rows)
+        steps = [Rows(*(None if a is None else a[s] for a in rows)) for s in range(n)]
         params = est.theta[None] if theta is None else theta
         totals = np.zeros(len(cells))
         for start in range(0, n, spec.batch_size):

@@ -85,7 +85,8 @@ def test_affine_identity_forward():
     q = 3
     est = AffinePerPattern(q)
     m = full_mask(q)
-    est.set_block(m, np.eye(q, dtype=complex), np.zeros(q, dtype=complex))
+    est.set_blocks(m.member[None], np.eye(q, dtype=complex)[None],
+                   np.zeros((1, q), dtype=complex))
     y = rand_vec(q, 2)
     assert np.allclose(est.forward(y, m), y)
 
@@ -106,8 +107,9 @@ def test_affine_fallback_warns_and_uses_nearest():
     est = AffinePerPattern(q)
     near = make_mask(q, [0, 1])
     far = make_mask(q, [3])
-    est.set_block(near, 2.0 * np.eye(q, dtype=complex), np.zeros(q))
-    est.set_block(far, 5.0 * np.eye(q, dtype=complex), np.zeros(q))
+    est.set_blocks(np.array([near.member, far.member]),
+                   np.array([2.0, 5.0])[:, None, None] * np.eye(q, dtype=complex),
+                   np.zeros((2, q)))
     y = rand_vec(q, 6)
     probe = make_mask(q, [0, 1, 2])  # distance 1 from `near`, 4 from `far`
     with pytest.warns(PatternFallbackWarning):
@@ -483,7 +485,7 @@ def test_fit_standard_ssdu_flags_unconstrained_rows():
     model = model_preset("banded", sigma_n=0.3, alpha=1.0)
     pattern = SamplingMask.from_indices(8, [3, 4], model.omega_probs() * model.lambda_probs())
     est = closed_form_affine_fit(model, M.STANDARD_SSDU, pattern)
-    info = est.fit_info[pattern.key()]
+    info = est.fit_info[pattern.member.tobytes()]
     assert info["unconstrained_rows"] == [3, 4]
     a, _ = est.get_block(pattern)
     assert np.abs(a[[3, 4], :]).max() == 0.0
@@ -504,7 +506,7 @@ def test_fit_singular_normal_equations_ridge_flagged():
                              omega, lam)
     pattern = full_mask(q)
     est = closed_form_affine_fit(model, M.FULLY_SUPERVISED, pattern)
-    info = est.fit_info[pattern.key()]
+    info = est.fit_info[pattern.member.tobytes()]
     assert info["ridge_rows"] == [0, 1]
     a, _ = est.get_block(pattern)
     assert np.all(np.isfinite(a))

@@ -8,7 +8,7 @@ from kslab.errors import ConfigError, ValidationError
 from kslab.estimators import (AffinePerPattern, PatternFallbackWarning, TinyNet, ToyCascade,
                               closed_form_affine_fit)
 from kslab.inference import MODE_PRACTICAL, MODE_THEORY, correct, reconstruct, reconstruct_rows
-from kslab.kspace import SamplingMask, apply_mask, full_mask
+from kslab.kspace import SamplingMask, apply_mask, full_mask, mask_algebra
 from kslab.noise import NoiseSpec, complex_gaussian
 from kslab.rng import stream, streams
 from kslab.synthetic import model_preset
@@ -94,7 +94,9 @@ def test_theory_mode_draw_order(method):
     row = M.row(method)
     lam = model.lambda_dist.draw(rng) if row.input.on_intersect else None
     ntilde = complex_gaussian(model.q, model.noise.alpha * model.noise.sigma_n, rng)
-    y_in, m_in = row.input.build_masked(item.y, item.omega, lam, ntilde)
+    lam_member = None if lam is None else lam.member
+    y_in, _ = row.input.build(item.y, item.omega.member, lam_member, ntilde)
+    m_in = mask_algebra(item.omega, lam).intersect if row.input.on_intersect else item.omega
     expected = correct(est.forward(y_in, m_in), y_in, m_in.member, model.noise.alpha)
     assert np.array_equal(out, expected)
 
@@ -104,7 +106,7 @@ def test_practical_mode_formula():
     omega = SamplingMask.from_indices(q, [0], np.full(q, 0.5))
     est = AffinePerPattern(q)
     a_mat = np.array([[0.5, 0.1], [0.0, 0.25]], dtype=complex)
-    est.set_block(omega, a_mat, np.zeros(q, dtype=complex))
+    est.set_blocks(omega.member[None], a_mat[None], np.zeros((1, q), dtype=complex))
     y = np.array([1.0 + 1j, 0.0 + 0j])
     alpha = 0.5
     spec = NoiseSpec(0.1, alpha)
@@ -190,7 +192,8 @@ def _one_item(method, est, y, omega, model, rng=None):
         return correct(est.forward(y, omega), y, omega.member, model.noise.alpha)
     lam = model.lambda_dist.draw(rng) if row.input.on_intersect else None
     ntilde = complex_gaussian(model.q, model.noise.alpha * model.noise.sigma_n, rng)
-    y_in, m_in = row.input.build_masked(y, omega, lam, ntilde)
+    y_in, _ = row.input.build(y, omega.member, None if lam is None else lam.member, ntilde)
+    m_in = mask_algebra(omega, lam).intersect if row.input.on_intersect else omega
     return correct(est.forward(y_in, m_in), y_in, m_in.member, model.noise.alpha)
 
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from kslab import methods as M
 from kslab.errors import ConfigError, ValidationError
 from kslab.estimators import AffinePerPattern, TinyNet, closed_form_affine_fit
-from kslab.kspace import SamplingMask, apply_mask, full_mask
+from kslab.kspace import SamplingMask, apply_mask, full_mask, mask_algebra
 from kslab.noise import NoiseSpec, complex_gaussian
 from kslab.oracles import (
     COND_ON_Y,
@@ -36,7 +36,6 @@ from kslab.oracles import (
     check_population_minimizer,
     corrected_coefficients,
     enumerate_patterns,
-    fit_all_patterns,
     gaussian_conditional_mean,
     gradient_check_model,
     input_level,
@@ -100,24 +99,37 @@ def test_conditional_mean_rejects_singular_block():
         gaussian_conditional_mean(model, full_mask(q), TARGET_Y0, COND_ON_Y)
 
 
+def _table_fit(model, method):
+    """The method's input-level table and its closed-form fit there, as
+    ``run_oracle_suite`` hands them to the exact checks."""
+    table = enumerate_patterns(model, input_level(method))
+    return table, closed_form_affine_fit(model, method, table.members)
+
+
+def _level_tables(model):
+    return [enumerate_patterns(model, level) for level in ("omega", "intersect")]
+
+
 @pytest.mark.parametrize("method", M.PROOF_BACKED_METHODS)
 def test_population_minimizer_all_proof_backed(method):
     model = model_preset("banded", sigma_n=0.3, alpha=0.75)
-    report = check_population_minimizer(method, model)
+    report = check_population_minimizer(method, model, *_table_fit(model, method))
     assert report.passed is True
     assert report.estimate <= 1e-8
 
 
 def test_population_minimizer_noise2recon_descriptive():
     model = model_preset("banded", sigma_n=0.3, alpha=0.75)
-    report = check_population_minimizer(M.NOISE2RECON_SS, model)
+    table = enumerate_patterns(model, input_level(M.NOISE2RECON_SS))
+    report = check_population_minimizer(M.NOISE2RECON_SS, model, table, None)
     assert report.passed is None
     assert "descriptive" in report.notes
 
 
 def test_population_minimizer_standard_ssdu_marks_unconstrained():
     model = model_preset("banded", sigma_n=0.3, alpha=0.75)
-    report = check_population_minimizer(M.STANDARD_SSDU, model)
+    report = check_population_minimizer(M.STANDARD_SSDU, model,
+                                        *_table_fit(model, M.STANDARD_SSDU))
     assert report.notes["unconstrained_rows"] > 0
 
 
@@ -125,7 +137,7 @@ def test_population_minimizer_standard_ssdu_marks_unconstrained():
 @pytest.mark.parametrize("method", [M.NOISIER2FULL, M.ROBUST_SSDU])
 def test_correction_identity(method, preset):
     model = model_preset(preset, sigma_n=0.3, alpha=0.75)
-    report = check_correction_identity(method, model)
+    report = check_correction_identity(method, model, *_table_fit(model, method))
     assert report.passed is True
     assert report.estimate <= 1e-8
 
@@ -154,9 +166,28 @@ def test_oracle_suite_fits_each_pattern_once(monkeypatch):
     assert f"corrected_mse[{M.NOISIER2FULL}]" in names
 
 
+def test_oracle_suite_enumerates_each_level_once(monkeypatch):
+    """A default banded suite enumerates each pattern level of its model
+    once; every exact check reads those two tables."""
+    import kslab.oracles as oracles_mod
+
+    model = model_preset("banded", sigma_n=0.3, alpha=0.75)
+    levels = []
+    enumerate_ = oracles_mod.enumerate_patterns
+
+    def counting_enumerate(m, level):
+        if m is model:
+            levels.append(level)
+        return enumerate_(m, level)
+
+    monkeypatch.setattr(oracles_mod, "enumerate_patterns", counting_enumerate)
+    run_oracle_suite(model)
+    assert sorted(levels) == ["intersect", "omega"]
+
+
 def test_correction_algebra_exact():
     model = model_preset("banded", sigma_n=0.5, alpha=1.25)
-    report = check_correction_algebra(model)
+    report = check_correction_algebra(model, _level_tables(model))
     assert report.passed is True
     assert report.estimate <= 1e-10
 
@@ -197,7 +228,7 @@ def _random_models(draw):
 @settings(max_examples=60, deadline=None)
 @given(model=_random_models())
 def test_correction_algebra_on_random_models(model):
-    report = check_correction_algebra(model)
+    report = check_correction_algebra(model, _level_tables(model))
     assert report.passed is True, report.estimate
 
 
@@ -333,14 +364,15 @@ def test_population_minimizer_catches_robust_fit_input_variance_defect(monkeypat
     import kslab.estimators as estimators_mod
 
     model = model_preset("banded", sigma_n=0.3, alpha=0.75)
-    assert check_population_minimizer(M.ROBUST_SSDU, model).passed is True
+    assert check_population_minimizer(M.ROBUST_SSDU, model,
+                                      *_table_fit(model, M.ROBUST_SSDU)).passed is True
     variance = estimators_mod._fit_input_variance
 
     def measured_variance(method, noise):
         return noise.sigma_n ** 2 if method == M.ROBUST_SSDU else variance(method, noise)
 
     monkeypatch.setattr(estimators_mod, "_fit_input_variance", measured_variance)
-    report = check_population_minimizer(M.ROBUST_SSDU, model)
+    report = check_population_minimizer(M.ROBUST_SSDU, model, *_table_fit(model, M.ROBUST_SSDU))
     assert report.passed is False
     assert report.estimate > 1e-3
 
@@ -364,10 +396,10 @@ def test_correction_checks_catch_conditional_mean_target_defects(defect, monkeyp
         return conditional_mean(model, pattern, swap.get(target, target), conditioning)
 
     monkeypatch.setattr(oracles_mod, "gaussian_conditional_mean", defective)
-    assert check_correction_algebra(model).passed is False
+    assert check_correction_algebra(model, _level_tables(model)).passed is False
     for method in (M.NOISIER2FULL, M.ROBUST_SSDU):
-        identity = check_correction_identity(method, model)
-        minimizer = check_population_minimizer(method, model)
+        identity = check_correction_identity(method, model, *_table_fit(model, method))
+        minimizer = check_population_minimizer(method, model, *_table_fit(model, method))
         if defect == "targets_swapped":
             assert identity.passed is False
         else:
@@ -387,7 +419,8 @@ def test_population_minimizer_catches_shifted_stack_write(monkeypatch):
     monkeypatch.setattr(AffinePerPattern, "set_blocks", shifted)
     model = model_preset("banded", sigma_n=0.3, alpha=0.75)
     for method in FITTED_METHODS:
-        assert check_population_minimizer(method, model).passed is False
+        assert check_population_minimizer(method, model,
+                                          *_table_fit(model, method)).passed is False
 
 
 CORRECTION_CHECKS = {f"correction_identity[{M.NOISIER2FULL}]",
@@ -654,7 +687,7 @@ def test_gradient_equivalence_exact_enumeration():
             lm = np.array(lm_bits, bool)
             s = om & lm
             key_mask = SamplingMask(s, p * pt)
-            idx = est._patterns[key_mask.key()]
+            idx = est._patterns[key_mask.member.tobytes()]
             a_blk, b_blk = est.get_block(key_mask)
             ps = np.diag(s.astype(float))
             eyy = ps @ (cov + v_all * np.eye(q)) @ ps
@@ -740,7 +773,9 @@ def test_batched_mse_matches_per_draw_library_path(method):
     ref = np.empty(200)
     for i in range(200):
         omega, lam = _draw_masks(model, draws, i)
-        y_in, m_in = M.row(method).input.build_masked(draws.y[i], omega, lam, draws.ntilde[i])
+        inp = M.row(method).input
+        y_in, _ = inp.build(draws.y[i], draws.omega[i], draws.lam[i], draws.ntilde[i])
+        m_in = mask_algebra(omega, lam).intersect if inp.on_intersect else omega
         est_y = correct(est.forward(y_in, m_in), y_in, m_in.member, alpha)
         ref[i] = np.sum(np.abs(est_y - draws.y0[i]) ** 2)
     assert np.all(np.abs(batched - ref) <= 1e-12 * ref)
@@ -909,7 +944,7 @@ def test_oracle_suite_shared_draws_match_singular_calls(preset):
     reports = {r.name: r for r in run_oracle_suite(model, seed=seed, gradient_samples=samples,
                                                    slope_samples=2000, mse_samples=samples)}
     for method in (M.NOISIER2FULL, M.ROBUST_SSDU):
-        want = mc_corrected_mse(method, fit_all_patterns(model, method), model, samples, seed)
+        want = mc_corrected_mse(method, _table_fit(model, method)[1], model, samples, seed)
         got = reports[f"corrected_mse[{method}]"]
         assert json.dumps([got.estimate, got.standard_error]) == json.dumps(list(want))
     grad_model = gradient_check_model(0.3, 0.75)

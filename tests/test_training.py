@@ -96,7 +96,8 @@ def test_standard_ssdu_zero_loss_when_matching():
                     ntilde=np.zeros(q, dtype=complex))
     est = AffinePerPattern(q)
     inter = mask_algebra(omega, lam).intersect
-    est.set_block(inter, np.zeros((q, q), dtype=complex), item.y)  # constant = y
+    est.set_blocks(inter.member[None], np.zeros((1, q, q), dtype=complex),
+                   item.y[None])  # constant = y
     spec = TrainSpec(method=M.STANDARD_SSDU, alpha=1.0)
     loss, grad = loss_and_grad(spec, est, item)
     assert loss == 0.0
@@ -115,7 +116,7 @@ def test_robust_ssdu_hand_evaluated_loss():
     est = AffinePerPattern(q)
     inter = mask_algebra(omega, lam).intersect
     f_const = np.array([0.5 + 0j, 1.0 + 0j])
-    est.set_block(inter, np.zeros((q, q), dtype=complex), f_const)
+    est.set_blocks(inter.member[None], np.zeros((1, q, q), dtype=complex), f_const[None])
     spec = TrainSpec(method=M.ROBUST_SSDU, alpha=1.0)
     loss, _ = loss_and_grad(spec, est, item)
     y = item.y
@@ -132,8 +133,8 @@ def test_noise2recon_constant_function():
                     ntilde=np.zeros(q, dtype=complex))
     c = np.array([0.3 - 0.1j] * q)
     est = AffinePerPattern(q)
-    est.set_block(mask_algebra(omega, lam).intersect, np.zeros((q, q), dtype=complex), c)
-    est.set_block(omega, np.zeros((q, q), dtype=complex), c)
+    est.set_blocks(np.array([mask_algebra(omega, lam).intersect.member, omega.member]),
+                   np.zeros((2, q, q), dtype=complex), np.array([c, c]))
     spec = TrainSpec(method=M.NOISE2RECON_SS, alpha=1.0, lambda_n2r=1.0)
     loss, _ = loss_and_grad(spec, est, item)
     held = mask_algebra(omega, lam).omega_minus_lambda

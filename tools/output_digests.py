@@ -16,7 +16,10 @@ Runs, in a temporary directory and in this process:
 * ``verify`` on two seeds, on the ``scalar`` preset, whose q = 1 gives
   the stacked closed-form oracles an empty and a full support, and on
   ``banded`` at ``sigma_n`` 0, where the noise draws are signed zeros and
-  a change in how they are formed can flip the sign of a reported zero.
+  a change in how they are formed can flip the sign of a reported zero;
+* ``verify`` on ``banded`` with q = 12 (seed 1): 1,024 patterns per level,
+  so both ``oracles.SOLVE_BLOCK`` and ``estimators.FIT_BLOCK`` split its
+  stacks of one support size.
 
 Keys are ``<run>/<file>``, plus ``<run>/exit`` for each subcommand's exit
 code. A ``train`` run's files are ``checkpoint.json`` and the raw theta file
@@ -117,6 +120,8 @@ def output_digests(root: Path) -> dict:
     _run(root, digests, "verify_scalar", ["verify", "--config", str(scalar), "--seed", "1"])
     sigma0 = _config(root, "sigma0", model={"sigma_n": 0.0})
     _run(root, digests, "verify_sigma0", ["verify", "--config", str(sigma0), "--seed", "1"])
+    q12 = _config(root, "banded_q12", model={"q": 12})
+    _run(root, digests, "verify_banded_q12", ["verify", "--config", str(q12), "--seed", "1"])
     return digests
 
 
