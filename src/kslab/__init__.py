@@ -16,8 +16,6 @@ from .kspace import (
     SamplingMask,
     apply_mask,
     as_kspace,
-    dft_unitary,
-    empty_mask,
     full_mask,
     magnitude_image,
     mask_algebra,

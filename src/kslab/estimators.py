@@ -76,30 +76,32 @@ class Mlp:
     """Plain fully-connected real network with softplus hidden units.
 
     Operates on externally owned parameter rows, one network per row of a
-    (C, segment) array; packing order within a row is W1, b1, W2, b2, ...
-    with W of shape (out, in). Inputs and outputs carry the same leading
+    (C, P) array. Its parameters fill columns ``start`` to ``end`` (exclusive)
+    of every row, packed W1, b1, W2, b2, ... with W of shape (out, in), so
+    several networks share one array at disjoint spans and each reads and
+    writes its own span in place. Inputs and outputs carry the same leading
     row axis. Each row's matrix-vector products are single BLAS calls, so a
     row computes the same bits in a stack as alone.
     """
 
-    def __init__(self, sizes):
+    def __init__(self, sizes, start: int):
         self.sizes = tuple(int(s) for s in sizes)
-        self.offsets = []  # start of each layer's W in the segment
-        off = 0
+        self.offsets = []  # start of each layer's W in the row
+        off = int(start)
         for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):
             self.offsets.append(off)
             off += fan_out * fan_in + fan_out
-        self.n_params = off
+        self.end = off
         # the parameter array whose layer views ``_views`` holds; holding it
         # keeps its id from being reused, and views see in-place updates
         self._theta = None
         self._views = None
 
-    def init(self, rng: np.random.Generator, out: np.ndarray) -> None:
-        """Draw the weights N(0, 1/fan_in) into a zeroed segment ``out``
-        (n_params,), layer by layer; the biases stay zero."""
+    def init(self, rng: np.random.Generator, theta: np.ndarray) -> None:
+        """Draw the weights N(0, 1/fan_in) into this network's span of a
+        zeroed parameter vector ``theta``, layer by layer; the biases stay zero."""
         for off, fan_in, fan_out in zip(self.offsets, self.sizes[:-1], self.sizes[1:]):
-            seg = out[off:off + fan_out * fan_in]
+            seg = theta[off:off + fan_out * fan_in]
             rng.standard_normal(out=seg)
             seg /= np.sqrt(fan_in)
 
@@ -118,7 +120,7 @@ class Mlp:
         return self._views
 
     def forward(self, theta: np.ndarray, x: np.ndarray):
-        """Outputs (C, out) for parameter rows theta (C, segment) and inputs
+        """Outputs (C, out) for parameter rows theta (C, P) and inputs
         x (C, in), and the cache ``backward`` reads."""
         layers = self._layers(theta)
         hs, zs = [x], []
@@ -134,15 +136,14 @@ class Mlp:
         y += b
         return y, (layers, hs, zs)
 
-    def backward(self, cache, gy: np.ndarray, out=None, input_grad: bool = True):
+    def backward(self, cache, gy: np.ndarray, out: np.ndarray, input_grad: bool = True):
         """Gradients of <gy_c, output_c> w.r.t. each parameter row and input row.
 
-        ``out``, if given, is the (C, segment) array the parameter gradients
-        are written to; every entry is written. The input gradient is None
-        unless ``input_grad``.
+        The parameter gradients are written to this network's span of the
+        (C, P) array ``out``; every entry of the span is written and no entry
+        outside it. Returns the input gradient, or None unless ``input_grad``.
         """
         layers, hs, zs = cache
-        grad = np.empty((gy.shape[0], self.n_params)) if out is None else out
         g = gy
         for k in range(len(layers) - 1, -1, -1):
             w, _, wt = layers[k]
@@ -152,10 +153,10 @@ class Mlp:
             n_w = w.shape[1] * w.shape[2]
             # splitting the last axis of a column slice is always a view
             np.multiply(g[:, :, None], hs[k][:, None, :],
-                        out=grad[:, o:o + n_w].reshape(w.shape))
-            grad[:, o + n_w:o + n_w + w.shape[1]] = g
+                        out=out[:, o:o + n_w].reshape(w.shape))
+            out[:, o + n_w:o + n_w + w.shape[1]] = g
             g = np.matmul(wt, g[..., None])[..., 0] if k or input_grad else None
-        return grad, g
+        return g
 
 
 # Multiplying a word of eight 0/1 bytes by this constant (mod 2^64) gathers
@@ -439,10 +440,10 @@ class TinyNet(Estimator):
         self.width_factor = int(width_factor)
         self.seed = int(seed)
         width = max(2, self.width_factor * q)
-        self.mlp = Mlp([2 * q] + [width] * self.hidden_layers + [2 * q])
+        self.mlp = Mlp([2 * q] + [width] * self.hidden_layers + [2 * q], 0)
         self.layout = (self.family, self.mlp.sizes)
         if theta is None:
-            theta = np.zeros(self.mlp.n_params)
+            theta = np.zeros(self.mlp.end)
             self.mlp.init(stream(self.seed, "tiny_net_init"), theta)
         super().__init__(q, theta)
 
@@ -450,13 +451,15 @@ class TinyNet(Estimator):
         out, cache = self.mlp.forward(theta, complex_to_real(y_in))
 
         def pullback(cot) -> np.ndarray:
-            return self.mlp.backward(cache, complex_to_real(cot), input_grad=False)[0]
+            grad = np.empty(theta.shape)  # the network covers every entry
+            self.mlp.backward(cache, complex_to_real(cot), grad, input_grad=False)
+            return grad
 
         return real_to_complex(out), pullback
 
     @property
     def n_params(self) -> int:
-        return self.mlp.n_params
+        return self.mlp.end
 
 
 class ToyCascade(Estimator):
@@ -465,7 +468,9 @@ class ToyCascade(Estimator):
     Each of K cascades applies a data-consistency step with trainable step
     size eta_k and adds M_in G_D(y_k) + (1 - M_in) G_R(y_k), with G_D and
     G_R one-hidden-layer networks specializing to sampled (denoising) and
-    unsampled (reconstruction) indices respectively.
+    unsampled (reconstruction) indices respectively. Cascade k's eta, G_D
+    and G_R lie in that order in one parameter row, and every network reads
+    its own span of the whole row.
     """
 
     family = "toy_cascade"
@@ -475,51 +480,32 @@ class ToyCascade(Estimator):
         self.cascades = int(cascades)
         self.seed = int(seed)
         sizes = [2 * q, 2 * q, 2 * q]
-        # (G_D, G_R) of each cascade: a network per segment, so that each
-        # keeps the layer views of its own segment (an Mlp caches one array's)
-        self.nets = [(Mlp(sizes), Mlp(sizes)) for _ in range(self.cascades)]
-        self.block = 1 + 2 * self.nets[0][0].n_params  # eta, G_D, G_R per cascade
-        self.layout = (self.family, self.cascades, self.nets[0][0].sizes)
-        # the parameter array whose segment views ``_segment_views`` holds
-        self._theta = None
-        self._segments = None
+        self.nets = []  # (eta index, G_D, G_R) of each cascade
+        end = 0
+        for _ in range(self.cascades):
+            d_net = Mlp(sizes, end + 1)
+            r_net = Mlp(sizes, d_net.end)
+            self.nets.append((end, d_net, r_net))
+            end = r_net.end
+        self.layout = (self.family, self.cascades, tuple(sizes))
         if theta is None:
             rng = stream(self.seed, "toy_cascade_init")
-            theta = np.zeros(self.n_params)
-            for k, (d_net, r_net) in enumerate(self.nets):
-                i_eta, (d0, d1), (r0, r1) = self._offsets(k)
+            theta = np.zeros(end)
+            for i_eta, d_net, r_net in self.nets:
                 theta[i_eta] = 1.0
-                d_net.init(rng, theta[d0:d1])
-                r_net.init(rng, theta[r0:r1])
+                d_net.init(rng, theta)
+                r_net.init(rng, theta)
         super().__init__(q, theta)
-
-    def _offsets(self, k: int):
-        base = k * self.block
-        n = self.nets[k][0].n_params
-        return base, (base + 1, base + 1 + n), (base + 1 + n, base + 1 + 2 * n)
-
-    def _segment_views(self, theta: np.ndarray) -> list:
-        """(eta (C, 1), G_D, G_R) views of each cascade for the rows of theta, cut
-        once per parameter array, so that each segment network finds its
-        layer views cached through all of a stack's steps."""
-        if self._theta is not theta:
-            self._segments = []
-            for k in range(self.cascades):
-                i_eta, (d0, d1), (r0, r1) = self._offsets(k)
-                self._segments.append((theta[:, i_eta, None], theta[:, d0:d1],
-                                       theta[:, r0:r1]))
-            self._theta = theta
-        return self._segments
 
     def forward_vjp_stack(self, theta, y_in, member):
         x = complex_to_real(y_in)
         mvec = np.concatenate([member, member], axis=-1).astype(np.float64)
         states, caches = [x], []
         s = x
-        for (d_net, r_net), (eta, d_seg, r_seg) in zip(self.nets, self._segment_views(theta)):
-            d_out, d_cache = d_net.forward(d_seg, s)
-            r_out, r_cache = r_net.forward(r_seg, s)
-            s = s - eta * mvec * (s - x) + mvec * d_out + (1.0 - mvec) * r_out
+        for i_eta, d_net, r_net in self.nets:
+            d_out, d_cache = d_net.forward(theta, s)
+            r_out, r_cache = r_net.forward(theta, s)
+            s = s - theta[:, i_eta, None] * mvec * (s - x) + mvec * d_out + (1.0 - mvec) * r_out
             states.append(s)
             caches.append((d_cache, r_cache))
 
@@ -527,13 +513,12 @@ class ToyCascade(Estimator):
             grad = np.empty(theta.shape)  # eta, G_D and G_R cover every entry
             a = complex_to_real(cot)
             for k in range(self.cascades - 1, -1, -1):
-                i_eta, (d0, d1), (r0, r1) = self._offsets(k)
-                (d_net, r_net), (d_cache, r_cache) = self.nets[k], caches[k]
+                (i_eta, d_net, r_net), (d_cache, r_cache) = self.nets[k], caches[k]
                 # row-wise dot products, each the BLAS dot of the one-row case
                 grad[:, i_eta] = -np.matmul(a[:, None, :],
                                             (mvec * (states[k] - x))[:, :, None])[:, 0, 0]
-                _, ax_d = d_net.backward(d_cache, mvec * a, out=grad[:, d0:d1])
-                _, ax_r = r_net.backward(r_cache, (1.0 - mvec) * a, out=grad[:, r0:r1])
+                ax_d = d_net.backward(d_cache, mvec * a, grad)
+                ax_r = r_net.backward(r_cache, (1.0 - mvec) * a, grad)
                 a = a * (1.0 - theta[:, i_eta, None] * mvec) + ax_d + ax_r
             return grad
 
@@ -541,7 +526,7 @@ class ToyCascade(Estimator):
 
     @property
     def n_params(self) -> int:
-        return self.cascades * self.block
+        return self.nets[-1][2].end
 
 
 FAMILIES = {cls.family: cls for cls in (AffinePerPattern, TinyNet, ToyCascade)}

@@ -85,10 +85,6 @@ class SamplingMask:
     def indices(self) -> tuple:
         return tuple(int(j) for j in np.nonzero(self.member)[0])
 
-    @property
-    def size(self) -> int:
-        return int(np.count_nonzero(self.member))
-
     def to_json(self) -> dict:
         return {"indices": list(self.indices), "probs": [float(p) for p in self.probs]}
 
@@ -111,10 +107,6 @@ def _mask_unchecked(member: np.ndarray, probs: np.ndarray) -> SamplingMask:
 
 def full_mask(q: int) -> SamplingMask:
     return SamplingMask(np.ones(q, dtype=bool), np.ones(q))
-
-
-def empty_mask(q: int) -> SamplingMask:
-    return SamplingMask(np.zeros(q, dtype=bool), np.zeros(q))
 
 
 def apply_mask(mask: SamplingMask, v) -> np.ndarray:
@@ -149,15 +141,6 @@ def mask_algebra(omega: SamplingMask, lam: SamplingMask) -> MaskAlgebra:
 def _dft_matrix(q: int) -> np.ndarray:
     jk = np.outer(np.arange(q), np.arange(q))
     return np.exp(-2j * np.pi * jk / q) / np.sqrt(q)
-
-
-def dft_unitary(v, inverse: bool = False) -> np.ndarray:
-    """Unitary DFT (or its inverse) of a length-q complex vector."""
-    arr = as_kspace(v)
-    f = _dft_matrix(arr.shape[0])
-    if inverse:
-        return np.conj(f) @ arr
-    return f @ arr
 
 
 def magnitude_image(k, shape=None) -> np.ndarray:

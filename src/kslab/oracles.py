@@ -540,9 +540,10 @@ def _oracle_gradient(method: str, est: Estimator, model: MeasurementModel,
     else:
         m_in = mask_algebra(omega, lam).intersect
         y_tilde = apply_mask(m_in, y + ntilde)
-    est_y = correct(est.forward(y_tilde, m_in), y_tilde, m_in.member, alpha)
+    out, pullback = est.forward_vjp(y_tilde, m_in)
+    est_y = correct(out, y_tilde, m_in.member, alpha)
     d = np.where(m_in.member, (1.0 + alpha ** 2) / alpha ** 2, 1.0)
-    return 2.0 * est.vjp(y_tilde, m_in, d * (est_y - y0))
+    return 2.0 * pullback(d * (est_y - y0))
 
 
 def _gradient_moments(claim: str, est: AffinePerPattern, model: MeasurementModel,

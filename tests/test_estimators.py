@@ -14,6 +14,7 @@ from kslab.errors import ConfigError, DimensionError, ValidationError
 from kslab.estimators import (
     AffinePerPattern,
     Estimator,
+    Mlp,
     PatternFallbackWarning,
     TinyNet,
     ToyCascade,
@@ -58,6 +59,7 @@ def make_mask(q, indices, prob=0.6):
     ("affine_per_pattern", {}),
     ("tiny_net", {"hidden_layers": 2, "width_factor": 2, "seed": 3}),
     ("toy_cascade", {"cascades": 2, "seed": 4}),
+    ("toy_cascade", {"cascades": 3, "seed": 5}),
 ])
 def test_vjp_matches_finite_differences(family, opts):
     q = 4
@@ -297,23 +299,49 @@ def test_pullback_stays_valid_after_a_later_forward():
 
 def test_toy_cascade_rows_match_rows_alone():
     """A cascade's stacked pullback carries each network's input gradient
-    into the earlier cascade, as the rows alone do."""
+    into the earlier cascade, as the rows alone do; with 3 cascades the
+    networks of cascade k = 2 read and write their spans of the row too."""
     q, n = 4, 6
-    est = ToyCascade(q, cascades=2, seed=4)
-    rng = stream(8, "cascade_rows")
-    members = rng.random((n, q)) < 0.6
-    y = np.where(members, rng.standard_normal((n, q)) + 1j * rng.standard_normal((n, q)), 0.0)
-    cot = rng.standard_normal((n, q)) + 1j * rng.standard_normal((n, q))
-    theta = est.theta + 0.1 * rng.standard_normal((n, est.theta.shape[0]))
-    _assert_rows_alone(est, theta, y, members, cot)
-    # and the gradient is right: a directional derivative per row, by central differences
-    step = 1e-6
-    grad = est.forward_vjp_stack(theta, y, members)[1](cot)
-    d = rng.standard_normal(theta.shape)
-    plus, minus = (est.forward_vjp_stack(theta + sign * step * d, y, members)[0]
-                   for sign in (1.0, -1.0))
-    fd = np.sum((np.conj(cot) * (plus - minus)).real, axis=1) / (2 * step)
-    assert np.allclose(np.sum(grad * d, axis=1), fd, rtol=1e-6, atol=1e-8)
+    for cascades in (2, 3):
+        est = ToyCascade(q, cascades=cascades, seed=4)
+        rng = stream(8, "cascade_rows")
+        members = rng.random((n, q)) < 0.6
+        noise = rng.standard_normal((n, q)) + 1j * rng.standard_normal((n, q))
+        y = np.where(members, noise, 0.0)
+        cot = rng.standard_normal((n, q)) + 1j * rng.standard_normal((n, q))
+        theta = est.theta + 0.1 * rng.standard_normal((n, est.theta.shape[0]))
+        _assert_rows_alone(est, theta, y, members, cot)
+        # and the gradient is right: a directional derivative per row, by central differences
+        step = 1e-6
+        grad = est.forward_vjp_stack(theta, y, members)[1](cot)
+        d = rng.standard_normal(theta.shape)
+        plus, minus = (est.forward_vjp_stack(theta + sign * step * d, y, members)[0]
+                       for sign in (1.0, -1.0))
+        fd = np.sum((np.conj(cot) * (plus - minus)).real, axis=1) / (2 * step)
+        assert np.allclose(np.sum(grad * d, axis=1), fd, rtol=1e-6, atol=1e-8)
+
+
+def test_mlp_at_an_offset_matches_mlp_on_its_span():
+    """A network at a nonzero start of a wider row computes the bits that a
+    network at 0 computes on that span alone, and its backward pass writes
+    its span and nothing else."""
+    sizes, start, n = (6, 5, 4), 7, 3
+    inner = Mlp(sizes, 0)
+    net = Mlp(sizes, start)
+    rng = stream(9, "mlp_offset")
+    theta = rng.standard_normal((n, net.end + 4))
+    span = theta[:, start:net.end].copy()
+    x = rng.standard_normal((n, sizes[0]))
+    gy = rng.standard_normal((n, sizes[-1]))
+    y, cache = net.forward(theta, x)
+    y_inner, cache_inner = inner.forward(span, x)
+    assert np.array_equal(y, y_inner)
+    out = np.full(theta.shape, np.nan)
+    gx = net.backward(cache, gy, out)
+    grad_inner = np.empty(span.shape)
+    assert np.array_equal(gx, inner.backward(cache_inner, gy, grad_inner))
+    assert np.array_equal(out[:, start:net.end], grad_inner)
+    assert np.isnan(out[:, :start]).all() and np.isnan(out[:, net.end:]).all()
 
 
 def _reference_init(rng, sizes) -> list:

@@ -77,7 +77,7 @@ def test_draw_mask_empirical_frequency():
 def test_distribution_empirical_acceleration():
     dist = MaskDistribution("column_polynomial", 32, 4.0, 2)
     rng = stream(3, "accel")
-    sizes = [dist.draw(rng).size for _ in range(10_000)]
+    sizes = [np.count_nonzero(dist.draw(rng).member) for _ in range(10_000)]
     got = 32 / np.mean(sizes)
     assert abs(got - 4.0) <= 0.08
 

@@ -560,7 +560,7 @@ def _view_cuts(monkeypatch, family, opts, methods):
 
 
 def test_toy_cascade_stack_cuts_layer_views_once(monkeypatch):
-    """Over 10 stacked steps of one parameter array, each segment network of
+    """Over 10 stacked steps of one parameter array, each network of
     a 2-cascade stack cuts its layer views once, not on each of the 40
     network forward passes, and the stack trains as its cells alone do."""
     assert _view_cuts(monkeypatch, ToyCascade, {"cascades": 2},

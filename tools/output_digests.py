@@ -13,6 +13,9 @@ Runs, in a temporary directory and in this process:
 * ``train`` then ``reconstruct`` for ``tiny_net`` and ``toy_cascade`` with
   non-default hyperparameters (``NON_DEFAULT``) in each mode, so a field the
   config fails to hand to the estimator changes a checkpoint digest;
+* ``train`` then ``reconstruct`` for ``toy_cascade`` with 3 cascades in
+  each mode, so a network past the second cascade reads and writes its own
+  span of the parameter row;
 * ``verify`` on two seeds, on the ``scalar`` preset, whose q = 1 gives
   the stacked closed-form oracles an empty and a full support, and on
   ``banded`` at ``sigma_n`` 0, where the noise draws are signed zeros and
@@ -107,6 +110,9 @@ def output_digests(root: Path) -> dict:
         cfg = _config(root, f"{family}_fields", estimator={"family": family, **fields})
         for mode in MODES:
             _train_reconstruct(root, digests, f"{family}_fields", cfg, mode)
+    cfg = _config(root, "toy_cascade_3", estimator={"family": "toy_cascade", "cascades": 3})
+    for mode in MODES:
+        _train_reconstruct(root, digests, "toy_cascade_3", cfg, mode)
     diagonal = _config(root, "diagonal", model={"preset": "diagonal"},
                        estimator={"family": "tiny_net"})
     _run(root, digests, "compare_diagonal",
