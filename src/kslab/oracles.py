@@ -20,7 +20,7 @@ order, so results are reproducible.
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -35,7 +35,7 @@ from .methods import TARGET_Y0, TARGET_Y0_PLUS_N  # re-exported: the method tabl
 from .noise import NoiseSpec, complex_gaussian
 from .rng import stream
 from .sampling import COLUMN_POLYNOMIAL, MaskDistribution, compute_P, compute_k
-from .synthetic import MeasurementModel, gaussian_ground_truth
+from .synthetic import MeasurementModel, banded_prior_cov, gaussian_ground_truth
 
 COND_ON_Y = "on_Y"
 COND_ON_YTILDE = "on_ytilde"
@@ -77,15 +77,7 @@ class OracleReport:
         return self
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "estimate": self.estimate,
-            "reference": self.reference,
-            "tolerance": self.tolerance,
-            "standard_error": self.standard_error,
-            "passed": self.passed,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -110,23 +102,32 @@ def _pattern_rows(pattern, q: int) -> np.ndarray:
     return members
 
 
-def _observed_blocks(members: np.ndarray):
-    """(rows, supports) of pattern rows stacked by nonempty support size.
+def _observed_blocks(model: MeasurementModel, members: np.ndarray, conditioning: str):
+    """The observed blocks of pattern rows, stacked by nonempty support size.
 
-    Yields, in increasing size, the rows of one size and their observed
-    indices (rows, size), ascending; a size is split only beyond
-    ``SOLVE_BLOCK`` entries of its (pattern, q, size, size) stack. The fit
-    in ``estimators`` groups its stacks with its own code: the two routes
-    share nothing, so a stacking defect in one shows against the other.
+    Yields, in increasing size, ``(rows, observed, gram, cross)``: the rows
+    of one size, their observed indices (m, size), ascending, the observed
+    block's covariance (m, size, size) under the conditioning's per-entry
+    noise, and the prior covariance (m, q, size) of every index with the
+    observed ones. Each yield builds its own arrays. A size is split only
+    beyond ``SOLVE_BLOCK`` entries of its (pattern, q, size, size) stack.
+    The fit in ``estimators`` groups its stacks with its own code: the two
+    routes share nothing, so a stacking defect in one shows against the
+    other.
     """
     q = members.shape[1]
+    v = _observation_variance(model, conditioning)
+    cov = model.prior_cov
     sizes = np.count_nonzero(members, axis=1)
     for size in sorted(set(sizes[sizes > 0].tolist())):
         rows = np.flatnonzero(sizes == size)
         observed = np.nonzero(members[rows])[1].reshape(len(rows), size)
         step = max(1, SOLVE_BLOCK // (q * size * size))
         for start in range(0, len(rows), step):
-            yield rows[start:start + step], observed[start:start + step]
+            s = observed[start:start + step]
+            gram = cov[s[:, :, None], s[:, None, :]] + v * np.eye(size)
+            cross = cov[np.arange(q)[:, None], s[:, None, :]]
+            yield rows[start:start + step], s, gram, cross
 
 
 def gaussian_conditional_mean(model: MeasurementModel, pattern, target: str,
@@ -146,17 +147,13 @@ def gaussian_conditional_mean(model: MeasurementModel, pattern, target: str,
         raise ConfigError(f"unknown target {target!r}")
     q = model.q
     members = _pattern_rows(pattern, q)
-    v = _observation_variance(model, conditioning)
     sigma2 = model.noise.sigma_n ** 2
-    cov = model.prior_cov
     c = np.zeros((len(members), q, q), dtype=np.complex128)
-    for rows, s in _observed_blocks(members):
+    for rows, s, gram, cross in _observed_blocks(model, members, conditioning):
         m, size = s.shape
-        gram = cov[s[:, :, None], s[:, None, :]] + v * np.eye(size)
         eigs = np.linalg.eigvalsh(gram)
         if np.any(eigs.min(axis=1) <= 1e-14 * np.maximum(1.0, eigs.max(axis=1))):
             raise ValidationError("observed-block covariance is singular")
-        cross = cov[np.arange(q)[:, None], s[:, None, :]]  # (m, q, size)
         if target == TARGET_Y0_PLUS_N:
             cross[np.arange(m)[:, None], s, np.arange(size)] += sigma2
         c[rows[:, None, None], np.arange(q)[:, None], s[:, None, :]] = np.linalg.solve(
@@ -167,14 +164,10 @@ def gaussian_conditional_mean(model: MeasurementModel, pattern, target: str,
 def posterior_error_trace(model: MeasurementModel, pattern, conditioning: str):
     """E || Y0 - E[Y0 | observation] ||^2 for one observation pattern (a float),
     or for each of pattern rows (n, q) of bool (an (n,) array)."""
-    q = model.q
-    members = _pattern_rows(pattern, q)
-    v = _observation_variance(model, conditioning)
+    members = _pattern_rows(pattern, model.q)
     cov = model.prior_cov
     out = np.full(len(members), float(np.trace(cov).real))
-    for rows, s in _observed_blocks(members):
-        gram = cov[s[:, :, None], s[:, None, :]] + v * np.eye(s.shape[1])
-        cross = cov[np.arange(q)[:, None], s[:, None, :]]
+    for rows, _s, gram, cross in _observed_blocks(model, members, conditioning):
         err = cov - cross @ np.linalg.solve(gram, cross.conj().swapaxes(-1, -2))
         out[rows] = np.trace(err, axis1=-2, axis2=-1).real
     return float(out[0]) if isinstance(pattern, SamplingMask) else out
@@ -415,6 +408,14 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a, b))
 
 
+def _mean_se(total, total_sq, samples: int):
+    """Monte Carlo mean and standard error from the sum and the sum of
+    squares of ``samples`` draws, a float or entrywise over an array."""
+    mean = total / samples
+    var = np.maximum(total_sq / samples - mean * mean, 0.0)
+    return mean, np.sqrt(var / samples)
+
+
 def mc_corrected_mses(ests: dict[str, Estimator], model: MeasurementModel,
                       samples: int, seed: int) -> dict[str, tuple[float, float]]:
     """Theory-mode reconstruction MSE (mean, standard error) of each entry of
@@ -437,12 +438,8 @@ def mc_corrected_mses(ests: dict[str, Estimator], model: MeasurementModel,
             total[method] += float(err.sum())
             total_sq[method] += _dot(err, err)
         del draws  # one shard alive at a time
-    out = {}
-    for method in ests:
-        mean = total[method] / samples
-        var = max(total_sq[method] / samples - mean * mean, 0.0)
-        out[method] = (mean, math.sqrt(var / samples))
-    return out
+    return {method: tuple(map(float, _mean_se(total[method], total_sq[method], samples)))
+            for method in ests}
 
 
 def mc_corrected_mse(method: str, est: Estimator, model: MeasurementModel,
@@ -547,16 +544,20 @@ def _oracle_gradient(method: str, est: Estimator, model: MeasurementModel,
 
 
 def _gradient_moments(claim: str, est: AffinePerPattern, model: MeasurementModel,
-                      draws: _Draws) -> tuple[dict, dict, float]:
-    """Sums and sums of squares of the per-draw surrogate, oracle and difference gradients.
+                      draws: _Draws, sums: dict, sums_sq: dict) -> float:
+    """Add one shard's per-draw surrogate, oracle and difference gradients
+    into ``sums`` and their squares into ``sums_sq`` (each ``{key: (n_params,)}``,
+    keys "surr", "oracle" and "diff").
 
-    Rows go in blocks of ``MOMENT_BLOCK`` gradient entries, and each block
-    runs one forward pass. The surrogate gradients are training's own
+    Every drawn input pattern must be enrolled in ``est``: one that is not
+    raises ``ValidationError`` before anything is added. Rows go in blocks
+    of ``MOMENT_BLOCK`` gradient entries, and each block runs one forward
+    pass. The surrogate gradients are training's own
     weighted loss (``training.method_rows`` and
     ``training.weighted_loss_and_grad`` on that pass); the oracle gradients
     come from the same pass's pullback.
     The first draw of each distinct (Omega, Lambda) pair is recomputed
-    through ``training.loss_and_grad`` and ``_oracle_gradient``; the third
+    through ``training.loss_and_grad`` and ``_oracle_gradient``; the return
     value is the largest deviation of a batched gradient row from its
     per-draw gradient, relative to the latter's largest entry.
     """
@@ -566,10 +567,9 @@ def _gradient_moments(claim: str, est: AffinePerPattern, model: MeasurementModel
     rows = training.method_rows(method, alpha, draws.y, draws.omega, draws.lam, draws.ntilde,
                                 training._target(method, claim, draws), training.compute_P(p, pt))
     first = np.array([g[0] for g in group_rows(np.concatenate([draws.omega, draws.lam], axis=1))])
+    est.get_blocks(rows.m_in[first])  # raises on a drawn pattern not enrolled
     spec = training.TrainSpec(method=claim, alpha=alpha)
     n, n_params = draws.y.shape[0], est.theta.shape[0]
-    sums = {key: np.zeros(n_params) for key in ("surr", "oracle", "diff")}
-    sums_sq = {key: np.zeros(n_params) for key in ("surr", "oracle", "diff")}
     worst = 0.0
     step = max(1, MOMENT_BLOCK // max(n_params, 1))
     for start in range(0, n, step):
@@ -595,7 +595,7 @@ def _gradient_moments(claim: str, est: AffinePerPattern, model: MeasurementModel
             for key, ref in refs.items():
                 scale = max(float(np.abs(ref).max()), np.finfo(float).tiny)
                 worst = max(worst, float(np.abs(grads[key][i - start] - ref).max()) / scale)
-    return sums, sums_sq, worst
+    return worst
 
 
 def gradient_check_model(sigma_n: float, alpha: float) -> MeasurementModel:
@@ -610,8 +610,6 @@ def gradient_check_model(sigma_n: float, alpha: float) -> MeasurementModel:
     keeps every pattern probability moderate while retaining a correlated
     prior, distinct first/second-level densities, and noise.
     """
-    from .synthetic import banded_prior_cov
-
     q = GRADIENT_CHECK_Q
     omega = MaskDistribution(COLUMN_POLYNOMIAL, q, 1.4, 0, 2.0)
     lam = MaskDistribution(COLUMN_POLYNOMIAL, q, 1.8, 0, 2.0)
@@ -622,15 +620,9 @@ def _gradient_report(claim: str, sums: dict, sums_sq: dict, crosscheck: float,
                      samples: int) -> OracleReport:
     """The report of one claim from its gradient sums over all shards."""
     n_params = sums["diff"].shape[0]
-
-    def moments(key):
-        mean = sums[key] / samples
-        var = np.maximum(sums_sq[key] / samples - mean * mean, 0.0)
-        return mean, np.sqrt(var / samples)
-
-    mean_s, se_s = moments("surr")
-    mean_o, se_o = moments("oracle")
-    mean_d, se_d = moments("diff")
+    mean_s, se_s = _mean_se(sums["surr"], sums_sq["surr"], samples)
+    mean_o, se_o = _mean_se(sums["oracle"], sums_sq["oracle"], samples)
+    mean_d, se_d = _mean_se(sums["diff"], sums_sq["diff"], samples)
     combined = np.sqrt(se_s ** 2 + se_o ** 2)
     live = combined > 0
     standardized = np.zeros(n_params)
@@ -678,7 +670,11 @@ def check_gradient_equivalences(ests: dict[str, Estimator], model: MeasurementMo
     the ground truth. Every component must be within three combined
     standard errors of zero; the maximum standardized discrepancy is
     reported. Use a model with moderate inclusion probabilities (see
-    ``gradient_check_model``) so every pattern is well sampled.
+    ``gradient_check_model``) so every pattern is well sampled. Each
+    estimator must arrive enrolled at every input pattern of its claim's
+    level (``enumerate_patterns(model, input_level(claim))``); a drawn
+    pattern it lacks raises ``ValidationError``, and nothing is enrolled or
+    resolved to a nearest pattern here.
 
     Draws are evaluated a shard at a time through training's own stacked
     step (see ``_gradient_moments``); in each shard one draw per distinct
@@ -694,8 +690,6 @@ def check_gradient_equivalences(ests: dict[str, Estimator], model: MeasurementMo
         if claim not in (M.NOISIER2FULL, M.ROBUST_SSDU):
             raise ConfigError("gradient equivalence is claimed for the weighted methods")
         _require_affine(est)
-    for claim, est in ests.items():
-        est.ensure_patterns(enumerate_patterns(model, input_level(claim)).members)
 
     def zeros(est):
         return {key: np.zeros(est.theta.shape[0]) for key in ("surr", "oracle", "diff")}
@@ -706,11 +700,8 @@ def check_gradient_equivalences(ests: dict[str, Estimator], model: MeasurementMo
     for rng, count in _shards(seed, "gradeq", samples):
         draws = _draw_shard(model, rng, count)
         for claim, est in ests.items():
-            shard_sums, shard_sums_sq, worst_rel = _gradient_moments(claim, est, model, draws)
+            worst_rel = _gradient_moments(claim, est, model, draws, sums[claim], sums_sq[claim])
             crosscheck[claim] = max(crosscheck[claim], worst_rel)
-            for key in shard_sums:
-                sums[claim][key] += shard_sums[key]
-                sums_sq[claim][key] += shard_sums_sq[key]
         del draws  # one shard alive at a time
     return {claim: _gradient_report(claim, sums[claim], sums_sq[claim], crosscheck[claim],
                                     samples)

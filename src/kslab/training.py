@@ -76,6 +76,11 @@ class TrainSpec:
             raise ConfigError("epochs must be >= 1")
         if self.lr <= 0:
             raise ConfigError("lr must be positive")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be in [0, 1)")
+        if not self.eps > 0:
+            raise ConfigError("eps must be positive")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if self.lambda_n2r < 0:

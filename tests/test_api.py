@@ -39,3 +39,23 @@ def test_every_export_is_used_by_the_package_or_the_acceptance_tests():
     used |= _imported_names(_tree(ACCEPTANCE))
     exported = _imported_names(_tree(PACKAGE / "__init__.py"))
     assert exported and sorted(exported - used) == []
+
+
+def test_every_public_definition_is_read_elsewhere_in_the_package_or_by_the_acceptance_tests():
+    """A public top-level function or class of a package module is read
+    outside its own definition, in its module or another one
+    (``__init__.py``'s re-export does not count), or the acceptance tests
+    import it."""
+    trees = {path.name: _tree(path) for path in PACKAGE.glob("*.py")
+             if path.name != "__init__.py"}
+    acceptance = _imported_names(_tree(ACCEPTANCE))
+    unused = []
+    for name, tree in sorted(trees.items()):
+        used = acceptance.union(*(_used_names(other) for other_name, other in trees.items()
+                                  if other_name != name))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                rest = ast.Module(body=[n for n in tree.body if n is not node], type_ignores=[])
+                if node.name not in used | _used_names(rest):
+                    unused.append(f"{name}:{node.name}")
+    assert trees and unused == []

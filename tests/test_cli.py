@@ -24,7 +24,7 @@ from kslab.cli import (
     run_reconstruct,
     run_train,
 )
-from kslab.config import DEFAULT_CONFIG, config_json, resolve_config
+from kslab.config import DEFAULT_CONFIG, config_json, load_config, resolve_config
 from kslab.errors import ConfigError
 from kslab.estimators import AffinePerPattern, make_estimator
 from kslab.rng import stream
@@ -65,6 +65,15 @@ def test_reported_alpha_defaults():
 def test_config_unknown_field_path():
     with pytest.raises(ConfigError, match="train.learning_rate"):
         resolve_config({"train": {"learning_rate": 0.1}})
+
+
+@pytest.mark.parametrize("text, message", [("{\"seed\": ", "invalid JSON"),
+                                           ("[1, 2]", "top-level config must be an object")])
+def test_load_config_rejects_a_file_that_is_not_a_json_object(tmp_path, text, message):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=f"config.json: {message}"):
+        load_config(str(path))
 
 
 def test_config_bad_value_has_path():

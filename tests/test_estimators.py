@@ -155,6 +155,14 @@ def _assert_rows_alone(est, theta, y, members, cot):
         assert np.array_equal(grad[c], pullback_c(cot[c:c + 1])[0])
 
 
+def test_affine_get_blocks_rejects_a_pattern_not_enrolled():
+    """Reading blocks never falls back to the nearest enrolled pattern."""
+    est = AffinePerPattern(4)
+    est.ensure_patterns(np.array([[True, False, True, False]]))
+    with pytest.raises(ValidationError, match="pattern not enrolled"):
+        est.get_blocks(np.array([[True, False, True, False], [True, True, False, False]]))
+
+
 def test_affine_stack_rejects_distinct_theta_rows():
     """The family has no stack layout: it takes one parameter vector (one
     row, or rows broadcast from it), and distinct rows raise rather than

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kslab import methods as M
-from kslab.errors import ConfigError, ValidationError
+from kslab.errors import ConfigError, DimensionError, ValidationError
 from kslab.estimators import (AffinePerPattern, PatternFallbackWarning, TinyNet, ToyCascade,
                               closed_form_affine_fit)
 from kslab.inference import MODE_PRACTICAL, MODE_THEORY, correct, reconstruct, reconstruct_rows
@@ -231,6 +231,14 @@ def test_reconstruct_rows_theory_equals_per_item_loop(method):
     with pytest.raises(ValueError):  # one generator per row
         reconstruct_rows(method, est, test.y, test.omega, model.noise, model.lambda_dist,
                          MODE_THEORY, streams(5, "recon", "tag", count=len(test) - 1))
+
+
+def test_reconstruct_rows_rejects_memberships_of_another_shape():
+    model = model_preset("banded", sigma_n=0.2, alpha=0.8)
+    test = _test_set(model, 4, 23)
+    with pytest.raises(DimensionError, match=r"memberships \(3, 8\) do not match the data "
+                                             r"\(4, 8\)"):
+        reconstruct_rows(M.ROBUST_SSDU, TinyNet(model.q), test.y, test.omega[:3], model.noise)
 
 
 def test_reconstruct_rows_affine_with_fallback_equals_per_item_loop():

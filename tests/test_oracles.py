@@ -168,21 +168,23 @@ def test_oracle_suite_fits_each_pattern_once(monkeypatch):
 
 def test_oracle_suite_enumerates_each_level_once(monkeypatch):
     """A default banded suite enumerates each pattern level of its model
-    once; every exact check reads those two tables."""
+    and of the gradient-check model once: every exact check reads the
+    first two tables, and the gradient check reads estimators enrolled from
+    the other two."""
     import kslab.oracles as oracles_mod
 
     model = model_preset("banded", sigma_n=0.3, alpha=0.75)
-    levels = []
+    calls = []
     enumerate_ = oracles_mod.enumerate_patterns
 
     def counting_enumerate(m, level):
-        if m is model:
-            levels.append(level)
+        calls.append(("preset" if m is model else f"q{m.q}", level))
         return enumerate_(m, level)
 
     monkeypatch.setattr(oracles_mod, "enumerate_patterns", counting_enumerate)
     run_oracle_suite(model)
-    assert sorted(levels) == ["intersect", "omega"]
+    assert sorted(calls) == [("preset", "intersect"), ("preset", "omega"),
+                             ("q2", "intersect"), ("q2", "omega")]
 
 
 def test_correction_algebra_exact():
@@ -791,7 +793,9 @@ def test_batched_gradients_match_per_draw_library_path(claim):
         est.ensure_pattern(pattern)
     est.theta = stream(18, "th", claim).standard_normal(est.theta.shape[0]) * 0.4
     draws = _draw_shard(model, stream(19, "batch_vs_draw"), 200)
-    sums, sums_sq, crosscheck = _gradient_moments(claim, est, model, draws)
+    sums = {k: np.zeros_like(est.theta) for k in ("surr", "oracle", "diff")}
+    sums_sq = {k: np.zeros_like(est.theta) for k in ("surr", "oracle", "diff")}
+    crosscheck = _gradient_moments(claim, est, model, draws, sums, sums_sq)
     assert crosscheck <= 1e-12
 
     spec = TrainSpec(method=claim, alpha=model.noise.alpha)
@@ -914,6 +918,20 @@ def test_monte_carlo_oracles_reject_unsupported_inputs(monkeypatch):
             check_gradient_equivalences(ests, model, 1000, seed=0)
     assert drawn == []
     assert good.n_patterns == 0
+
+
+def test_gradient_check_rejects_an_estimator_missing_a_pattern():
+    """The check enrolls nothing: an estimator that lacks one input pattern
+    of its claim's level raises when that pattern is drawn, rather than
+    growing theta or resolving the pattern to its nearest one."""
+    model = gradient_check_model(0.5, 0.75)
+    members = enumerate_patterns(model, input_level(M.ROBUST_SSDU)).members
+    est = AffinePerPattern(model.q)
+    est.ensure_patterns(members[:-1])
+    theta = est.theta.copy()
+    with pytest.raises(ValidationError, match="pattern not enrolled"):
+        check_gradient_equivalence(M.ROBUST_SSDU, est, model, 1000, seed=0)
+    assert np.array_equal(est.theta, theta)
 
 
 def test_oracle_suite_draws_each_shard_once(monkeypatch):

@@ -621,6 +621,27 @@ def test_train_cells_draws_each_cell_as_its_stack_forms():
     assert seen == [([0], 1), ([1, 2], 4), ([3], 4), ([4], 5)]
 
 
+def test_train_cells_rejects_cells_sharing_an_estimator():
+    """Two cells of one stack that share an estimator would step one theta twice."""
+    model = model_preset("banded", sigma_n=0.1, alpha=0.75)
+    est = TinyNet(model.q, width_factor=1)
+    cells = [Cell(TrainSpec(method=M.ROBUST_SSDU, epochs=1, seed=k, alpha=0.75), est,
+                  build_dataset(model, 2, seed=k), model) for k in range(2)]
+    with pytest.raises(ConfigError, match="each cell needs its own estimator"):
+        list(train_cells(cells, 0))
+
+
+@pytest.mark.parametrize("field, value", [("beta1", 1.0), ("beta2", 1.0), ("beta1", -0.1),
+                                          ("eps", 0.0)])
+def test_train_spec_rejects_adam_settings_that_train_to_nan(field, value):
+    """Adam's bias correction divides by 1 - beta^t, which is 0 at beta 1,
+    and at eps 0 a zero step is 0/0: a spec built directly keeps the
+    ranges the config applies."""
+    message = "eps must be positive" if field == "eps" else rf"{field} must be in \[0, 1\)"
+    with pytest.raises(ConfigError, match=message):
+        TrainSpec(method=M.ROBUST_SSDU, **{field: value})
+
+
 @pytest.mark.parametrize("method", [M.NOISIER2FULL, M.ROBUST_SSDU])
 def test_train_rejects_weight_alpha_other_than_model_alpha(method):
     """A weighted loss at one alpha and further noise (and correction) at

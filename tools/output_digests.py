@@ -25,9 +25,12 @@ Runs, in a temporary directory and in this process:
   stacks of one support size.
 
 Keys are ``<run>/<file>``, plus ``<run>/exit`` for each subcommand's exit
-code. A ``train`` run's files are ``checkpoint.json`` and the raw theta file
-it names, ``checkpoint.theta.f64``, each with its own key; the JSON holds
-the theta file's sha256, so a change in theta moves both digests.
+code and ``<run>/stdout`` for what it printed (``verify``'s report lines
+and each ``wrote ...`` line), with the temporary root written as
+``<root>`` so the digest does not change from run to run. A ``train``
+run's files are ``checkpoint.json`` and the raw theta file it names,
+``checkpoint.theta.f64``, each with its own key; the JSON holds the theta
+file's sha256, so a change in theta moves both digests.
 ``timings.csv`` holds wall-clock times and is left out. Two trees
 produce the same outputs when their JSON is the same, so diff the output
 of this script at two commits:
@@ -77,9 +80,12 @@ def _config(root: Path, name: str, **sections) -> Path:
 
 def _run(root: Path, digests: dict, name: str, argv: list) -> Path:
     out = root / name
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
         code = main([*argv, "--out", str(out)])
     digests[f"{name}/exit"] = code
+    text = stdout.getvalue().replace(str(root), "<root>")
+    digests[f"{name}/stdout"] = hashlib.sha256(text.encode()).hexdigest()
     for path in sorted(out.iterdir()):
         if path.is_file() and path.name != "timings.csv":
             digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
