@@ -7,9 +7,12 @@ sweep), ``verify`` (oracle suite), ``train`` (single method), and
 Every output file embeds the artifact version and the fully resolved
 configuration. Result tables are byte-identical across repeated runs with
 the same config and seed; wall-clock timings go to a separate file that is
-excluded from that contract. ``compare`` and ``sweep-alpha`` train their
-grid in lockstep stacks: a cell's data and estimator are built as its stack
-forms, and released once the trained cell is scored.
+excluded from that contract. ``compare`` and ``sweep-alpha`` only describe
+their grid: test sets, one per ``compare`` grid point and one for the whole
+sweep, each with its cells. One runner builds, trains, scores and writes a
+grid. Cells train in lockstep stacks: a cell's data and estimator are built
+as its stack forms, and released once the trained cell is scored. A test
+set is drawn when its first cell is scored, and one is held at a time.
 
 Exit codes: 0 success, 2 configuration error, 3 oracle failure, 4 training
 diverged (a non-finite training loss; no results are written).
@@ -120,12 +123,6 @@ def _score(method, est, test: Dataset, model, mode, rngs):
     return (rec, *_metric_rows(rec, test, model))
 
 
-def _evaluate(method, est, test: Dataset, model, cfg, master, tag):
-    _, nmses, ssims = _score(method, est, test, model, cfg["mode"],
-                             streams(master, "recon", tag, count=len(test)))
-    return (*mean_and_se(nmses), *mean_and_se(ssims))
-
-
 def _cell(cfg, method, model, alpha, master, tag) -> Cell:
     """A grid cell's spec, estimator and data, holding the ground truth only
     for the methods whose target reads it."""
@@ -137,112 +134,91 @@ def _cell(cfg, method, model, alpha, master, tag) -> Cell:
 
 
 TIMING_COLUMNS = ["stage", "cells", "seconds"]
+COMPARE_COLUMNS = ["method", "sigma_n", "R_omega", "R_lambda", "alpha",
+                   "nmse_mean", "nmse_se", "ssim_mean", "ssim_se"]
 
 
-def _train_grid(cfg, plan, master, timing_rows: list, score) -> list:
-    """Build, train and score the cells of ``plan`` (method, model, alpha, tag).
+def _run_grid(cfg: dict, out: Path, grid: list) -> Path:
+    """Build, train and score ``grid``; write its rows to ``out`` and its
+    timings to ``timings.csv`` next to it.
 
-    ``score(i, est)`` scores the trained estimator of ``plan[i]``; the scores
-    are returned in plan order. Timing rows are appended: data per cell,
-    train per stack. A cell is built when its stack forms and released once
-    scored, so one stack is held at a time.
+    ``grid`` lists test sets ``(tag, model, baseline, cells)``, each cell
+    ``(method, model, alpha, tag, fields)``. A test set is drawn from its
+    model when its first cell is scored, and one is held at a time. Rows
+    follow the grid: per test set, ``baseline`` (its leading fields, or None
+    for no row) with the metrics of the noisy, sub-sampled data, then each
+    cell's ``fields`` with the metrics of its reconstructions. Timing rows:
+    data per cell, train per stack, eval for the baseline and each cell. A
+    cell is built when its stack forms and released once scored, so one
+    stack is held at a time.
     """
-    built, scores = {}, [None] * len(plan)
+    master = cfg["seed"]
+    plan = [(s, cell) for s, (*_, cells) in enumerate(grid) for cell in cells]
+    built, rows, timing_rows, held = {}, [], [], None
 
     def cells():
-        for i, (method, model, alpha, tag) in enumerate(plan):
+        for i, (_, (method, model, alpha, tag, _)) in enumerate(plan):
             t0 = time.perf_counter()
             built[i] = _cell(cfg, method, model, alpha, master, tag)
             timing_rows.append(["data", tag, time.perf_counter() - t0])
             yield built[i]
 
     for members, _, seconds in train_cells(cells(), validate_every=0):
-        timing_rows.append(["train", " ".join(plan[i][3] for i in members), seconds])
+        timing_rows.append(["train", " ".join(plan[i][1][3] for i in members), seconds])
         trained = {i: built.pop(i).est for i in members}  # the data is released
         for i in members:
-            scores[i] = score(i, trained.pop(i))
-    return scores
-
-
-COMPARE_COLUMNS = ["method", "sigma_n", "R_omega", "R_lambda", "alpha",
-                   "nmse_mean", "nmse_se", "ssim_mean", "ssim_se"]
+            s, (method, model, _, tag, fields) = plan[i]
+            t0 = time.perf_counter()
+            if s != held:
+                set_tag, set_model, baseline, _ = grid[s]
+                test = None  # the held test set is released before the next is drawn
+                test, held = _test_set(set_model, cfg, master, set_tag), s
+                if baseline is not None:
+                    nmses, ssims = _metric_rows(test.y, test, set_model)
+                    rows.append([*baseline, *mean_and_se(nmses), *mean_and_se(ssims)])
+                    timing_rows.append(["eval", f"noisy_subsampled_{set_tag}",
+                                        time.perf_counter() - t0])
+                    t0 = time.perf_counter()
+            _, nmses, ssims = _score(method, trained.pop(i), test, model, cfg["mode"],
+                                     streams(master, "recon", tag, count=len(test)))
+            rows.append([*fields, *mean_and_se(nmses), *mean_and_se(ssims)])
+            timing_rows.append(["eval", tag, time.perf_counter() - t0])
+    _write_csv(out, cfg, COMPARE_COLUMNS, rows)
+    _write_csv(out.parent / "timings.csv", cfg, TIMING_COLUMNS, timing_rows)
+    return out
 
 
 def run_compare(cfg: dict, out_dir: Path) -> Path:
-    """Train every (method, sigma_n, R_omega) cell and score a shared test set."""
-    master = cfg["seed"]
+    """Train every (method, sigma_n, R_omega) cell; each (sigma_n, R_omega)
+    point scores its cells and the noisy, sub-sampled data on one test set."""
     alpha = cfg["model"]["alpha"]
-    methods = cfg["compare"]["methods"]
-    grid = [(r_omega, sigma, f"s{sigma:g}_R{r_omega:g}",
-             _build_model(cfg, sigma_n=sigma, alpha=alpha, R_omega=r_omega))
-            for r_omega in cfg["compare"]["R_omega"] for sigma in cfg["compare"]["sigma_n"]]
-    plan = [(method, model, alpha, f"{method}_{grid_tag}")
-            for _, _, grid_tag, model in grid for method in methods]
-    timing_rows = []
-    baselines = [None] * len(grid)
-    test_set = {}  # the test items of the grid point being scored
-
-    def score(i, est):
-        g = i // len(methods)
-        _, _, grid_tag, model = grid[g]
-        if g not in test_set:
-            test_set.clear()
-            t0 = time.perf_counter()
-            test = test_set[g] = _test_set(model, cfg, master, grid_tag)
-            base_nmse, base_ssim = _metric_rows(test.y, test, model)
-            baselines[g] = (*mean_and_se(base_nmse), *mean_and_se(base_ssim))
-            timing_rows.append(["eval", f"noisy_subsampled_{grid_tag}",
-                                time.perf_counter() - t0])
-        t0 = time.perf_counter()
-        method, _, _, tag = plan[i]
-        scores = _evaluate(method, est, test_set[g], model, cfg, master, tag)
-        timing_rows.append(["eval", tag, time.perf_counter() - t0])
-        return scores
-
-    scores = iter(_train_grid(cfg, plan, master, timing_rows, score))
-    rows = []
-    for (r_omega, sigma, _, model), baseline in zip(grid, baselines):
-        r_lambda = cfg["model"]["R_lambda"] or model.lambda_dist.target_accel
-        rows.append(["noisy_subsampled", sigma, r_omega, r_lambda, alpha, *baseline])
-        for method in methods:
-            rows.append([method, sigma, r_omega, r_lambda, alpha, *next(scores)])
-    out = out_dir / "results.csv"
-    _write_csv(out, cfg, COMPARE_COLUMNS, rows)
-    _write_csv(out_dir / "timings.csv", cfg, TIMING_COLUMNS, timing_rows)
-    return out
+    grid = []
+    for r_omega in cfg["compare"]["R_omega"]:
+        for sigma in cfg["compare"]["sigma_n"]:
+            tag = f"s{sigma:g}_R{r_omega:g}"
+            model = _build_model(cfg, sigma_n=sigma, alpha=alpha, R_omega=r_omega)
+            head = [sigma, r_omega, cfg["model"]["R_lambda"] or model.lambda_dist.target_accel,
+                    alpha]
+            grid.append((tag, model, ["noisy_subsampled", *head],
+                         [(method, model, alpha, f"{method}_{tag}", [method, *head])
+                          for method in cfg["compare"]["methods"]]))
+    return _run_grid(cfg, out_dir / "results.csv", grid)
 
 
 def run_alpha_sweep(cfg: dict, out_dir: Path) -> Path:
-    """NMSE of the corrected methods across the further-noise ratio grid."""
-    master = cfg["seed"]
+    """NMSE of the corrected methods across the further-noise ratio grid,
+    after the fully supervised benchmark, all on one test set."""
     sigma = cfg["sweep"]["sigma_n"]
     r_omega = cfg["sweep"]["R_omega"]
-    model = _build_model(cfg, sigma_n=sigma, R_omega=r_omega)
-    r_lambda = cfg["model"]["R_lambda"] or model.lambda_dist.target_accel
-    bench_alpha = cfg["model"]["alpha"]
-    plan = [(M.FULLY_SUPERVISED, _build_model(cfg, sigma_n=sigma, alpha=bench_alpha,
-                                              R_omega=r_omega), bench_alpha, "sweep_benchmark")]
+    model = _build_model(cfg, sigma_n=sigma, R_omega=r_omega)  # at the benchmark's alpha
+    head = [sigma, r_omega, cfg["model"]["R_lambda"] or model.lambda_dist.target_accel]
+    cells = [(M.FULLY_SUPERVISED, model, cfg["model"]["alpha"], "sweep_benchmark",
+              [M.FULLY_SUPERVISED, *head, ""])]
     for alpha in cfg["sweep"]["alphas"]:
         model_a = _build_model(cfg, sigma_n=sigma, alpha=alpha, R_omega=r_omega)
-        plan += [(method, model_a, alpha, f"sweep_{method}_a{alpha:g}")
-                 for method in M.CORRECTED_METHODS]
-    test = _test_set(model, cfg, master, "sweep")
-    timing_rows = []
-
-    def score(i, est):
-        t0 = time.perf_counter()
-        method, model_c, _, tag = plan[i]
-        scores = _evaluate(method, est, test, model_c, cfg, master, tag)
-        timing_rows.append(["eval", tag, time.perf_counter() - t0])
-        return scores
-
-    scores = _train_grid(cfg, plan, master, timing_rows, score)
-    rows = [[method, sigma, r_omega, r_lambda, "" if tag == "sweep_benchmark" else alpha, *s]
-            for (method, _, alpha, tag), s in zip(plan, scores)]
-    out = out_dir / "sweep.csv"
-    _write_csv(out, cfg, COMPARE_COLUMNS, rows)
-    _write_csv(out_dir / "timings.csv", cfg, TIMING_COLUMNS, timing_rows)
-    return out
+        cells += [(method, model_a, alpha, f"sweep_{method}_a{alpha:g}", [method, *head, alpha])
+                  for method in M.CORRECTED_METHODS]
+    return _run_grid(cfg, out_dir / "sweep.csv", [("sweep", model, None, cells)])
 
 
 def run_verify(cfg: dict, out_dir: Path) -> bool:

@@ -74,7 +74,7 @@ class TrainSpec:
             raise ConfigError(f"unknown method {self.method!r}")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
-        if self.lr <= 0:
+        if not self.lr > 0:  # each check is written so that a NaN fails it
             raise ConfigError("lr must be positive")
         for name in ("beta1", "beta2"):
             if not 0 <= getattr(self, name) < 1:
@@ -83,8 +83,10 @@ class TrainSpec:
             raise ConfigError("eps must be positive")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.lambda_n2r < 0:
+        if not self.lambda_n2r >= 0:
             raise ConfigError("lambda_n2r must be >= 0")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ConfigError("alpha must be finite and positive")
 
 
 @dataclass

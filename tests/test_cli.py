@@ -20,6 +20,7 @@ from kslab.cli import (
     _read_theta,
     _write_checkpoint,
     main,
+    run_alpha_sweep,
     run_compare,
     run_reconstruct,
     run_train,
@@ -185,6 +186,50 @@ def test_compare_outputs_and_determinism(tmp_path):
         [["data", c] for c in cells] + [["train", " ".join(cells)]]
         + [["eval", "noisy_subsampled_s0.3_R2"]] + [["eval", c] for c in cells])
     assert all(float(row[2]) >= 0.0 for row in timings[1:])
+
+
+GRID_CFG = {
+    "model": {"preset": "banded", "sigma_n": 0.3, "alpha": 1.0},
+    "estimator": {"family": "tiny_net", "width_factor": 1},
+    "train": {"epochs": 1, "n_train": 8},
+    "eval": {"n_test": 8},
+    "seed": 5,
+}
+
+
+def _grid_rows(tmp_path, run, name, section):
+    """The data rows (header and comments dropped) of ``run`` on GRID_CFG
+    with ``section`` merged in."""
+    out = tmp_path / name
+    out.mkdir()
+    text = run(resolve_config({**GRID_CFG, **section}), out).read_text()
+    return [l for l in text.splitlines() if not l.startswith("#")][1:]
+
+
+def test_grid_point_rows_do_not_depend_on_the_rest_of_the_grid(tmp_path):
+    """Cells and test sets are keyed by their tags: a grid gives the rows of
+    its points run one at a time, in grid order (R_omega outer, sigma_n
+    inner), and a sweep gives the rows of its alphas run one at a time."""
+    methods = [M.FULLY_SUPERVISED, M.ROBUST_SSDU]
+    grid = _grid_rows(tmp_path, run_compare, "grid", {"compare": {
+        "methods": methods, "sigma_n": [0.1, 0.3], "R_omega": [2.0, 3.0]}})
+    points = []
+    for r_omega in (2.0, 3.0):
+        for sigma in (0.1, 0.3):
+            points += _grid_rows(tmp_path, run_compare, f"s{sigma}_R{r_omega}", {"compare": {
+                "methods": methods, "sigma_n": [sigma], "R_omega": [r_omega]}})
+    assert len(grid) == 4 * (1 + len(methods))
+    assert grid == points
+
+    sweep = {"sigma_n": 0.3, "R_omega": 2.0}
+    both = _grid_rows(tmp_path, run_alpha_sweep, "both",
+                      {"sweep": {**sweep, "alphas": [0.5, 1.0]}})
+    low = _grid_rows(tmp_path, run_alpha_sweep, "low", {"sweep": {**sweep, "alphas": [0.5]}})
+    high = _grid_rows(tmp_path, run_alpha_sweep, "high", {"sweep": {**sweep, "alphas": [1.0]}})
+    assert len(both) == 1 + 2 * len(M.CORRECTED_METHODS)
+    assert both[0] == low[0] == high[0]
+    assert both[0].startswith(f"{M.FULLY_SUPERVISED},")
+    assert both == low + high[1:]
 
 
 def test_verify_cli_report_schema(tmp_path):
@@ -701,10 +746,18 @@ def test_sweep_alpha_single_value(tmp_path):
         "sweep": {"alphas": [1.0], "sigma_n": 0.3, "R_omega": 2.0},
         "seed": 2,
     })
-    from kslab.cli import run_alpha_sweep
-
     out = run_alpha_sweep(cfg, tmp_path)
     lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
     # header + benchmark + 4 corrected-method rows at the single alpha
     assert len(lines) == 1 + 1 + 4
     assert lines[1].split(",")[0] == M.FULLY_SUPERVISED
+    # timings by stage: data per cell, train per stack (the five tiny_net
+    # cells step as one), eval per cell, and no noisy_subsampled baseline
+    timings = [l.split(",") for l in (tmp_path / "timings.csv").read_text().splitlines()
+               if not l.startswith("#")]
+    assert timings[0] == ["stage", "cells", "seconds"]
+    cells = ["sweep_benchmark"] + [f"sweep_{m}_a1" for m in M.CORRECTED_METHODS]
+    assert [row[:2] for row in timings[1:]] == (
+        [["data", c] for c in cells] + [["train", " ".join(cells)]]
+        + [["eval", c] for c in cells])
+    assert all(float(row[2]) >= 0.0 for row in timings[1:])

@@ -1,5 +1,7 @@
 """Losses, weightings, Adam, and the epoch loop."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -632,13 +634,22 @@ def test_train_cells_rejects_cells_sharing_an_estimator():
 
 
 @pytest.mark.parametrize("field, value", [("beta1", 1.0), ("beta2", 1.0), ("beta1", -0.1),
-                                          ("eps", 0.0)])
+                                          ("eps", 0.0), ("lr", math.nan)])
 def test_train_spec_rejects_adam_settings_that_train_to_nan(field, value):
     """Adam's bias correction divides by 1 - beta^t, which is 0 at beta 1,
-    and at eps 0 a zero step is 0/0: a spec built directly keeps the
-    ranges the config applies."""
-    message = "eps must be positive" if field == "eps" else rf"{field} must be in \[0, 1\)"
-    with pytest.raises(ConfigError, match=message):
+    at eps 0 a zero step is 0/0, and a NaN learning rate makes every step
+    NaN: a spec built directly keeps the ranges the config applies."""
+    with pytest.raises(ConfigError, match=rf"^{field} must be "):
+        TrainSpec(method=M.ROBUST_SSDU, **{field: value})
+
+
+@pytest.mark.parametrize("field, value", [("lambda_n2r", math.nan), ("alpha", 0.0),
+                                          ("alpha", math.nan), ("alpha", -1.0)])
+def test_train_spec_rejects_loss_settings_outside_the_config_ranges(field, value):
+    """The Noise2Recon weight and the further-noise ratio keep the ranges
+    ``resolve_config`` applies to ``train.lambda_n2r`` and ``train.alpha``,
+    NaN included, and the error names the field."""
+    with pytest.raises(ConfigError, match=rf"^{field} must be "):
         TrainSpec(method=M.ROBUST_SSDU, **{field: value})
 
 

@@ -6,7 +6,10 @@ Runs, in a temporary directory and in this process:
   once more with ``tiny_net`` in practical mode on the ``diagonal`` preset
   (q = 16), whose prior variances and 1-D mask density both come from
   ``sampling.center_distances``;
-* ``sweep-alpha``;
+* ``compare`` with ``tiny_net``, Robust SSDU and Noisier2Full in practical
+  mode over sigma_n [0.1, 0.3] x R_omega [2, 3], so each of the four grid
+  points draws its own test set and writes its own baseline row;
+* ``sweep-alpha``, and once more with ``model.R_lambda`` set to 1.5;
 * ``train`` then ``reconstruct``, for each family and mode, and for
   ``toy_cascade`` on ``bernoulli2d`` with q = 64 (132,098 parameters, so the
   Adam step runs over several blocks of ``training.ADAM_BLOCK``) in each mode;
@@ -123,8 +126,15 @@ def output_digests(root: Path) -> dict:
                        estimator={"family": "tiny_net"})
     _run(root, digests, "compare_diagonal",
          ["compare", "--config", str(diagonal), "--mode", "practical"])
+    grid = _config(root, "grid", estimator={"family": "tiny_net"},
+                   compare={"methods": [M.ROBUST_SSDU, M.NOISIER2FULL],
+                            "sigma_n": [0.1, 0.3], "R_omega": [2.0, 3.0]})
+    _run(root, digests, "compare_grid",
+         ["compare", "--config", str(grid), "--mode", "practical"])
     base = _config(root, "base")
     _run(root, digests, "sweep-alpha", ["sweep-alpha", "--config", str(base)])
+    r_lambda = _config(root, "r_lambda", model={"R_lambda": 1.5})
+    _run(root, digests, "sweep-alpha_R_lambda", ["sweep-alpha", "--config", str(r_lambda)])
     for seed in (1, 2):
         _run(root, digests, f"verify_seed{seed}",
              ["verify", "--config", str(base), "--seed", str(seed)])
