@@ -28,7 +28,13 @@ import numpy as np
 from . import methods as M
 from . import training
 from .errors import ConfigError, ValidationError
-from .estimators import AffinePerPattern, Estimator, closed_form_affine_fit, group_rows
+from .estimators import (
+    AffinePerPattern,
+    Estimator,
+    closed_form_affine_fit,
+    gather_pieces,
+    group_rows,
+)
 from .inference import correct, estimate_rows
 from .kspace import SamplingMask, apply_mask, mask_algebra
 from .methods import TARGET_Y0, TARGET_Y0_PLUS_N  # re-exported: the method table's targets
@@ -577,10 +583,12 @@ def _gradient_moments(claim: str, est: AffinePerPattern, model: MeasurementModel
         part = training.Rows(*(None if a is None else a[block] for a in rows))
         theta = np.broadcast_to(est.theta, (part.y_in.shape[0], n_params))
         f, pullback = est.forward_vjp_stack(theta, part.y_in, part.m_in)
-        grads = {"surr": training.weighted_loss_and_grad(f, pullback, part)[1]}
+        grads = {"surr": gather_pieces(training.weighted_loss_and_grad(f, pullback, part)[1],
+                                       theta.shape)}
         d = np.where(part.m_in, (1.0 + alpha ** 2) / alpha ** 2, 1.0)
         est_y = correct(f, part.y_in, part.m_in, alpha)
-        grads["oracle"] = 2.0 * pullback(d * (est_y - draws.y0[block]))
+        grads["oracle"] = 2.0 * gather_pieces(pullback(d * (est_y - draws.y0[block])),
+                                              theta.shape)
         grads["diff"] = grads["surr"] - grads["oracle"]
         for key, g in grads.items():
             sums[key] += g.sum(axis=0)

@@ -18,6 +18,19 @@ arrays once; each step then runs one stacked forward pass, one pullback
 and one Adam update for the whole stack. Rows never mix, and every
 row-wise operation is the one a cell trained alone performs, so a cell's
 parameters and history are the same to the bit in any stack.
+
+A pullback hands its gradient over in pieces, one span of the parameter
+row at a time (see ``estimators``). When a step's gradient is one item's
+single pullback (batch size 1, no consistency term in the stack), the
+step computes the loss and checks that it is finite first; then
+``adam_step`` updates each span as it is handed over, so no whole gradient
+is allocated. A large ``toy_cascade`` cell thus holds its parameters, the
+two Adam moments and one network's span of gradient (16.8, 33.6 and 4.2 MB
+on the 2.1 M-parameter cascade on bernoulli2d q = 256). A batch gathers
+its first item's gradient and adds each later item's pieces into it in
+place; a step with a consistency term gathers its main gradient and adds
+the consistency pullbacks into it piece by piece. Either sum goes to Adam
+as one piece.
 """
 
 import math
@@ -30,7 +43,7 @@ import numpy as np
 
 from . import methods as M
 from .errors import ConfigError, DimensionError, TrainingDiverged, ValidationError
-from .estimators import Estimator
+from .estimators import Estimator, _aligned_empty, gather_pieces
 from .inference import MODE_PRACTICAL, reconstruct_rows
 from .kspace import SamplingMask, _mask_unchecked, as_kspace
 from .metrics import nmse_rows
@@ -74,17 +87,18 @@ class TrainSpec:
             raise ConfigError(f"unknown method {self.method!r}")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
-        if not self.lr > 0:  # each check is written so that a NaN fails it
-            raise ConfigError("lr must be positive")
+        # each check is written so that a NaN fails it; the ranges are the config's
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError("lr must be finite and positive")
         for name in ("beta1", "beta2"):
             if not 0 <= getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be in [0, 1)")
-        if not self.eps > 0:
-            raise ConfigError("eps must be positive")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ConfigError("eps must be finite and positive")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if not self.lambda_n2r >= 0:
-            raise ConfigError("lambda_n2r must be >= 0")
+        if not (math.isfinite(self.lambda_n2r) and self.lambda_n2r >= 0):
+            raise ConfigError("lambda_n2r must be finite and >= 0")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ConfigError("alpha must be finite and positive")
 
@@ -232,9 +246,10 @@ def method_rows(method: M.Method, alpha: float, y, omega, lam, ntilde, target,
     return Rows(y_in, m_in, target, w2, *method.consistency.build(y, omega, lam, ntilde))
 
 
-def weighted_loss_and_grad(f: np.ndarray, pullback, rows: Rows) -> tuple[np.ndarray, np.ndarray]:
-    """Losses ``sum_j W_jj^2 |f_j - t_j|^2`` (C,) and their exact gradients
-    (C, P) from a forward pass f (C, q) on ``rows.y_in`` and its pullback."""
+def weighted_loss_and_grad(f: np.ndarray, pullback, rows: Rows):
+    """Losses ``sum_j W_jj^2 |f_j - t_j|^2`` (C,) and the pieces of their
+    exact gradients (C, P) from a forward pass f (C, q) on ``rows.y_in`` and
+    its pullback (a lazy pullback has not run yet when the losses return)."""
     r = f - rows.target
     # the operations of np.sum(w2 * np.abs(r) ** 2), without np.sum's Python wrapper
     loss = np.add.reduce(rows.w2 * np.square(np.abs(r)), axis=-1)
@@ -242,28 +257,34 @@ def weighted_loss_and_grad(f: np.ndarray, pullback, rows: Rows) -> tuple[np.ndar
     return loss, pullback((rows.w2 * r) * 2.0)
 
 
-def stack_loss_and_grad(est: Estimator, theta: np.ndarray, rows: Rows, cons,
-                        lambda_n2r) -> tuple[np.ndarray, np.ndarray]:
-    """Losses (C,) and exact gradients (C, P) of C cells, one item each.
+def stack_loss_and_grad(est: Estimator, theta: np.ndarray, rows: Rows, cons, lambda_n2r):
+    """Losses (C,) and the pieces of the exact gradients (C, P) of C cells,
+    one item each.
 
     Row c of ``theta`` and of every array in ``rows`` belongs to cell c. One
     forward pass f and its pullback give the weighted loss and its gradient
-    (``weighted_loss_and_grad``). When ``rows.y_c`` is given, a consistency
-    pass runs on every row, and the cells where the bool mask ``cons`` (C,)
-    is set add ``lambda_n2r ||f_c - f||^2`` for the output f_c on their
-    consistency input; the other rows of loss and gradient are left as they are.
+    (``weighted_loss_and_grad``), whose pieces are the pullback's own. When
+    ``rows.y_c`` is given, a consistency pass runs on every row, and the
+    cells where the bool mask ``cons`` (C,) is set add
+    ``lambda_n2r ||f_c - f||^2`` for the output f_c on their consistency
+    input; the other rows of loss and gradient are left as they are. The
+    gradient is then gathered, the consistency pullbacks are added into it
+    piece by piece, and it is handed over as one piece.
     """
     f, pullback = est.forward_vjp_stack(theta, rows.y_in, rows.m_in)
-    loss, grad = weighted_loss_and_grad(f, pullback, rows)
-    if rows.y_c is not None:
-        f_c, pullback_c = est.forward_vjp_stack(theta, rows.y_c, rows.m_c)
-        rc = f_c - f
-        np.add(loss, lambda_n2r * np.add.reduce(np.square(np.abs(rc)), axis=-1),
-               out=loss, where=cons)
-        scale, rowwise = (2.0 * lambda_n2r)[:, None], cons[:, None]
-        np.add(grad, scale * pullback_c(rc), out=grad, where=rowwise)
-        np.subtract(grad, scale * pullback(rc), out=grad, where=rowwise)
-    return loss, grad
+    loss, pieces = weighted_loss_and_grad(f, pullback, rows)
+    if rows.y_c is None:
+        return loss, pieces
+    grad = gather_pieces(pieces, theta.shape)
+    f_c, pullback_c = est.forward_vjp_stack(theta, rows.y_c, rows.m_c)
+    rc = f_c - f
+    np.add(loss, lambda_n2r * np.add.reduce(np.square(np.abs(rc)), axis=-1),
+           out=loss, where=cons)
+    scale, rowwise = (2.0 * lambda_n2r)[:, None], cons[:, None]
+    for update, consistency in ((np.add, pullback_c), (np.subtract, pullback)):
+        for span, g in consistency(rc):
+            update(grad[:, span], scale * g, out=grad[:, span], where=rowwise)
+    return loss, [(slice(0, theta.shape[1]), grad)]
 
 
 def _require(item, attr: str, method: str):
@@ -299,9 +320,10 @@ def loss_and_grad(spec: TrainSpec, est: Estimator, item: TrainItem) -> tuple[flo
                        None if lam is None else lam.member, ntilde, target, P)
     rows = Rows(*(None if a is None else a[None] for a in rows))
     _enroll(est, rows)
-    loss, grad = stack_loss_and_grad(est, est.theta[None], rows, np.array([True]),
-                                     np.array([spec.lambda_n2r]))
-    return float(loss[0]), grad[0]
+    theta = est.theta[None]
+    loss, pieces = stack_loss_and_grad(est, theta, rows, np.array([True]),
+                                       np.array([spec.lambda_n2r]))
+    return float(loss[0]), gather_pieces(pieces, theta.shape)[0]
 
 
 def _enroll(est: Estimator, rows: Rows) -> None:
@@ -321,10 +343,13 @@ class AdamState:
     t: int = 0
     m: np.ndarray = field(default_factory=lambda: np.zeros(0))
     v: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    # the step's blocks, cut when m and v are sized: each block's index along
-    # the last axis, its views of m and v, and two scratch arrays of its shape.
-    # Steps write m and v through these views: set m and v before the first step.
-    blocks: list = field(default_factory=list, repr=False)
+    # the two block-sized scratch arrays, made when m and v are sized, and the
+    # blocks of each gradient span (start, stop) seen since: each block's
+    # index into params, into the piece, its views of m and v and of the
+    # scratch arrays. Steps write m and v through these views: set m and v
+    # before the first step.
+    scratch: tuple = field(default=(), repr=False)
+    blocks: dict = field(default_factory=dict, repr=False)
     # the step's scalars as 0-d arrays, rewritten every step: a ufunc takes a
     # 0-d array operand about 150 ns faster than a Python float
     scalars: tuple = field(default_factory=lambda: tuple(np.zeros(()) for _ in range(8)),
@@ -335,73 +360,88 @@ class AdamState:
         return AdamState(lr=spec.lr, beta1=spec.beta1, beta2=spec.beta2, eps=spec.eps)
 
 
-def _aligned_empty(shape: tuple) -> np.ndarray:
-    """An uninitialized float64 array whose data starts on a 64-byte boundary.
+def _adam_blocks(state: AdamState, span: slice, n: int) -> list:
+    """The blocks of a gradient span of the last axis (length ``n``), each
+    as wide as the scratch arrays but the last."""
+    s1, s2 = state.scratch
+    bounds = [*range(span.start, span.stop, s1.shape[-1]), span.stop]
+    blocks = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        # slices are views, also of non-contiguous params (reshape could
+        # copy); a block of a whole axis takes the cheaper [...]
+        k = (..., slice(lo, hi)) if hi - lo < n else ...
+        whole = (lo, hi) == (span.start, span.stop)
+        kg = ... if whole else (..., slice(lo - span.start, hi - span.start))
+        blocks.append((k, kg, state.m[k], state.v[k], s1[..., :hi - lo], s2[..., :hi - lo]))
+    return blocks
 
-    malloc aligns to 16 bytes only; element-wise passes over arrays that
-    start 16 bytes off a 32-byte boundary measured about 8% slower.
-    """
-    n = math.prod(shape)
-    buf = np.empty(n + 7)
-    start = (-buf.ctypes.data % 64) // 8
-    return buf[start:start + n].reshape(shape)
 
-
-def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
+def adam_step(state: AdamState, params: np.ndarray, grad) -> np.ndarray:
     """One bias-corrected Adam update; params are updated in place and returned.
 
     ``params`` is one parameter vector or a stack of rows (C, P) that share
-    the step count. Moment arrays are zero-padded if the parameters have
-    grown since the previous step (lazy pattern enrollment). The step
-    streams over the last axis in blocks of at most ``ADAM_BLOCK`` entries
-    (all rows of a stack at once) and updates each block's moments and
-    params in place through two block-sized scratch arrays, in the operation
-    order of ``m = b1 m + (1 - b1) g``, ``v = b2 v + ((1 - b2) g) g`` and
+    the step count. ``grad`` is the gradient, of params' shape, or a
+    pullback's pieces ``(span, g)`` over the last axis (see
+    ``estimators``): each piece's span of params is updated before the next
+    piece is asked for, so the whole gradient need never exist. Moment
+    arrays are zero-padded if the parameters have grown since the previous
+    step (lazy pattern enrollment). The step sets its scalars once, then
+    streams over each piece in blocks of at most ``ADAM_BLOCK`` entries (all
+    rows of a stack at once), cut once per span, and updates each block's
+    moments and params in place through two block-sized scratch arrays, in
+    the operation order of ``m = b1 m + (1 - b1) g``,
+    ``v = b2 v + ((1 - b2) g) g`` and
     ``params -= (lr m_hat) / (sqrt(v_hat) + eps)``. Every entry gets the
     float operations of that out-of-place formula, so the result is the same
-    to the bit; no full-length temporary is allocated.
+    to the bit, however the gradient is cut; no full-length temporary is
+    allocated.
     """
-    if grad.shape != params.shape:
-        raise DimensionError("gradient shape does not match parameters")
-    if state.m.shape != params.shape or not state.blocks:
-        # the first step, or the parameters grew: pad the moments, cut the blocks
+    n = params.shape[-1]
+    if isinstance(grad, np.ndarray):
+        grad = [(slice(0, n), grad)]
+    if state.m.shape != params.shape or not state.scratch:
+        # the first step, or the parameters grew: pad the moments, cut anew
         for name in ("m", "v"):
             grown = _aligned_empty(params.shape)
             old = getattr(state, name)
             grown[..., :old.shape[-1]] = old
             grown[..., old.shape[-1]:] = 0.0
             setattr(state, name, grown)
-        n = params.shape[-1]
         width = max(1, min(n, ADAM_BLOCK // max(1, math.prod(params.shape[:-1]))))
-        s1, s2 = (_aligned_empty((*params.shape[:-1], width)) for _ in range(2))
-        state.blocks = []
-        for start in range(0, n, width):
-            # slices are views, also of non-contiguous params (reshape could
-            # copy); a block of the whole axis takes the cheaper params[...]
-            k = (..., slice(start, start + width)) if width < n else ...
-            end = min(width, n - start)
-            state.blocks.append((k, state.m[k], state.v[k], s1[..., :end], s2[..., :end]))
+        state.scratch = tuple(_aligned_empty((*params.shape[:-1], width)) for _ in range(2))
+        state.blocks = {}
     state.t += 1
     b1, c1, b2, c2, h1, h2, lr, eps = state.scalars
     b1[()], b2[()], lr[()], eps[()] = state.beta1, state.beta2, state.lr, state.eps
     c1[()], c2[()] = 1.0 - state.beta1, 1.0 - state.beta2
     h1[()], h2[()] = 1.0 - state.beta1 ** state.t, 1.0 - state.beta2 ** state.t
-    for k, m, v, s1, s2 in state.blocks:
-        g, p = grad[k], params[k]
-        np.multiply(g, c1, s1)
-        m *= b1
-        m += s1
-        np.multiply(g, c2, s1)
-        s1 *= g
-        v *= b2
-        v += s1
-        np.divide(v, h2, s2)
-        np.sqrt(s2, s2)
-        s2 += eps
-        np.divide(m, h1, s1)
-        s1 *= lr
-        s1 /= s2
-        p -= s1
+    covered = 0
+    for span, piece in grad:
+        if piece.shape != (*params.shape[:-1], span.stop - span.start):
+            raise DimensionError("gradient shape does not match parameters")
+        key = span.start, span.stop
+        blocks = state.blocks.get(key)
+        if blocks is None:
+            blocks = state.blocks[key] = _adam_blocks(state, span, n)
+        for k, kg, m, v, s1, s2 in blocks:
+            g, p = piece[kg], params[k]
+            np.multiply(g, c1, s1)
+            m *= b1
+            m += s1
+            np.multiply(g, c2, s1)
+            s1 *= g
+            v *= b2
+            v += s1
+            np.divide(v, h2, s2)
+            np.sqrt(s2, s2)
+            s2 += eps
+            np.divide(m, h1, s1)
+            s1 *= lr
+            s1 /= s2
+            p -= s1
+        covered += span.stop - span.start
+    if covered != n:
+        raise DimensionError("gradient pieces do not cover the parameters")
     return params
 
 
@@ -525,9 +565,11 @@ def _train_stack(cells: list[Cell], validate_every: int) -> list[list[dict]]:
         params = est.theta[None] if theta is None else theta
         totals = np.zeros(len(cells))
         for start in range(0, n, spec.batch_size):
-            grad = None  # the previous step's gradient goes before the next is built
-            for s in range(start, min(start + spec.batch_size, n)):
-                loss, g = stack_loss_and_grad(est, params, steps[s], cons, lambda_n2r)
+            batch = range(start, min(start + spec.batch_size, n))
+            # the previous step's gradient goes before the next is built
+            grad = pieces = None
+            for s in batch:
+                loss, pieces = stack_loss_and_grad(est, params, steps[s], cons, lambda_n2r)
                 if not np.isfinite(loss).all():
                     bad = cells[int(np.argmin(np.isfinite(loss)))]
                     raise TrainingDiverged(
@@ -535,11 +577,16 @@ def _train_stack(cells: list[Cell], validate_every: int) -> list[list[dict]]:
                         f"{bad.model.noise.sigma_n:g}, epoch {epoch}, step "
                         f"{start // spec.batch_size}: the training loss is not finite")
                 totals += loss
-                # in place: the float operation of grad + g, without a third array
-                grad = g if grad is None else np.add(grad, g, out=grad)
-                del g  # grad alone holds the sum
-            adam_step(state, params, grad)
-        del rows, steps, grad  # before the next epoch's are built
+                if len(batch) > 1:  # a batch sums its items' gradients
+                    if grad is None:
+                        grad = gather_pieces(pieces, params.shape)
+                    else:  # in place: the float operation of grad + g, without a third array
+                        for span, g in pieces:
+                            np.add(grad[:, span], g, out=grad[:, span])
+                    pieces = g = None  # grad alone holds the sum
+            # one item's pieces are consumed as its pullback hands them over
+            adam_step(state, params, pieces if grad is None else grad)
+        del rows, steps, grad, pieces  # before the next epoch's are built
         for run, history, total in zip(runs, histories, totals):
             row = {"epoch": epoch, "train_loss": float(total) / n}
             if (validate_every and epoch % validate_every == 0

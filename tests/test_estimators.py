@@ -20,6 +20,7 @@ from kslab.estimators import (
     ToyCascade,
     _sigmoid,
     closed_form_affine_fit,
+    gather_pieces,
     group_rows,
     load_checkpoint,
     make_estimator,
@@ -124,7 +125,7 @@ def test_affine_fallback_warns_and_uses_nearest():
                                               np.stack([probe.member, near.member]))
     assert np.allclose(out, 2.0 * np.stack([y, y]))
     cot = np.stack([rand_vec(q, 7), rand_vec(q, 8)])
-    grad = pullback(cot)
+    grad = gather_pieces(pullback(cot), theta.shape)
     assert np.allclose(grad[0], est.vjp(y, probe, cot[0]))
     assert np.allclose(grad[1], est.vjp(y, near, cot[1]))
 
@@ -148,11 +149,12 @@ def _assert_rows_alone(est, theta, y, members, cot):
     """Each output and gradient row of one stacked call equals, bit for bit,
     the same row computed as a stack of one."""
     out, pullback = est.forward_vjp_stack(theta, y, members)
-    grad = pullback(cot)
+    grad = gather_pieces(pullback(cot), theta.shape)
     for c in range(len(y)):
         out_c, pullback_c = est.forward_vjp_stack(theta[c:c + 1], y[c:c + 1], members[c:c + 1])
         assert np.array_equal(out[c], out_c[0])
-        assert np.array_equal(grad[c], pullback_c(cot[c:c + 1])[0])
+        assert np.array_equal(grad[c], gather_pieces(pullback_c(cot[c:c + 1]),
+                                                     (1, theta.shape[1]))[0])
 
 
 def test_affine_get_blocks_rejects_a_pattern_not_enrolled():
@@ -178,10 +180,11 @@ def test_affine_stack_rows_match_rows_alone_broadcast_theta():
     theta = np.broadcast_to(est.theta, (12, est.theta.shape[0]))
     _assert_rows_alone(est, theta, y, members, cot)
     out, pullback = est.forward_vjp_stack(theta, y, members)
+    grad = gather_pieces(pullback(cot), theta.shape)
     for c in range(12):  # the per-item library path under the estimator's own theta
         mask = SamplingMask(members[c], np.full(4, 0.6))
         assert np.array_equal(out[c], est.forward(y[c], mask))
-        assert np.array_equal(pullback(cot)[c], est.vjp(y[c], mask, cot[c]))
+        assert np.array_equal(grad[c], est.vjp(y[c], mask, cot[c]))
 
 
 def test_affine_stack_mixed_unknown_patterns_warn_once_each():
@@ -196,14 +199,15 @@ def test_affine_stack_mixed_unknown_patterns_warn_once_each():
     with pytest.warns(PatternFallbackWarning) as record:
         out, pullback = est.forward_vjp_stack(theta, y, members)
     assert sum(w.category is PatternFallbackWarning for w in record) == 2
-    grad = pullback(cot)
+    grad = gather_pieces(pullback(cot), theta.shape)
     bs = est.block_size
     for rows, block in (([1, 5, 9], 0), ([4, 10], 1)):
         for c in rows:
             alone = est.forward_vjp_stack(theta[:1], y[c:c + 1],
                                           est._members[block][None])
             assert np.array_equal(out[c], alone[0][0])
-            assert np.array_equal(grad[c], alone[1](cot[c:c + 1])[0])
+            assert np.array_equal(grad[c], gather_pieces(alone[1](cot[c:c + 1]),
+                                                         theta[:1].shape)[0])
             assert np.count_nonzero(grad[c][:block * bs]) == 0
             assert np.count_nonzero(grad[c][(block + 1) * bs:]) == 0
 
@@ -281,7 +285,8 @@ def test_layer_views_follow_the_parameter_array():
         fresh = TinyNet(q, width_factor=2, seed=3)
         fresh_out, fresh_pullback = fresh.forward_vjp_stack(theta.copy(), y, members)
         assert np.array_equal(out, fresh_out)
-        assert np.array_equal(pullback(cot), fresh_pullback(cot))
+        assert np.array_equal(gather_pieces(pullback(cot), theta.shape),
+                              gather_pieces(fresh_pullback(cot), theta.shape))
 
     check(a)
     a *= 0.5  # an in-place update, as Adam's, seen through the kept views
@@ -300,9 +305,9 @@ def test_pullback_stays_valid_after_a_later_forward():
     cot = rng.standard_normal((n, q)) + 1j * rng.standard_normal((n, q))
     theta = rng.standard_normal((n, est.theta.shape[0]))
     _, pullback = est.forward_vjp_stack(theta, y, members)
-    expected = pullback(cot)
+    expected = gather_pieces(pullback(cot), theta.shape)
     est.forward_vjp_stack(rng.standard_normal(theta.shape), 2.0 * y, members)
-    assert np.array_equal(pullback(cot), expected)
+    assert np.array_equal(gather_pieces(pullback(cot), theta.shape), expected)
 
 
 def test_toy_cascade_rows_match_rows_alone():
@@ -321,7 +326,7 @@ def test_toy_cascade_rows_match_rows_alone():
         _assert_rows_alone(est, theta, y, members, cot)
         # and the gradient is right: a directional derivative per row, by central differences
         step = 1e-6
-        grad = est.forward_vjp_stack(theta, y, members)[1](cot)
+        grad = gather_pieces(est.forward_vjp_stack(theta, y, members)[1](cot), theta.shape)
         d = rng.standard_normal(theta.shape)
         plus, minus = (est.forward_vjp_stack(theta + sign * step * d, y, members)[0]
                        for sign in (1.0, -1.0))
@@ -329,10 +334,78 @@ def test_toy_cascade_rows_match_rows_alone():
         assert np.allclose(np.sum(grad * d, axis=1), fd, rtol=1e-6, atol=1e-8)
 
 
+def _cascade_whole_gradient(est, theta, y, members, cot):
+    """The cascade's gradient written into one (C, P) array: the forward
+    pass again, then each cascade's eta, G_D and G_R gradients into their
+    columns of the whole rows, and the cotangent carried back."""
+    x = np.concatenate([y.real, y.imag], axis=-1)
+    mvec = np.concatenate([members, members], axis=-1).astype(np.float64)
+    states, caches, s = [x], [], x
+    for i_eta, d_net, r_net in est.nets:
+        (d_out, d_cache), (r_out, r_cache) = d_net.forward(theta, s), r_net.forward(theta, s)
+        s = s - theta[:, i_eta, None] * mvec * (s - x) + mvec * d_out + (1.0 - mvec) * r_out
+        states.append(s)
+        caches.append((d_cache, r_cache))
+    grad = np.full(theta.shape, np.nan)
+    a = np.concatenate([cot.real, cot.imag], axis=-1)
+    for k in range(len(est.nets) - 1, -1, -1):
+        (i_eta, d_net, r_net), (d_cache, r_cache) = est.nets[k], caches[k]
+        grad[:, i_eta] = -np.matmul(a[:, None, :], (mvec * (states[k] - x))[:, :, None])[:, 0, 0]
+        ax_d = d_net.backward(d_cache, mvec * a, grad[:, d_net.start:d_net.end])
+        ax_r = r_net.backward(r_cache, (1.0 - mvec) * a, grad[:, r_net.start:r_net.end])
+        a = a * (1.0 - theta[:, i_eta, None] * mvec) + ax_d + ax_r
+    return grad
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("cascades", [1, 2, 3])
+def test_toy_cascade_pullback_hands_over_each_span_once_it_is_read(cascades, rows):
+    """The pieces' spans cover the parameter row once; gathered, the pieces
+    are the whole-row gradient bit for bit; and a consumer that overwrites
+    each handed-over span of theta (with NaN) before asking for the next
+    piece changes no later piece: a span is handed over only once the rest
+    of the pullback reads none of its parameters."""
+    q = 4
+    est = ToyCascade(q, cascades=cascades, seed=cascades)
+    rng = stream(10, "pieces", cascades, rows)
+    members = rng.random((rows, q)) < 0.6
+    y = np.where(members, rng.standard_normal((rows, q)) + 1j * rng.standard_normal((rows, q)),
+                 0.0)
+    cot = rng.standard_normal((rows, q)) + 1j * rng.standard_normal((rows, q))
+    theta = est.theta + 0.1 * rng.standard_normal((rows, est.theta.shape[0]))
+    _, pullback = est.forward_vjp_stack(theta, y, members)
+    pieces = [(span, g.copy()) for span, g in pullback(cot)]  # each valid until the next
+    covered = np.zeros(theta.shape[1], dtype=int)
+    for span, g in pieces:
+        assert g.shape == (rows, span.stop - span.start)
+        covered[span] += 1
+    assert (covered == 1).all()
+    whole = _cascade_whole_gradient(est, theta, y, members, cot)
+    assert gather_pieces(pullback(cot), theta.shape).tobytes() == whole.tobytes()
+    spoiled = theta.copy()
+    _, pullback = est.forward_vjp_stack(spoiled, y, members)
+    for (span, g), (want_span, want) in zip(pullback(cot), pieces, strict=True):
+        assert span == want_span and g.tobytes() == want.tobytes()
+        spoiled[:, span] = np.nan
+    assert np.isnan(spoiled).all()
+
+
+def test_tiny_net_and_affine_hand_over_the_whole_row_as_one_piece():
+    """One piece, the whole row, which gathering returns without a copy."""
+    est, y, members, cot = _affine_stack_case(4, 5, 6)
+    affine = (est, np.broadcast_to(est.theta, (5, est.theta.shape[0])))
+    net = TinyNet(4, width_factor=2, seed=1)
+    for est, theta in (affine, (net, np.tile(net.theta, (5, 1)))):
+        [(span, g)] = est.forward_vjp_stack(theta, y, members)[1](cot)
+        assert span == slice(0, theta.shape[1]) and g.shape == theta.shape
+        assert gather_pieces([(span, g)], theta.shape) is g
+
+
 def test_mlp_at_an_offset_matches_mlp_on_its_span():
     """A network at a nonzero start of a wider row computes the bits that a
     network at 0 computes on that span alone, and its backward pass writes
-    its span and nothing else."""
+    the gradient of its span, given as a view of a wider row, and nothing
+    else."""
     sizes, start, n = (6, 5, 4), 7, 3
     inner = Mlp(sizes, 0)
     net = Mlp(sizes, start)
@@ -345,7 +418,7 @@ def test_mlp_at_an_offset_matches_mlp_on_its_span():
     y_inner, cache_inner = inner.forward(span, x)
     assert np.array_equal(y, y_inner)
     out = np.full(theta.shape, np.nan)
-    gx = net.backward(cache, gy, out)
+    gx = net.backward(cache, gy, out[:, start:net.end])
     grad_inner = np.empty(span.shape)
     assert np.array_equal(gx, inner.backward(cache_inner, gy, grad_inner))
     assert np.array_equal(out[:, start:net.end], grad_inner)

@@ -876,9 +876,9 @@ def test_gradient_crosscheck_catches_misgrouped_rows(claim, monkeypatch):
         bs = self.block_size
 
         def swapped(cot):
-            grad = pullback(cot)
+            [(span, grad)] = pullback(cot)
             grad[:, :2 * bs] = np.concatenate([grad[:, bs:2 * bs], grad[:, :bs]], axis=1)
-            return grad
+            return [(span, grad)]
 
         return out, swapped
 

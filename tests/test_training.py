@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kslab import methods as M
-from kslab.errors import ConfigError
+from kslab.errors import ConfigError, DimensionError
 from kslab.estimators import AffinePerPattern, Mlp, TinyNet, ToyCascade
 from kslab.inference import reconstruct
 from kslab.kspace import SamplingMask, apply_mask, full_mask, mask_algebra
@@ -311,6 +311,30 @@ def test_adam_step_matches_out_of_place_formula_bitwise():
             assert not base[..., 1::2].any(), name
 
 
+def test_adam_step_on_pieces_matches_the_whole_gradient_bitwise():
+    """A gradient handed over in pieces, out of order, with spans that
+    straddle block boundaries and a one-entry span, steps a stack's params
+    and moments to the bits of the same gradient as one array; a piece of
+    the wrong shape, or pieces that leave a column out, raise."""
+    n = 3 * ADAM_BLOCK + 11
+    cuts = [0, 1, ADAM_BLOCK // 2 + 3, ADAM_BLOCK + 5, ADAM_BLOCK + 6, n]
+    spans = [slice(a, b) for a, b in zip(cuts[:-1], cuts[1:])][::-1]
+    init = stream(12, "p").standard_normal((2, n))
+    whole, pieced = init.copy(), init.copy()
+    whole_state, pieced_state = AdamState(lr=0.01), AdamState(lr=0.01)
+    for step in range(4):
+        grad = stream(12, "g", step).standard_normal((2, n)) * 10.0 ** (step - 2)
+        adam_step(whole_state, whole, grad)
+        adam_step(pieced_state, pieced, ((span, grad[:, span].copy()) for span in spans))
+        assert pieced.tobytes() == whole.tobytes()
+        assert pieced_state.m.tobytes() == whole_state.m.tobytes()
+        assert pieced_state.v.tobytes() == whole_state.v.tobytes()
+    with pytest.raises(DimensionError, match="shape"):
+        adam_step(pieced_state, pieced, [(slice(0, 1), np.zeros((1, 1)))])
+    with pytest.raises(DimensionError, match="cover"):
+        adam_step(pieced_state, pieced, [(slice(0, n - 1), np.zeros((2, n - 1)))])
+
+
 def test_adam_step_allocates_no_full_length_temporary():
     """After the first step sizes the moments and scratch blocks, a step on
     2^21 parameters allocates at most a few blocks' worth of memory."""
@@ -577,15 +601,9 @@ def test_mixed_stack_with_consistency_cuts_layer_views_once(monkeypatch):
                       (M.NOISIER2FULL, M.NOISE2RECON_SS, M.ROBUST_SSDU)) == (20, [1])
 
 
-@pytest.mark.parametrize("batch_size,gradients", [(1, 1), (2, 2)])
-def test_training_holds_one_gradient(batch_size, gradients):
-    """Training a large single cell (toy_cascade on bernoulli2d q = 64,
-    132,098 parameters) holds theta, the Adam moments m and v and one
-    gradient per step: the previous step's gradient goes before the next
-    pullback. A batch adds each later item's gradient into the sum in place,
-    so it holds the sum and one item's gradient. The slack covers Adam's two
-    scratch blocks and half a parameter array for everything else; one more
-    live gradient exceeds it."""
+def _training_peak(make_estimator, batch_size: int):
+    """The estimator, built and trained under ``tracemalloc`` for 2 epochs
+    on 6 items of bernoulli2d q = 64, and the traced peak in bytes."""
     import tracemalloc
 
     model = model_preset("bernoulli2d", q=64, sigma_n=0.1, alpha=0.75)
@@ -593,14 +611,41 @@ def test_training_holds_one_gradient(batch_size, gradients):
     spec = TrainSpec(method=M.ROBUST_SSDU, epochs=2, batch_size=batch_size, seed=4, alpha=0.75)
     tracemalloc.start()
     try:
-        est = ToyCascade(model.q, cascades=2, seed=1)
+        est = make_estimator(model.q)
         train(spec, est, data, model)
-        peak = tracemalloc.get_traced_memory()[1]
+        return est, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("batch_size,gradients", [(1, 1), (2, 2)])
+def test_training_holds_one_gradient(batch_size, gradients):
+    """Training a large single cell (toy_cascade on bernoulli2d q = 64,
+    132,098 parameters) holds theta, the Adam moments m and v and one
+    item's gradient per step. At batch size 1 Adam consumes that gradient
+    as the pullback hands it over, one network's span at a time, so no
+    whole gradient exists. A batch gathers its first item's gradient and
+    adds each later item's into it in place, so it holds the sum and at
+    most one item's gradient. The slack covers Adam's two scratch blocks
+    and half a parameter array for everything else; one more live gradient
+    (at batch size 1, a whole one) exceeds it."""
+    est, peak = _training_peak(lambda q: ToyCascade(q, cascades=2, seed=1), batch_size)
     array = est.theta.nbytes
     assert est.theta.shape == (132_098,)
-    assert peak < (3 + gradients) * array + 2 * ADAM_BLOCK * 8 + array // 2, peak / array
+    d_net = est.nets[0][1]  # a network's span: every network of the cascade has one size
+    live = (d_net.end - d_net.offsets[0]) * 8 if batch_size == 1 else gradients * array
+    assert peak < 3 * array + live + 2 * ADAM_BLOCK * 8 + array // 2, peak / array
+
+
+def test_training_a_one_piece_family_holds_one_gradient():
+    """A large tiny_net cell (bernoulli2d q = 64, 131,712 parameters), whose
+    pullback hands over the whole row as one piece, holds theta, m, v and
+    one gradient: the previous step's gradient goes before the next
+    pullback builds one. Same slack as above."""
+    est, peak = _training_peak(lambda q: TinyNet(q, seed=1), 1)
+    array = est.theta.nbytes
+    assert est.theta.shape == (131_712,)
+    assert peak < 4 * array + 2 * ADAM_BLOCK * 8 + array // 2, peak / array
 
 
 def test_train_cells_draws_each_cell_as_its_stack_forms():
@@ -634,21 +679,24 @@ def test_train_cells_rejects_cells_sharing_an_estimator():
 
 
 @pytest.mark.parametrize("field, value", [("beta1", 1.0), ("beta2", 1.0), ("beta1", -0.1),
-                                          ("eps", 0.0), ("lr", math.nan)])
+                                          ("eps", 0.0), ("lr", math.nan), ("lr", math.inf),
+                                          ("eps", math.inf)])
 def test_train_spec_rejects_adam_settings_that_train_to_nan(field, value):
     """Adam's bias correction divides by 1 - beta^t, which is 0 at beta 1,
-    at eps 0 a zero step is 0/0, and a NaN learning rate makes every step
-    NaN: a spec built directly keeps the ranges the config applies."""
+    at eps 0 a zero step is 0/0, a NaN learning rate makes every step NaN,
+    an infinite one sends the parameters to inf or NaN, and an infinite eps
+    makes every step zero: a spec built directly keeps the ranges the
+    config applies, which admit finite values only."""
     with pytest.raises(ConfigError, match=rf"^{field} must be "):
         TrainSpec(method=M.ROBUST_SSDU, **{field: value})
 
 
-@pytest.mark.parametrize("field, value", [("lambda_n2r", math.nan), ("alpha", 0.0),
-                                          ("alpha", math.nan), ("alpha", -1.0)])
+@pytest.mark.parametrize("field, value", [("lambda_n2r", math.nan), ("lambda_n2r", math.inf),
+                                          ("alpha", 0.0), ("alpha", math.nan), ("alpha", -1.0)])
 def test_train_spec_rejects_loss_settings_outside_the_config_ranges(field, value):
     """The Noise2Recon weight and the further-noise ratio keep the ranges
     ``resolve_config`` applies to ``train.lambda_n2r`` and ``train.alpha``,
-    NaN included, and the error names the field."""
+    NaN and infinity included, and the error names the field."""
     with pytest.raises(ConfigError, match=rf"^{field} must be "):
         TrainSpec(method=M.ROBUST_SSDU, **{field: value})
 

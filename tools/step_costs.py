@@ -11,15 +11,19 @@ stack shaped like the benchmark's train-2d workload: one ``toy_cascade``
 cell (2 cascades, 2,101,250 parameters) on bernoulli2d q = 256, 16 training
 items, robust_ssdu at sigma_n 0.1 and alpha 0.75.
 
-A step is split into forward+pullback (``training.stack_loss_and_grad``:
-the stacked forward pass, the loss and its pullback) and Adam
-(``training.adam_step``). Each epoch's rows are built before its steps and
-are not timed. The stacks take turns epoch by epoch, and each time is the
-median over an epoch's steps, at its smallest over the timed epochs, so
-that load from other processes on the host inflates it less. The traced
-peak is what ``tracemalloc`` sees at most during a stack's second step,
-run apart from the timed ones with the stack built under tracing: the
-parameters, data and Adam moments it holds and what the step allocates.
+A step runs as training runs it: ``training.stack_loss_and_grad`` (the
+stacked forward pass, the loss and, for a family that hands over one
+piece, its pullback), then ``training.adam_step`` on the gradient's
+pieces. A ``toy_cascade`` pullback hands its pieces over while Adam runs,
+so the time spent producing each piece is clocked apart and counted as
+forward+pullback, and the rest of the step as Adam. Each epoch's rows are
+built before its steps and are not timed. The stacks take turns epoch by
+epoch, and each time is the median over an epoch's steps, at its smallest
+over the timed epochs, so that load from other processes on the host
+inflates it less. The traced peak is what ``tracemalloc`` sees at most
+during a stack's second step, run apart from the timed ones with the stack
+built under tracing: the parameters, data and Adam moments it holds and
+what the step allocates.
 
     python tools/step_costs.py [--epochs 5]
 
@@ -79,10 +83,22 @@ def _train_2d_cells() -> list[Cell]:
                  ToyCascade(model.q, cascades=2, seed=0), build_dataset(model, 16, 0), model)]
 
 
+def _clocked(pieces, clock: list) -> Iterator:
+    """The pieces, adding the seconds spent producing each to ``clock[0]``."""
+    pieces = iter(pieces)
+    while True:
+        t0 = perf_counter()
+        piece = next(pieces, None)
+        clock[0] += perf_counter() - t0
+        if piece is None:
+            return
+        yield piece
+
+
 def steps(cells: list[Cell]) -> Iterator[tuple[float, float]]:
     """Train the cells as one stack, one step per ``next``; yields the step's
-    seconds of forward+pullback and of Adam. As in training, a step's
-    gradient is let go before the next one is built."""
+    seconds of forward+pullback and of Adam. As in training, Adam consumes
+    the pieces as the pullback hands them over."""
     runs = [_CellRun(cell) for cell in cells]
     cons, lambda_n2r = _consistency_cells(cells)
     est = cells[0].est
@@ -94,13 +110,14 @@ def steps(cells: list[Cell]) -> Iterator[tuple[float, float]]:
         rows = _stack_epoch(runs, epoch, cons.any())
         for s in range(len(cells[0].data)):
             step = Rows(*(None if a is None else a[s] for a in rows))
+            pulled = [0.0]
             t0 = perf_counter()
-            _, grad = stack_loss_and_grad(est, theta, step, cons, lambda_n2r)
+            _, pieces = stack_loss_and_grad(est, theta, step, cons, lambda_n2r)
             t1 = perf_counter()
-            adam_step(state, theta, grad)
+            adam_step(state, theta, _clocked(pieces, pulled))
             t2 = perf_counter()
-            del grad
-            yield t1 - t0, t2 - t1
+            del pieces
+            yield t1 - t0 + pulled[0], t2 - t1 - pulled[0]
 
 
 def epoch_costs(cells: list[Cell]) -> Iterator[tuple[float, float]]:
