@@ -527,10 +527,11 @@ class ToyCascade(Estimator):
     boundary.
 
     The pullback runs the cascades in reverse and hands over, per cascade,
-    G_D's span after its backward pass, G_R's span after its own and eta
-    once the cascade's input-gradient update has read it. The networks
-    write their gradients into one reused 64-byte-aligned buffer of one
-    network's span per row.
+    G_D's span after its backward pass, G_R's span after its own and then
+    eta, after the cascade's input-gradient update has read it. Nothing
+    reads cascade 0's input gradient, so there neither network computes
+    one and no update runs. The networks write their gradients into one
+    reused 64-byte-aligned buffer of one network's span per row.
     """
 
     family = "toy_cascade"
@@ -578,11 +579,12 @@ class ToyCascade(Estimator):
                 (i_eta, d_net, r_net), (d_cache, r_cache) = self.nets[k], caches[k]
                 # row-wise dot products, each the BLAS dot of the one-row case
                 g_eta = -np.matmul(a[:, None, :], (mvec * (states[k] - x))[:, :, None])[:, 0]
-                ax_d = d_net.backward(d_cache, mvec * a, g)
+                ax_d = d_net.backward(d_cache, mvec * a, g, input_grad=k > 0)
                 yield slice(d_net.start, d_net.end), g
-                ax_r = r_net.backward(r_cache, (1.0 - mvec) * a, g)
+                ax_r = r_net.backward(r_cache, (1.0 - mvec) * a, g, input_grad=k > 0)
                 yield slice(r_net.start, r_net.end), g
-                a = a * (1.0 - theta[:, i_eta, None] * mvec) + ax_d + ax_r
+                if k:
+                    a = a * (1.0 - theta[:, i_eta, None] * mvec) + ax_d + ax_r
                 yield slice(i_eta, i_eta + 1), g_eta
 
         return real_to_complex(states[-1]), pullback

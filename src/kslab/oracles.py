@@ -3,8 +3,8 @@
 Everything the training methods claim to recover is computable here by an
 independent route:
 
-* exact joint-Gaussian conditional means (Schur complement on the observed
-  block), for any observation pattern;
+* exact joint-Gaussian conditional means and error traces (Schur complement
+  on the observed block), one ``Posterior`` per pattern table;
 * closed-form population minimizers of each method's loss (from the
   estimators module) checked against those conditional means;
 * Monte Carlo checks of the conditional-noise identity and of the
@@ -87,96 +87,100 @@ class OracleReport:
 
 
 # ---------------------------------------------------------------------------
-# Analytic Gaussian conditional means
+# Analytic Gaussian posterior
 # ---------------------------------------------------------------------------
 
-def _observation_variance(model: MeasurementModel, conditioning: str) -> float:
-    sigma2 = model.noise.sigma_n ** 2
-    if conditioning == COND_ON_Y:
-        return sigma2
-    if conditioning == COND_ON_YTILDE:
-        return (1.0 + model.noise.alpha ** 2) * sigma2
-    raise ConfigError(f"unknown conditioning {conditioning!r}")
+class Posterior:
+    """The exact Gaussian posterior at the rows ``members`` (n, q) of
+    ``pattern``, a ``SamplingMask`` or pattern rows of bool, given
+    observations with per-entry noise sigma_n^2 (``COND_ON_Y``) or
+    (1 + alpha^2) sigma_n^2 (``COND_ON_YTILDE``), zero-filled off the pattern.
 
+    Each conditioning's observed blocks are built and checked for
+    singularity, and each mean and error trace is solved, once, when first
+    asked; what is returned is read-only. Patterns of one support size are
+    solved in one call, each with the bits it gets alone. The fit in
+    ``estimators`` stacks with its own code, so a stacking defect in either
+    route shows against the other."""
 
-def _pattern_rows(pattern, q: int) -> np.ndarray:
-    """Pattern rows (n, q) of one ``SamplingMask`` (n = 1) or of a stack."""
-    members = (pattern.member[None] if isinstance(pattern, SamplingMask)
-               else np.asarray(pattern, dtype=bool))
-    if members.ndim != 2 or members.shape[1] != q:
-        raise ValidationError("pattern length does not match model")
-    return members
+    def __init__(self, model: MeasurementModel, pattern):
+        members = (pattern.member[None] if isinstance(pattern, SamplingMask)
+                   else np.asarray(pattern, dtype=bool))
+        if members.ndim != 2 or members.shape[1] != model.q:
+            raise ValidationError("pattern length does not match model")
+        self.model = model
+        self.members = members
+        self._blocks, self._means, self._traces = {}, {}, {}
 
+    def _observed(self, conditioning: str) -> list:
+        """Read-only ``(rows, observed, gram, cross)`` of each stack of one
+        nonempty support size, ascending: rows (m,), observed indices (m, size),
+        the observed block's covariance (m, size, size) and the prior covariance
+        (m, q, size) of all indices with the observed ones. A size is split
+        beyond ``SOLVE_BLOCK`` entries of its (m, q, size, size) stack."""
+        if conditioning not in self._blocks:
+            noise, q, cov = self.model.noise, self.model.q, self.model.prior_cov
+            factors = {COND_ON_Y: 1.0, COND_ON_YTILDE: 1.0 + noise.alpha ** 2}
+            if conditioning not in factors:
+                raise ConfigError(f"unknown conditioning {conditioning!r}")
+            v = factors[conditioning] * noise.sigma_n ** 2
+            sizes = np.count_nonzero(self.members, axis=1)
+            blocks = []
+            for size in sorted(set(sizes[sizes > 0].tolist())):
+                rows = np.flatnonzero(sizes == size)
+                observed = np.nonzero(self.members[rows])[1].reshape(len(rows), size)
+                step = max(1, SOLVE_BLOCK // (q * size * size))
+                for start in range(0, len(rows), step):
+                    s = observed[start:start + step]
+                    gram = cov[s[:, :, None], s[:, None, :]] + v * np.eye(size)
+                    eigs = np.linalg.eigvalsh(gram)
+                    if np.any(eigs.min(axis=1) <= 1e-14 * np.maximum(1.0, eigs.max(axis=1))):
+                        raise ValidationError("observed-block covariance is singular")
+                    cross = cov[np.arange(q)[:, None], s[:, None, :]]
+                    gram.setflags(write=False)
+                    cross.setflags(write=False)
+                    blocks.append((rows[start:start + step], s, gram, cross))
+            self._blocks[conditioning] = blocks
+        return self._blocks[conditioning]
 
-def _observed_blocks(model: MeasurementModel, members: np.ndarray, conditioning: str):
-    """The observed blocks of pattern rows, stacked by nonempty support size.
+    def mean(self, target: str, conditioning: str) -> np.ndarray:
+        """Exact conditional-mean coefficient matrices C (n, q, q), zero
+        columns off each pattern: the MMSE estimate of the target given the
+        observation is C[i] @ observation at pattern i."""
+        if (target, conditioning) not in self._means:
+            if target not in (TARGET_Y0, TARGET_Y0_PLUS_N):
+                raise ConfigError(f"unknown target {target!r}")
+            q, sigma2 = self.model.q, self.model.noise.sigma_n ** 2
+            c = np.zeros((len(self.members), q, q), dtype=np.complex128)
+            for rows, s, gram, cross in self._observed(conditioning):
+                m, size = s.shape
+                if target == TARGET_Y0_PLUS_N:
+                    cross = cross.copy()
+                    cross[np.arange(m)[:, None], s, np.arange(size)] += sigma2
+                c[rows[:, None, None], np.arange(q)[:, None], s[:, None, :]] = np.linalg.solve(
+                    gram.swapaxes(-1, -2), cross.swapaxes(-1, -2)).swapaxes(-1, -2)
+            c.setflags(write=False)
+            self._means[target, conditioning] = c
+        return self._means[target, conditioning]
 
-    Yields, in increasing size, ``(rows, observed, gram, cross)``: the rows
-    of one size, their observed indices (m, size), ascending, the observed
-    block's covariance (m, size, size) under the conditioning's per-entry
-    noise, and the prior covariance (m, q, size) of every index with the
-    observed ones. Each yield builds its own arrays. A size is split only
-    beyond ``SOLVE_BLOCK`` entries of its (pattern, q, size, size) stack.
-    The fit in ``estimators`` groups its stacks with its own code: the two
-    routes share nothing, so a stacking defect in one shows against the
-    other.
-    """
-    q = members.shape[1]
-    v = _observation_variance(model, conditioning)
-    cov = model.prior_cov
-    sizes = np.count_nonzero(members, axis=1)
-    for size in sorted(set(sizes[sizes > 0].tolist())):
-        rows = np.flatnonzero(sizes == size)
-        observed = np.nonzero(members[rows])[1].reshape(len(rows), size)
-        step = max(1, SOLVE_BLOCK // (q * size * size))
-        for start in range(0, len(rows), step):
-            s = observed[start:start + step]
-            gram = cov[s[:, :, None], s[:, None, :]] + v * np.eye(size)
-            cross = cov[np.arange(q)[:, None], s[:, None, :]]
-            yield rows[start:start + step], s, gram, cross
+    def error_trace(self, conditioning: str) -> np.ndarray:
+        """E || Y0 - E[Y0 | observation] ||^2 at each pattern (n,)."""
+        if conditioning not in self._traces:
+            cov = self.model.prior_cov
+            out = np.full(len(self.members), float(np.trace(cov).real))
+            for rows, _s, gram, cross in self._observed(conditioning):
+                err = cov - cross @ np.linalg.solve(gram, cross.conj().swapaxes(-1, -2))
+                out[rows] = np.trace(err, axis1=-2, axis2=-1).real
+            out.setflags(write=False)
+            self._traces[conditioning] = out
+        return self._traces[conditioning]
 
 
 def gaussian_conditional_mean(model: MeasurementModel, pattern, target: str,
                               conditioning: str) -> np.ndarray:
-    """Exact conditional-mean coefficient matrix for an observed pattern.
-
-    Returns C (q x q, zero columns off the pattern) such that the MMSE
-    estimate of the target given the observed entries is C @ observed,
-    where ``observed`` is the measured vector zero-filled off the pattern.
-    The observation carries per-entry noise sigma_n^2 when conditioning on
-    the data and (1 + alpha^2) sigma_n^2 when conditioning on the further
-    corrupted data. ``pattern`` is a ``SamplingMask``, or pattern rows
-    (n, q) of bool for a stack C (n, q, q); patterns of one support size
-    are solved in one call, each with the bits it gets alone.
-    """
-    if target not in (TARGET_Y0, TARGET_Y0_PLUS_N):
-        raise ConfigError(f"unknown target {target!r}")
-    q = model.q
-    members = _pattern_rows(pattern, q)
-    sigma2 = model.noise.sigma_n ** 2
-    c = np.zeros((len(members), q, q), dtype=np.complex128)
-    for rows, s, gram, cross in _observed_blocks(model, members, conditioning):
-        m, size = s.shape
-        eigs = np.linalg.eigvalsh(gram)
-        if np.any(eigs.min(axis=1) <= 1e-14 * np.maximum(1.0, eigs.max(axis=1))):
-            raise ValidationError("observed-block covariance is singular")
-        if target == TARGET_Y0_PLUS_N:
-            cross[np.arange(m)[:, None], s, np.arange(size)] += sigma2
-        c[rows[:, None, None], np.arange(q)[:, None], s[:, None, :]] = np.linalg.solve(
-            gram.swapaxes(-1, -2), cross.swapaxes(-1, -2)).swapaxes(-1, -2)
+    """``Posterior(model, pattern).mean``, or its one (q, q) at a ``SamplingMask``."""
+    c = Posterior(model, pattern).mean(target, conditioning)
     return c[0] if isinstance(pattern, SamplingMask) else c
-
-
-def posterior_error_trace(model: MeasurementModel, pattern, conditioning: str):
-    """E || Y0 - E[Y0 | observation] ||^2 for one observation pattern (a float),
-    or for each of pattern rows (n, q) of bool (an (n,) array)."""
-    members = _pattern_rows(pattern, model.q)
-    cov = model.prior_cov
-    out = np.full(len(members), float(np.trace(cov).real))
-    for rows, _s, gram, cross in _observed_blocks(model, members, conditioning):
-        err = cov - cross @ np.linalg.solve(gram, cross.conj().swapaxes(-1, -2))
-        out[rows] = np.trace(err, axis1=-2, axis2=-1).real
-    return float(out[0]) if isinstance(pattern, SamplingMask) else out
 
 
 # ---------------------------------------------------------------------------
@@ -253,40 +257,38 @@ def enumerate_patterns(model: MeasurementModel, level: str) -> PatternTable:
 # Population-minimizer checks
 # ---------------------------------------------------------------------------
 
-def _expected_coefficients(method: str, model: MeasurementModel,
-                           members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Proven target matrices (n, q, q) of pattern rows (n, q), and which
-    of their rows (n, q) the proof constrains."""
+def _expected_coefficients(method: str, post: Posterior) -> tuple[np.ndarray, np.ndarray]:
+    """Proven target matrices (n, q, q) at the posterior's patterns, and
+    which of their rows (n, q) the proof constrains."""
+    members = post.members
     compare = np.ones(members.shape, dtype=bool)
     if method == M.FULLY_SUPERVISED:
-        return gaussian_conditional_mean(model, members, TARGET_Y0, COND_ON_Y), compare
+        return post.mean(TARGET_Y0, COND_ON_Y), compare
     if method == M.SUPERVISED_WO_DENOISING:
         # Pseudo-denoising: identity rows on the sampled set, conditional
         # mean of the ground truth elsewhere.
-        c = gaussian_conditional_mean(model, members, TARGET_Y0, COND_ON_Y)
+        c = post.mean(TARGET_Y0, COND_ON_Y).copy()
         pat, j = np.nonzero(members)
         c[pat, j, :] = 0.0
         c[pat, j, j] = 1.0
         return c, compare
     if method in (M.NOISIER2FULL, M.NOISIER2FULL_UNWEIGHTED,
                   M.ROBUST_SSDU, M.ROBUST_SSDU_UNWEIGHTED):
-        return gaussian_conditional_mean(model, members, TARGET_Y0_PLUS_N,
-                                         COND_ON_YTILDE), compare
+        return post.mean(TARGET_Y0_PLUS_N, COND_ON_YTILDE), compare
     if method == M.STANDARD_SSDU:
         # The recovery statement covers only indices outside the training
         # input support; rows on it are unconstrained.
-        return gaussian_conditional_mean(model, members, TARGET_Y0, COND_ON_Y), ~members
+        return post.mean(TARGET_Y0, COND_ON_Y), ~members
     raise ConfigError(f"no proven population target for {method!r}")
 
 
-def check_population_minimizer(method: str, model: MeasurementModel, table: PatternTable,
+def check_population_minimizer(method: str, post: Posterior,
                                fit: AffinePerPattern | None) -> OracleReport:
     """Closed-form loss minimizer vs the method's proven conditional-mean target.
 
-    ``table`` is the method's input level and ``fit`` the method's
-    ``closed_form_affine_fit`` at its patterns, which are compared as one
-    stack. Noise2Recon-SS has no proof: its report is descriptive and reads
-    neither (its ``fit`` is None).
+    ``post`` is the posterior at the method's input level and ``fit`` the
+    method's ``closed_form_affine_fit`` there, compared as one stack.
+    Noise2Recon-SS has no proof: its report is descriptive, and ``fit`` is None.
     """
     if method == M.NOISE2RECON_SS:
         return OracleReport(
@@ -295,9 +297,9 @@ def check_population_minimizer(method: str, model: MeasurementModel, table: Patt
             notes={"descriptive": "no population-minimizer proof; the method "
                                   "applies no inference correction"},
         )
-    members = table.members
+    members = post.members
     a_fit, _b = fit.get_blocks(members)
-    expected, compare = _expected_coefficients(method, model, members)
+    expected, compare = _expected_coefficients(method, post)
     diff = np.abs(a_fit[compare] - expected[compare])
     return OracleReport(
         name=f"population_minimizer[{method}]",
@@ -320,17 +322,18 @@ def corrected_coefficients(a_fit: np.ndarray, pattern, alpha: float) -> np.ndarr
     return correct(a_fit, eye, np.broadcast_to(member[..., None], a_fit.shape), alpha)
 
 
-def check_correction_identity(method: str, model: MeasurementModel, table: PatternTable,
+def check_correction_identity(method: str, post: Posterior,
                               fit: AffinePerPattern) -> OracleReport:
     """Fitted map composed with the correction vs the clean conditional mean.
 
-    ``table`` and ``fit`` are as in ``check_population_minimizer``.
+    ``post`` and ``fit`` are as in ``check_population_minimizer``.
     """
     if method not in (M.NOISIER2FULL, M.ROBUST_SSDU):
         raise ConfigError("correction identity applies to the corrected methods")
-    members = table.members
-    corrected = corrected_coefficients(fit.get_blocks(members)[0], members, model.noise.alpha)
-    target = gaussian_conditional_mean(model, members, TARGET_Y0, COND_ON_YTILDE)
+    members = post.members
+    corrected = corrected_coefficients(fit.get_blocks(members)[0], members,
+                                       post.model.noise.alpha)
+    target = post.mean(TARGET_Y0, COND_ON_YTILDE)
     return OracleReport(
         name=f"correction_identity[{method}]",
         estimate=float(np.abs(corrected - target).max()), reference=0.0, tolerance=CORRECTION_TOL,
@@ -338,20 +341,18 @@ def check_correction_identity(method: str, model: MeasurementModel, table: Patte
     ).finalize()
 
 
-def check_correction_algebra(model: MeasurementModel,
-                             tables: Iterable[PatternTable]) -> OracleReport:
+def check_correction_algebra(posts: Iterable[Posterior]) -> OracleReport:
     """Exact algebra linking the two conditional means on the observed set.
 
     The clean conditional mean equals the alpha-corrected transform of the
     noisy-target conditional mean, row by row on the pattern, at every
-    pattern of ``tables`` (the suite passes both levels).
+    pattern of ``posts`` (the suite passes both levels).
     """
     worst = 0.0
-    for table in tables:
-        members = table.members
-        noisy = gaussian_conditional_mean(model, members, TARGET_Y0_PLUS_N, COND_ON_YTILDE)
-        clean = gaussian_conditional_mean(model, members, TARGET_Y0, COND_ON_YTILDE)
-        corrected = corrected_coefficients(noisy, members, model.noise.alpha)
+    for post in posts:
+        noisy = post.mean(TARGET_Y0_PLUS_N, COND_ON_YTILDE)
+        clean = post.mean(TARGET_Y0, COND_ON_YTILDE)
+        corrected = corrected_coefficients(noisy, post.members, post.model.noise.alpha)
         worst = max(worst, float(np.abs(corrected - clean).max()))
     return OracleReport(
         name="correction_algebra", estimate=worst, reference=0.0, tolerance=ALGEBRA_TOL,
@@ -359,12 +360,10 @@ def check_correction_algebra(model: MeasurementModel,
 
 
 def analytic_posterior_mse(model: MeasurementModel, method: str) -> float:
-    """Pattern-averaged E || Y0 - E[Y0 | further-corrupted observation] ||^2.
-
-    The probability-weighted traces are added in enumeration order.
-    """
+    """Pattern-averaged E || Y0 - E[Y0 | further-corrupted observation] ||^2,
+    the probability-weighted traces added in enumeration order."""
     table = enumerate_patterns(model, input_level(method))
-    return table.average(posterior_error_trace(model, table.members, COND_ON_YTILDE))
+    return table.average(Posterior(model, table.members).error_trace(COND_ON_YTILDE))
 
 
 class _Draws(NamedTuple):
@@ -752,25 +751,25 @@ def run_oracle_suite(model: MeasurementModel, seed: int = 0,
                      mse_samples: int = 20000) -> list[OracleReport]:
     """All oracle checks on one model; descriptive reports carry passed=None.
 
-    Each pattern level is enumerated once, and each proof-backed method is
-    fitted once over its input level; the exact checks read those tables
-    and fits.
+    Each pattern level is enumerated once, with one posterior, and each
+    proof-backed method is fitted once over its input level; the exact
+    checks read those posteriors and fits.
     """
     tables = {level: enumerate_patterns(model, level) for level in (LEVEL_OMEGA, LEVEL_INTERSECT)}
+    posts = {level: Posterior(model, table.members) for level, table in tables.items()}
     fits = {method: closed_form_affine_fit(model, method, tables[input_level(method)].members)
             for method in M.PROOF_BACKED_METHODS}
-    reports = [check_appendix_identity(100, seed),
-               check_correction_algebra(model, tables.values())]
+    reports = [check_appendix_identity(100, seed), check_correction_algebra(posts.values())]
     for method in M.ALL_METHODS:
-        reports.append(check_population_minimizer(method, model, tables[input_level(method)],
+        reports.append(check_population_minimizer(method, posts[input_level(method)],
                                                   fits.get(method)))
     corrected = {method: fits[method] for method in (M.NOISIER2FULL, M.ROBUST_SSDU)}
     mses = mc_corrected_mses(corrected, model, mse_samples, seed)
     for method, fit in corrected.items():
-        table = tables[input_level(method)]
-        reports.append(check_correction_identity(method, model, table, fit))
+        level = input_level(method)
+        reports.append(check_correction_identity(method, posts[level], fit))
         mc_mean, mc_se = mses[method]
-        analytic = table.average(posterior_error_trace(model, table.members, COND_ON_YTILDE))
+        analytic = tables[level].average(posts[level].error_trace(COND_ON_YTILDE))
         rel = abs(mc_mean - analytic) / analytic if analytic > 0 else 0.0
         reports.append(OracleReport(
             name=f"corrected_mse[{method}]",
@@ -779,6 +778,7 @@ def run_oracle_suite(model: MeasurementModel, seed: int = 0,
             standard_error=mc_se,
             notes={"relative_error": rel, "samples": mse_samples},
         ).finalize())
+    del posts  # its cached solves are not held through the Monte Carlo checks below
     reports.append(check_conditional_noise_identity(model, slope_samples, seed))
     grad_model = gradient_check_model(model.noise.sigma_n or 0.5, model.noise.alpha)
     ests = {}

@@ -26,6 +26,7 @@ from kslab.oracles import (
     TARGET_Y0,
     TARGET_Y0_PLUS_N,
     OracleReport,
+    Posterior,
     analytic_posterior_mse,
     check_appendix_identity,
     check_conditional_noise_identity,
@@ -41,7 +42,6 @@ from kslab.oracles import (
     input_level,
     mc_corrected_mse,
     mc_corrected_mses,
-    posterior_error_trace,
     run_oracle_suite,
     _draw_shard,
     _gradient_moments,
@@ -99,37 +99,37 @@ def test_conditional_mean_rejects_singular_block():
         gaussian_conditional_mean(model, full_mask(q), TARGET_Y0, COND_ON_Y)
 
 
-def _table_fit(model, method):
-    """The method's input-level table and its closed-form fit there, as
-    ``run_oracle_suite`` hands them to the exact checks."""
-    table = enumerate_patterns(model, input_level(method))
-    return table, closed_form_affine_fit(model, method, table.members)
+def _posterior_fit(model, method):
+    """The posterior at the method's input level and its closed-form fit
+    there, as ``run_oracle_suite`` hands them to the exact checks."""
+    members = enumerate_patterns(model, input_level(method)).members
+    return Posterior(model, members), closed_form_affine_fit(model, method, members)
 
 
-def _level_tables(model):
-    return [enumerate_patterns(model, level) for level in ("omega", "intersect")]
+def _level_posteriors(model):
+    return [Posterior(model, enumerate_patterns(model, level).members)
+            for level in ("omega", "intersect")]
 
 
 @pytest.mark.parametrize("method", M.PROOF_BACKED_METHODS)
 def test_population_minimizer_all_proof_backed(method):
     model = model_preset("banded", sigma_n=0.3, alpha=0.75)
-    report = check_population_minimizer(method, model, *_table_fit(model, method))
+    report = check_population_minimizer(method, *_posterior_fit(model, method))
     assert report.passed is True
     assert report.estimate <= 1e-8
 
 
 def test_population_minimizer_noise2recon_descriptive():
     model = model_preset("banded", sigma_n=0.3, alpha=0.75)
-    table = enumerate_patterns(model, input_level(M.NOISE2RECON_SS))
-    report = check_population_minimizer(M.NOISE2RECON_SS, model, table, None)
+    post = Posterior(model, enumerate_patterns(model, input_level(M.NOISE2RECON_SS)).members)
+    report = check_population_minimizer(M.NOISE2RECON_SS, post, None)
     assert report.passed is None
     assert "descriptive" in report.notes
 
 
 def test_population_minimizer_standard_ssdu_marks_unconstrained():
     model = model_preset("banded", sigma_n=0.3, alpha=0.75)
-    report = check_population_minimizer(M.STANDARD_SSDU, model,
-                                        *_table_fit(model, M.STANDARD_SSDU))
+    report = check_population_minimizer(M.STANDARD_SSDU, *_posterior_fit(model, M.STANDARD_SSDU))
     assert report.notes["unconstrained_rows"] > 0
 
 
@@ -137,7 +137,7 @@ def test_population_minimizer_standard_ssdu_marks_unconstrained():
 @pytest.mark.parametrize("method", [M.NOISIER2FULL, M.ROBUST_SSDU])
 def test_correction_identity(method, preset):
     model = model_preset(preset, sigma_n=0.3, alpha=0.75)
-    report = check_correction_identity(method, model, *_table_fit(model, method))
+    report = check_correction_identity(method, *_posterior_fit(model, method))
     assert report.passed is True
     assert report.estimate <= 1e-8
 
@@ -189,7 +189,7 @@ def test_oracle_suite_enumerates_each_level_once(monkeypatch):
 
 def test_correction_algebra_exact():
     model = model_preset("banded", sigma_n=0.5, alpha=1.25)
-    report = check_correction_algebra(model, _level_tables(model))
+    report = check_correction_algebra(_level_posteriors(model))
     assert report.passed is True
     assert report.estimate <= 1e-10
 
@@ -230,7 +230,7 @@ def _random_models(draw):
 @settings(max_examples=60, deadline=None)
 @given(model=_random_models())
 def test_correction_algebra_on_random_models(model):
-    report = check_correction_algebra(model, _level_tables(model))
+    report = check_correction_algebra(_level_posteriors(model))
     assert report.passed is True, report.estimate
 
 
@@ -339,16 +339,18 @@ def test_stacked_oracle_rows_equal_patterns_alone(name):
         table = enumerate_patterns(model, level)
         for members in (table.members, table.members[::-1]):
             masks = [SamplingMask(m, np.ones(model.q)) for m in members]
-            for target in (TARGET_Y0, TARGET_Y0_PLUS_N):
-                for cond in (COND_ON_Y, COND_ON_YTILDE):
-                    stacked = gaussian_conditional_mean(model, members, target, cond)
+            post = Posterior(model, members)
+            for cond in (COND_ON_Y, COND_ON_YTILDE):
+                # the noisy target first: the clean one reads the same blocks after it
+                for target in (TARGET_Y0_PLUS_N, TARGET_Y0):
+                    stacked = post.mean(target, cond)
                     assert stacked.shape == (len(members), model.q, model.q)
                     for c, mask in zip(stacked, masks):
                         alone = gaussian_conditional_mean(model, mask, target, cond)
                         assert c.tobytes() == alone.tobytes()
-            for cond in (COND_ON_Y, COND_ON_YTILDE):
-                traces = posterior_error_trace(model, members, cond)
-                assert traces.tolist() == [posterior_error_trace(model, m, cond) for m in masks]
+                traces = post.error_trace(cond)
+                assert traces.tolist() == [Posterior(model, m).error_trace(cond)[0]
+                                           for m in masks]
 
 
 def test_stacked_conditional_mean_rejects_singular_block():
@@ -356,6 +358,57 @@ def test_stacked_conditional_mean_rejects_singular_block():
     members = enumerate_patterns(model, "intersect").members
     with pytest.raises(ValidationError):
         gaussian_conditional_mean(model, members, TARGET_Y0, COND_ON_Y)
+    for cond in (COND_ON_Y, COND_ON_YTILDE):
+        with pytest.raises(ValidationError):
+            Posterior(model, members).error_trace(cond)
+    with pytest.raises(ValidationError):
+        analytic_posterior_mse(model, M.ROBUST_SSDU)
+
+
+def test_posterior_arrays_are_read_only():
+    """Every array a posterior returns is read-only. The
+    supervised_wo_denoising check writes its identity rows into a copy, so
+    the fully_supervised check on the same posterior still passes after it."""
+    model = model_preset("banded", sigma_n=0.3, alpha=0.75)
+    assert input_level(M.SUPERVISED_WO_DENOISING) == input_level(M.FULLY_SUPERVISED)
+    post = Posterior(model, enumerate_patterns(model, input_level(M.FULLY_SUPERVISED)).members)
+    for returned in (post.mean(TARGET_Y0, COND_ON_Y), post.mean(TARGET_Y0_PLUS_N, COND_ON_YTILDE),
+                     post.error_trace(COND_ON_YTILDE)):
+        with pytest.raises(ValueError, match="read-only"):
+            returned[0] = 0.0
+    for method in (M.SUPERVISED_WO_DENOISING, M.FULLY_SUPERVISED):
+        fit = closed_form_affine_fit(model, method, post.members)
+        assert check_population_minimizer(method, post, fit).passed is True
+
+
+def test_oracle_suite_solves_each_posterior_key_once(monkeypatch):
+    """A default banded suite solves one conditional mean per (table,
+    target, conditioning) it reads, 6 in all, and one error trace per
+    table, 2 in all: every read of a key returns the array of its one
+    solve, where each read used to solve anew (13 mean solves)."""
+    model = model_preset("banded", sigma_n=0.3, alpha=0.75)
+    reads = {"mean": [], "trace": []}
+    mean, error_trace = Posterior.mean, Posterior.error_trace
+
+    def counting_mean(self, target, conditioning):
+        out = mean(self, target, conditioning)
+        reads["mean"].append(((self, target, conditioning), out))
+        return out
+
+    def counting_trace(self, conditioning):
+        out = error_trace(self, conditioning)
+        reads["trace"].append(((self, conditioning), out))
+        return out
+
+    monkeypatch.setattr(Posterior, "mean", counting_mean)
+    monkeypatch.setattr(Posterior, "error_trace", counting_trace)
+    run_oracle_suite(model, seed=1, gradient_samples=200, slope_samples=2000, mse_samples=200)
+    # the reads hold every returned array, so no two solves share an id
+    for kind, solves in (("mean", 6), ("trace", 2)):
+        assert len({key for key, _ in reads[kind]}) == solves
+        assert len({id(out) for _, out in reads[kind]}) == solves
+    assert len(reads["mean"]) == 13
+    assert len({key[0] for key, _ in reads["mean"] + reads["trace"]}) == 2
 
 
 # Injected defects: each exact closed-form check fails on a known defect.
@@ -366,15 +419,15 @@ def test_population_minimizer_catches_robust_fit_input_variance_defect(monkeypat
     import kslab.estimators as estimators_mod
 
     model = model_preset("banded", sigma_n=0.3, alpha=0.75)
-    assert check_population_minimizer(M.ROBUST_SSDU, model,
-                                      *_table_fit(model, M.ROBUST_SSDU)).passed is True
+    assert check_population_minimizer(M.ROBUST_SSDU,
+                                      *_posterior_fit(model, M.ROBUST_SSDU)).passed is True
     variance = estimators_mod._fit_input_variance
 
     def measured_variance(method, noise):
         return noise.sigma_n ** 2 if method == M.ROBUST_SSDU else variance(method, noise)
 
     monkeypatch.setattr(estimators_mod, "_fit_input_variance", measured_variance)
-    report = check_population_minimizer(M.ROBUST_SSDU, model, *_table_fit(model, M.ROBUST_SSDU))
+    report = check_population_minimizer(M.ROBUST_SSDU, *_posterior_fit(model, M.ROBUST_SSDU))
     assert report.passed is False
     assert report.estimate > 1e-3
 
@@ -386,22 +439,20 @@ def test_correction_checks_catch_conditional_mean_target_defects(defect, monkeyp
     correction_identity asks only for the Y0 mean, so it fails on the swap
     and, independent of the noisy-target route, still passes on the first;
     there the noisy-target population minimizers fail instead."""
-    import kslab.oracles as oracles_mod
-
     model = model_preset("banded", sigma_n=0.3, alpha=0.75)
-    conditional_mean = oracles_mod.gaussian_conditional_mean
+    mean = Posterior.mean
     swap = {TARGET_Y0_PLUS_N: TARGET_Y0}
     if defect == "targets_swapped":
         swap[TARGET_Y0] = TARGET_Y0_PLUS_N
 
-    def defective(model, pattern, target, conditioning):
-        return conditional_mean(model, pattern, swap.get(target, target), conditioning)
+    def defective(self, target, conditioning):
+        return mean(self, swap.get(target, target), conditioning)
 
-    monkeypatch.setattr(oracles_mod, "gaussian_conditional_mean", defective)
-    assert check_correction_algebra(model, _level_tables(model)).passed is False
+    monkeypatch.setattr(Posterior, "mean", defective)
+    assert check_correction_algebra(_level_posteriors(model)).passed is False
     for method in (M.NOISIER2FULL, M.ROBUST_SSDU):
-        identity = check_correction_identity(method, model, *_table_fit(model, method))
-        minimizer = check_population_minimizer(method, model, *_table_fit(model, method))
+        identity = check_correction_identity(method, *_posterior_fit(model, method))
+        minimizer = check_population_minimizer(method, *_posterior_fit(model, method))
         if defect == "targets_swapped":
             assert identity.passed is False
         else:
@@ -421,8 +472,7 @@ def test_population_minimizer_catches_shifted_stack_write(monkeypatch):
     monkeypatch.setattr(AffinePerPattern, "set_blocks", shifted)
     model = model_preset("banded", sigma_n=0.3, alpha=0.75)
     for method in FITTED_METHODS:
-        assert check_population_minimizer(method, model,
-                                          *_table_fit(model, method)).passed is False
+        assert check_population_minimizer(method, *_posterior_fit(model, method)).passed is False
 
 
 CORRECTION_CHECKS = {f"correction_identity[{M.NOISIER2FULL}]",
@@ -962,7 +1012,7 @@ def test_oracle_suite_shared_draws_match_singular_calls(preset):
     reports = {r.name: r for r in run_oracle_suite(model, seed=seed, gradient_samples=samples,
                                                    slope_samples=2000, mse_samples=samples)}
     for method in (M.NOISIER2FULL, M.ROBUST_SSDU):
-        want = mc_corrected_mse(method, _table_fit(model, method)[1], model, samples, seed)
+        want = mc_corrected_mse(method, _posterior_fit(model, method)[1], model, samples, seed)
         got = reports[f"corrected_mse[{method}]"]
         assert json.dumps([got.estimate, got.standard_error]) == json.dumps(list(want))
     grad_model = gradient_check_model(0.3, 0.75)
@@ -979,7 +1029,7 @@ def test_oracle_suite_shared_draws_match_singular_calls(preset):
 def test_posterior_error_trace_empty_pattern_is_prior_energy():
     model = model_preset("banded", sigma_n=0.3, alpha=1.0)
     empty = SamplingMask(np.zeros(8, dtype=bool), model.omega_probs())
-    trace = posterior_error_trace(model, empty, COND_ON_YTILDE)
+    (trace,) = Posterior(model, empty).error_trace(COND_ON_YTILDE)
     assert trace == pytest.approx(float(np.trace(model.prior_cov).real))
 
 
