@@ -6,15 +6,17 @@ outputs ``out``, row c under the parameter row ``theta[c]``, and returns them
 with a pullback. ``pullback(cot)`` hands over the (C, P) gradients of
 ``Re <cot_c, out_c>`` with respect to each row in pieces ``(span, g)``:
 ``span`` is a column slice of the parameter row and ``g`` its (C, len)
-gradient. The pieces cover every column once, and each is valid only until
-the next is asked for. A family hands a piece over only when the rest of
-the pullback reads none of that span's parameters, so the consumer may
-update them in place at once; training's Adam step does, and so holds no
-whole gradient. ``tiny_net`` and ``affine_per_pattern`` hand over one
-piece, the whole row; ``toy_cascade`` hands over each network's span and
-each step size as its cascade's backward pass finishes. A caller that needs
-the whole gradient gathers it (``gather_pieces``), which returns a
-whole-row piece as it is. Training steps a stack of cells that share a
+gradient, an array or an ``OuterPiece``, a weight gradient left as the
+outer product of its two factors. The pieces cover every column once. A
+family hands a piece over only when the rest of the pullback reads none of
+that span's parameters, so the consumer may update them in place at once;
+training's Adam step does, forming each block of an outer product as it
+reads it, and so holds no gradient span. ``tiny_net`` and
+``affine_per_pattern`` hand over one piece, the whole row; ``toy_cascade``
+hands over each layer of each network and each step size as its cascade's
+backward pass finishes. A caller that needs the whole gradient gathers it
+(``gather_pieces``), which returns a whole-row array as it is and forms
+each outer product into its span. Training steps a stack of cells that share a
 parameter layout through one such call. The per-item
 ``forward_vjp(y_in, m_in)`` is its one-row case under the estimator's own
 ``theta``, with a pullback that returns the whole gradient, and ``forward``
@@ -89,11 +91,55 @@ def _aligned_empty(shape: tuple) -> np.ndarray:
     return buf[start:start + n].reshape(shape)
 
 
+class OuterPiece:
+    """A weight-gradient piece not yet formed: row c of the (C, out * in)
+    piece is the row-major outer product of ``g[c]`` (out,) and ``h[c]``
+    (in,), its entry ``i * in + j`` being ``g[c, i] * h[c, j]``."""
+
+    __slots__ = ("g", "h", "shape")
+
+    def __init__(self, g: np.ndarray, h: np.ndarray):
+        self.g, self.h = g, h
+        self.shape = (g.shape[0], g.shape[1] * h.shape[1])
+
+    def block(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        """Form entries ``lo:hi`` of every row into ``out`` (C, hi - lo) and
+        return it. Each entry is its one product, however the rows are cut:
+        whole rows of W in one multiply, a row cut by ``lo`` or ``hi`` in
+        its own."""
+        g, h, n_in = self.g, self.h, self.h.shape[1]
+        r0, c0 = divmod(lo, n_in)
+        r1, c1 = divmod(hi, n_in)
+        if r0 == r1:
+            return np.multiply(g[:, r0, None], h[:, c0:c1], out=out)
+        rows = out  # the columns of the whole rows between the cut ones
+        if c0:
+            np.multiply(g[:, r0, None], h[:, c0:], out=out[:, :n_in - c0])
+            rows = rows[:, n_in - c0:]
+            r0 += 1
+        if c1:
+            np.multiply(g[:, r1, None], h[:, :c1], out=out[:, out.shape[1] - c1:])
+            rows = rows[:, :rows.shape[1] - c1]
+        # splitting the last axis of a column slice is always a view
+        np.multiply(g[:, r0:r1, None], h[:, None, :],
+                    out=rows.reshape(len(g), r1 - r0, n_in))
+        return out
+
+
+def formed(piece) -> np.ndarray:
+    """A piece's gradient as an array: an array as it is, an ``OuterPiece``
+    formed into a new one."""
+    if isinstance(piece, OuterPiece):
+        return piece.block(0, piece.shape[1], np.empty(piece.shape))
+    return piece
+
+
 def gather_pieces(pieces, shape: tuple) -> np.ndarray:
     """The whole (C, P) gradient of ``shape`` from a pullback's pieces.
 
-    A piece that covers the row is returned as it is, without a copy; other
-    pieces are copied in as they come, each before the next is asked for.
+    A piece that covers the row (an array: a weight's ``OuterPiece`` never
+    does, its bias beside it) is returned as it is, without a copy; other
+    pieces are written in as they come, each ``OuterPiece`` formed in place.
     """
     grad = None
     for span, g in pieces:
@@ -101,7 +147,10 @@ def gather_pieces(pieces, shape: tuple) -> np.ndarray:
             return g
         if grad is None:
             grad = np.empty(shape)
-        grad[:, span] = g
+        if isinstance(g, OuterPiece):
+            g.block(0, g.shape[1], grad[:, span])
+        else:
+            grad[:, span] = g
     return grad
 
 
@@ -119,20 +168,20 @@ class Mlp:
     (C, P) array. Its parameters fill columns ``start`` to ``end`` (exclusive)
     of every row, packed W1, b1, W2, b2, ... with W of shape (out, in), so
     several networks share one array at disjoint spans and each reads its
-    own span in place; ``backward`` writes the span's gradient to a (C,
-    end - start) array of its own. Inputs and outputs carry the same leading
+    own span in place; ``backward`` hands the span's gradient over as
+    pieces of the whole row. Inputs and outputs carry the same leading
     row axis. Each row's matrix-vector products are single BLAS calls, so a
     row computes the same bits in a stack as alone.
     """
 
     def __init__(self, sizes, start: int):
         self.sizes = tuple(int(s) for s in sizes)
-        self.start = int(start)
-        self.offsets = []  # start of each layer's W in the row
-        off = self.start
+        self.spans = []  # each layer's (W, b) columns of the row
+        off = int(start)
         for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):
-            self.offsets.append(off)
-            off += fan_out * fan_in + fan_out
+            n_w = fan_out * fan_in
+            self.spans.append((slice(off, off + n_w), slice(off + n_w, off + n_w + fan_out)))
+            off += n_w + fan_out
         self.end = off
         # the parameter array whose layer views ``_views`` holds; holding it
         # keeps its id from being reused, and views see in-place updates
@@ -142,8 +191,8 @@ class Mlp:
     def init(self, rng: np.random.Generator, theta: np.ndarray) -> None:
         """Draw the weights N(0, 1/fan_in) into this network's span of a
         zeroed parameter vector ``theta``, layer by layer; the biases stay zero."""
-        for off, fan_in, fan_out in zip(self.offsets, self.sizes[:-1], self.sizes[1:]):
-            seg = theta[off:off + fan_out * fan_in]
+        for (w_span, _), fan_in in zip(self.spans, self.sizes[:-1]):
+            seg = theta[w_span]
             rng.standard_normal(out=seg)
             seg /= np.sqrt(fan_in)
 
@@ -153,11 +202,10 @@ class Mlp:
         if self._theta is not theta:
             rows = theta.shape[0]
             self._views = []
-            for off, fan_in, fan_out in zip(self.offsets, self.sizes[:-1], self.sizes[1:]):
-                n_w = fan_out * fan_in
-                w = theta[:, off:off + n_w].reshape(rows, fan_out, fan_in)
-                self._views.append((w, theta[:, off + n_w:off + n_w + fan_out],
-                                    w.transpose(0, 2, 1)))
+            for (w_span, b_span), fan_in, fan_out in zip(self.spans, self.sizes[:-1],
+                                                          self.sizes[1:]):
+                w = theta[:, w_span].reshape(rows, fan_out, fan_in)
+                self._views.append((w, theta[:, b_span], w.transpose(0, 2, 1)))
             self._theta = theta
         return self._views
 
@@ -178,27 +226,26 @@ class Mlp:
         y += b
         return y, (layers, hs, zs)
 
-    def backward(self, cache, gy: np.ndarray, out: np.ndarray, input_grad: bool = True):
+    def backward(self, cache, gy: np.ndarray, input_grad: bool = True):
         """Gradients of <gy_c, output_c> w.r.t. each parameter row and input row.
 
-        The parameter gradients are written to ``out``, this network's span
-        (C, end - start) of the gradient rows; every entry of it is written.
-        Returns the input gradient, or None unless ``input_grad``.
+        Returns the parameter gradients as pieces ``(span, g)`` of the whole
+        row, last layer first: each layer's W as the ``OuterPiece`` of its
+        delta (C, out) and input (C, in), and its b as the delta itself,
+        every piece made after the layer's input-gradient product has read
+        W; and the input gradient, or None unless ``input_grad``.
         """
         layers, hs, zs = cache
+        pieces = []
         g = gy
         for k in range(len(layers) - 1, -1, -1):
-            w, _, wt = layers[k]
             if k < len(layers) - 1:
                 g = _sigmoid(zs[k]) * g
-            o = self.offsets[k] - self.start
-            n_w = w.shape[1] * w.shape[2]
-            # splitting the last axis of a column slice is always a view
-            np.multiply(g[:, :, None], hs[k][:, None, :],
-                        out=out[:, o:o + n_w].reshape(w.shape))
-            out[:, o + n_w:o + n_w + w.shape[1]] = g
-            g = np.matmul(wt, g[..., None])[..., 0] if k or input_grad else None
-        return g
+            delta = g
+            g = np.matmul(layers[k][2], g[..., None])[..., 0] if k or input_grad else None
+            w_span, b_span = self.spans[k]
+            pieces += ((w_span, OuterPiece(delta, hs[k])), (b_span, delta))
+        return pieces, g
 
 
 # Multiplying a word of eight 0/1 bytes by this constant (mod 2^64) gathers
@@ -262,13 +309,12 @@ class Estimator:
         ``Re <cot_c, out_c>``, one parameter row each, from cotangents (C, q)
         of every row, as an iterable of pieces ``(span, g)``: ``span`` a
         column slice of the row and ``g`` the (C, len) gradient of those
-        columns. The spans cover every column once. A piece is valid only
-        until the next is asked for (a family may reuse one buffer for the
-        pieces of all its pullbacks, so read one pullback at a time), and
-        it is handed over only once the rest of the pullback reads none of
-        its span's parameters: the consumer may update them in place before
-        asking for the next. Nothing is validated: callers pass finite
-        complex128 and bool arrays.
+        columns, an array or an ``OuterPiece`` (an unformed outer product;
+        ``block`` forms any of its column ranges). The spans cover every
+        column once. A piece is handed over only once the rest of the
+        pullback reads none of its span's parameters: the consumer may
+        update them in place before asking for the next. Nothing is
+        validated: callers pass finite complex128 and bool arrays.
         """
         raise NotImplementedError
 
@@ -504,9 +550,8 @@ class TinyNet(Estimator):
         out, cache = self.mlp.forward(theta, complex_to_real(y_in))
 
         def pullback(cot) -> list:
-            grad = np.empty(theta.shape)  # the network covers every entry
-            self.mlp.backward(cache, complex_to_real(cot), grad, input_grad=False)
-            return [(slice(0, theta.shape[1]), grad)]
+            pieces, _ = self.mlp.backward(cache, complex_to_real(cot), input_grad=False)
+            return [(slice(0, theta.shape[1]), gather_pieces(pieces, theta.shape))]
 
         return real_to_complex(out), pullback
 
@@ -527,11 +572,11 @@ class ToyCascade(Estimator):
     boundary.
 
     The pullback runs the cascades in reverse and hands over, per cascade,
-    G_D's span after its backward pass, G_R's span after its own and then
+    G_D's pieces after its backward pass, G_R's after its own and then
     eta, after the cascade's input-gradient update has read it. Nothing
     reads cascade 0's input gradient, so there neither network computes
-    one and no update runs. The networks write their gradients into one
-    reused 64-byte-aligned buffer of one network's span per row.
+    one and no update runs. A network's weight gradients stay outer
+    products (``Mlp.backward``), so the pullback forms no gradient span.
     """
 
     family = "toy_cascade"
@@ -549,7 +594,6 @@ class ToyCascade(Estimator):
             self.nets.append((end, d_net, r_net))
             end = r_net.end
         self.layout = (self.family, self.cascades, tuple(sizes))
-        self._buffer = np.zeros((0, 0))  # the networks' gradient pieces
         if theta is None:
             rng = stream(self.seed, "toy_cascade_init")
             theta = _aligned_empty((end,))
@@ -573,30 +617,20 @@ class ToyCascade(Estimator):
             caches.append((d_cache, r_cache))
 
         def pullback(cot):
-            g = self._piece_buffer(theta.shape[0])
             a = complex_to_real(cot)
             for k in range(self.cascades - 1, -1, -1):
                 (i_eta, d_net, r_net), (d_cache, r_cache) = self.nets[k], caches[k]
                 # row-wise dot products, each the BLAS dot of the one-row case
                 g_eta = -np.matmul(a[:, None, :], (mvec * (states[k] - x))[:, :, None])[:, 0]
-                ax_d = d_net.backward(d_cache, mvec * a, g, input_grad=k > 0)
-                yield slice(d_net.start, d_net.end), g
-                ax_r = r_net.backward(r_cache, (1.0 - mvec) * a, g, input_grad=k > 0)
-                yield slice(r_net.start, r_net.end), g
+                pieces, ax_d = d_net.backward(d_cache, mvec * a, input_grad=k > 0)
+                yield from pieces
+                pieces, ax_r = r_net.backward(r_cache, (1.0 - mvec) * a, input_grad=k > 0)
+                yield from pieces
                 if k:
                     a = a * (1.0 - theta[:, i_eta, None] * mvec) + ax_d + ax_r
                 yield slice(i_eta, i_eta + 1), g_eta
 
         return real_to_complex(states[-1]), pullback
-
-    def _piece_buffer(self, rows: int) -> np.ndarray:
-        """The (rows, span) array every network's backward pass writes its
-        piece into: the networks have one size, and a piece is let go
-        before the next is written."""
-        d_net = self.nets[0][1]
-        if self._buffer.shape != (rows, d_net.end - d_net.start):
-            self._buffer = _aligned_empty((rows, d_net.end - d_net.start))
-        return self._buffer
 
     @property
     def n_params(self) -> int:

@@ -23,14 +23,15 @@ A pullback hands its gradient over in pieces, one span of the parameter
 row at a time (see ``estimators``). When a step's gradient is one item's
 single pullback (batch size 1, no consistency term in the stack), the
 step computes the loss and checks that it is finite first; then
-``adam_step`` updates each span as it is handed over, so no whole gradient
-is allocated. A large ``toy_cascade`` cell thus holds its parameters, the
-two Adam moments and one network's span of gradient (16.8, 33.6 and 4.2 MB
-on the 2.1 M-parameter cascade on bernoulli2d q = 256). A batch gathers
-its first item's gradient and adds each later item's pieces into it in
-place; a step with a consistency term gathers its main gradient and adds
-the consistency pullbacks into it piece by piece. Either sum goes to Adam
-as one piece.
+``adam_step`` updates each span as it is handed over, forming each block
+of an outer-product piece in its own scratch, so no gradient span is
+allocated. A large ``toy_cascade`` cell thus holds its parameters and the
+two Adam moments (16.8 and 33.6 MB on the 2.1 M-parameter cascade on
+bernoulli2d q = 256) and Adam's two block-sized scratch arrays. A batch
+gathers its first item's gradient and adds each later item's pieces into
+it in place; a step with a consistency term gathers its main gradient and
+adds the consistency pullbacks into it piece by piece, each formed as it
+comes. Either sum goes to Adam as one piece.
 """
 
 import math
@@ -43,7 +44,7 @@ import numpy as np
 
 from . import methods as M
 from .errors import ConfigError, DimensionError, TrainingDiverged, ValidationError
-from .estimators import Estimator, _aligned_empty, gather_pieces
+from .estimators import Estimator, OuterPiece, _aligned_empty, formed, gather_pieces
 from .inference import MODE_PRACTICAL, reconstruct_rows
 from .kspace import SamplingMask, _mask_unchecked, as_kspace
 from .metrics import nmse_rows
@@ -283,7 +284,7 @@ def stack_loss_and_grad(est: Estimator, theta: np.ndarray, rows: Rows, cons, lam
     scale, rowwise = (2.0 * lambda_n2r)[:, None], cons[:, None]
     for update, consistency in ((np.add, pullback_c), (np.subtract, pullback)):
         for span, g in consistency(rc):
-            update(grad[:, span], scale * g, out=grad[:, span], where=rowwise)
+            update(grad[:, span], scale * formed(g), out=grad[:, span], where=rowwise)
     return loss, [(slice(0, theta.shape[1]), grad)]
 
 
@@ -345,9 +346,9 @@ class AdamState:
     v: np.ndarray = field(default_factory=lambda: np.zeros(0))
     # the two block-sized scratch arrays, made when m and v are sized, and the
     # blocks of each gradient span (start, stop) seen since: each block's
-    # index into params, into the piece, its views of m and v and of the
-    # scratch arrays. Steps write m and v through these views: set m and v
-    # before the first step.
+    # index into params, into the piece and its (lo, hi) within the piece,
+    # its views of m and v and of the scratch arrays. Steps write m and v
+    # through these views: set m and v before the first step.
     scratch: tuple = field(default=(), repr=False)
     blocks: dict = field(default_factory=dict, repr=False)
     # the step's scalars as 0-d arrays, rewritten every step: a ufunc takes a
@@ -372,7 +373,8 @@ def _adam_blocks(state: AdamState, span: slice, n: int) -> list:
         k = (..., slice(lo, hi)) if hi - lo < n else ...
         whole = (lo, hi) == (span.start, span.stop)
         kg = ... if whole else (..., slice(lo - span.start, hi - span.start))
-        blocks.append((k, kg, state.m[k], state.v[k], s1[..., :hi - lo], s2[..., :hi - lo]))
+        blocks.append((k, kg, (lo - span.start, hi - span.start), state.m[k], state.v[k],
+                       s1[..., :hi - lo], s2[..., :hi - lo]))
     return blocks
 
 
@@ -391,10 +393,12 @@ def adam_step(state: AdamState, params: np.ndarray, grad) -> np.ndarray:
     moments and params in place through two block-sized scratch arrays, in
     the operation order of ``m = b1 m + (1 - b1) g``,
     ``v = b2 v + ((1 - b2) g) g`` and
-    ``params -= (lr m_hat) / (sqrt(v_hat) + eps)``. Every entry gets the
-    float operations of that out-of-place formula, so the result is the same
-    to the bit, however the gradient is cut; no full-length temporary is
-    allocated.
+    ``params -= (lr m_hat) / (sqrt(v_hat) + eps)``. A block of an
+    ``OuterPiece`` is formed into the second scratch array, which the step
+    next writes at ``v / h2``, after its last read of g. Every entry gets
+    the float operations of that out-of-place formula, so the result is the
+    same to the bit, however the gradient is cut or formed; no full-length
+    temporary is allocated.
     """
     n = params.shape[-1]
     if isinstance(grad, np.ndarray):
@@ -423,8 +427,10 @@ def adam_step(state: AdamState, params: np.ndarray, grad) -> np.ndarray:
         blocks = state.blocks.get(key)
         if blocks is None:
             blocks = state.blocks[key] = _adam_blocks(state, span, n)
-        for k, kg, m, v, s1, s2 in blocks:
-            g, p = piece[kg], params[k]
+        outer = isinstance(piece, OuterPiece)
+        for k, kg, (lo, hi), m, v, s1, s2 in blocks:
+            g = piece.block(lo, hi, s2) if outer else piece[kg]
+            p = params[k]
             np.multiply(g, c1, s1)
             m *= b1
             m += s1
@@ -580,9 +586,9 @@ def _train_stack(cells: list[Cell], validate_every: int) -> list[list[dict]]:
                 if len(batch) > 1:  # a batch sums its items' gradients
                     if grad is None:
                         grad = gather_pieces(pieces, params.shape)
-                    else:  # in place: the float operation of grad + g, without a third array
+                    else:  # in place: the float operation of grad + g, piece by piece
                         for span, g in pieces:
-                            np.add(grad[:, span], g, out=grad[:, span])
+                            np.add(grad[:, span], formed(g), out=grad[:, span])
                     pieces = g = None  # grad alone holds the sum
             # one item's pieces are consumed as its pullback hands them over
             adam_step(state, params, pieces if grad is None else grad)

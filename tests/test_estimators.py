@@ -15,11 +15,13 @@ from kslab.estimators import (
     AffinePerPattern,
     Estimator,
     Mlp,
+    OuterPiece,
     PatternFallbackWarning,
     TinyNet,
     ToyCascade,
     _sigmoid,
     closed_form_affine_fit,
+    formed,
     gather_pieces,
     group_rows,
     load_checkpoint,
@@ -334,10 +336,19 @@ def test_toy_cascade_rows_match_rows_alone():
         assert np.allclose(np.sum(grad * d, axis=1), fd, rtol=1e-6, atol=1e-8)
 
 
+def _outer_formed(g) -> np.ndarray:
+    """An ``OuterPiece`` formed by broadcasting, not by its ``block``; an
+    array as it is."""
+    if isinstance(g, OuterPiece):
+        return (g.g[:, :, None] * g.h[:, None, :]).reshape(g.shape)
+    return g
+
+
 def _cascade_whole_gradient(est, theta, y, members, cot):
     """The cascade's gradient written into one (C, P) array: the forward
     pass again, then each cascade's eta, G_D and G_R gradients into their
-    columns of the whole rows, and the cotangent carried back."""
+    columns of the whole rows (each outer product formed by broadcasting),
+    and the cotangent carried back."""
     x = np.concatenate([y.real, y.imag], axis=-1)
     mvec = np.concatenate([members, members], axis=-1).astype(np.float64)
     states, caches, s = [x], [], x
@@ -351,8 +362,10 @@ def _cascade_whole_gradient(est, theta, y, members, cot):
     for k in range(len(est.nets) - 1, -1, -1):
         (i_eta, d_net, r_net), (d_cache, r_cache) = est.nets[k], caches[k]
         grad[:, i_eta] = -np.matmul(a[:, None, :], (mvec * (states[k] - x))[:, :, None])[:, 0, 0]
-        ax_d = d_net.backward(d_cache, mvec * a, grad[:, d_net.start:d_net.end])
-        ax_r = r_net.backward(r_cache, (1.0 - mvec) * a, grad[:, r_net.start:r_net.end])
+        d_pieces, ax_d = d_net.backward(d_cache, mvec * a)
+        r_pieces, ax_r = r_net.backward(r_cache, (1.0 - mvec) * a)
+        for span, g in d_pieces + r_pieces:
+            grad[:, span] = _outer_formed(g)
         a = a * (1.0 - theta[:, i_eta, None] * mvec) + ax_d + ax_r
     return grad
 
@@ -360,11 +373,12 @@ def _cascade_whole_gradient(est, theta, y, members, cot):
 @pytest.mark.parametrize("rows", [1, 3])
 @pytest.mark.parametrize("cascades", [1, 2, 3])
 def test_toy_cascade_pullback_hands_over_each_span_once_it_is_read(cascades, rows):
-    """The pieces' spans cover the parameter row once; gathered, the pieces
-    are the whole-row gradient bit for bit; and a consumer that overwrites
-    each handed-over span of theta (with NaN) before asking for the next
-    piece changes no later piece: a span is handed over only once the rest
-    of the pullback reads none of its parameters."""
+    """The pieces' spans cover the parameter row once, each network's
+    weights as an ``OuterPiece``; gathered, the pieces are the whole-row
+    gradient bit for bit; and a consumer that overwrites each handed-over
+    span of theta (with NaN) before asking for the next piece changes no
+    later piece: a span is handed over only once the rest of the pullback
+    reads none of its parameters."""
     q = 4
     est = ToyCascade(q, cascades=cascades, seed=cascades)
     rng = stream(10, "pieces", cascades, rows)
@@ -374,20 +388,41 @@ def test_toy_cascade_pullback_hands_over_each_span_once_it_is_read(cascades, row
     cot = rng.standard_normal((rows, q)) + 1j * rng.standard_normal((rows, q))
     theta = est.theta + 0.1 * rng.standard_normal((rows, est.theta.shape[0]))
     _, pullback = est.forward_vjp_stack(theta, y, members)
-    pieces = [(span, g.copy()) for span, g in pullback(cot)]  # each valid until the next
+    pieces = list(pullback(cot))
     covered = np.zeros(theta.shape[1], dtype=int)
     for span, g in pieces:
         assert g.shape == (rows, span.stop - span.start)
         covered[span] += 1
     assert (covered == 1).all()
+    assert sum(isinstance(g, OuterPiece) for _, g in pieces) == 2 * 2 * cascades
+    pieces = [(span, formed(g)) for span, g in pieces]
     whole = _cascade_whole_gradient(est, theta, y, members, cot)
     assert gather_pieces(pullback(cot), theta.shape).tobytes() == whole.tobytes()
     spoiled = theta.copy()
     _, pullback = est.forward_vjp_stack(spoiled, y, members)
     for (span, g), (want_span, want) in zip(pullback(cot), pieces, strict=True):
-        assert span == want_span and g.tobytes() == want.tobytes()
+        assert span == want_span and formed(g).tobytes() == want.tobytes()
         spoiled[:, span] = np.nan
     assert np.isnan(spoiled).all()
+
+
+def test_outer_piece_forms_every_column_range_as_broadcasting_does():
+    """``OuterPiece.block`` forms any range lo:hi of a row, whether it lies
+    in one row of W, cuts rows at either end or holds whole ones, to the
+    bits of the broadcast product; ``formed`` and ``gather_pieces`` form
+    the whole piece."""
+    rng = stream(14, "outer_block")
+    piece = OuterPiece(rng.standard_normal((2, 3)), rng.standard_normal((2, 4)))
+    whole = _outer_formed(piece)
+    assert piece.shape == whole.shape == (2, 12)
+    for lo in range(12):
+        for hi in range(lo + 1, 13):
+            out = np.full((2, hi - lo), np.nan)
+            assert piece.block(lo, hi, out) is out
+            assert out.tobytes() == whole[:, lo:hi].tobytes()
+    assert formed(piece).tobytes() == whole.tobytes()
+    grad = gather_pieces([(slice(1, 13), piece), (slice(0, 1), np.ones((2, 1)))], (2, 13))
+    assert grad[:, 1:].tobytes() == whole.tobytes() and (grad[:, 0] == 1.0).all()
 
 
 def test_tiny_net_and_affine_hand_over_the_whole_row_as_one_piece():
@@ -403,9 +438,10 @@ def test_tiny_net_and_affine_hand_over_the_whole_row_as_one_piece():
 
 def test_mlp_at_an_offset_matches_mlp_on_its_span():
     """A network at a nonzero start of a wider row computes the bits that a
-    network at 0 computes on that span alone, and its backward pass writes
-    the gradient of its span, given as a view of a wider row, and nothing
-    else."""
+    network at 0 computes on that span alone, and its backward pass hands
+    over the gradient of its span, as pieces of the wider row, and nothing
+    else: each layer's W as the outer product of its delta and input, and
+    its b as that delta."""
     sizes, start, n = (6, 5, 4), 7, 3
     inner = Mlp(sizes, 0)
     net = Mlp(sizes, start)
@@ -417,11 +453,17 @@ def test_mlp_at_an_offset_matches_mlp_on_its_span():
     y, cache = net.forward(theta, x)
     y_inner, cache_inner = inner.forward(span, x)
     assert np.array_equal(y, y_inner)
+    pieces, gx = net.backward(cache, gy)
+    inner_pieces, gx_inner = inner.backward(cache_inner, gy)
+    assert np.array_equal(gx, gx_inner)
     out = np.full(theta.shape, np.nan)
-    gx = net.backward(cache, gy, out[:, start:net.end])
-    grad_inner = np.empty(span.shape)
-    assert np.array_equal(gx, inner.backward(cache_inner, gy, grad_inner))
-    assert np.array_equal(out[:, start:net.end], grad_inner)
+    for (piece_span, g), (inner_span, g_inner) in zip(pieces, inner_pieces, strict=True):
+        assert (piece_span.start, piece_span.stop) == (inner_span.start + start,
+                                                       inner_span.stop + start)
+        assert type(g) is type(g_inner) and np.array_equal(formed(g), formed(g_inner))
+        out[:, piece_span] = _outer_formed(g)
+    assert [type(g) for _, g in pieces] == [OuterPiece, np.ndarray] * 2
+    assert np.array_equal(out[:, start:net.end], gather_pieces(inner_pieces, span.shape))
     assert np.isnan(out[:, :start]).all() and np.isnan(out[:, net.end:]).all()
 
 

@@ -382,9 +382,10 @@ def test_posterior_arrays_are_read_only():
 
 
 def test_oracle_suite_solves_each_posterior_key_once(monkeypatch):
-    """A default banded suite solves one conditional mean per (table,
-    target, conditioning) it reads, 6 in all, and one error trace per
-    table, 2 in all: every read of a key returns the array of its one
+    """A default banded suite solves one conditional mean per (posterior,
+    target, conditioning) it reads, 3 in all, and one error trace, 1 in
+    all: its two levels' tables hold the same pattern rows, so they share
+    one posterior, and every read of a key returns the array of its one
     solve, where each read used to solve anew (13 mean solves)."""
     model = model_preset("banded", sigma_n=0.3, alpha=0.75)
     reads = {"mean": [], "trace": []}
@@ -404,11 +405,11 @@ def test_oracle_suite_solves_each_posterior_key_once(monkeypatch):
     monkeypatch.setattr(Posterior, "error_trace", counting_trace)
     run_oracle_suite(model, seed=1, gradient_samples=200, slope_samples=2000, mse_samples=200)
     # the reads hold every returned array, so no two solves share an id
-    for kind, solves in (("mean", 6), ("trace", 2)):
+    for kind, solves in (("mean", 3), ("trace", 1)):
         assert len({key for key, _ in reads[kind]}) == solves
         assert len({id(out) for _, out in reads[kind]}) == solves
-    assert len(reads["mean"]) == 13
-    assert len({key[0] for key, _ in reads["mean"] + reads["trace"]}) == 2
+    assert len(reads["mean"]) == 11
+    assert len({key[0] for key, _ in reads["mean"] + reads["trace"]}) == 1
 
 
 # Injected defects: each exact closed-form check fails on a known defect.

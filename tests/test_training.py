@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from kslab import methods as M
+from kslab import training
 from kslab.errors import ConfigError, DimensionError
-from kslab.estimators import AffinePerPattern, Mlp, TinyNet, ToyCascade
+from kslab.estimators import AffinePerPattern, Mlp, OuterPiece, TinyNet, ToyCascade, gather_pieces
 from kslab.inference import reconstruct
 from kslab.kspace import SamplingMask, apply_mask, full_mask, mask_algebra
 from kslab.metrics import nmse
@@ -335,6 +336,33 @@ def test_adam_step_on_pieces_matches_the_whole_gradient_bitwise():
         adam_step(pieced_state, pieced, [(slice(0, n - 1), np.zeros((2, n - 1)))])
 
 
+@pytest.mark.parametrize("block", [ADAM_BLOCK, 8, 26])
+def test_adam_step_on_outer_pieces_matches_the_gathered_gradient_bitwise(monkeypatch, block):
+    """A network's pieces, weights as unformed outer products, step a stack
+    of two rows to the bits of its gathered gradient, also when blocks
+    start and end inside a row of W: blocks of 8 and 26 entries are 4 and
+    13 columns wide, over rows of W of 6 and 5 entries, so a block may lie
+    within one row, cut two rows with none whole between, or hold whole
+    rows between cut ones."""
+    monkeypatch.setattr(training, "ADAM_BLOCK", block)
+    net = Mlp((6, 5, 4), 3)
+    rng = stream(13, "outer")
+    init = rng.standard_normal((2, net.end + 2))
+    whole, pieced = init.copy(), init.copy()
+    whole_state, pieced_state = AdamState(lr=0.01), AdamState(lr=0.01)
+    for step in range(3):
+        _, cache = net.forward(pieced, rng.standard_normal((2, 6)))
+        pieces, _ = net.backward(cache, rng.standard_normal((2, 4)) * 10.0 ** (step - 1))
+        pieces += [(slice(0, 3), rng.standard_normal((2, 3))),
+                   (slice(net.end, net.end + 2), rng.standard_normal((2, 2)))]
+        assert any(isinstance(g, OuterPiece) for _, g in pieces)
+        adam_step(whole_state, whole, gather_pieces(pieces, whole.shape))
+        adam_step(pieced_state, pieced, pieces)
+        assert pieced.tobytes() == whole.tobytes()
+        assert pieced_state.m.tobytes() == whole_state.m.tobytes()
+        assert pieced_state.v.tobytes() == whole_state.v.tobytes()
+
+
 def test_adam_step_allocates_no_full_length_temporary():
     """After the first step sizes the moments and scratch blocks, a step on
     2^21 parameters allocates at most a few blocks' worth of memory."""
@@ -621,27 +649,30 @@ def _training_peak(make_estimator, batch_size: int):
 @pytest.mark.parametrize("batch_size,gradients", [(1, 1), (2, 2)])
 def test_training_holds_one_gradient(batch_size, gradients):
     """Training a large single cell (toy_cascade on bernoulli2d q = 64,
-    132,098 parameters) holds theta, the Adam moments m and v and one
-    item's gradient per step. At batch size 1 Adam consumes that gradient
-    as the pullback hands it over, one network's span at a time, so no
-    whole gradient exists. A batch gathers its first item's gradient and
-    adds each later item's into it in place, so it holds the sum and at
-    most one item's gradient. The slack covers Adam's two scratch blocks
-    and half a parameter array for everything else; one more live gradient
-    (at batch size 1, a whole one) exceeds it."""
+    132,098 parameters) holds theta, the Adam moments m and v, Adam's two
+    scratch blocks and, per step, ``gradients`` items' gradients. At batch
+    size 1 Adam consumes the one gradient as the pullback hands it over,
+    forming each block of a weight's outer product in its scratch, so no
+    gradient span exists: the slack for everything else, a quarter
+    parameter array, is one network's span (264 KB), and that span of live
+    gradient beside what the step holds exceeds it. A batch gathers its
+    first item's gradient and adds each later item's into it in place, so
+    it holds the sum and at most one item's gradient, with half a parameter
+    array of slack."""
     est, peak = _training_peak(lambda q: ToyCascade(q, cascades=2, seed=1), batch_size)
     array = est.theta.nbytes
     assert est.theta.shape == (132_098,)
-    d_net = est.nets[0][1]  # a network's span: every network of the cascade has one size
-    live = (d_net.end - d_net.offsets[0]) * 8 if batch_size == 1 else gradients * array
-    assert peak < 3 * array + live + 2 * ADAM_BLOCK * 8 + array // 2, peak / array
+    d_net = est.nets[0][1]
+    assert (d_net.end - d_net.spans[0][0].start) * 8 <= array // 4 + 4
+    slack = array // 4 if batch_size == 1 else gradients * array + array // 2
+    assert peak < 3 * array + 2 * ADAM_BLOCK * 8 + slack, peak / array
 
 
 def test_training_a_one_piece_family_holds_one_gradient():
     """A large tiny_net cell (bernoulli2d q = 64, 131,712 parameters), whose
     pullback hands over the whole row as one piece, holds theta, m, v and
     one gradient: the previous step's gradient goes before the next
-    pullback builds one. Same slack as above."""
+    pullback builds one. The slack is half a parameter array."""
     est, peak = _training_peak(lambda q: TinyNet(q, seed=1), 1)
     array = est.theta.nbytes
     assert est.theta.shape == (131_712,)

@@ -19,6 +19,9 @@ Runs, in a temporary directory and in this process:
 * ``train`` then ``reconstruct`` for ``toy_cascade`` with 3 cascades in
   each mode, so a network past the second cascade reads and writes its own
   span of the parameter row;
+* ``train`` then ``reconstruct`` for ``toy_cascade`` at ``train.batch_size``
+  2 in each mode, so a step sums two items' gradients over the pullback's
+  pieces;
 * ``verify`` on two seeds, on the ``scalar`` preset, whose q = 1 gives
   the stacked closed-form oracles an empty and a full support, and on
   ``banded`` at ``sigma_n`` 0, where the noise draws are signed zeros and
@@ -122,6 +125,10 @@ def output_digests(root: Path) -> dict:
     cfg = _config(root, "toy_cascade_3", estimator={"family": "toy_cascade", "cascades": 3})
     for mode in MODES:
         _train_reconstruct(root, digests, "toy_cascade_3", cfg, mode)
+    cfg = _config(root, "toy_cascade_batch2", estimator={"family": "toy_cascade"},
+                  train={"batch_size": 2})
+    for mode in MODES:
+        _train_reconstruct(root, digests, "toy_cascade_batch2", cfg, mode)
     diagonal = _config(root, "diagonal", model={"preset": "diagonal"},
                        estimator={"family": "tiny_net"})
     _run(root, digests, "compare_diagonal",

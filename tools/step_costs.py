@@ -16,7 +16,9 @@ stacked forward pass, the loss and, for a family that hands over one
 piece, its pullback), then ``training.adam_step`` on the gradient's
 pieces. A ``toy_cascade`` pullback hands its pieces over while Adam runs,
 so the time spent producing each piece is clocked apart and counted as
-forward+pullback, and the rest of the step as Adam. Each epoch's rows are
+forward+pullback, and the rest of the step as Adam. A network's weight
+pieces are outer products that Adam forms block by block, so their
+products count as Adam time, not pullback time. Each epoch's rows are
 built before its steps and are not timed. The stacks take turns epoch by
 epoch, and each time is the median over an epoch's steps, at its smallest
 over the timed epochs, so that load from other processes on the host
