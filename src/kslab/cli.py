@@ -22,7 +22,6 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -31,12 +30,13 @@ import numpy as np
 
 from . import __version__
 from . import methods as M
-from .config import ALPHA_DEFAULTS, config_json, load_config
-from .errors import ConfigError, TrainingDiverged, ValidationError
+from .config import ALPHA_DEFAULTS, config_json, load_config, resolve_config
+from .errors import ConfigError, TrainingDiverged, ValidationError, integer
 from .estimators import FAMILIES, load_checkpoint, make_estimator
 from .inference import reconstruct_rows
 from .kspace import kspace_to_json, magnitude_image
 from .metrics import mean_and_se, nmse_rows, ssim_rows
+from .noise import NOISE_RULES
 from .oracles import run_oracle_suite
 from .rng import stream, streams
 from .synthetic import MeasurementModel, load_prior_cov, model_preset
@@ -74,14 +74,16 @@ def _build_model(cfg: dict, sigma_n=None, alpha=None, R_omega=None):
         q=m["q"],
         degree=m["degree"],
     )
-    if m["prior_file"]:
-        cov = load_prior_cov(m["prior_file"])
-        if cov.shape[0] != model.q:
-            raise ConfigError(
-                f"model.prior_file: covariance is {cov.shape[0]}x{cov.shape[0]} "
-                f"but the preset dimension is {model.q}")
-        model = MeasurementModel(cov, model.noise, model.omega_dist,
-                                 model.lambda_dist, shape=model.shape)
+    if m["prior_file"] is not None:
+        try:
+            cov = load_prior_cov(m["prior_file"])
+            if cov.shape[0] != model.q:
+                raise ConfigError(f"covariance is {cov.shape[0]}x{cov.shape[0]} "
+                                  f"but the preset dimension is {model.q}")
+            model = MeasurementModel(cov, model.noise, model.omega_dist,
+                                     model.lambda_dist, shape=model.shape)
+        except (ConfigError, ValidationError) as exc:
+            raise ConfigError(f"model.prior_file: {exc}") from None
     return model
 
 
@@ -309,8 +311,7 @@ def _read_theta(path: Path, ref) -> np.ndarray:
     if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
         raise ValidationError(f"checkpoint theta file must be a file name without a "
                               f"directory, got {name!r}")
-    if not isinstance(count, int) or isinstance(count, bool) or count < 0:
-        raise ValidationError(f"checkpoint theta count must be an integer >= 0, got {count!r}")
+    integer(0).check(count, "checkpoint theta count", ValidationError)
     sidecar = path.parent / name
     try:
         size = sidecar.stat().st_size
@@ -344,10 +345,7 @@ def _read_checkpoint(path: Path):
     method = checkpoint["method"]
     if not isinstance(method, str) or method not in M.METHODS:
         raise ConfigError(f"checkpoint {path}: unknown method {method!r}")
-    alpha = checkpoint["alpha"]
-    if not (isinstance(alpha, (int, float)) and not isinstance(alpha, bool)
-            and math.isfinite(alpha) and alpha > 0):
-        raise ConfigError(f"checkpoint {path}: alpha must be a positive number, got {alpha!r}")
+    NOISE_RULES["alpha"].check(checkpoint["alpha"], f"checkpoint {path}: alpha")
     estimator = checkpoint["estimator"]
     try:
         if not isinstance(estimator, dict):
@@ -417,8 +415,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg["seed"] = args.seed
+        if args.seed is not None:  # checked by the rule of the config's seed
+            cfg = resolve_config({**cfg, "seed": args.seed})
         if args.mode is not None:
             cfg["mode"] = args.mode
         out_dir = Path(args.out)

@@ -35,9 +35,9 @@ calculus.
   reconstruction network on unsampled ones.
 
 ``FAMILIES`` maps each family name to its class. A class declares its integer
-hyperparameters once, in ``fields``; construction (``make_estimator``), the
-checkpoint pair ``to_checkpoint`` / ``from_checkpoint`` and the CLI all read
-that declaration.
+hyperparameters and their rules once, in ``fields``; construction
+(``make_estimator``), the checkpoint pair ``to_checkpoint`` /
+``from_checkpoint``, the config table and the CLI all read that declaration.
 """
 
 import math
@@ -46,7 +46,7 @@ import warnings
 import numpy as np
 
 from . import methods as M
-from .errors import ConfigError, DimensionError, ValidationError
+from .errors import ConfigError, DimensionError, ValidationError, integer
 from .kspace import SamplingMask, as_kspace
 from .rng import stream
 from .sampling import compute_P, compute_k
@@ -69,14 +69,7 @@ def real_to_complex(x: np.ndarray) -> np.ndarray:
     return x[..., :q] + 1j * x[..., q:]
 
 
-def _checkpoint_int(data: dict, key: str, minimum: int | None = 1) -> int:
-    """Integer field ``key`` of an estimator checkpoint; ConfigError naming it otherwise."""
-    value = data[key]
-    if (not isinstance(value, int) or isinstance(value, bool)
-            or (minimum is not None and value < minimum)):
-        bound = "an integer" if minimum is None else f"an integer >= {minimum}"
-        raise ConfigError(f"estimator.{key} must be {bound}, got {value!r}")
-    return value
+POSITIVE_INT, INDEX = integer(1), integer(0)  # the rules of q and of a sampled index
 
 
 def _aligned_empty(shape: tuple) -> np.ndarray:
@@ -290,8 +283,8 @@ class Estimator:
     """Common interface of the parameterized families."""
 
     family = "base"
-    # (name, minimum) of each integer hyperparameter: a constructor keyword,
-    # an attribute and a checkpoint field. A minimum of None allows any integer.
+    # (name, rule) of each integer hyperparameter: a constructor keyword, an
+    # attribute, a checkpoint field and a config field (seed is init_seed there).
     fields = ()
     # Hashable key shared by estimators whose theta rows can step as one
     # stack; None trains each estimator as a stack of one.
@@ -369,9 +362,9 @@ class Estimator:
     @classmethod
     def _from_fields(cls, data: dict) -> "Estimator":
         """The estimator of a checkpoint's q and fields, with an empty theta."""
-        q = _checkpoint_int(data, "q")
-        return cls(q, **{name: _checkpoint_int(data, name, minimum)
-                         for name, minimum in cls.fields}, theta=np.zeros(0))
+        q = POSITIVE_INT.check(data["q"], "estimator.q")
+        return cls(q, **{name: rule.check(data[name], f"estimator.{name}")
+                         for name, rule in cls.fields}, theta=np.zeros(0))
 
     def _check_input(self, y_in, m_in) -> np.ndarray:
         arr = as_kspace(y_in, self.q)
@@ -491,12 +484,11 @@ class AffinePerPattern(Estimator):
 
     @classmethod
     def _from_fields(cls, data: dict) -> "AffinePerPattern":
-        est = cls(_checkpoint_int(data, "q"))
+        est = cls(POSITIVE_INT.check(data["q"], "estimator.q"))
         q, patterns = est.q, data["patterns"]
         if not (isinstance(patterns, list) and all(
                 isinstance(idx_list, list) and all(
-                    isinstance(j, int) and not isinstance(j, bool) and 0 <= j < q
-                    for j in idx_list)
+                    INDEX.test(j) and j < q for j in idx_list)
                 for idx_list in patterns)):
             raise ConfigError(f"estimator.patterns must be a list of index lists "
                               f"in [0, {q}), got {patterns!r:.80}")
@@ -531,7 +523,7 @@ class TinyNet(Estimator):
     """
 
     family = "tiny_net"
-    fields = (("hidden_layers", 1), ("width_factor", 1), ("seed", None))
+    fields = (("hidden_layers", POSITIVE_INT), ("width_factor", POSITIVE_INT), ("seed", integer()))
 
     def __init__(self, q: int, hidden_layers: int = 2, width_factor: int = 4,
                  seed: int = 0, theta=None):
@@ -580,7 +572,7 @@ class ToyCascade(Estimator):
     """
 
     family = "toy_cascade"
-    fields = (("cascades", 1), ("seed", None))
+    fields = (("cascades", POSITIVE_INT), ("seed", integer()))
 
     def __init__(self, q: int, cascades: int = 2, seed: int = 0, theta=None):
         self.cascades = int(cascades)
@@ -661,10 +653,8 @@ def load_checkpoint(data: dict, theta: np.ndarray) -> Estimator:
 def _fit_input_variance(method: str, noise) -> float:
     """Per-entry noise variance of the method's input: sigma_n^2 on the
     measured data, (1 + alpha^2) sigma_n^2 on the further-corrupted data."""
-    sigma2 = noise.sigma_n ** 2
-    if method in (M.FULLY_SUPERVISED, M.SUPERVISED_WO_DENOISING, M.STANDARD_SSDU):
-        return sigma2
-    return (1.0 + noise.alpha ** 2) * sigma2
+    factor = 1.0 + noise.alpha ** 2 if M.row(method).input.further_noise else 1.0
+    return factor * noise.sigma_n ** 2
 
 
 def _fit_row_factors(method: str, members: np.ndarray, p: np.ndarray,
@@ -729,8 +719,7 @@ def closed_form_affine_fit(model, method: str, patterns,
     if method == M.NOISE2RECON_SS:
         raise ConfigError("noise2recon_ss has no closed-form fit (its loss couples "
                           "two input patterns); it is reported descriptively only")
-    if method not in M.ALL_METHODS:
-        raise ConfigError(f"unknown method {method!r}")
+    M.row(method)  # ConfigError for an unknown method
     q = model.q
     members = (patterns.member[None] if isinstance(patterns, SamplingMask)
                else np.asarray(patterns, dtype=bool))
@@ -738,7 +727,7 @@ def closed_form_affine_fit(model, method: str, patterns,
         raise DimensionError("pattern length does not match model")
     sigma2 = model.noise.sigma_n ** 2
     v_in = _fit_input_variance(method, model.noise)
-    target_y0 = method == M.FULLY_SUPERVISED
+    target_y0 = M.row(method).target == M.TARGET_Y0
     c = _fit_row_factors(method, members, model.omega_probs(), model.lambda_probs(),
                          model.noise.alpha)
     cov = model.prior_cov

@@ -107,5 +107,5 @@ def row(method: str) -> Method:
     """The table row of a method; ConfigError for an unknown name."""
     try:
         return METHODS[method]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name, such as a list
         raise ConfigError(f"unknown method {method!r}") from None

@@ -12,7 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, number, or_null
+
+# The rule of each NoiseSpec field; the config's noise levels and further-noise
+# ratios, and TrainSpec's alpha, are checked by these same rules.
+NOISE_RULES = {"sigma_n": number(), "alpha": number(positive=True)}
 
 
 @dataclass(frozen=True)
@@ -28,10 +32,8 @@ class NoiseSpec:
     alpha: float
 
     def __post_init__(self):
-        if not np.isfinite(self.sigma_n) or self.sigma_n < 0.0:
-            raise ValidationError(f"sigma_n must be finite and >= 0, got {self.sigma_n}")
-        if not np.isfinite(self.alpha) or self.alpha <= 0.0:
-            raise ValidationError(f"alpha must be finite and positive, got {self.alpha}")
+        for name, rule in NOISE_RULES.items():
+            rule.check(getattr(self, name), name, ValidationError)
 
 
 def complex_gaussian(q: int | tuple, sigma: float, rng: np.random.Generator) -> np.ndarray:
@@ -39,8 +41,7 @@ def complex_gaussian(q: int | tuple, sigma: float, rng: np.random.Generator) -> 
 
     ``q`` is a length or an array shape such as (count, q).
     """
-    if sigma < 0.0:
-        raise ValidationError("sigma must be >= 0")
+    NOISE_RULES["sigma_n"].check(sigma, "sigma", ValidationError)
     return complex_from_normals(rng.standard_normal(q), rng.standard_normal(q), sigma)
 
 
@@ -71,8 +72,7 @@ def second_level_draws(rngs: Iterable[np.random.Generator], n: int, q: int,
     would. Only the raw draws happen per item; returns the memberships and
     the noise as (n, q) rows, None where not drawn.
     """
-    if sigma is not None and sigma < 0.0:
-        raise ValidationError("sigma must be >= 0")
+    or_null(NOISE_RULES["sigma_n"]).check(sigma, "sigma", ValidationError)
     draw_u, draw_z = lambda_dist is not None, sigma is not None
     uniforms = np.empty((n, q if draw_u else 0))
     # both channels of an item in one call: standard_normal(2q) draws what two

@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, integer, number, one_of
 from .kspace import SamplingMask, _mask_unchecked
 
 COLUMN_POLYNOMIAL = "column_polynomial"
@@ -82,19 +82,17 @@ class MaskDistribution:
     shape: tuple | None = None
 
     def __post_init__(self):
-        if self.kind not in (COLUMN_POLYNOMIAL, BERNOULLI2D_POLYNOMIAL):
-            raise ConfigError(f"unknown mask kind {self.kind!r}")
-        if self.q < 1:
-            raise ConfigError("q must be >= 1")
+        one_of((COLUMN_POLYNOMIAL, BERNOULLI2D_POLYNOMIAL)).check(self.kind, "kind")
+        integer(1).check(self.q, "q")
         if (self.shape is not None) != (self.kind == BERNOULLI2D_POLYNOMIAL):
             raise ConfigError(f"a 2-D shape goes with {BERNOULLI2D_POLYNOMIAL} only: "
                               f"got kind {self.kind!r}, shape {self.shape}")
         if self.shape is not None and self.shape[0] * self.shape[1] != self.q:
             raise ConfigError(f"shape {self.shape} does not flatten to q={self.q}")
-        if self.n_center < 0 or self.n_center > self.q:
-            raise ConfigError(f"n_center must be in [0, {self.q}]")
-        if self.target_accel < 1.0:
-            raise ConfigError("target_accel must be >= 1")
+        if not (integer(0).test(self.n_center) and self.n_center <= self.q):
+            raise ConfigError(f"n_center must be an integer in [0, {self.q}]")
+        number(1).check(self.target_accel, "target_accel")
+        number(positive=True).check(self.degree, "degree")
         if self.n_center > 0 and self.target_accel > self.q / self.n_center + 1e-12:
             raise ConfigError(
                 f"target_accel {self.target_accel} unattainable with "

@@ -19,6 +19,7 @@ Stock priors:
   sampling, the desk analog of the 2-D sampling experiment.
 """
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -164,12 +165,13 @@ def model_preset(name: str, sigma_n: float, alpha: float, R_omega: float | None 
 
 
 def load_prior_cov(path) -> np.ndarray:
-    """Load a covariance from a JSON file of nested [re, im] pairs."""
-    import json
-
-    with open(path) as fh:
-        raw = json.load(fh)
-    arr = np.asarray(raw, dtype=np.float64)
+    """Load a covariance from a JSON file of nested [re, im] pairs; ConfigError
+    naming the file if it cannot be read as JSON numbers or is not q x q x 2."""
+    try:
+        with open(path) as fh:
+            arr = np.asarray(json.load(fh), dtype=np.float64)
+    except (OSError, ValueError, TypeError) as exc:
+        raise ConfigError(f"{path}: cannot be read as a JSON array of numbers ({exc})") from None
     if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
-        raise ConfigError("covariance file must be a q x q matrix of [re, im] pairs")
+        raise ConfigError(f"{path}: covariance file must be a q x q matrix of [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]

@@ -43,12 +43,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import methods as M
-from .errors import ConfigError, DimensionError, TrainingDiverged, ValidationError
+from .errors import (ConfigError, DimensionError, TrainingDiverged, ValidationError, integer,
+                     number, one_of)
 from .estimators import Estimator, OuterPiece, _aligned_empty, formed, gather_pieces
 from .inference import MODE_PRACTICAL, reconstruct_rows
 from .kspace import SamplingMask, _mask_unchecked, as_kspace
 from .metrics import nmse_rows
-from .noise import complex_from_normals, second_level_draws
+from .noise import NOISE_RULES, complex_from_normals, second_level_draws
 from .rng import stream, streams
 from .sampling import compute_P
 from .synthetic import MeasurementModel, ground_truth_from_normals
@@ -68,6 +69,21 @@ STACK_MAX_PARAMS = 4096
 ADAM_BLOCK = 2 ** 15
 
 
+# The rule of each checked TrainSpec field: the config's train section is
+# checked by these same rules, so a spec keeps the ranges the config applies.
+SPEC_RULES = {
+    "method": one_of(M.ALL_METHODS),
+    "epochs": integer(1),
+    "lr": number(positive=True),
+    "beta1": number(below=1),
+    "beta2": number(below=1),
+    "eps": number(positive=True),
+    "batch_size": integer(1),
+    "lambda_n2r": number(),
+    "alpha": NOISE_RULES["alpha"],
+}
+
+
 @dataclass(frozen=True)
 class TrainSpec:
     """A training method (a row of ``methods.METHODS``) plus optimizer settings."""
@@ -84,24 +100,8 @@ class TrainSpec:
     alpha: float = 1.0
 
     def __post_init__(self):
-        if self.method not in M.ALL_METHODS:
-            raise ConfigError(f"unknown method {self.method!r}")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        # each check is written so that a NaN fails it; the ranges are the config's
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ConfigError("lr must be finite and positive")
-        for name in ("beta1", "beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be in [0, 1)")
-        if not (math.isfinite(self.eps) and self.eps > 0):
-            raise ConfigError("eps must be finite and positive")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if not (math.isfinite(self.lambda_n2r) and self.lambda_n2r >= 0):
-            raise ConfigError("lambda_n2r must be finite and >= 0")
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ConfigError("alpha must be finite and positive")
+        for name, rule in SPEC_RULES.items():
+            rule.check(getattr(self, name), name)
 
 
 @dataclass

@@ -129,6 +129,23 @@ def test_cli_exit_code_on_bad_config(tmp_path):
     assert main(["verify", "--config", path, "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--config", "missing.json"], "missing.json: cannot be read"),
+    (["--config", "binary.json"], "binary.json: invalid JSON"),
+    (["--seed", "-1"], "seed: must be an integer >= 0"),
+], ids=["missing_config", "binary_config", "negative_seed"])
+def test_cli_exits_2_on_an_unreadable_config_or_a_negative_seed(tmp_path, capsys, args,
+                                                                 message):
+    """A config file that is missing or not text, and a --seed that the
+    config's seed rule rejects, are configuration errors, not a traceback or
+    a run under an invalid seed."""
+    (tmp_path / "binary.json").write_bytes(b"\xff\xfe{")
+    args = [str(tmp_path / a) if a.endswith(".json") else a for a in args]
+    assert main(["verify", *args, "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_cli_exit_code_on_oracle_failure(tmp_path, monkeypatch):
     import kslab.cli as cli_mod
     from kslab.oracles import OracleReport
@@ -308,10 +325,75 @@ def test_config_json_rejects_nan():
 
 
 @pytest.mark.parametrize("key", ["hidden_layers", "width_factor", "cascades"])
-@pytest.mark.parametrize("value", [0, -1, 1.5, "2"])
+@pytest.mark.parametrize("value", [0, -1, 1.5, "2", True])
 def test_config_estimator_fields_must_be_positive_integers(key, value):
     with pytest.raises(ConfigError, match=rf"^estimator\.{key}: must be a positive integer$"):
         resolve_config({"estimator": {key: value}})
+
+
+def _raw(path: str, value) -> dict:
+    """The config that sets the field ``path`` ("section.key" or "key") to ``value``."""
+    section, _, key = path.rpartition(".")
+    return {section: {key: value}} if section else {key: value}
+
+
+@pytest.mark.parametrize("path", ["model.q", "estimator.init_seed", "train.epochs",
+                                  "train.batch_size", "train.n_train", "eval.n_test", "seed"])
+def test_config_integer_fields_reject_booleans(path):
+    """JSON true and false are not integers, though Python's bool is an int."""
+    for value in (True, False):
+        with pytest.raises(ConfigError, match=rf"^{path}: must be "):
+            resolve_config(_raw(path, value))
+
+
+def _leaves(tree: dict, path: str = ""):
+    for key, value in tree.items():
+        here = f"{path}.{key}" if path else key
+        yield from _leaves(value, here) if isinstance(value, dict) else [(here, value)]
+
+
+def test_every_config_field_rejects_the_json_values_it_cannot_take():
+    """Each leaf of the defaults, and the first entry of each list leaf, set
+    to true, [], {} or (but for the one free-text field) "x" fails with a
+    ConfigError whose message starts with its path: a field that arrives
+    without a rule fails here."""
+    missed = []
+    for path, default in _leaves(DEFAULT_CONFIG):
+        bad = [True, [], {}] + ([] if path == "model.prior_file" else ["x"])
+        cases = [(path, value, value) for value in bad]
+        if isinstance(default, list):
+            cases += [(f"{path}[0]", [value], value) for value in bad]
+        for name, value, shown in cases:
+            try:
+                resolve_config(_raw(path, value))
+                missed.append(f"{name} = {shown!r}: accepted")
+            except ConfigError as exc:
+                if not str(exc).startswith(f"{name}: "):
+                    missed.append(f"{name} = {shown!r}: {exc}")
+    assert missed == []
+
+
+@pytest.mark.parametrize("value", [0, 1, True, "", [], "missing.json", "malformed.json",
+                                   "flat.json"],
+                         ids=["0", "1", "true", "empty_string", "empty_list", "missing_file",
+                              "malformed_file", "not_q_by_q_by_2"])
+def test_compare_exits_2_on_a_bad_prior_file(tmp_path, capsys, value):
+    """A prior file that is not a path, or names a file that is missing, is
+    not JSON or is not a q x q matrix of [re, im] pairs, is a configuration
+    error that names the field (and the file), not a traceback or a silently
+    ignored value."""
+    (tmp_path / "malformed.json").write_text("[[1.0, 0.0]")
+    (tmp_path / "flat.json").write_text("[1.0, 0.0]")
+    if isinstance(value, str) and value:
+        value = str(tmp_path / value)
+    cfg = {**FAST_CFG, "model": {**FAST_CFG["model"], "prior_file": value}}
+    code = main(["compare", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "model.prior_file" in err
+    if isinstance(value, str) and value:
+        assert value in err
+    assert not (tmp_path / "results.csv").exists()
 
 
 def test_train_then_reconstruct_roundtrip(tmp_path):

@@ -663,6 +663,17 @@ def test_fit_singular_normal_equations_ridge_flagged():
     assert np.all(np.isfinite(a))
 
 
+def test_unknown_method_names_are_config_errors():
+    """An unknown or unhashable method name is a ConfigError where the method
+    table is read, the closed-form fit included."""
+    model = model_preset("banded", sigma_n=0.3, alpha=0.75)
+    for name in ("bogus", [M.ROBUST_SSDU]):
+        with pytest.raises(ConfigError, match="unknown method"):
+            M.row(name)
+        with pytest.raises(ConfigError, match="unknown method"):
+            closed_form_affine_fit(model, name, np.ones((1, model.q), dtype=bool))
+
+
 @pytest.mark.parametrize("family,opts", [
     ("affine_per_pattern", {}),
     ("tiny_net", {"hidden_layers": 1, "width_factor": 2, "seed": 2}),

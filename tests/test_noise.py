@@ -23,6 +23,10 @@ def test_noise_spec_validation():
         NoiseSpec(-0.1, 1.0)
     with pytest.raises(ValidationError):
         NoiseSpec(1.0, 0.0)
+    with pytest.raises(ValidationError, match="^sigma_n must be "):
+        NoiseSpec(True, 1.0)
+    with pytest.raises(ValidationError, match="^alpha must be "):
+        NoiseSpec(0.3, True)
 
 
 def _complex_from_normals_expression(re, im, sigma):

@@ -144,3 +144,16 @@ def test_mask_distribution_rejects_bad_kind():
                            ("bernoulli2d_polynomial", 64, None)]:
         with pytest.raises(ConfigError):
             MaskDistribution(kind, q, 2.0, 2, shape=shape)
+
+
+@pytest.mark.parametrize("field, value", [("degree", float("nan")), ("degree", 0.0),
+                                          ("n_center", True), ("n_center", 1.5),
+                                          ("target_accel", float("inf"))])
+def test_mask_distribution_checks_its_numbers_by_the_config_rules(field, value):
+    """A mask law built directly takes what the config's model.degree and
+    acceleration rules take: a NaN degree would give NaN probabilities, and
+    a boolean or fractional n_center a density of the wrong center."""
+    args = {"kind": "column_polynomial", "q": 8, "target_accel": 2.0, "n_center": 0,
+            **{field: value}}
+    with pytest.raises(ConfigError, match=rf"^{field} must be "):
+        MaskDistribution(**args)

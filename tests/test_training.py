@@ -711,13 +711,22 @@ def test_train_cells_rejects_cells_sharing_an_estimator():
 
 @pytest.mark.parametrize("field, value", [("beta1", 1.0), ("beta2", 1.0), ("beta1", -0.1),
                                           ("eps", 0.0), ("lr", math.nan), ("lr", math.inf),
-                                          ("eps", math.inf)])
+                                          ("eps", math.inf), ("lr", True), ("beta1", False)])
 def test_train_spec_rejects_adam_settings_that_train_to_nan(field, value):
     """Adam's bias correction divides by 1 - beta^t, which is 0 at beta 1,
     at eps 0 a zero step is 0/0, a NaN learning rate makes every step NaN,
     an infinite one sends the parameters to inf or NaN, and an infinite eps
     makes every step zero: a spec built directly keeps the ranges the
-    config applies, which admit finite values only."""
+    config applies, which admit finite values only, and never a bool."""
+    with pytest.raises(ConfigError, match=rf"^{field} must be "):
+        TrainSpec(method=M.ROBUST_SSDU, **{field: value})
+
+
+@pytest.mark.parametrize("field, value", [("epochs", 2.5), ("epochs", True),
+                                          ("batch_size", 1.5)])
+def test_train_spec_rejects_counts_that_are_not_integers(field, value):
+    """Epochs and the batch size are integers, as in the config: never a
+    float, and never a bool."""
     with pytest.raises(ConfigError, match=rf"^{field} must be "):
         TrainSpec(method=M.ROBUST_SSDU, **{field: value})
 
