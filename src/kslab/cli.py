@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from . import methods as M
-from .config import ALPHA_DEFAULTS, config_json, load_config, resolve_config
+from .config import ALPHA_DEFAULTS, RULES, config_json, load_config, resolve_config
 from .errors import ConfigError, TrainingDiverged, ValidationError, integer
 from .estimators import FAMILIES, load_checkpoint, make_estimator
 from .inference import reconstruct_rows
@@ -355,18 +355,47 @@ def _read_checkpoint(path: Path):
         raise ConfigError(f"checkpoint {path}: {exc}") from None
 
 
+def _resolved(model: MeasurementModel) -> dict:
+    """The values a preset fills in for the ``model`` fields it resolves."""
+    return {"q": model.q, "R_omega": model.omega_dist.target_accel,
+            "R_lambda": model.lambda_dist.target_accel}
+
+
+def _check_trained_model(trained: dict, path: Path, model: MeasurementModel,
+                         cfg: dict) -> None:
+    """ConfigError naming the first ``model`` field in which this run, whose
+    model is ``model``, differs from the checkpoint's training run.
+    ``alpha`` is not compared: reconstruct takes the checkpoint's. A field
+    that a preset resolves and that is null on one side only compares as
+    resolved, so a preset's default and the same value written out are one
+    model; only then is the trained model built. ``prior_file`` compares as
+    a path."""
+    run = {key: value for key, value in cfg["model"].items() if key != "alpha"}
+    was = {key: RULES[f"model.{key}"].check(trained.get(key),
+                                            f"checkpoint {path}: config.model.{key}")
+           for key in run}
+    resolved = None
+    for key, value in run.items():
+        a, b, note = was[key], value, ""
+        if key == "prior_file" and None not in (a, b):
+            a, b = Path(a), Path(b)
+        elif key in ("q", "R_omega", "R_lambda") and (a is None) != (b is None):
+            if resolved is None:  # the prior moves no resolved field
+                resolved = _resolved(_build_model({"model": {**was, "prior_file": None}},
+                                                  alpha=model.noise.alpha))
+            a, b = resolved[key], _resolved(model)[key]
+            note = f" ({a!r} and {b!r} resolved)"
+        if a != b:
+            raise ConfigError(f"model.{key}: the checkpoint was trained with {was[key]!r}, "
+                              f"this run has {value!r}{note}")
+
+
 def run_reconstruct(cfg: dict, checkpoint_path: Path, out_dir: Path) -> Path:
     checkpoint, est = _read_checkpoint(checkpoint_path)
-    trained = checkpoint["config"]["model"]
-    # q is compared resolved (model.q against est.q below): a preset's default
-    # and the same value written out are one model
-    for key in ("preset", "sigma_n"):
-        if trained.get(key) != cfg["model"][key]:
-            raise ConfigError(f"model.{key}: the checkpoint was trained with "
-                              f"{trained.get(key)!r}, this run has {cfg['model'][key]!r}")
     method = checkpoint["method"]
     master = cfg["seed"]
     model = _build_model(cfg, alpha=checkpoint["alpha"])
+    _check_trained_model(checkpoint["config"]["model"], checkpoint_path, model, cfg)
     if model.q != est.q:
         raise ConfigError(f"checkpoint {checkpoint_path}: estimator dimension {est.q} "
                           f"does not match the model's q = {model.q}")

@@ -755,8 +755,16 @@ def run_oracle_suite(model: MeasurementModel, seed: int = 0,
     same pattern rows share one posterior, and each proof-backed method is
     fitted once over its input level; the exact checks read those
     posteriors and fits.
+
+    The conditional-noise check runs right after the enumerations (so an
+    unsupported model still fails before anything is drawn), before any
+    posterior, fit or Monte Carlo shard exists: its four channel vectors
+    are the suite's largest transient, and the peak is that transient plus
+    whatever is resident when it starts. Its draws come from its own
+    substream, and its report keeps its place in the list.
     """
     tables = {level: enumerate_patterns(model, level) for level in (LEVEL_OMEGA, LEVEL_INTERSECT)}
+    noise_identity = check_conditional_noise_identity(model, slope_samples, seed)
     shared = {}  # one posterior per distinct table of pattern rows
     posts = {level: shared.setdefault(table.members.tobytes(), Posterior(model, table.members))
              for level, table in tables.items()}
@@ -781,8 +789,8 @@ def run_oracle_suite(model: MeasurementModel, seed: int = 0,
             standard_error=mc_se,
             notes={"relative_error": rel, "samples": mse_samples},
         ).finalize())
-    del posts, shared  # their cached solves are not held through the Monte Carlo checks below
-    reports.append(check_conditional_noise_identity(model, slope_samples, seed))
+    del posts, shared  # their cached solves are not held through the gradient check below
+    reports.append(noise_identity)
     grad_model = gradient_check_model(model.noise.sigma_n or 0.5, model.noise.alpha)
     ests = {}
     for claim in (M.NOISIER2FULL, M.ROBUST_SSDU):

@@ -443,14 +443,15 @@ def _theta_ref(raw: bytes) -> dict:
             "sha256": hashlib.sha256(raw).hexdigest()}
 
 
-def _reconstruct_from(tmp_path, capsys, text: str, raw: bytes | None):
-    """Run ``kslab reconstruct`` on the checkpoint ``text`` with ``raw`` as its
-    theta file (none if None); the checkpoint path, exit code and stderr."""
+def _reconstruct_from(tmp_path, capsys, text: str, raw: bytes | None, cfg=CKPT_CFG):
+    """Run ``kslab reconstruct`` under ``cfg`` on the checkpoint ``text`` with
+    ``raw`` as its theta file (none if None); the checkpoint path, exit code
+    and stderr."""
     ckpt = tmp_path / "checkpoint.json"
     ckpt.write_text(text)
     if raw is not None:
         (tmp_path / THETA_FILE).write_bytes(raw)
-    code = main(["reconstruct", "--config", write_cfg(tmp_path, CKPT_CFG),
+    code = main(["reconstruct", "--config", write_cfg(tmp_path, cfg),
                  "--checkpoint", str(ckpt), "--out", str(tmp_path)])
     return ckpt, code, capsys.readouterr().err
 
@@ -615,6 +616,7 @@ def test_read_checkpoint_holds_theta_once(tmp_path):
     ("theta_shortened", "checkpoint theta has 2 parameters"),
     ("estimator_other_q", "estimator dimension 4 does not match"),
     ("unknown_method", "unknown method 'bogus'"),
+    ("model_degree_string", "config.model.degree must be a positive number"),
 ])
 def test_reconstruct_rejects_damaged_checkpoint(tmp_path, capsys, trained_checkpoint,
                                                 damage, message):
@@ -644,6 +646,8 @@ def test_reconstruct_rejects_damaged_checkpoint(tmp_path, capsys, trained_checkp
                                    "theta": _theta_ref(raw)}
     elif damage == "unknown_method":
         checkpoint["method"] = "bogus"
+    elif damage == "model_degree_string":
+        checkpoint["config"]["model"]["degree"] = "8"
     text = json.dumps(checkpoint)
     ckpt, code, err = _reconstruct_from(tmp_path, capsys,
                                         text[:1000] if damage == "truncated" else text, raw)
@@ -687,6 +691,55 @@ def test_reconstruct_compares_resolved_q(tmp_path):
         tables[trained, run] = (out / "reconstructions.csv").read_bytes()
     assert tables["explicit", "default"] == tables["default", "default"]
     assert tables["default", "explicit"] == tables["explicit", "explicit"]
+
+
+def _write_prior(path: Path) -> str:
+    """A banded q = 8 prior file at ``path``, four times the preset's."""
+    from kslab.synthetic import banded_prior_cov
+
+    cov = 4.0 * banded_prior_cov(8)
+    path.write_text(json.dumps([[[float(z.real), float(z.imag)] for z in row] for row in cov]))
+    return str(path)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("degree", 2.0), ("R_omega", 3.0), ("R_lambda", 3.0), ("prior_file", "prior.json"),
+])
+def test_reconstruct_rejects_another_model_field(tmp_path, capsys, trained_checkpoint,
+                                                 key, value):
+    """A checkpoint trained on the default banded model does not reconstruct
+    under another mask law or prior: the run exits 2 naming the field."""
+    checkpoint, raw = trained_checkpoint
+    if key == "prior_file":
+        value = _write_prior(tmp_path / value)
+    cfg = {**CKPT_CFG, "model": {**CKPT_CFG["model"], key: value}}
+    _, code, err = _reconstruct_from(tmp_path, capsys, json.dumps(checkpoint), raw, cfg)
+    assert code == 2
+    assert f"model.{key}:" in err
+    assert not (tmp_path / "reconstructions.csv").exists()
+
+
+@pytest.mark.parametrize("trained,run", [
+    ({}, {"q": 8, "R_omega": 2.0, "R_lambda": 2}),
+    ({"q": 8, "R_omega": 2}, {}),
+    ({"prior_file": "{dir}/./prior.json"}, {"prior_file": "{dir}/prior.json"}),
+])
+def test_reconstruct_compares_defaults_resolved_and_priors_as_paths(
+        tmp_path, capsys, trained_checkpoint, trained, run):
+    """A field null on one side and the preset's default on the other is one
+    model, and so are two spellings of one prior file's path; ``alpha``,
+    which reconstruct takes from the checkpoint, is not compared."""
+    checkpoint, raw = trained_checkpoint
+    checkpoint = json.loads(json.dumps(checkpoint))
+    _write_prior(tmp_path / "prior.json")
+    def fill(fields):
+        return {key: value.format(dir=tmp_path) if isinstance(value, str) else value
+                for key, value in fields.items()}
+
+    checkpoint["config"]["model"].update(fill(trained))
+    cfg = {**CKPT_CFG, "model": {**CKPT_CFG["model"], "alpha": 0.5, **fill(run)}}
+    _, code, err = _reconstruct_from(tmp_path, capsys, json.dumps(checkpoint), raw, cfg)
+    assert code == 0, err
 
 
 def test_cli_seed_and_mode_overrides(tmp_path):
