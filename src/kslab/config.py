@@ -13,7 +13,7 @@ from .errors import ConfigError, Rule, integer, nonempty_list, number, one_of, o
 from .estimators import FAMILIES, POSITIVE_INT, TinyNet
 from .inference import MODES
 from .noise import NOISE_RULES
-from .training import SPEC_RULES
+from .training import SEED_RULE, SPEC_RULES
 
 # Tuned further-noise ratios reported for the weighted and unweighted
 # variants; used when a single-method run leaves alpha unset.
@@ -104,7 +104,7 @@ RULES = {
     "sweep.R_omega": _ACCEL,
     **{f"verify.{key}": integer(1000)
        for key in ("gradient_samples", "slope_samples", "mse_samples")},
-    "seed": integer(0),
+    "seed": SEED_RULE,
     "mode": one_of(MODES),
 }
 

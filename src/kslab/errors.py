@@ -1,9 +1,10 @@
 """Exception types shared across the package, and the rules that check input
 values: each ``Rule`` holds its test and the words of its message.
 
-The config table, ``TrainSpec``, ``NoiseSpec`` and the checkpoint readers check
-integers and numbers through these rules. An integer is an ``int``, never a
-``bool``; a number is an ``int`` or a ``float``, finite and never a ``bool``.
+The config table, ``TrainSpec``, ``NoiseSpec``, the estimator constructors and
+the checkpoint readers check integers and numbers through these rules. An
+integer is an ``int``, never a ``bool``; a number is an ``int`` or a
+``float``, finite and never a ``bool``.
 """
 
 import sys

@@ -35,9 +35,9 @@ calculus.
   reconstruction network on unsampled ones.
 
 ``FAMILIES`` maps each family name to its class. A class declares its integer
-hyperparameters and their rules once, in ``fields``; construction
-(``make_estimator``), the checkpoint pair ``to_checkpoint`` /
-``from_checkpoint``, the config table and the CLI all read that declaration.
+hyperparameters and their rules once, in ``fields``; the constructors and
+``from_checkpoint`` check q and each field by them (``_checked``), and
+``to_checkpoint``, the config table and the CLI read that declaration.
 """
 
 import math
@@ -75,8 +75,9 @@ POSITIVE_INT, INDEX = integer(1), integer(0)  # the rules of q and of a sampled 
 def _aligned_empty(shape: tuple) -> np.ndarray:
     """An uninitialized float64 array whose data starts on a 64-byte boundary.
 
-    malloc aligns to 16 bytes only; element-wise passes over arrays that
-    start 16 bytes off a 32-byte boundary measured about 8% slower.
+    malloc aligns to 16 bytes only; at a 16-byte offset, an (8, 816) Adam step
+    took 47.7 us against 42.0 us and a 2.1 M-entry one 17.7 ms against 16.6
+    ms (best of 7, one BLAS thread, 2-core Xeon; CHANGES.md, item 22).
     """
     n = math.prod(shape)
     buf = np.empty(n + 7)
@@ -168,9 +169,9 @@ class Mlp:
     """
 
     def __init__(self, sizes, start: int):
-        self.sizes = tuple(int(s) for s in sizes)
+        self.sizes = tuple(sizes)
         self.spans = []  # each layer's (W, b) columns of the row
-        off = int(start)
+        off = start
         for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):
             n_w = fan_out * fan_in
             self.spans.append((slice(off, off + n_w), slice(off + n_w, off + n_w + fan_out)))
@@ -191,7 +192,9 @@ class Mlp:
 
     def _layers(self, theta: np.ndarray) -> list:
         """(W, b, W^T) views of each layer for the rows of theta, cut once per
-        parameter array: a stack steps one array through all of its steps."""
+        parameter array: a stack steps one array through all of its steps.
+        Cut on every call, they made the AC-7 stack's forward pass and
+        pullback 80.9 us against 61.6 us (best of 7; CHANGES.md, item 22)."""
         if self._theta is not theta:
             rows = theta.shape[0]
             self._views = []
@@ -251,7 +254,10 @@ def group_rows(rows: np.ndarray) -> list[np.ndarray]:
 
     Each row is packed to bits and read as an unsigned integer key (a row of
     64-bit words beyond q = 64), and the rows are sorted stably by key, so
-    every group lists its rows in increasing order.
+    every group lists its rows in increasing order. On a 4096-row shard
+    (q = 8 or 16) this takes 46-139 us, against 650-1,030 us for
+    ``np.unique`` over ``packbits`` void keys and 1,000-1,180 us for a dict
+    of row bytes (best of 7; CHANGES.md, item 22).
     """
     n, q = rows.shape
     if n < 2:
@@ -291,8 +297,15 @@ class Estimator:
     layout = None
 
     def __init__(self, q: int, theta: np.ndarray):
-        self.q = int(q)
+        self.q = q
         self.theta = np.asarray(theta, dtype=np.float64)
+
+    @classmethod
+    def _checked(cls, values: dict, prefix: str = "") -> list:
+        """q and each of ``fields`` from ``values``, each passed by its rule:
+        else ConfigError naming it ``prefix + name`` (KeyError if missing)."""
+        return [rule.check(values[name], prefix + name)
+                for name, rule in (("q", POSITIVE_INT), *cls.fields)]
 
     def forward_vjp_stack(self, theta: np.ndarray, y_in: np.ndarray, member: np.ndarray):
         """Outputs (C, q) of the parameter rows theta (C, P) on y_in (C, q) with
@@ -352,6 +365,7 @@ class Estimator:
         """Inverse of ``to_checkpoint``, taking ``theta`` as it is (not copied):
         ConfigError naming a bad field, KeyError a missing one, ValidationError
         a theta of the wrong length. No initialization is drawn."""
+        cls._checked(data, "estimator.")
         est = cls._from_fields(data)
         if theta.shape != (est.n_params,):
             raise ValidationError(f"checkpoint theta has {theta.size} parameters, "
@@ -361,10 +375,8 @@ class Estimator:
 
     @classmethod
     def _from_fields(cls, data: dict) -> "Estimator":
-        """The estimator of a checkpoint's q and fields, with an empty theta."""
-        q = POSITIVE_INT.check(data["q"], "estimator.q")
-        return cls(q, **{name: rule.check(data[name], f"estimator.{name}")
-                         for name, rule in cls.fields}, theta=np.zeros(0))
+        """The estimator of a checkpoint's checked q and fields, with an empty theta."""
+        return cls(data["q"], **{name: data[name] for name, _ in cls.fields}, theta=np.zeros(0))
 
     def _check_input(self, y_in, m_in) -> np.ndarray:
         arr = as_kspace(y_in, self.q)
@@ -379,7 +391,7 @@ class AffinePerPattern(Estimator):
     family = "affine_per_pattern"
 
     def __init__(self, q: int):
-        super().__init__(q, np.zeros(0))
+        super().__init__(*self._checked({"q": q}), np.zeros(0))
         self._patterns: dict[bytes, int] = {}
         self._members: list[np.ndarray] = []
         self.fit_info: dict[bytes, dict] = {}
@@ -484,7 +496,7 @@ class AffinePerPattern(Estimator):
 
     @classmethod
     def _from_fields(cls, data: dict) -> "AffinePerPattern":
-        est = cls(POSITIVE_INT.check(data["q"], "estimator.q"))
+        est = cls(data["q"])
         q, patterns = est.q, data["patterns"]
         if not (isinstance(patterns, list) and all(
                 isinstance(idx_list, list) and all(
@@ -527,9 +539,8 @@ class TinyNet(Estimator):
 
     def __init__(self, q: int, hidden_layers: int = 2, width_factor: int = 4,
                  seed: int = 0, theta=None):
-        self.hidden_layers = int(hidden_layers)
-        self.width_factor = int(width_factor)
-        self.seed = int(seed)
+        q, self.hidden_layers, self.width_factor, self.seed = self._checked(
+            {"q": q, "hidden_layers": hidden_layers, "width_factor": width_factor, "seed": seed})
         width = max(2, self.width_factor * q)
         self.mlp = Mlp([2 * q] + [width] * self.hidden_layers + [2 * q], 0)
         self.layout = (self.family, self.mlp.sizes)
@@ -542,6 +553,8 @@ class TinyNet(Estimator):
         out, cache = self.mlp.forward(theta, complex_to_real(y_in))
 
         def pullback(cot) -> list:
+            # gathered: writing the products in place saves a few us a step but
+            # takes a second backward pass beside toy_cascade's, or a flag
             pieces, _ = self.mlp.backward(cache, complex_to_real(cot), input_grad=False)
             return [(slice(0, theta.shape[1]), gather_pieces(pieces, theta.shape))]
 
@@ -575,8 +588,7 @@ class ToyCascade(Estimator):
     fields = (("cascades", POSITIVE_INT), ("seed", integer()))
 
     def __init__(self, q: int, cascades: int = 2, seed: int = 0, theta=None):
-        self.cascades = int(cascades)
-        self.seed = int(seed)
+        q, self.cascades, self.seed = self._checked({"q": q, "cascades": cascades, "seed": seed})
         sizes = [2 * q, 2 * q, 2 * q]
         self.nets = []  # (eta index, G_D, G_R) of each cascade
         end = 0

@@ -46,20 +46,8 @@ def complex_gaussian(q: int | tuple, sigma: float, rng: np.random.Generator) -> 
 
 
 def complex_from_normals(re: np.ndarray, im: np.ndarray, sigma: float) -> np.ndarray:
-    """CN(0, sigma^2) entries from standard normal draws of the two channels.
-
-    The bits are those of ``(sigma / np.sqrt(2.0)) * (re + 1j * im)``. Its
-    complex multiply adds a signed zero to each product, which changes a bit
-    only where a product is zero or not finite; the two channels are written
-    directly unless that happens, and that expression runs otherwise.
-    """
-    s = sigma / np.sqrt(2.0)
-    z = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), dtype=complex)
-    np.multiply(re, s, out=z.real)
-    np.multiply(im, s, out=z.imag)
-    if z.real.all() and z.imag.all() and np.isfinite(z).all():
-        return z
-    return s * (re + 1j * im)
+    """CN(0, sigma^2) entries from standard normal draws of the two channels."""
+    return (sigma / np.sqrt(2.0)) * (re + 1j * im)
 
 
 def second_level_draws(rngs: Iterable[np.random.Generator], n: int, q: int,

@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 from kslab import methods as M
 from kslab.errors import ConfigError, DimensionError, ValidationError
 from kslab.estimators import (
+    FAMILIES,
     AffinePerPattern,
     Estimator,
     Mlp,
@@ -742,6 +743,26 @@ def test_checkpoint_keys_are_the_declared_fields(family, opts):
     assert {name: data[name] for name, _ in est.fields} == opts
     if extra:
         assert data["patterns"] == [[0, 2]]
+
+
+@pytest.mark.parametrize("family,opts,field", [
+    ("toy_cascade", {"cascades": 0}, "cascades"),
+    ("tiny_net", {"hidden_layers": 2.7}, "hidden_layers"),
+    ("tiny_net", {"width_factor": True}, "width_factor"),
+    ("tiny_net", {"seed": 1.5}, "seed"),
+    ("affine_per_pattern", {"q": 0}, "q"),
+    ("tiny_net", {"q": 0}, "q"),
+    ("toy_cascade", {"q": 2.0}, "q"),
+])
+def test_construction_checks_each_field_by_its_rule(family, opts, field):
+    """A constructor applies the rule its class declares for q and each
+    field, as the checkpoint reader does, so no field is truncated to an
+    integer or found bad only later."""
+    opts = {"q": 4, **opts}
+    with pytest.raises(ConfigError, match=f"^{field} must be "):
+        make_estimator(family, **opts)
+    with pytest.raises(ConfigError, match=f"^{field} must be "):
+        FAMILIES[family](**opts)
 
 
 def test_make_estimator_rejects_unknown_family():

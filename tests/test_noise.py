@@ -8,11 +8,7 @@ from kslab.errors import ValidationError
 from kslab.estimators import AffinePerPattern
 from kslab.inference import MODE_PRACTICAL, MODE_THEORY, reconstruct
 from kslab.kspace import SamplingMask, apply_mask, full_mask
-from kslab.noise import (
-    NoiseSpec,
-    complex_from_normals,
-    complex_gaussian,
-)
+from kslab.noise import NoiseSpec, complex_gaussian
 from kslab.rng import stream
 from kslab.synthetic import model_preset
 
@@ -27,49 +23,6 @@ def test_noise_spec_validation():
         NoiseSpec(True, 1.0)
     with pytest.raises(ValidationError, match="^alpha must be "):
         NoiseSpec(0.3, True)
-
-
-def _complex_from_normals_expression(re, im, sigma):
-    return (sigma / np.sqrt(2.0)) * (re + 1j * im)
-
-
-def _special_entries(rng, shape, kind):
-    """Standard normals with some entries replaced by a special value."""
-    a = rng.standard_normal(shape)
-    if kind == "normal":
-        return a
-    flat = a.reshape(-1)
-    picks = rng.choice(flat.size, size=max(1, flat.size // 4), replace=False)
-    if kind == "zeros":
-        flat[picks] = np.where(rng.random(picks.size) < 0.5, 0.0, -0.0)
-    elif kind == "all_zero":
-        flat[:] = np.where(rng.random(flat.size) < 0.5, 0.0, -0.0)
-    elif kind == "huge":
-        flat[picks] = np.where(rng.random(picks.size) < 0.5, 1e308, -1e308)
-    elif kind == "non_finite":
-        flat[picks] = rng.choice([np.inf, -np.inf, np.nan], size=picks.size)
-    return a
-
-
-@pytest.mark.parametrize("sigma", [0.0, 5e-324, 1e-320, 1e-300, 0.3, 1.0, 7.5])
-def test_complex_from_normals_is_the_expression_bit_for_bit(sigma):
-    """The channels written directly give the bits of the complex expression,
-    signed zeros, overflow, inf and nan included; the inputs are column
-    slices of one array, as the callers pass them."""
-    kinds = ("normal", "zeros", "all_zero", "huge", "non_finite")
-    rng = stream(17, "complex_from_normals")
-    for kind_re in kinds:
-        for kind_im in kinds:
-            for shape in ((5,), (64, 8)):
-                a = np.concatenate([_special_entries(rng, shape, kind_re),
-                                    _special_entries(rng, shape, kind_im)], axis=-1)
-                q = shape[-1]
-                re, im = a[..., :q], a[..., q:]
-                with np.errstate(all="ignore"):
-                    got = complex_from_normals(re, im, sigma)
-                    want = _complex_from_normals_expression(re, im, sigma)
-                assert got.dtype == want.dtype and got.shape == want.shape
-                assert got.tobytes() == want.tobytes(), (kind_re, kind_im, shape)
 
 
 def test_add_noise_moments():

@@ -38,14 +38,19 @@ run's files are ``checkpoint.json`` and the raw theta file it names,
 ``checkpoint.theta.f64``, each with its own key; the JSON holds the theta
 file's sha256, so a change in theta moves both digests.
 ``timings.csv`` holds wall-clock times and is left out. Two trees
-produce the same outputs when their JSON is the same, so diff the output
-of this script at two commits:
+produce the same outputs when their JSON is the same. Save the JSON at one
+commit and compare another against it:
 
     python tools/output_digests.py > digests.json
+    python tools/output_digests.py digests.json
+
+Given a saved file, the script prints one line for each key whose digest
+differs, is missing or is new, and exits 1 if there is any, 0 otherwise.
 
 The script imports ``kslab`` from the ``src`` directory next to it.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -154,7 +159,26 @@ def output_digests(root: Path) -> dict:
     return digests
 
 
+def differences(saved: dict, digests: dict) -> list[str]:
+    """A line for each key whose digest differs from ``saved``'s, is missing
+    from ``digests`` or is new in it."""
+    return [f"{key}: " + ("missing" if key not in digests else "new" if key not in saved
+                          else "differs")
+            for key in sorted(saved.keys() | digests.keys()) if saved.get(key) != digests.get(key)]
+
+
 if __name__ == "__main__":
+    ap = argparse.ArgumentParser(description="Digest every output of a fixed run matrix.")
+    ap.add_argument("saved", nargs="?", help="a saved digest JSON to compare against")
+    args = ap.parse_args()
+    saved = None if args.saved is None else json.loads(Path(args.saved).read_text())
     with tempfile.TemporaryDirectory() as tmp:
-        json.dump(output_digests(Path(tmp)), sys.stdout, indent=1, sort_keys=True)
+        digests = output_digests(Path(tmp))
+    if saved is None:
+        json.dump(digests, sys.stdout, indent=1, sort_keys=True)
         sys.stdout.write("\n")
+    else:
+        lines = differences(saved, digests)
+        for line in lines:
+            print(line)
+        sys.exit(1 if lines else 0)
