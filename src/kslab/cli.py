@@ -30,9 +30,10 @@ import numpy as np
 
 from . import __version__
 from . import methods as M
-from .config import ALPHA_DEFAULTS, RULES, config_json, load_config, resolve_config
+from .config import (ALPHA_DEFAULTS, RULES, config_json, estimator_options, load_config,
+                     resolve_config)
 from .errors import ConfigError, TrainingDiverged, ValidationError, integer
-from .estimators import FAMILIES, load_checkpoint, make_estimator
+from .estimators import load_checkpoint, make_estimator
 from .inference import reconstruct_rows
 from .kspace import kspace_to_json, magnitude_image
 from .metrics import mean_and_se, nmse_rows, ssim_rows
@@ -88,10 +89,7 @@ def _build_model(cfg: dict, sigma_n=None, alpha=None, R_omega=None):
 
 
 def _build_estimator(cfg: dict, q: int):
-    e = cfg["estimator"]
-    fields = FAMILIES[e["family"]].fields  # the config calls the field seed init_seed
-    return make_estimator(e["family"], q, **{
-        name: e["init_seed" if name == "seed" else name] for name, _ in fields})
+    return make_estimator(cfg["estimator"]["family"], q, **estimator_options(cfg))
 
 
 def _train_spec(cfg: dict, method: str, alpha: float, seed: int) -> TrainSpec:
@@ -328,7 +326,17 @@ def _read_theta(path: Path, ref) -> np.ndarray:
 
 def _read_checkpoint(path: Path):
     """A checkpoint written by ``run_train`` and its estimator; ConfigError
-    naming the file and the field otherwise."""
+    naming the file and the field otherwise, on which ``kslab reconstruct``
+    exits 2: a file that is not JSON or lacks ``config``, ``method``,
+    ``alpha`` or ``estimator``; no ``config.model`` object; an unknown
+    method or family; an ``alpha`` or estimator field that fails its rule,
+    or a missing field; an affine checkpoint that lists a pattern twice;
+    and each theta ``_read_theta`` rejects: an older format (base64 text or
+    a list of numbers), a ``dtype`` other than ``"<f8"``, a ``file`` with a
+    directory part, a ``count`` that is not an integer >= 0 or not the
+    family's parameter count, and a missing file or one of the wrong size
+    or sha256. Then ``_check_trained_model`` rejects another model than the
+    run's, and ``run_reconstruct`` another q."""
     try:
         with open(path) as fh:
             checkpoint = json.load(fh)

@@ -9,11 +9,12 @@ import json
 import math
 
 from . import methods as M
-from .errors import ConfigError, Rule, integer, nonempty_list, number, one_of, or_null
+from .errors import SEED_RULE, ConfigError, Rule, integer, nonempty_list, number, one_of, or_null
 from .estimators import FAMILIES, POSITIVE_INT, TinyNet
 from .inference import MODES
 from .noise import NOISE_RULES
-from .training import SEED_RULE, SPEC_RULES
+from .synthetic import PRESETS
+from .training import SPEC_RULES
 
 # Tuned further-noise ratios reported for the weighted and unweighted
 # variants; used when a single-method run leaves alpha unset.
@@ -78,10 +79,16 @@ DEFAULT_CONFIG = {
 
 _ACCEL, _SIGMA, _ALPHA = number(1), NOISE_RULES["sigma_n"], NOISE_RULES["alpha"]
 
+
+def _estimator_key(field: str) -> str:
+    """The config's name of an estimator field: the estimators' seed is init_seed."""
+    return "init_seed" if field == "seed" else field
+
+
 # The rule of every field, in the order they are checked; the estimator's and
 # TrainSpec's fields use the rules their classes declare.
 RULES = {
-    "model.preset": one_of(("scalar", "diagonal", "banded", "bernoulli2d")),
+    "model.preset": one_of(PRESETS),
     "model.q": or_null(POSITIVE_INT),
     "model.sigma_n": _SIGMA,
     "model.alpha": _ALPHA,
@@ -90,7 +97,7 @@ RULES = {
     "model.degree": number(positive=True),
     "model.prior_file": or_null(Rule(lambda x: isinstance(x, str) and x != "", "a file path")),
     "estimator.family": one_of(tuple(FAMILIES)),
-    **{f"estimator.{'init_seed' if name == 'seed' else name}": rule
+    **{f"estimator.{_estimator_key(name)}": rule
        for cls in FAMILIES.values() for name, rule in cls.fields},
     **{f"train.{name}": rule for name, rule in SPEC_RULES.items()},
     "train.n_train": integer(1),
@@ -149,6 +156,12 @@ def load_config(path: str | None) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top-level config must be an object")
     return resolve_config(raw)
+
+
+def estimator_options(cfg: dict) -> dict:
+    """The keyword fields of the config's estimator family, by their estimator names."""
+    e = cfg["estimator"]
+    return {name: e[_estimator_key(name)] for name, _ in FAMILIES[e["family"]].fields}
 
 
 def config_json(cfg: dict) -> str:

@@ -51,11 +51,18 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def integer(minimum: int | None = None) -> Rule:
-    """An integer, at least ``minimum`` when one is given."""
-    return Rule(lambda x: _is_int(x) and (minimum is None or x >= minimum),
-                "an integer" if minimum is None else
-                "a positive integer" if minimum == 1 else f"an integer >= {minimum}")
+def integer(minimum: int | None = None, below: int | None = None) -> Rule:
+    """An integer, at least ``minimum`` and below ``below`` when they are given."""
+    must = ("an integer" if minimum is None else
+            "a positive integer" if minimum == 1 else f"an integer >= {minimum}")
+    return Rule(lambda x: (_is_int(x) and (minimum is None or x >= minimum)
+                           and (below is None or x < below)),
+                must if below is None else f"{must} and < {below}")
+
+
+# Every seed: rng.stream keys on one 64-bit word, so a seed outside it would
+# run as another seed while the outputs name this one.
+SEED_RULE = integer(0, 2 ** 64)
 
 
 def number(low: float = 0, below: float | None = None, positive: bool = False) -> Rule:

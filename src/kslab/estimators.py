@@ -46,7 +46,7 @@ import warnings
 import numpy as np
 
 from . import methods as M
-from .errors import ConfigError, DimensionError, ValidationError, integer
+from .errors import SEED_RULE, ConfigError, DimensionError, ValidationError, integer
 from .kspace import SamplingMask, as_kspace
 from .rng import stream
 from .sampling import compute_P, compute_k
@@ -535,7 +535,7 @@ class TinyNet(Estimator):
     """
 
     family = "tiny_net"
-    fields = (("hidden_layers", POSITIVE_INT), ("width_factor", POSITIVE_INT), ("seed", integer()))
+    fields = (("hidden_layers", POSITIVE_INT), ("width_factor", POSITIVE_INT), ("seed", SEED_RULE))
 
     def __init__(self, q: int, hidden_layers: int = 2, width_factor: int = 4,
                  seed: int = 0, theta=None):
@@ -585,7 +585,7 @@ class ToyCascade(Estimator):
     """
 
     family = "toy_cascade"
-    fields = (("cascades", POSITIVE_INT), ("seed", integer()))
+    fields = (("cascades", POSITIVE_INT), ("seed", SEED_RULE))
 
     def __init__(self, q: int, cascades: int = 2, seed: int = 0, theta=None):
         q, self.cascades, self.seed = self._checked({"q": q, "cascades": cascades, "seed": seed})

@@ -544,6 +544,9 @@ def _oracle_gradient(method: str, est: Estimator, model: MeasurementModel,
         y_tilde = apply_mask(m_in, y + ntilde)
     out, pullback = est.forward_vjp(y_tilde, m_in)
     est_y = correct(out, y_tilde, m_in.member, alpha)
+    # The correction's derivative is written out here, not read from
+    # training: the check compares it with training's loss weights, and a
+    # defect in one shared definition would pass on both sides.
     d = np.where(m_in.member, (1.0 + alpha ** 2) / alpha ** 2, 1.0)
     return 2.0 * pullback(d * (est_y - y0))
 
@@ -584,6 +587,7 @@ def _gradient_moments(claim: str, est: AffinePerPattern, model: MeasurementModel
         f, pullback = est.forward_vjp_stack(theta, part.y_in, part.m_in)
         grads = {"surr": gather_pieces(training.weighted_loss_and_grad(f, pullback, part)[1],
                                        theta.shape)}
+        # written out, not shared with training, as in _oracle_gradient
         d = np.where(part.m_in, (1.0 + alpha ** 2) / alpha ** 2, 1.0)
         est_y = correct(f, part.y_in, part.m_in, alpha)
         grads["oracle"] = 2.0 * gather_pieces(pullback(d * (est_y - draws.y0[block])),

@@ -126,6 +126,9 @@ def _mask_pair(q, R_omega, R_lambda, n_center, degree, kind=COLUMN_POLYNOMIAL, s
     return omega, lam
 
 
+PRESETS = ("scalar", "diagonal", "banded", "bernoulli2d")  # what model_preset builds
+
+
 def model_preset(name: str, sigma_n: float, alpha: float, R_omega: float | None = None,
                  R_lambda: float | None = None, q: int | None = None,
                  degree: float = 8.0) -> MeasurementModel:

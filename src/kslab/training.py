@@ -43,8 +43,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import methods as M
-from .errors import (ConfigError, DimensionError, TrainingDiverged, ValidationError, integer,
-                     number, one_of)
+from .errors import (SEED_RULE, ConfigError, DimensionError, TrainingDiverged, ValidationError,
+                     integer, number, one_of)
 from .estimators import Estimator, OuterPiece, _aligned_empty, formed, gather_pieces
 from .inference import MODE_PRACTICAL, reconstruct_rows
 from .kspace import SamplingMask, _mask_unchecked, as_kspace
@@ -82,7 +82,6 @@ SPEC_RULES = {
     "lambda_n2r": number(),
     "alpha": NOISE_RULES["alpha"],
 }
-SEED_RULE = integer(0)  # TrainSpec's seed: the config's top-level seed, not train.*
 
 
 @dataclass(frozen=True)
@@ -103,7 +102,7 @@ class TrainSpec:
     def __post_init__(self):
         for name, rule in SPEC_RULES.items():
             rule.check(getattr(self, name), name)
-        SEED_RULE.check(self.seed, "seed")
+        SEED_RULE.check(self.seed, "seed")  # the config's top-level seed, not train.*
 
 
 @dataclass

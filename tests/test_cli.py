@@ -133,7 +133,8 @@ def test_cli_exit_code_on_bad_config(tmp_path):
     (["--config", "missing.json"], "missing.json: cannot be read"),
     (["--config", "binary.json"], "binary.json: invalid JSON"),
     (["--seed", "-1"], "seed: must be an integer >= 0"),
-], ids=["missing_config", "binary_config", "negative_seed"])
+    (["--seed", str(2 ** 64)], "seed: must be an integer >= 0 and < 18446744073709551616"),
+], ids=["missing_config", "binary_config", "negative_seed", "seed_past_64_bits"])
 def test_cli_exits_2_on_an_unreadable_config_or_a_negative_seed(tmp_path, capsys, args,
                                                                  message):
     """A config file that is missing or not text, and a --seed that the
@@ -335,6 +336,15 @@ def _raw(path: str, value) -> dict:
     """The config that sets the field ``path`` ("section.key" or "key") to ``value``."""
     section, _, key = path.rpartition(".")
     return {section: {key: value}} if section else {key: value}
+
+
+@pytest.mark.parametrize("path, value", [("seed", 2 ** 64), ("estimator.init_seed", -1),
+                                         ("estimator.init_seed", 2 ** 64)])
+def test_config_seeds_are_one_64_bit_word(path, value):
+    """``rng.stream`` keys on a seed's low 64 bits, so a seed outside
+    [0, 2^64) would run as another seed while the outputs name this one."""
+    with pytest.raises(ConfigError, match=rf"^{path}: must be an integer >= 0 and < {2 ** 64}$"):
+        resolve_config(_raw(path, value))
 
 
 @pytest.mark.parametrize("path", ["model.q", "estimator.init_seed", "train.epochs",

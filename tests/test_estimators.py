@@ -720,6 +720,8 @@ def test_checkpoint_rejects_wrong_theta_length(family, opts):
     ("toy_cascade", {"cascades": 2, "seed": 3}, "seed", "3"),
     ("toy_cascade", {"cascades": 2, "seed": 3}, "q", [3]),
     ("affine_per_pattern", {}, "patterns", [[0, 2], [0, 2]]),
+    ("tiny_net", {"hidden_layers": 1, "width_factor": 2, "seed": 2}, "seed", -1),
+    ("toy_cascade", {"cascades": 2, "seed": 3}, "seed", 2 ** 64),
 ])
 def test_checkpoint_rejects_field_of_wrong_type(family, opts, field, value):
     est = make_estimator(family, 3, **opts)
@@ -770,3 +772,12 @@ def test_make_estimator_rejects_unknown_family():
         make_estimator("mlp", 3)
     with pytest.raises(ConfigError, match=r"unknown estimator family \['tiny_net'\]"):
         load_checkpoint({"family": ["tiny_net"], "q": 3}, np.zeros(0))
+
+
+@pytest.mark.parametrize("family", ["tiny_net", "toy_cascade"])
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_estimator_seed_is_one_64_bit_word(family, seed):
+    """``rng.stream`` keeps a seed's low 64 bits, so a seed outside
+    [0, 2^64) would draw another seed's initialization: -1 that of 2^64 - 1."""
+    with pytest.raises(ConfigError, match=rf"^seed must be an integer >= 0 and < {2 ** 64},"):
+        make_estimator(family, 3, seed=seed)

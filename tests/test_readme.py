@@ -1,15 +1,20 @@
 """README's "Command line" section and the CLI agree, in both directions:
-the subcommands, each one's flags, the inference modes and the exit codes."""
+the subcommands, each one's flags, the inference modes and the exit codes.
+README's pointers resolve, and it holds no figure that a command measures."""
 
 import argparse
 import ast
+import importlib
 import inspect
+import pkgutil
 import re
 from pathlib import Path
 
+import kslab
 from kslab import cli
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def _section(title: str) -> str:
@@ -67,3 +72,47 @@ def test_readme_exit_codes_are_those_main_returns():
     returned = {node.value.value for node in ast.walk(ast.parse(inspect.getsource(cli.main)))
                 if isinstance(node, ast.Return) and isinstance(node.value, ast.Constant)}
     assert listed == returned
+
+
+def test_readme_holds_no_timing_or_memory_figure():
+    """Times and memory are measured by a command (``tools/step_costs.py``,
+    the benchmark) and condensed in ``BENCH_*.json``; README points there,
+    because a figure written by hand drifts from what the code does."""
+    figures = [(n, line) for n, line in enumerate(README.read_text().splitlines(), 1)
+               if re.search(r"\d\s*(s|ms|us|µs|MB|KB|GB)\b", line)]
+    assert figures == []
+
+
+def _code_spans() -> list:
+    """The text of every inline code span, fenced blocks left out."""
+    return re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", README.read_text(), flags=re.S))
+
+
+def test_readme_module_names_resolve():
+    """Each backticked dotted name that starts with a ``kslab`` module, such
+    as ``config.RULES``, names an attribute of that module."""
+    modules = {m.name for m in pkgutil.iter_modules(kslab.__path__)}
+    names = {m[0] for span in _code_spans()
+             if (m := re.match(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+", span))
+             and m[0].split(".")[0] in modules}
+    assert names
+    assert sorted(name for name in names if not _resolves(name)) == []
+
+
+def _resolves(name: str) -> bool:
+    first, *attrs = name.split(".")
+    obj = importlib.import_module(f"kslab.{first}")
+    for attr in attrs:
+        if not hasattr(obj, attr):
+            return False
+        obj = getattr(obj, attr)
+    return True
+
+
+def test_readme_paths_exist():
+    """Every repository path README names, in prose or in a block, exists."""
+    text = README.read_text()
+    paths = set(re.findall(r"(?:tools|tests|src/kslab)/[\w./-]*\w|BENCH_\d+\.json", text))
+    paths |= {f"src/kslab/{name}" for name in re.findall(r"^  (\w+\.py) ", text, flags=re.M)}
+    assert paths
+    assert sorted(p for p in paths if not (ROOT / p).exists()) == []

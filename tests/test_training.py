@@ -724,11 +724,12 @@ def test_train_spec_rejects_adam_settings_that_train_to_nan(field, value):
 
 @pytest.mark.parametrize("field, value", [("epochs", 2.5), ("epochs", True),
                                           ("batch_size", 1.5), ("seed", 2.5), ("seed", True),
-                                          ("seed", -3), ("seed", "7")])
+                                          ("seed", -3), ("seed", "7"), ("seed", 2 ** 64)])
 def test_train_spec_rejects_counts_that_are_not_integers(field, value):
     """Epochs, the batch size and the seed are integers, as in the config:
     never a float, and never a bool; the seed, by the rule of the config's
-    top-level seed, is at least 0, so 2.5 is not trained as seed 2."""
+    top-level seed, is in [0, 2^64), so 2.5 is not trained as seed 2 and
+    2^64 not as seed 0."""
     with pytest.raises(ConfigError, match=rf"^{field} must be "):
         TrainSpec(method=M.ROBUST_SSDU, **{field: value})
 
