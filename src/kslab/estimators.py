@@ -72,7 +72,7 @@ def real_to_complex(x: np.ndarray) -> np.ndarray:
 POSITIVE_INT, INDEX = integer(1), integer(0)  # the rules of q and of a sampled index
 
 
-def _aligned_empty(shape: tuple) -> np.ndarray:
+def aligned_empty(shape: tuple) -> np.ndarray:
     """An uninitialized float64 array whose data starts on a 64-byte boundary.
 
     malloc aligns to 16 bytes only; at a 16-byte offset, an (8, 816) Adam step
@@ -600,7 +600,7 @@ class ToyCascade(Estimator):
         self.layout = (self.family, self.cascades, tuple(sizes))
         if theta is None:
             rng = stream(self.seed, "toy_cascade_init")
-            theta = _aligned_empty((end,))
+            theta = aligned_empty((end,))
             theta[...] = 0.0
             for i_eta, d_net, r_net in self.nets:
                 theta[i_eta] = 1.0

@@ -95,16 +95,6 @@ class SamplingMask:
         return SamplingMask(member, np.asarray(probs, dtype=np.float64))
 
 
-def _mask_unchecked(member: np.ndarray, probs: np.ndarray) -> SamplingMask:
-    """Constructor bypassing validation for internally produced masks."""
-    member.setflags(write=False)
-    probs.setflags(write=False)
-    mask = object.__new__(SamplingMask)
-    object.__setattr__(mask, "member", member)
-    object.__setattr__(mask, "probs", probs)
-    return mask
-
-
 def full_mask(q: int) -> SamplingMask:
     return SamplingMask(np.ones(q, dtype=bool), np.ones(q))
 
@@ -131,14 +121,12 @@ def mask_algebra(omega: SamplingMask, lam: SamplingMask) -> MaskAlgebra:
     if omega.q != lam.q:
         raise DimensionError(f"mask length mismatch: {omega.q} vs {lam.q}")
     p, pt = omega.probs, lam.probs
-    both = omega.member & lam.member
-    inter = _mask_unchecked(both, p * pt)
-    minus = _mask_unchecked(omega.member & ~lam.member, p * (1.0 - pt))
-    return MaskAlgebra(inter, minus)
+    return MaskAlgebra(SamplingMask(omega.member & lam.member, p * pt),
+                       SamplingMask(omega.member & ~lam.member, p * (1.0 - pt)))
 
 
 @lru_cache(maxsize=16)
-def _dft_matrix(q: int) -> np.ndarray:
+def dft_matrix(q: int) -> np.ndarray:
     jk = np.outer(np.arange(q), np.arange(q))
     return np.exp(-2j * np.pi * jk / q) / np.sqrt(q)
 
@@ -156,11 +144,11 @@ def magnitude_image(k, shape=None) -> np.ndarray:
     rows = as_kspace_rows(arr if arr.ndim != 1 else arr[None])
     q = rows.shape[1]
     if shape is None:
-        img = np.matmul(np.conj(_dft_matrix(q)), rows[..., None])[..., 0]
+        img = np.matmul(np.conj(dft_matrix(q)), rows[..., None])[..., 0]
     else:
         nx, ny = shape
         if nx * ny != q:
             raise DimensionError(f"shape {shape} does not flatten to length {q}")
         grid = rows.reshape(-1, nx, ny)
-        img = np.matmul(np.matmul(np.conj(_dft_matrix(nx)), grid), np.conj(_dft_matrix(ny)).T)
+        img = np.matmul(np.matmul(np.conj(dft_matrix(nx)), grid), np.conj(dft_matrix(ny)).T)
     return np.abs(img if arr.ndim != 1 else img[0])

@@ -21,7 +21,6 @@ order, so results are reproducible.
 import math
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -366,26 +365,18 @@ def analytic_posterior_mse(model: MeasurementModel, method: str) -> float:
     return table.average(Posterior(model, table.members).error_trace(COND_ON_YTILDE))
 
 
-class _Draws(NamedTuple):
-    """One shard of joint draws from a measurement model, one row per draw."""
-
-    y0: np.ndarray      # (count, q) ground truth
-    noise: np.ndarray   # (count, q) measurement noise n
-    omega: np.ndarray   # (count, q) first-level membership
-    lam: np.ndarray     # (count, q) second-level membership
-    ntilde: np.ndarray  # (count, q) further noise
-    y: np.ndarray       # (count, q) measured data M_Omega (y0 + n)
-
-
-def _draw_shard(model: MeasurementModel, rng: np.random.Generator, count: int) -> _Draws:
-    """``count`` joint draws, taken from ``rng`` as whole arrays in field order."""
+def _draw_shard(model: MeasurementModel, rng: np.random.Generator,
+                count: int) -> training.Dataset:
+    """``count`` joint draws, one row each, taken from ``rng`` as whole
+    arrays in the order y0, n, Omega, Lambda, ntilde."""
     shape = (count, model.q)
     y0 = gaussian_ground_truth(model, rng, count)
     n = complex_gaussian(shape, model.noise.sigma_n, rng)
     omega = model.omega_dist.draw_members(rng, count)
     lam = model.lambda_dist.draw_members(rng, count)
     ntilde = complex_gaussian(shape, model.noise.alpha * model.noise.sigma_n, rng)
-    return _Draws(y0, n, omega, lam, ntilde, np.where(omega, y0 + n, 0.0 + 0.0j))
+    return training.Dataset(np.where(omega, y0 + n, 0.0 + 0.0j), omega, model.omega_probs(),
+                            y0, n, lam, model.lambda_probs(), ntilde)
 
 
 def _shards(seed: int, label: str, samples: int):
@@ -400,7 +391,7 @@ def _require_affine(est: Estimator) -> None:
 
 
 def _mse_errors(method: str, est: AffinePerPattern, model: MeasurementModel,
-                draws: _Draws) -> np.ndarray:
+                draws: training.Dataset) -> np.ndarray:
     """Per-draw || theory-mode corrected reconstruction - ground truth ||^2."""
     y_in, m_in = M.row(method).input.build(draws.y, draws.omega, draws.lam, draws.ntilde)
     est_y = estimate_rows(method, est, y_in, m_in, model.noise.alpha)
@@ -486,11 +477,16 @@ def check_conditional_noise_identity(model: MeasurementModel, samples: int,
     combination (further - alpha^2 * measurement) has zero slope. Also
     checks each slope against its closed-form Gaussian regression value.
     Real and imaginary channels are independent scalar samples; the check
-    holds four channel vectors (x, n, ntilde and one residual).
+    holds four channel vectors (x, n, ntilde and one residual). An
+    observation of variance 0 has no slope: ValidationError, before any draw.
     """
     sigma0_sq = float(model.prior_cov[0, 0].real)
     sigma_n = model.noise.sigma_n
     alpha = model.noise.alpha
+    var_ytilde = sigma0_sq + (1.0 + alpha ** 2) * sigma_n ** 2
+    if var_ytilde == 0.0:
+        raise ValidationError("the conditional-noise regression is undefined: the observation "
+                              "variance sigma0^2 + (1 + alpha^2) sigma_n^2 at index 0 is 0")
     rng = stream(seed, "noise_identity")
     x = _channels(rng, samples, math.sqrt(sigma0_sq))
     n_ch = _channels(rng, samples, sigma_n)
@@ -506,7 +502,6 @@ def check_conditional_noise_identity(model: MeasurementModel, samples: int,
     n_ch *= alpha ** 2
     nt_ch -= n_ch
     slope_diff, se_diff = _origin_slope(x, nt_ch, sxx, resid)
-    var_ytilde = sigma0_sq + (1.0 + alpha ** 2) * sigma_n ** 2
     ref_n = sigma_n ** 2 / var_ytilde
     ref_nt = alpha ** 2 * ref_n
 
@@ -532,10 +527,10 @@ def check_conditional_noise_identity(model: MeasurementModel, samples: int,
 # ---------------------------------------------------------------------------
 
 def _oracle_gradient(method: str, est: Estimator, model: MeasurementModel,
-                     y0: np.ndarray, y: np.ndarray, omega: SamplingMask,
-                     lam: SamplingMask | None, ntilde: np.ndarray) -> np.ndarray:
+                     item: training.TrainItem) -> np.ndarray:
     """Per-draw gradient of || corrected estimate - ground truth ||^2."""
     alpha = model.noise.alpha
+    y0, y, omega, lam, ntilde = item.y0, item.y, item.omega, item.lam, item.ntilde
     if method in (M.NOISIER2FULL, M.NOISIER2FULL_UNWEIGHTED):
         m_in = omega
         y_tilde = y + apply_mask(omega, ntilde)
@@ -552,7 +547,7 @@ def _oracle_gradient(method: str, est: Estimator, model: MeasurementModel,
 
 
 def _gradient_moments(claim: str, est: AffinePerPattern, model: MeasurementModel,
-                      draws: _Draws, sums: dict, sums_sq: dict) -> float:
+                      draws: training.Dataset, sums: dict, sums_sq: dict) -> float:
     """Add one shard's per-draw surrogate, oracle and difference gradients
     into ``sums`` and their squares into ``sums_sq`` (each ``{key: (n_params,)}``,
     keys "surr", "oracle" and "diff").
@@ -570,10 +565,7 @@ def _gradient_moments(claim: str, est: AffinePerPattern, model: MeasurementModel
     per-draw gradient, relative to the latter's largest entry.
     """
     alpha = model.noise.alpha
-    method = M.row(claim)
-    p, pt = model.omega_probs(), model.lambda_probs()
-    rows = training.method_rows(method, alpha, draws.y, draws.omega, draws.lam, draws.ntilde,
-                                training._target(method, claim, draws), training.compute_P(p, pt))
+    rows = training.method_rows(claim, alpha, draws)
     first = np.array([g[0] for g in group_rows(np.concatenate([draws.omega, draws.lam], axis=1))])
     est.get_blocks(rows.m_in[first])  # raises on a drawn pattern not enrolled
     spec = training.TrainSpec(method=claim, alpha=alpha)
@@ -597,12 +589,9 @@ def _gradient_moments(claim: str, est: AffinePerPattern, model: MeasurementModel
             sums[key] += g.sum(axis=0)
             sums_sq[key] += np.einsum("ij,ij->j", g, g)
         for i in first[(first >= block.start) & (first < block.stop)]:
-            omega, lam = SamplingMask(draws.omega[i], p), SamplingMask(draws.lam[i], pt)
-            item = training.TrainItem(y=draws.y[i], omega=omega, y0=draws.y0[i],
-                                      noise=draws.noise[i], lam=lam, ntilde=draws.ntilde[i])
+            item = draws[i]
             refs = {"surr": training.loss_and_grad(spec, est, item)[1],
-                    "oracle": _oracle_gradient(claim, est, model, draws.y0[i], draws.y[i],
-                                               omega, lam, draws.ntilde[i])}
+                    "oracle": _oracle_gradient(claim, est, model, item)}
             for key, ref in refs.items():
                 scale = max(float(np.abs(ref).max()), np.finfo(float).tiny)
                 worst = max(worst, float(np.abs(grads[key][i - start] - ref).max()) / scale)

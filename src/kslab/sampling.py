@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, ValidationError, integer, number, one_of
-from .kspace import SamplingMask, _mask_unchecked
+from .kspace import SamplingMask
 
 COLUMN_POLYNOMIAL = "column_polynomial"
 BERNOULLI2D_POLYNOMIAL = "bernoulli2d_polynomial"
@@ -106,7 +106,7 @@ class MaskDistribution:
 
     def draw(self, rng: np.random.Generator) -> SamplingMask:
         """Draw one mask."""
-        return _mask_unchecked(self.draw_members(rng, 1)[0], self.probs())
+        return SamplingMask(self.draw_members(rng, 1)[0], self.probs())
 
     def draw_members(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Membership rows of ``count`` independent masks, shape (count, q)."""
@@ -140,7 +140,13 @@ def _density(dist: MaskDistribution) -> np.ndarray:
     def accel_at(s):
         return n / probs_at(s).sum()
 
-    hi = 4.0 / weight.min()
+    # the scale acts only off the forced center; a weight there that
+    # underflows to 0 leaves no finite bracket
+    with np.errstate(divide="ignore", over="ignore"):
+        hi = 4.0 / weight.min(initial=np.inf, where=~center)
+    if not np.isfinite(hi):
+        raise ConfigError(f"density scale bracket is not finite: degree {dist.degree:g} "
+                          f"underflows the density to 0 off the center")
     if accel_at(hi) > dist.target_accel:
         raise ConfigError("density scale bracket failed; target_accel too low")
     lo = 0.0
@@ -156,8 +162,8 @@ def _density(dist: MaskDistribution) -> np.ndarray:
         raise ConfigError(
             f"density scaling missed target acceleration: {got} vs {dist.target_accel}"
         )
-    if np.any(probs <= 0.0):
-        raise ConfigError("density scaling produced a zero probability")
+    if not np.all(np.isfinite(probs) & (probs > 0.0)):
+        raise ConfigError("density scaling produced a zero or non-finite probability")
     probs.setflags(write=False)
     return probs
 
@@ -170,13 +176,16 @@ def build_density(dist: MaskDistribution) -> np.ndarray:
 def validate_mask_conditions(p, ptilde) -> None:
     """Check the first/second-level mask requirements.
 
-    Requires p_j > 0 everywhere and ptilde_j < 1 wherever p_j < 1; the
-    self-supervision identities below are only valid under these conditions.
+    Requires finite p and ptilde, p_j > 0 everywhere and ptilde_j < 1
+    wherever p_j < 1; the self-supervision identities below are only valid
+    under these conditions.
     """
     p = np.asarray(p, dtype=np.float64)
     pt = np.asarray(ptilde, dtype=np.float64)
     if p.shape != pt.shape:
         raise ValidationError(f"probability vectors disagree in length: {p.shape} vs {pt.shape}")
+    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(pt))):
+        raise ValidationError("inclusion probabilities p and ptilde must be finite")
     bad = np.nonzero(p <= 0.0)[0]
     if bad.size:
         raise ValidationError(f"p must be positive everywhere; p[{bad[0]}] = {p[bad[0]]}")

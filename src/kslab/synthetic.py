@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .kspace import _dft_matrix
+from .kspace import dft_matrix
 from .noise import NoiseSpec, complex_from_normals
 from .sampling import (
     BERNOULLI2D_POLYNOMIAL,
@@ -116,7 +116,7 @@ def banded_prior_cov(q: int) -> np.ndarray:
     lo = (q - width) // 2
     v_img = np.full(q, BANDED_FLOOR)
     v_img[lo:lo + width] = 1.0
-    f = _dft_matrix(q)
+    f = dft_matrix(q)
     return f @ np.diag(v_img.astype(np.complex128)) @ f.conj().T
 
 

@@ -37,7 +37,7 @@ comes. Either sum goes to Adam as one piece.
 import math
 import time
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -45,9 +45,9 @@ import numpy as np
 from . import methods as M
 from .errors import (SEED_RULE, ConfigError, DimensionError, TrainingDiverged, ValidationError,
                      integer, number, one_of)
-from .estimators import Estimator, OuterPiece, _aligned_empty, formed, gather_pieces
+from .estimators import Estimator, OuterPiece, aligned_empty, formed, gather_pieces
 from .inference import MODE_PRACTICAL, reconstruct_rows
-from .kspace import SamplingMask, _mask_unchecked, as_kspace
+from .kspace import SamplingMask, as_kspace
 from .metrics import nmse_rows
 from .noise import NOISE_RULES, complex_from_normals, second_level_draws
 from .rng import stream, streams
@@ -131,22 +131,30 @@ def make_train_item(model: MeasurementModel, rng: np.random.Generator,
 
 @dataclass
 class Dataset:
-    """Training acquisitions as (n, q) rows: data y, first-level membership
-    omega, and the ground truth y0 and noise draw when kept."""
+    """Drawn acquisitions as (n, q) rows: data y, first-level membership
+    omega and its probabilities (q,), the ground truth y0 and noise draw when
+    kept, and the second-level membership lam, its probabilities (q,) and
+    the further noise ntilde when drawn. A training set and a Monte Carlo
+    shard are both one."""
 
     y: np.ndarray
     omega: np.ndarray
     omega_probs: np.ndarray
     y0: np.ndarray | None = None
     noise: np.ndarray | None = None
+    lam: np.ndarray | None = None
+    lam_probs: np.ndarray | None = None
+    ntilde: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.y.shape[0]
 
     def __getitem__(self, i: int) -> TrainItem:
-        return TrainItem(y=self.y[i], omega=_mask_unchecked(self.omega[i], self.omega_probs),
-                         y0=None if self.y0 is None else self.y0[i],
-                         noise=None if self.noise is None else self.noise[i])
+        y0, noise, ntilde = (None if a is None else a[i]
+                             for a in (self.y0, self.noise, self.ntilde))
+        lam = None if self.lam is None else SamplingMask(self.lam[i], self.lam_probs)
+        return TrainItem(self.y[i], SamplingMask(self.omega[i], self.omega_probs), y0, noise, lam,
+                         ntilde)
 
 
 def draw_dataset(model: MeasurementModel, rngs: Iterable[np.random.Generator], n_items: int,
@@ -237,15 +245,35 @@ class Rows(NamedTuple):
     m_c: np.ndarray | None = None
 
 
-def method_rows(method: M.Method, alpha: float, y, omega, lam, ntilde, target,
-                P=None) -> Rows:
-    """The method's loss inputs from the data, row by row (the square of the
-    weight, since ``sqrt(P)**2 != P`` bitwise)."""
-    y_in, m_in = method.input.build(y, omega, lam, ntilde)
+def _require(data, attr: str, method: str):
+    value = getattr(data, attr)
+    if value is None:
+        raise ConfigError(f"method {method!r} requires item field {attr!r}")
+    return value
+
+
+def method_rows(name: str, alpha: float, data: Dataset) -> Rows:
+    """The loss inputs of method ``name`` from drawn rows, row by row: the
+    input and its support, the target (y, y0 or y0 + n), the square of the
+    weight (``sqrt(P)**2 != P`` bitwise; P from the record's probabilities)
+    and any consistency input. ConfigError names a field the method reads
+    that ``data`` lacks."""
+    method = M.row(name)
+    omega = data.omega
+    lam = _require(data, "lam", name) if method.reads_lam else None
+    ntilde = _require(data, "ntilde", name) if method.reads_ntilde else None
+    target = data.y
+    if method.target != M.TARGET_Y:
+        target = _require(data, "y0", name)
+        if method.target == M.TARGET_Y0_PLUS_N:
+            target = target + _require(data, "noise", name)
+    P = (compute_P(data.omega_probs, data.lam_probs)
+         if method.weight == M.WEIGHT_ROBUST_SSDU else None)
+    y_in, m_in = method.input.build(data.y, omega, lam, ntilde)
     w2 = loss_weight(method, omega, lam, alpha, P) ** 2
     if method.consistency is None:
         return Rows(y_in, m_in, target, w2)
-    return Rows(y_in, m_in, target, w2, *method.consistency.build(y, omega, lam, ntilde))
+    return Rows(y_in, m_in, target, w2, *method.consistency.build(data.y, omega, lam, ntilde))
 
 
 def weighted_loss_and_grad(f: np.ndarray, pullback, rows: Rows):
@@ -288,38 +316,18 @@ def stack_loss_and_grad(est: Estimator, theta: np.ndarray, rows: Rows, cons, lam
     return loss, [(slice(0, theta.shape[1]), grad)]
 
 
-def _require(item, attr: str, method: str):
-    value = getattr(item, attr)
-    if value is None:
-        raise ConfigError(f"method {method!r} requires item field {attr!r}")
-    return value
-
-
-def _target(method: M.Method, name: str, source) -> np.ndarray:
-    """The method's target from a ``TrainItem`` or a ``Dataset``."""
-    if method.target == M.TARGET_Y:
-        return source.y
-    target = _require(source, "y0", name)
-    if method.target == M.TARGET_Y0_PLUS_N:
-        target = target + _require(source, "noise", name)
-    return target
-
-
 def loss_and_grad(spec: TrainSpec, est: Estimator, item: TrainItem) -> tuple[float, np.ndarray]:
     """Per-item loss and exact parameter gradient for the selected method.
 
-    The one-row case of ``stack_loss_and_grad`` under the estimator's theta.
+    The one-row case of ``stack_loss_and_grad`` under the estimator's theta,
+    on the item as a one-row ``Dataset``.
     """
-    name = spec.method
-    method = M.row(name)
-    y = as_kspace(item.y)
-    lam = _require(item, "lam", name) if method.reads_lam else None
-    ntilde = as_kspace(_require(item, "ntilde", name)) if method.reads_ntilde else None
-    target = _target(method, name, item)
-    P = compute_P(item.omega.probs, lam.probs) if method.weight == M.WEIGHT_ROBUST_SSDU else None
-    rows = method_rows(method, spec.alpha, y, item.omega.member,
-                       None if lam is None else lam.member, ntilde, target, P)
-    rows = Rows(*(None if a is None else a[None] for a in rows))
+    lam = item.lam
+    y0, noise = (None if a is None else a[None] for a in (item.y0, item.noise))
+    data = Dataset(as_kspace(item.y)[None], item.omega.member[None], item.omega.probs, y0, noise,
+                   None if lam is None else lam.member[None], None if lam is None else lam.probs,
+                   None if item.ntilde is None else as_kspace(item.ntilde)[None])
+    rows = method_rows(spec.method, spec.alpha, data)
     _enroll(est, rows)
     theta = est.theta[None]
     loss, pieces = stack_loss_and_grad(est, theta, rows, np.array([True]),
@@ -404,13 +412,13 @@ def adam_step(state: AdamState, params: np.ndarray, grad) -> np.ndarray:
     if state.m.shape != params.shape or not state.scratch:
         # the first step, or the parameters grew: pad the moments, cut anew
         for name in ("m", "v"):
-            grown = _aligned_empty(params.shape)
+            grown = aligned_empty(params.shape)
             old = getattr(state, name)
             grown[..., :old.shape[-1]] = old
             grown[..., old.shape[-1]:] = 0.0
             setattr(state, name, grown)
         width = max(1, min(n, ADAM_BLOCK // max(1, math.prod(params.shape[:-1]))))
-        state.scratch = tuple(_aligned_empty((*params.shape[:-1], width)) for _ in range(2))
+        state.scratch = tuple(aligned_empty((*params.shape[:-1], width)) for _ in range(2))
         state.blocks = {}
     state.t += 1
     b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
@@ -470,47 +478,31 @@ def _stack_key(cell: Cell):
             s.lr, s.beta1, s.beta2, s.eps)
 
 
-class _CellRun:
-    """A cell's fixed training arrays and its per-epoch draws."""
-
-    def __init__(self, cell: Cell):
-        spec, data, model = cell.spec, cell.data, cell.model
-        self.cell = cell
-        self.method = M.row(spec.method)
-        if (self.method.weight in (M.WEIGHT_NOISIER2FULL, M.WEIGHT_ROBUST_SSDU)
-                and spec.alpha != model.noise.alpha):
-            raise ConfigError(f"method {spec.method!r} weights its loss at alpha {spec.alpha:g} "
-                              f"but draws its further noise at alpha {model.noise.alpha:g}")
-        self.seed = spec.seed
-        self.target = _target(self.method, spec.method, data)
-        self.P = (compute_P(model.omega_probs(), model.lambda_probs())
-                  if self.method.weight == M.WEIGHT_ROBUST_SSDU else None)
-
-    def epoch_rows(self, epoch: int) -> tuple[Rows, np.ndarray]:
-        """The epoch's loss inputs for every item, and the item order."""
-        spec, data, model = self.cell.spec, self.cell.data, self.cell.model
-        n, q = data.y.shape
-        lam = ntilde = None
-        if self.method.reads_lam or self.method.reads_ntilde:
-            # every such method draws Lambda, so the noise sits at one stream position
-            lam, ntilde = second_level_draws(
-                streams(self.seed, "epoch", epoch, "item", count=n), n, q, model.lambda_dist,
-                model.noise.alpha * model.noise.sigma_n if self.method.reads_ntilde else None)
-        order = stream(self.seed, "epoch", epoch, "shuffle").permutation(n)
-        rows = method_rows(self.method, spec.alpha, data.y, data.omega, lam, ntilde,
-                           self.target, self.P)
-        return rows, order
-
-    def validation_nmse(self) -> float:
-        """Mean NMSE of the practical-mode reconstructions of the training data."""
-        spec, est, data, model = self.cell
-        rec = reconstruct_rows(spec.method, est, data.y, data.omega, model.noise,
-                               mode=MODE_PRACTICAL)
-        # the running sum of the items in order, as a loop over items adds them
-        return float(np.cumsum(nmse_rows(rec, data.y0))[-1]) / len(data)
+def _epoch_rows(cell: Cell, epoch: int) -> tuple[Rows, np.ndarray]:
+    """A cell's loss inputs for every item in an epoch, and the item order."""
+    spec, data, model = cell.spec, cell.data, cell.model
+    method = M.row(spec.method)
+    n, q = data.y.shape
+    if method.reads_lam or method.reads_ntilde:
+        # every such method draws Lambda, so the noise sits at one stream position
+        lam, ntilde = second_level_draws(
+            streams(spec.seed, "epoch", epoch, "item", count=n), n, q, model.lambda_dist,
+            model.noise.alpha * model.noise.sigma_n if method.reads_ntilde else None)
+        data = replace(data, lam=lam, lam_probs=model.lambda_probs(), ntilde=ntilde)
+    order = stream(spec.seed, "epoch", epoch, "shuffle").permutation(n)
+    return method_rows(spec.method, spec.alpha, data), order
 
 
-def _stack_epoch(runs: list[_CellRun], epoch: int, consistency: bool) -> Rows:
+def _validation_nmse(cell: Cell) -> float:
+    """Mean NMSE of the practical-mode reconstructions of a cell's training data."""
+    spec, est, data, model = cell
+    rec = reconstruct_rows(spec.method, est, data.y, data.omega, model.noise,
+                           mode=MODE_PRACTICAL)
+    # the running sum of the items in order, as a loop over items adds them
+    return float(np.cumsum(nmse_rows(rec, data.y0))[-1]) / len(data)
+
+
+def _stack_epoch(cells: list[Cell], epoch: int, consistency: bool) -> Rows:
     """Every cell's epoch rows in its item order, as (n, C, q) arrays: step s reads [s].
 
     With ``consistency`` (some cell has a consistency term), a cell without
@@ -519,15 +511,15 @@ def _stack_epoch(runs: list[_CellRun], epoch: int, consistency: bool) -> Rows:
     epoch arrays exist beside the stack's.
     """
     fields = [None] * len(Rows._fields)
-    for c, run in enumerate(runs):
-        rows, order = run.epoch_rows(epoch)
+    for c, cell in enumerate(cells):
+        rows, order = _epoch_rows(cell, epoch)
         if consistency and rows.y_c is None:
             rows = rows._replace(y_c=rows.y_in, m_c=rows.m_in)
         for k, arr in enumerate(rows):
             if arr is None:
                 continue
             if fields[k] is None:
-                fields[k] = np.empty((arr.shape[0], len(runs), arr.shape[1]), dtype=arr.dtype)
+                fields[k] = np.empty((arr.shape[0], len(cells), arr.shape[1]), dtype=arr.dtype)
             fields[k][:, c] = arr[order]
     return Rows(*fields)
 
@@ -542,7 +534,6 @@ def _consistency_cells(cells: list[Cell]) -> tuple[np.ndarray, np.ndarray]:
 
 def _train_stack(cells: list[Cell], validate_every: int) -> list[list[dict]]:
     """Train one stack in lockstep, its cells in plan order."""
-    runs = [_CellRun(cell) for cell in cells]
     cons, lambda_n2r = _consistency_cells(cells)
     est = cells[0].est
     spec = cells[0].spec
@@ -556,7 +547,7 @@ def _train_stack(cells: list[Cell], validate_every: int) -> list[list[dict]]:
     n = len(cells[0].data)
     histories = [[] for _ in cells]
     for epoch in range(spec.epochs):
-        rows = _stack_epoch(runs, epoch, cons.any())
+        rows = _stack_epoch(cells, epoch, cons.any())
         if theta is None:
             # Only a stack of one can grow its parameters. Its patterns enroll
             # in step order before the epoch's first step; a block not yet
@@ -589,11 +580,10 @@ def _train_stack(cells: list[Cell], validate_every: int) -> list[list[dict]]:
             # one item's pieces are consumed as its pullback hands them over
             adam_step(state, params, pieces if grad is None else grad)
         del rows, steps, grad, pieces  # before the next epoch's are built
-        for run, history, total in zip(runs, histories, totals):
+        for cell, history, total in zip(cells, histories, totals):
             row = {"epoch": epoch, "train_loss": float(total) / n}
-            if (validate_every and epoch % validate_every == 0
-                    and run.cell.data.y0 is not None):
-                row["val_nmse"] = run.validation_nmse()
+            if validate_every and epoch % validate_every == 0 and cell.data.y0 is not None:
+                row["val_nmse"] = _validation_nmse(cell)
             history.append(row)
     return histories
 
@@ -603,6 +593,12 @@ def _run_stack(stack: list[tuple[int, Cell]], validate_every: int):
     t0 = time.perf_counter()
     if len({id(cell.est) for _, cell in stack}) != len(stack):
         raise ConfigError("each cell needs its own estimator")
+    for _, cell in stack:
+        spec, model = cell.spec, cell.model
+        if (M.row(spec.method).weight in (M.WEIGHT_NOISIER2FULL, M.WEIGHT_ROBUST_SSDU)
+                and spec.alpha != model.noise.alpha):
+            raise ConfigError(f"method {spec.method!r} weights its loss at alpha {spec.alpha:g} "
+                              f"but draws its further noise at alpha {model.noise.alpha:g}")
     histories = _train_stack([cell for _, cell in stack], validate_every)
     return [position for position, _ in stack], histories, time.perf_counter() - t0
 

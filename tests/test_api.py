@@ -59,3 +59,27 @@ def test_every_public_definition_is_read_elsewhere_in_the_package_or_by_the_acce
                 if node.name not in used | _used_names(rest):
                     unused.append(f"{name}:{node.name}")
     assert trees and unused == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_no_module_reads_a_private_name_of_another():
+    """A package module imports no private name from another package module
+    and reads none as ``module._name``. Attributes of other objects, such
+    as a NamedTuple's ``_fields`` and ``_replace``, are not module names."""
+    reads = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _tree(path)
+        modules = set()  # the names this module binds to package modules
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level and node.module is None:
+                modules |= {alias.asname or alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level:
+                reads += [f"{path.name}: from .{node.module} import {alias.name}"
+                          for alias in node.names if _private(alias.name)]
+        reads += [f"{path.name}: {node.value.id}.{node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules and _private(node.attr)]
+    assert reads == []

@@ -782,6 +782,37 @@ def test_preset_violating_mask_conditions_is_config_error(tmp_path):
     assert main(["verify", "--config", cfg_path, "--out", str(tmp_path)]) == 2
 
 
+def test_verify_exits_2_on_an_observation_of_variance_zero(tmp_path, capsys, monkeypatch):
+    """A prior whose index-0 variance is 0 at sigma_n 0 leaves the
+    conditional-noise regression without a slope: a configuration error
+    before anything is drawn, not a traceback."""
+    import kslab.oracles as oracles_mod
+
+    drawn, channels = [], oracles_mod._channels
+    monkeypatch.setattr(oracles_mod, "_channels",
+                        lambda *args: drawn.append(args) or channels(*args))
+    (tmp_path / "zero.json").write_text("[[[0.0, 0.0]]]")
+    path = write_cfg(tmp_path, {"model": {"preset": "scalar", "sigma_n": 0,
+                                          "prior_file": str(tmp_path / "zero.json")}})
+    assert main(["verify", "--config", path, "--out", str(tmp_path)]) == 2
+    assert "observation variance" in capsys.readouterr().err
+    assert drawn == []
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("command, output", [("verify", "report.json"),
+                                             ("compare", "results.csv")])
+def test_cli_exits_2_on_a_degree_that_underflows_the_density(tmp_path, capsys, command,
+                                                             output):
+    """At degree 1e6 the banded density is NaN off the center; the run is a
+    configuration error, not a verify or compare on one mask pattern."""
+    cfg = {**FAST_CFG, "model": {**FAST_CFG["model"], "degree": 1e6}}
+    path = write_cfg(tmp_path, cfg)
+    assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
+    assert "underflows the density" in capsys.readouterr().err
+    assert not (tmp_path / output).exists()
+
+
 def test_noiseless_fully_sampled_benchmark_near_zero_nmse(tmp_path):
     cfg = resolve_config({
         "model": {"preset": "banded", "q": 4, "sigma_n": 0.0, "alpha": 1.0},

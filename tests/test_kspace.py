@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from kslab.errors import DimensionError, ValidationError
 from kslab.kspace import (
     SamplingMask,
-    _dft_matrix,
     apply_mask,
     as_kspace,
+    dft_matrix,
     full_mask,
     kspace_to_json,
     magnitude_image,
@@ -27,7 +27,7 @@ def random_vector(q, seed=0):
 def dft(v, inverse=False):
     """The unitary DFT (or its inverse) of a vector, by the matrix that
     ``magnitude_image`` and the banded prior apply."""
-    f = _dft_matrix(len(v))
+    f = dft_matrix(len(v))
     return (np.conj(f) if inverse else f) @ v
 
 

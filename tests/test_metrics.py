@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kslab.errors import DimensionError, ValidationError
-from kslab.kspace import _dft_matrix as dft_matrix
+from kslab.kspace import dft_matrix
 from kslab.kspace import magnitude_image
 from kslab.metrics import (SSIM_K1, SSIM_K2, SSIM_WINDOW, mean_and_se, nmse, nmse_rows, ssim,
                            ssim_rows)

@@ -747,8 +747,7 @@ def test_gradient_equivalence_exact_per_sample_when_noiseless_full():
         item = TrainItem(y=y0.copy(), omega=omega, y0=y0, noise=zero,
                          lam=lam, ntilde=zero)
         _, g_surr = loss_and_grad(spec, est, item)
-        g_orac = _oracle_gradient(M.NOISIER2FULL, est, model, y0, y0.copy(),
-                                  omega, lam, zero)
+        g_orac = _oracle_gradient(M.NOISIER2FULL, est, model, item)
         scale = max(1.0, np.abs(g_surr).max())
         assert np.abs(g_surr - g_orac).max() <= 1e-12 * scale
 
@@ -839,7 +838,7 @@ def test_gradient_equivalence_exact_enumeration():
         item = TrainItem(y=y, omega=omega, y0=y0, noise=n, lam=lam, ntilde=nt)
         _, gs = loss_and_grad(spec, est, item)
         acc_s += gs
-        acc_o += _oracle_gradient(M.ROBUST_SSDU, est, model, y0, y, omega, lam, nt)
+        acc_o += _oracle_gradient(M.ROBUST_SSDU, est, model, item)
     assert np.abs(acc_s / n_mc - g_surr).max() < 0.1
     assert np.abs(acc_o / n_mc - g_orac).max() < 0.1
 
@@ -904,8 +903,7 @@ def test_batched_gradients_match_per_draw_library_path(claim):
         item = TrainItem(y=draws.y[i], omega=omega, y0=draws.y0[i], noise=draws.noise[i],
                          lam=lam, ntilde=draws.ntilde[i])
         g_surr = loss_and_grad(spec, est, item)[1]
-        g_orac = _oracle_gradient(claim, est, model, draws.y0[i], draws.y[i], omega, lam,
-                                  draws.ntilde[i])
+        g_orac = _oracle_gradient(claim, est, model, item)
         for key, g in (("surr", g_surr), ("oracle", g_orac), ("diff", g_surr - g_orac)):
             ref[key] += g
             ref_sq[key] += g * g

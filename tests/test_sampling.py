@@ -41,6 +41,24 @@ def test_density_unattainable_accel():
         MaskDistribution("column_polynomial", 16, 10.0, 4)
 
 
+@pytest.mark.parametrize("kind, q, shape", [("column_polynomial", 8, None),
+                                            ("bernoulli2d_polynomial", 64, (8, 8))])
+def test_density_rejects_a_degree_that_underflows_to_zero(kind, q, shape):
+    """At degree 1e6 the density underflows to 0 off the center: the
+    bisection bracket is infinite and the scaled probabilities would be NaN,
+    which every comparison lets through."""
+    dist = MaskDistribution(kind, q, 2.0, 2, degree=1e6, shape=shape)
+    with pytest.raises(ConfigError, match=r"degree 1e\+06 underflows the density"):
+        dist.probs()
+
+
+def test_density_with_every_index_forced_takes_any_degree():
+    """The bracket is taken off the forced center: with every index forced
+    there is nothing to scale, and no degree is too large."""
+    dist = MaskDistribution("column_polynomial", 4, 1.0, 4, degree=1e6)
+    assert np.array_equal(dist.probs(), np.ones(4))
+
+
 def test_density_2d_bernoulli():
     dist = MaskDistribution("bernoulli2d_polynomial", 64, 3.0, 4, shape=(8, 8))
     probs = build_density(dist)
@@ -134,6 +152,17 @@ def test_P_times_one_minus_k_identity_property(data, q):
 def test_validate_mask_conditions_passes_center():
     # p = 1 at the center permits ptilde = 1 there
     validate_mask_conditions([1.0, 0.5], [1.0, 0.5])
+
+
+@pytest.mark.parametrize("p, ptilde", [([np.nan, 0.5], [0.5, 0.5]),
+                                       ([0.5, 0.5], [0.5, np.nan]),
+                                       ([np.inf, 0.5], [0.5, 0.5])],
+                         ids=["nan_p", "nan_ptilde", "inf_p"])
+def test_validate_mask_conditions_rejects_non_finite_probabilities(p, ptilde):
+    """The conditions are comparisons, which a NaN passes: finiteness is
+    checked first."""
+    with pytest.raises(ValidationError, match="must be finite"):
+        validate_mask_conditions(p, ptilde)
 
 
 def test_mask_distribution_rejects_bad_kind():

@@ -1,6 +1,7 @@
 """Losses, weightings, Adam, and the epoch loop."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from kslab.training import (
     build_dataset,
     loss_and_grad,
     make_train_item,
+    method_rows,
     train,
     train_cells,
     weight_noisier2full,
@@ -191,17 +193,22 @@ def test_loss_gradient_matches_finite_differences(method, family):
     assert np.abs(grad - fd).max() <= 1e-6 * max(1.0, np.abs(fd).max())
 
 
-def test_loss_requires_fields():
+@pytest.mark.parametrize("field", ["y0", "noise", "lam", "ntilde"])
+def test_loss_requires_fields(field):
+    """A method whose loss reads a field that an item or a record lacks is
+    a configuration error naming the field, on either route to the loss."""
+    method = {"y0": M.FULLY_SUPERVISED, "noise": M.SUPERVISED_WO_DENOISING,
+              "lam": M.STANDARD_SSDU, "ntilde": M.NOISIER2FULL}[field]
+    message = rf"^method '{method}' requires item field '{field}'$"
     model = model_preset("banded", sigma_n=0.4, alpha=1.0)
-    est = TinyNet(model.q, width_factor=1, seed=0)
-    item = make_train_item(model, stream(1, "i"))
-    item.y0 = None
-    with pytest.raises(ConfigError):
-        loss_and_grad(TrainSpec(method=M.FULLY_SUPERVISED), est, item)
-    item2 = make_train_item(model, stream(2, "i"))
-    item2.lam = None
-    with pytest.raises(ConfigError):
-        loss_and_grad(TrainSpec(method=M.STANDARD_SSDU), est, item2)
+    rng = stream(1, "i")
+    data = replace(build_dataset(model, 3, seed=1), lam=model.lambda_dist.draw_members(rng, 3),
+                   lam_probs=model.lambda_probs(), ntilde=complex_gaussian((3, model.q), 0.4, rng))
+    data = replace(data, **{field: None})
+    with pytest.raises(ConfigError, match=message):
+        method_rows(method, 1.0, data)
+    with pytest.raises(ConfigError, match=message):
+        loss_and_grad(TrainSpec(method=method), TinyNet(model.q, width_factor=1, seed=0), data[0])
 
 
 def test_adam_zero_gradient_keeps_params():

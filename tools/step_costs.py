@@ -56,7 +56,6 @@ from kslab.training import (  # noqa: E402
     Cell,
     Rows,
     TrainSpec,
-    _CellRun,
     _consistency_cells,
     _stack_epoch,
     adam_step,
@@ -101,7 +100,6 @@ def steps(cells: list[Cell]) -> Iterator[tuple[float, float]]:
     """Train the cells as one stack, one step per ``next``; yields the step's
     seconds of forward+pullback and of Adam. As in training, Adam consumes
     the pieces as the pullback hands them over."""
-    runs = [_CellRun(cell) for cell in cells]
     cons, lambda_n2r = _consistency_cells(cells)
     est = cells[0].est
     theta = np.stack([cell.est.theta for cell in cells])
@@ -109,7 +107,7 @@ def steps(cells: list[Cell]) -> Iterator[tuple[float, float]]:
         cell.est.theta = row
     state = AdamState.from_spec(cells[0].spec)
     for epoch in itertools.count():
-        rows = _stack_epoch(runs, epoch, cons.any())
+        rows = _stack_epoch(cells, epoch, cons.any())
         for s in range(len(cells[0].data)):
             step = Rows(*(None if a is None else a[s] for a in rows))
             pulled = [0.0]
