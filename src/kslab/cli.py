@@ -457,7 +457,10 @@ def main(argv=None) -> int:
         if args.mode is not None:
             cfg["mode"] = args.mode
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out {args.out}: cannot be made a directory ({exc})") from None
         if args.command == "compare":
             out = run_compare(cfg, out_dir)
             print(f"wrote {out}")

@@ -7,16 +7,30 @@ that carry the further noise are built from the method table
 (``methods.Input.build``).
 """
 
+import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, number, or_null
+from .errors import Rule, ValidationError, number, or_null
+
+
+def _square_within(rule: Rule, smallest: float, words: str) -> Rule:
+    """``rule``, and a square in [``smallest``, the largest float]: the noise
+    variances sigma_n^2 and alpha^2 sigma_n^2, and the weight 1 / alpha^2, are
+    formed from these squares."""
+    return Rule(lambda x: rule.test(x) and smallest <= float(x) * float(x) <= sys.float_info.max,
+                f"{rule.must} {words}")
+
 
 # The rule of each NoiseSpec field; the config's noise levels and further-noise
 # ratios, and TrainSpec's alpha, are checked by these same rules.
-NOISE_RULES = {"sigma_n": number(), "alpha": number(positive=True)}
+NOISE_RULES = {
+    "sigma_n": _square_within(number(), 0.0, "whose square is finite"),
+    "alpha": _square_within(number(positive=True), sys.float_info.min,
+                            "whose square is a finite normal float"),
+}
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,7 @@ SHARD_SIZE = 4096  # Monte Carlo draws per shard, each shard from its own substr
 CROSSCHECK_RTOL = 1e-12  # batched vs per-draw library gradients
 MOMENT_BLOCK = 1 << 18  # gradient entries (rows x parameters) reduced at a time
 SOLVE_BLOCK = 1 << 16  # entries (patterns x q x size^2) of one stacked oracle solve
+DOT_BLOCK = 8192  # entries of one block of a fixed-order dot product (_dot)
 # Tolerances of the exact checks: largest absolute entrywise deviation
 MINIMIZER_TOL = 1e-8  # fitted maps vs conditional-mean coefficients
 CORRECTION_TOL = 1e-8  # corrected fitted maps vs the clean conditional mean
@@ -399,9 +400,17 @@ def _mse_errors(method: str, est: AffinePerPattern, model: MeasurementModel,
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """The dot product of two long vectors, summed in an order that does not
-    depend on the BLAS thread count (``np.dot`` sums in threaded BLAS)."""
-    return float(np.einsum("i,i->", a, b))
+    """The dot product of two equal-length vectors, summed in an order that
+    does not depend on the BLAS thread count (``np.dot`` sums in threaded
+    BLAS): the ``np.einsum`` of each ``DOT_BLOCK``-entry block, added into a
+    float in order. So a caller holding one block of a vector at a time can
+    add the blocks' ``_dot``s and get ``_dot`` of the whole vector."""
+    # This is the order np.einsum itself takes over a whole vector (it reduces
+    # in DOT_BLOCK-entry buffers); written out, it holds under any NumPy.
+    total = 0.0
+    for start in range(0, a.size, DOT_BLOCK):
+        total += float(np.einsum("i,i->", a[start:start + DOT_BLOCK], b[start:start + DOT_BLOCK]))
+    return total
 
 
 def _mean_se(total, total_sq, samples: int):
@@ -448,17 +457,6 @@ def mc_corrected_mse(method: str, est: Estimator, model: MeasurementModel,
 # Conditional-noise identity (Monte Carlo regression)
 # ---------------------------------------------------------------------------
 
-def _origin_slope(x: np.ndarray, y: np.ndarray, sxx: float,
-                  resid: np.ndarray) -> tuple[float, float]:
-    """Least-squares slope through the origin (``sxx`` = x . x) and its
-    standard error; the residual y - slope * x is written into ``resid``."""
-    slope = _dot(x, y) / sxx
-    np.multiply(x, slope, out=resid)
-    np.subtract(y, resid, out=resid)
-    se = math.sqrt(_dot(resid, resid) / (x.size - 1) / sxx)
-    return slope, se
-
-
 def _channels(rng: np.random.Generator, samples: int, sigma: float) -> np.ndarray:
     """The channels of ``z = complex_gaussian(samples, sigma, rng)`` as one
     (2, samples) draw, flattened: the values of
@@ -466,6 +464,30 @@ def _channels(rng: np.random.Generator, samples: int, sigma: float) -> np.ndarra
     ch = rng.standard_normal((2, samples))
     ch *= sigma / np.sqrt(2.0)
     return ch.reshape(-1)
+
+
+def _noise_blocks(rng: np.random.Generator, x: np.ndarray, n_ch: np.ndarray,
+                  sigma_n: float, alpha: float, add: bool):
+    """Per ``DOT_BLOCK``-entry block of ``x``, ``(x, {name: y})`` for the
+    regressed channels y: the measurement noise ("n", a view of ``n_ch``),
+    the further noise ("nt": the block's entries of
+    ``_channels(rng, x.size // 2, alpha * sigma_n)``, drawn here block by
+    block) and nt - alpha^2 n ("d"). With ``add`` the further noise is first
+    added into the block of ``x``. The further noise and d live in buffers
+    that the next block overwrites."""
+    scale, alpha_sq = (alpha * sigma_n) / np.sqrt(2.0), alpha ** 2
+    buf_nt, buf_d = np.empty(DOT_BLOCK), np.empty(DOT_BLOCK)
+    for start in range(0, x.size, DOT_BLOCK):
+        stop = min(start + DOT_BLOCK, x.size)
+        nt, d = buf_nt[:stop - start], buf_d[:stop - start]
+        rng.standard_normal(out=nt)  # fills in order: the whole draw's entries
+        nt *= scale
+        xb, nb = x[start:stop], n_ch[start:stop]
+        if add:
+            xb += nt
+        np.multiply(nb, alpha_sq, out=d)
+        np.subtract(nt, d, out=d)
+        yield xb, {"n": nb, "nt": nt, "d": d}
 
 
 def check_conditional_noise_identity(model: MeasurementModel, samples: int,
@@ -476,9 +498,16 @@ def check_conditional_noise_identity(model: MeasurementModel, samples: int,
     alpha^2 times the slope of the measurement noise; equivalently the
     combination (further - alpha^2 * measurement) has zero slope. Also
     checks each slope against its closed-form Gaussian regression value.
-    Real and imaginary channels are independent scalar samples; the check
-    holds four channel vectors (x, n, ntilde and one residual). An
+    Real and imaginary channels are independent scalar samples, each slope
+    a least-squares slope through the origin with its standard error. An
     observation of variance 0 has no slope: ValidationError, before any draw.
+
+    Two channel vectors are held whole, x and n; the further noise is drawn
+    in ``DOT_BLOCK``-entry blocks, twice from one saved generator state. The
+    first pass adds it into x and adds the sums of x.x and x.y; the second,
+    after the slopes, adds the residual sums. Each sum goes block by block
+    in ``_dot``'s own order, so every value is that of whole-vector draws
+    and ``_dot`` calls.
     """
     sigma0_sq = float(model.prior_cov[0, 0].real)
     sigma_n = model.noise.sigma_n
@@ -490,18 +519,28 @@ def check_conditional_noise_identity(model: MeasurementModel, samples: int,
     rng = stream(seed, "noise_identity")
     x = _channels(rng, samples, math.sqrt(sigma0_sq))
     n_ch = _channels(rng, samples, sigma_n)
-    nt_ch = _channels(rng, samples, alpha * sigma_n)
-    # x = y0 + n + ntilde, added in that order
+    # x = y0 + n + ntilde, added in that order; ntilde block by block below
     x += n_ch
-    x += nt_ch
+    ntilde_state = rng.bit_generator.state
 
-    sxx = _dot(x, x)
-    resid = np.empty_like(x)
-    slope_n, se_n = _origin_slope(x, n_ch, sxx, resid)
-    slope_nt, se_nt = _origin_slope(x, nt_ch, sxx, resid)
-    n_ch *= alpha ** 2
-    nt_ch -= n_ch
-    slope_diff, se_diff = _origin_slope(x, nt_ch, sxx, resid)
+    sxx, sxy = 0.0, dict.fromkeys(("n", "nt", "d"), 0.0)
+    for xb, ys in _noise_blocks(rng, x, n_ch, sigma_n, alpha, add=True):
+        sxx += _dot(xb, xb)
+        for key, y in ys.items():
+            sxy[key] += _dot(xb, y)
+    slope = {key: sxy[key] / sxx for key in sxy}
+    rss = dict.fromkeys(sxy, 0.0)
+    rng.bit_generator.state = ntilde_state
+    resid = np.empty(DOT_BLOCK)
+    for xb, ys in _noise_blocks(rng, x, n_ch, sigma_n, alpha, add=False):
+        r = resid[:xb.size]
+        for key, y in ys.items():
+            np.multiply(xb, slope[key], out=r)
+            np.subtract(y, r, out=r)
+            rss[key] += _dot(r, r)
+    se = {key: math.sqrt(rss[key] / (x.size - 1) / sxx) for key in rss}
+    slope_n, slope_nt, slope_diff = slope["n"], slope["nt"], slope["d"]
+    se_n, se_nt, se_diff = se["n"], se["nt"], se["d"]
     ref_n = sigma_n ** 2 / var_ytilde
     ref_nt = alpha ** 2 * ref_n
 
@@ -563,6 +602,10 @@ def _gradient_moments(claim: str, est: AffinePerPattern, model: MeasurementModel
     through ``training.loss_and_grad`` and ``_oracle_gradient``; the return
     value is the largest deviation of a batched gradient row from its
     per-draw gradient, relative to the latter's largest entry.
+
+    A block holds two dense (rows, n_params) gradients at a time: the
+    oracle gradient is doubled in place, and once the surrogate and oracle
+    sums are in, the difference overwrites the surrogate gradient.
     """
     alpha = model.noise.alpha
     rows = training.method_rows(claim, alpha, draws)
@@ -582,12 +625,8 @@ def _gradient_moments(claim: str, est: AffinePerPattern, model: MeasurementModel
         # written out, not shared with training, as in _oracle_gradient
         d = np.where(part.m_in, (1.0 + alpha ** 2) / alpha ** 2, 1.0)
         est_y = correct(f, part.y_in, part.m_in, alpha)
-        grads["oracle"] = 2.0 * gather_pieces(pullback(d * (est_y - draws.y0[block])),
-                                              theta.shape)
-        grads["diff"] = grads["surr"] - grads["oracle"]
-        for key, g in grads.items():
-            sums[key] += g.sum(axis=0)
-            sums_sq[key] += np.einsum("ij,ij->j", g, g)
+        grads["oracle"] = gather_pieces(pullback(d * (est_y - draws.y0[block])), theta.shape)
+        np.multiply(grads["oracle"], 2.0, out=grads["oracle"])
         for i in first[(first >= block.start) & (first < block.stop)]:
             item = draws[i]
             refs = {"surr": training.loss_and_grad(spec, est, item)[1],
@@ -595,6 +634,12 @@ def _gradient_moments(claim: str, est: AffinePerPattern, model: MeasurementModel
             for key, ref in refs.items():
                 scale = max(float(np.abs(ref).max()), np.finfo(float).tiny)
                 worst = max(worst, float(np.abs(grads[key][i - start] - ref).max()) / scale)
+        for key in ("surr", "oracle", "diff"):
+            # the difference overwrites the surrogate gradients once their sums are in
+            g = grads[key] if key in grads else np.subtract(grads["surr"], grads["oracle"],
+                                                            out=grads["surr"])
+            sums[key] += g.sum(axis=0)
+            sums_sq[key] += np.einsum("ij,ij->j", g, g)
     return worst
 
 
@@ -751,10 +796,10 @@ def run_oracle_suite(model: MeasurementModel, seed: int = 0,
 
     The conditional-noise check runs right after the enumerations (so an
     unsupported model still fails before anything is drawn), before any
-    posterior, fit or Monte Carlo shard exists: its four channel vectors
-    are the suite's largest transient, and the peak is that transient plus
-    whatever is resident when it starts. Its draws come from its own
-    substream, and its report keeps its place in the list.
+    posterior, fit or Monte Carlo shard exists: its two whole channel
+    vectors are the suite's largest transient, and the peak is that
+    transient plus whatever is resident when it starts. Its draws come from
+    its own substream, and its report keeps its place in the list.
     """
     tables = {level: enumerate_patterns(model, level) for level in (LEVEL_OMEGA, LEVEL_INTERSECT)}
     noise_identity = check_conditional_noise_identity(model, slope_samples, seed)

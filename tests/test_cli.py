@@ -813,6 +813,43 @@ def test_cli_exits_2_on_a_degree_that_underflows_the_density(tmp_path, capsys, c
     assert not (tmp_path / output).exists()
 
 
+@pytest.mark.parametrize("command, field, value", [
+    ("verify", "model.sigma_n", 1e160),
+    ("compare", "compare.sigma_n", [1e160]),
+    ("verify", "model.alpha", 1e200),
+    ("compare", "model.alpha", 1e200),
+    ("verify", "model.alpha", 1e-170),
+    ("compare", "model.alpha", 1e-170),
+    ("verify", "model.alpha", 1e-160),
+    ("compare", "model.alpha", 1e-160),
+], ids=["verify-sigma_n-1e160", "compare-sigma_n-1e160", "verify-alpha-1e200",
+        "compare-alpha-1e200", "verify-alpha-1e-170", "compare-alpha-1e-170",
+        "verify-alpha-1e-160", "compare-alpha-1e-160"])
+def test_cli_exits_2_on_a_noise_level_whose_square_leaves_the_float_range(
+        tmp_path, capsys, command, field, value):
+    """sigma_n^2 past the float range, and alpha^2 past it, 0 or subnormal,
+    are configuration errors that name the field, not an overflow or a
+    division by zero (exit 1), a divergence (exit 4) or a NaN in k-space."""
+    section, key = field.split(".")
+    cfg = {**FAST_CFG, "compare": {**FAST_CFG["compare"], "methods": [M.ROBUST_SSDU]}}
+    cfg[section] = {**cfg[section], key: value}
+    output = {"verify": "report.json", "compare": "results.csv"}[command]
+    path = write_cfg(tmp_path, cfg)
+    assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
+    assert f"configuration error: {field}" in capsys.readouterr().err
+    assert not (tmp_path / output).exists()
+
+
+@pytest.mark.parametrize("out", ["taken", "taken/sub"], ids=["file", "below_a_file"])
+def test_cli_exits_2_on_an_out_that_cannot_be_a_directory(tmp_path, capsys, out):
+    """An --out that names a file, or a path below one, is a configuration
+    error naming --out, not a FileExistsError or NotADirectoryError."""
+    (tmp_path / "taken").write_text("")
+    assert main(["verify", "--out", str(tmp_path / out)]) == 2
+    assert "configuration error: --out" in capsys.readouterr().err
+    assert (tmp_path / "taken").read_text() == ""
+
+
 def test_noiseless_fully_sampled_benchmark_near_zero_nmse(tmp_path):
     cfg = resolve_config({
         "model": {"preset": "banded", "q": 4, "sigma_n": 0.0, "alpha": 1.0},

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from kslab import methods as M
-from kslab.errors import ValidationError
+from kslab.errors import ConfigError, ValidationError
 from kslab.estimators import AffinePerPattern
 from kslab.inference import MODE_PRACTICAL, MODE_THEORY, reconstruct
 from kslab.kspace import SamplingMask, apply_mask, full_mask
 from kslab.noise import NoiseSpec, complex_gaussian
 from kslab.rng import stream
 from kslab.synthetic import model_preset
+from kslab.training import TrainSpec
 
 
 def test_noise_spec_validation():
@@ -23,6 +24,25 @@ def test_noise_spec_validation():
         NoiseSpec(True, 1.0)
     with pytest.raises(ValidationError, match="^alpha must be "):
         NoiseSpec(0.3, True)
+
+
+@pytest.mark.parametrize("sigma_n, alpha, field", [
+    (1e160, 1.0, "sigma_n"),
+    (0.3, 1e200, "alpha"),
+    (0.3, 1e-170, "alpha"),
+    (0.3, 1e-160, "alpha"),
+])
+def test_noise_rules_reject_a_square_outside_the_float_range(sigma_n, alpha, field):
+    """sigma_n^2 must be finite and alpha^2 a finite normal float: the noise
+    variances and the weight 1 / alpha^2 are formed from them. NoiseSpec and
+    TrainSpec check by the same rules; the squares just inside pass."""
+    with pytest.raises(ValidationError, match=f"^{field} must be "):
+        NoiseSpec(sigma_n, alpha)
+    if field == "alpha":
+        with pytest.raises(ConfigError, match="^alpha must be "):
+            TrainSpec(method=M.ROBUST_SSDU, alpha=alpha)
+    NoiseSpec(1e154, 1e154)
+    NoiseSpec(0.0, 1.5e-154)
 
 
 def test_add_noise_moments():

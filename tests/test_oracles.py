@@ -43,6 +43,7 @@ from kslab.oracles import (
     mc_corrected_mse,
     mc_corrected_mses,
     run_oracle_suite,
+    _dot,
     _draw_shard,
     _gradient_moments,
     _mse_errors,
@@ -665,9 +666,10 @@ def test_conditional_noise_identity_matches_complex_route(preset, seed, alpha, s
     assert json.dumps(got.to_json()) == json.dumps(want.to_json())
 
 
-def test_conditional_noise_identity_holds_four_channel_vectors():
-    """Its traced peak stays under 4.5 vectors of 2 * samples float64
-    (x, n, ntilde and one residual; the complex route held 10)."""
+def test_conditional_noise_identity_holds_two_channel_vectors():
+    """Its traced peak stays under 2.5 vectors of 2 * samples float64: x and
+    n are whole, the further noise and the residuals are blocks of
+    ``DOT_BLOCK`` entries (whole, as four vectors, the check measured 4.0)."""
     samples = 200_000
     model = model_preset("banded", sigma_n=0.3, alpha=0.5)
     tracemalloc.start()
@@ -676,7 +678,42 @@ def test_conditional_noise_identity_holds_four_channel_vectors():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4.5 * 16 * samples
+    assert peak < 2.5 * 16 * samples
+
+
+@pytest.mark.parametrize("length", [1, 8191, 8192, 8193, 24690, 400_000])
+@pytest.mark.parametrize("offset", [0, 1, 3])
+def test_dot_is_the_whole_vector_einsum(length, offset):
+    """``_dot``'s block sum has the bits of one ``np.einsum`` over the whole
+    vectors, also on views that start at an odd offset, so the noise check
+    can add its sums block by block."""
+    rng = stream(2, "dot", length, offset)
+    a = rng.standard_normal(length + offset)[offset:]
+    b = rng.standard_normal(length + 2 * offset)[2 * offset:]
+    assert _dot(a, b) == float(np.einsum("i,i->", a, b))
+    assert _dot(a, a) == float(np.einsum("i,i->", a, a))
+
+
+def test_gradient_moments_holds_two_dense_gradients():
+    """One shard's moments hold under 3.15 dense (rows, P) gradient arrays
+    above the call's start: the oracle gradient is doubled in place and the
+    difference overwrites the surrogate gradient (holding the surrogate,
+    oracle and difference at once measured 3.37-3.45)."""
+    model = gradient_check_model(0.5, 0.75)
+    for claim in (M.NOISIER2FULL, M.ROBUST_SSDU):
+        est = AffinePerPattern(model.q)
+        est.ensure_patterns(enumerate_patterns(model, input_level(claim)).members)
+        est.theta = stream(3, "th", claim).standard_normal(est.theta.shape[0]) * 0.3
+        draws = _draw_shard(model, stream(5, "moments"), 4096)
+        sums = {k: np.zeros_like(est.theta) for k in ("surr", "oracle", "diff")}
+        sums_sq = {k: np.zeros_like(est.theta) for k in ("surr", "oracle", "diff")}
+        tracemalloc.start()
+        try:
+            _gradient_moments(claim, est, model, draws, sums, sums_sq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.15 * 8 * len(draws) * est.theta.shape[0], claim
 
 
 def test_oracle_suite_does_not_import_numpy_ma():

@@ -30,3 +30,18 @@ def test_step_costs_steps_a_two_cell_stack():
         assert len(next(run)) == 2  # seconds of forward+pullback and of Adam
     after = np.stack([cell.est.theta for cell in cells])
     assert np.all(np.isfinite(after)) and np.all((after != before).any(axis=1))
+
+
+def test_oracle_stages_clocks_every_stage_of_a_small_suite():
+    """One traced suite run through ``oracle_stages.run`` at small sample
+    counts enters every stage, each with a positive traced peak, and puts
+    back the functions it marks. No time is checked."""
+    oracle_stages = _load("oracle_stages")
+    marked = {(owner, name): getattr(owner, name)
+              for targets in oracle_stages.STAGES.values() for owner, name in targets}
+    clock = oracle_stages.run("banded", 0, traced=True, gradient_samples=512,
+                              slope_samples=1000, mse_samples=512)
+    assert list(clock.peak) == ["noise_check", "posteriors_and_fits", "exact_checks",
+                                "corrected_mse_mc", "gradient_mc"]
+    assert all(peak > 0 for peak in clock.peak.values()), clock.peak
+    assert all(getattr(owner, name) is func for (owner, name), func in marked.items())
