@@ -40,7 +40,7 @@ from .metrics import mean_and_se, nmse_rows, ssim_rows
 from .noise import NOISE_RULES
 from .oracles import run_oracle_suite
 from .rng import stream, streams
-from .synthetic import MeasurementModel, load_prior_cov, model_preset
+from .synthetic import MeasurementModel, load_prior_cov, model_preset, preset_fields
 from .training import Cell, Dataset, TrainSpec, build_dataset, train, train_cells
 
 
@@ -52,6 +52,16 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return format(value, ".12g")
     return str(value)
+
+
+def _write_json(path: Path, payload, indent: int | None = None) -> None:
+    """Write ``json.dumps(payload, indent=indent, sort_keys=True,
+    allow_nan=False)`` and a newline to ``path`` as ASCII bytes (dumps
+    escapes every non-ASCII character). The text is whole before the file is
+    opened, so a NaN or an infinity raises ValueError and writes nothing.
+    Without an indent, dumps runs the C encoder; ``json.dump`` is pure Python."""
+    text = json.dumps(payload, indent=indent, sort_keys=True, allow_nan=False)
+    path.write_bytes(text.encode("ascii") + b"\n")
 
 
 def _write_csv(path: Path, cfg: dict, columns: list, rows: list) -> None:
@@ -222,7 +232,8 @@ def run_alpha_sweep(cfg: dict, out_dir: Path) -> Path:
 
 
 def run_verify(cfg: dict, out_dir: Path) -> bool:
-    """Run the oracle suite; returns True when every proof-backed check passes."""
+    """Run the oracle suite; returns True when every proof-backed check passes.
+    ``report.json`` writes a non-finite number as null; stdout prints it."""
     model = _build_model(cfg)
     reports = run_oracle_suite(
         model, seed=cfg["seed"],
@@ -231,15 +242,10 @@ def run_verify(cfg: dict, out_dir: Path) -> bool:
         mse_samples=cfg["verify"]["mse_samples"],
     )
     ok = all(r.passed for r in reports if r.passed is not None)
-    payload = {
-        "artifact_version": __version__,
-        "config": cfg,
-        "reports": [r.to_json() for r in reports],
-        "all_proof_backed_passed": ok,
-    }
-    with open(out_dir / "report.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    _write_json(out_dir / "report.json",
+                {"artifact_version": __version__, "config": cfg,
+                 "reports": [r.to_json() for r in reports], "all_proof_backed_passed": ok},
+                indent=2)
     for r in reports:
         status = "PASS" if r.passed else ("FAIL" if r.passed is not None else "INFO")
         # a check without an estimate prints nan, as it always has on stdout
@@ -274,22 +280,19 @@ THETA_KEYS = ("dtype", "file", "count", "sha256")
 
 
 def _write_checkpoint(path: Path, checkpoint: dict, est) -> None:
-    """Write theta's little-endian float64 bytes to a sidecar file next to
-    ``path``, then ``{**checkpoint, "estimator": ...}`` to ``path`` as
-    ``json.dumps(..., sort_keys=True, allow_nan=False)`` and a newline.
+    """Write ``{**checkpoint, "estimator": ...}`` to ``path`` by ``_write_json``,
+    then theta's little-endian float64 bytes to a sidecar file next to it.
 
     The estimator's ``theta`` is ``{dtype, file, count, sha256}`` of the
     sidecar, which is hashed and written from theta's own buffer. The JSON is
-    dumped before either file is opened, so a NaN or an infinity writes nothing.
+    written first, so a NaN or an infinity writes neither file.
     """
     theta = np.ascontiguousarray(est.theta, dtype=THETA_DTYPE)
     sidecar = path.with_suffix(".theta.f64")
     ref = {"dtype": THETA_DTYPE, "file": sidecar.name, "count": theta.size,
            "sha256": hashlib.sha256(theta).hexdigest()}
-    text = json.dumps({**checkpoint, "estimator": {**est.to_checkpoint(), "theta": ref}},
-                      sort_keys=True, allow_nan=False)
+    _write_json(path, {**checkpoint, "estimator": {**est.to_checkpoint(), "theta": ref}})
     theta.tofile(sidecar)
-    path.write_bytes(text.encode("ascii") + b"\n")  # dumps escapes every non-ASCII
 
 
 def _read_theta(path: Path, ref) -> np.ndarray:
@@ -363,35 +366,24 @@ def _read_checkpoint(path: Path):
         raise ConfigError(f"checkpoint {path}: {exc}") from None
 
 
-def _resolved(model: MeasurementModel) -> dict:
-    """The values a preset fills in for the ``model`` fields it resolves."""
-    return {"q": model.q, "R_omega": model.omega_dist.target_accel,
-            "R_lambda": model.lambda_dist.target_accel}
-
-
-def _check_trained_model(trained: dict, path: Path, model: MeasurementModel,
-                         cfg: dict) -> None:
-    """ConfigError naming the first ``model`` field in which this run, whose
-    model is ``model``, differs from the checkpoint's training run.
-    ``alpha`` is not compared: reconstruct takes the checkpoint's. A field
-    that a preset resolves and that is null on one side only compares as
-    resolved, so a preset's default and the same value written out are one
-    model; only then is the trained model built. ``prior_file`` compares as
-    a path."""
+def _check_trained_model(trained: dict, path: Path, cfg: dict) -> None:
+    """ConfigError naming the first ``model`` field in which this run differs
+    from the checkpoint's training run. ``alpha`` is not compared:
+    reconstruct takes the checkpoint's. A field that a preset resolves and
+    that is null on one side only compares as ``synthetic.preset_fields``
+    resolves it on each side, so a preset's default and the same value
+    written out are one model. ``prior_file`` compares as a path."""
     run = {key: value for key, value in cfg["model"].items() if key != "alpha"}
     was = {key: RULES[f"model.{key}"].check(trained.get(key),
                                             f"checkpoint {path}: config.model.{key}")
            for key in run}
-    resolved = None
     for key, value in run.items():
         a, b, note = was[key], value, ""
         if key == "prior_file" and None not in (a, b):
             a, b = Path(a), Path(b)
         elif key in ("q", "R_omega", "R_lambda") and (a is None) != (b is None):
-            if resolved is None:  # the prior moves no resolved field
-                resolved = _resolved(_build_model({"model": {**was, "prior_file": None}},
-                                                  alpha=model.noise.alpha))
-            a, b = resolved[key], _resolved(model)[key]
+            a, b = (preset_fields(m["preset"], m["q"], m["R_omega"], m["R_lambda"])[key]
+                    for m in (was, run))
             note = f" ({a!r} and {b!r} resolved)"
         if a != b:
             raise ConfigError(f"model.{key}: the checkpoint was trained with {was[key]!r}, "
@@ -403,7 +395,7 @@ def run_reconstruct(cfg: dict, checkpoint_path: Path, out_dir: Path) -> Path:
     method = checkpoint["method"]
     master = cfg["seed"]
     model = _build_model(cfg, alpha=checkpoint["alpha"])
-    _check_trained_model(checkpoint["config"]["model"], checkpoint_path, model, cfg)
+    _check_trained_model(checkpoint["config"]["model"], checkpoint_path, cfg)
     if model.q != est.q:
         raise ConfigError(f"checkpoint {checkpoint_path}: estimator dimension {est.q} "
                           f"does not match the model's q = {model.q}")
@@ -415,12 +407,9 @@ def run_reconstruct(cfg: dict, checkpoint_path: Path, out_dir: Path) -> Path:
                  for i in range(len(test))]
     out = out_dir / "reconstructions.csv"
     _write_csv(out, cfg, ["item", "nmse", "ssim"], rows)
-    with open(out_dir / "reconstructions.json", "w") as fh:
-        # dumps without indent runs the C encoder; json.dump is pure Python
-        fh.write(json.dumps({"artifact_version": __version__, "config": cfg,
-                             "method": method, "items": estimates},
-                            sort_keys=True, allow_nan=False))
-        fh.write("\n")
+    _write_json(out_dir / "reconstructions.json", {"artifact_version": __version__,
+                                                   "config": cfg, "method": method,
+                                                   "items": estimates})
     return out
 
 

@@ -6,14 +6,14 @@ can be re-produced exactly from the files alone.
 
 import copy
 import json
-import math
 
 from . import methods as M
 from .errors import SEED_RULE, ConfigError, Rule, integer, nonempty_list, number, one_of, or_null
 from .estimators import FAMILIES, POSITIVE_INT, TinyNet
 from .inference import MODES
 from .noise import NOISE_RULES
-from .synthetic import PRESETS
+from .oracles import VERIFY_SAMPLES
+from .synthetic import PRESETS, preset_fields
 from .training import SPEC_RULES
 
 # Tuned further-noise ratios reported for the weighted and unweighted
@@ -68,11 +68,7 @@ DEFAULT_CONFIG = {
         "sigma_n": 0.3,
         "R_omega": 2.0,
     },
-    "verify": {
-        "gradient_samples": 20000,
-        "slope_samples": 200000,
-        "mse_samples": 20000,
-    },
+    "verify": dict(VERIFY_SAMPLES),
     "seed": 0,
     "mode": "practical",
 }
@@ -109,8 +105,7 @@ RULES = {
     "sweep.alphas": nonempty_list(_ALPHA),
     "sweep.sigma_n": _SIGMA,
     "sweep.R_omega": _ACCEL,
-    **{f"verify.{key}": integer(1000)
-       for key in ("gradient_samples", "slope_samples", "mse_samples")},
+    **{f"verify.{key}": integer(1000) for key in VERIFY_SAMPLES},
     "seed": SEED_RULE,
     "mode": one_of(MODES),
 }
@@ -137,9 +132,8 @@ def resolve_config(raw: dict | None) -> dict:
     for path, rule in RULES.items():
         section, _, key = path.rpartition(".")
         rule.check((cfg[section] if section else cfg)[key], path, form="{name}: must be {must}")
-    q = cfg["model"]["q"]
-    if cfg["model"]["preset"] == "bernoulli2d" and q is not None and math.isqrt(q) ** 2 != q:
-        raise ConfigError("model.q: must be a perfect square (a side x side grid) for bernoulli2d")
+    m = cfg["model"]
+    preset_fields(m["preset"], m["q"], m["R_omega"], m["R_lambda"])  # the preset's own rules
     return cfg
 
 

@@ -52,6 +52,8 @@ CROSSCHECK_RTOL = 1e-12  # batched vs per-draw library gradients
 MOMENT_BLOCK = 1 << 18  # gradient entries (rows x parameters) reduced at a time
 SOLVE_BLOCK = 1 << 16  # entries (patterns x q x size^2) of one stacked oracle solve
 DOT_BLOCK = 8192  # entries of one block of a fixed-order dot product (_dot)
+# run_oracle_suite's draws per Monte Carlo check; config.DEFAULT_CONFIG's "verify"
+VERIFY_SAMPLES = {"gradient_samples": 20000, "slope_samples": 200000, "mse_samples": 20000}
 # Tolerances of the exact checks: largest absolute entrywise deviation
 MINIMIZER_TOL = 1e-8  # fitted maps vs conditional-mean coefficients
 CORRECTION_TOL = 1e-8  # corrected fitted maps vs the clean conditional mean
@@ -66,8 +68,11 @@ class OracleReport:
 
     ``passed`` is None for descriptive checks that carry no pass/fail
     semantics (methods without a proof); ``estimate`` is None for those
-    that estimate nothing.
+    that estimate nothing. ``run_oracle_suite`` fails a report whose
+    ``NUMBERS`` hold a NaN or an infinity, and its JSON writes them as null.
     """
+
+    NUMBERS = ("estimate", "reference", "tolerance", "standard_error")
 
     name: str
     estimate: float | None
@@ -82,8 +87,13 @@ class OracleReport:
             self.passed = bool(abs(self.estimate - self.reference) <= self.tolerance)
         return self
 
+    def non_finite(self) -> list[str]:
+        """The names of this report's numbers that are NaN or infinite."""
+        return [key for key in self.NUMBERS
+                if getattr(self, key) is not None and not math.isfinite(getattr(self, key))]
+
     def to_json(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), **dict.fromkeys(self.non_finite())}
 
 
 # ---------------------------------------------------------------------------
@@ -784,9 +794,9 @@ def check_appendix_identity(n_pairs: int, seed: int) -> OracleReport:
 # ---------------------------------------------------------------------------
 
 def run_oracle_suite(model: MeasurementModel, seed: int = 0,
-                     gradient_samples: int = 20000,
-                     slope_samples: int = 200000,
-                     mse_samples: int = 20000) -> list[OracleReport]:
+                     gradient_samples: int = VERIFY_SAMPLES["gradient_samples"],
+                     slope_samples: int = VERIFY_SAMPLES["slope_samples"],
+                     mse_samples: int = VERIFY_SAMPLES["mse_samples"]) -> list[OracleReport]:
     """All oracle checks on one model; descriptive reports carry passed=None.
 
     Each pattern level is enumerated once, levels whose tables hold the
@@ -840,4 +850,8 @@ def run_oracle_suite(model: MeasurementModel, seed: int = 0,
                                               seed).values():
         report.notes["model"] = "dedicated well-posed gradient-check model"
         reports.append(report)
+    for report in reports:  # an overflowed statistic neither passes nor goes into JSON
+        if bad := report.non_finite():
+            report.passed = False
+            report.notes["non_finite"] = bad
     return reports

@@ -120,51 +120,51 @@ def banded_prior_cov(q: int) -> np.ndarray:
     return f @ np.diag(v_img.astype(np.complex128)) @ f.conj().T
 
 
-def _mask_pair(q, R_omega, R_lambda, n_center, degree, kind=COLUMN_POLYNOMIAL, shape=None):
-    omega = MaskDistribution(kind, q, R_omega, n_center, degree, shape)
-    lam = MaskDistribution(kind, q, R_lambda, n_center, degree, shape)
-    return omega, lam
+# Each preset's q, R_omega and R_lambda where a model leaves them null.
+PRESET_DEFAULTS = {
+    "scalar": {"q": 1, "R_omega": 1.0, "R_lambda": 2.0},
+    "diagonal": {"q": 16, "R_omega": 2.0, "R_lambda": 2.0},
+    "banded": {"q": 8, "R_omega": 2.0, "R_lambda": 2.0},
+    "bernoulli2d": {"q": 256, "R_omega": 4.0, "R_lambda": 1.5},
+}
+PRESETS = tuple(PRESET_DEFAULTS)  # what model_preset builds
 
 
-PRESETS = ("scalar", "diagonal", "banded", "bernoulli2d")  # what model_preset builds
+def preset_fields(name: str, q: int | None, R_omega: float | None,
+                  R_lambda: float | None) -> dict:
+    """``{"q", "R_omega", "R_lambda"}`` of preset ``name``, each None filled in
+    by the preset's default. ConfigError on an unknown preset, and on a
+    bernoulli2d q that is not a perfect square; the message names the
+    config's field."""
+    if name not in PRESET_DEFAULTS:
+        raise ConfigError(f"unknown model preset {name!r}")
+    defaults = PRESET_DEFAULTS[name]
+    fields = {key: defaults[key] if value is None else value
+              for key, value in {"q": q, "R_omega": R_omega, "R_lambda": R_lambda}.items()}
+    if name == "bernoulli2d" and math.isqrt(fields["q"]) ** 2 != fields["q"]:
+        raise ConfigError("model.q: must be a perfect square (a side x side grid) for bernoulli2d")
+    return fields
 
 
 def model_preset(name: str, sigma_n: float, alpha: float, R_omega: float | None = None,
                  R_lambda: float | None = None, q: int | None = None,
                  degree: float = 8.0) -> MeasurementModel:
-    """Build one of the stock models. R and q defaults are preset-specific."""
+    """Build one of the stock models; ``preset_fields`` fills in q, R_omega and R_lambda."""
     noise = NoiseSpec(sigma_n, alpha)
+    q, R_omega, R_lambda = preset_fields(name, q, R_omega, R_lambda).values()
+    kind, n_center, shape = COLUMN_POLYNOMIAL, default_n_center(q), None
     if name == "scalar":
-        q = 1 if q is None else q
-        R_omega = 1.0 if R_omega is None else R_omega
-        R_lambda = 2.0 if R_lambda is None else R_lambda
-        omega, lam = _mask_pair(q, R_omega, R_lambda, n_center=0, degree=degree)
-        return MeasurementModel(np.eye(q, dtype=np.complex128), noise, omega, lam)
-    if name == "diagonal":
-        q = 16 if q is None else q
-        R_omega = 2.0 if R_omega is None else R_omega
-        R_lambda = 2.0 if R_lambda is None else R_lambda
-        omega, lam = _mask_pair(q, R_omega, R_lambda, default_n_center(q), degree)
-        return MeasurementModel(np.diag(diagonal_prior_variances(q)), noise, omega, lam)
-    if name == "banded":
-        q = 8 if q is None else q
-        R_omega = 2.0 if R_omega is None else R_omega
-        R_lambda = 2.0 if R_lambda is None else R_lambda
-        omega, lam = _mask_pair(q, R_omega, R_lambda, default_n_center(q), degree)
-        return MeasurementModel(banded_prior_cov(q), noise, omega, lam)
-    if name == "bernoulli2d":
-        q = 256 if q is None else q
-        side = math.isqrt(q)
-        if side * side != q:
-            raise ConfigError(f"bernoulli2d needs a square q (side x side), got {q}")
-        shape = (side, side)
-        R_omega = 4.0 if R_omega is None else R_omega
-        R_lambda = 1.5 if R_lambda is None else R_lambda
-        omega, lam = _mask_pair(q, R_omega, R_lambda, default_n_center(q), degree,
-                                kind=BERNOULLI2D_POLYNOMIAL, shape=shape)
-        return MeasurementModel(np.diag(diagonal_prior_variances(q, shape)), noise, omega, lam,
-                                shape=shape)
-    raise ConfigError(f"unknown model preset {name!r}")
+        cov, n_center = np.eye(q, dtype=np.complex128), 0
+    elif name == "diagonal":
+        cov = np.diag(diagonal_prior_variances(q))
+    elif name == "banded":
+        cov = banded_prior_cov(q)
+    else:  # bernoulli2d: a side x side grid
+        kind, shape = BERNOULLI2D_POLYNOMIAL, (math.isqrt(q),) * 2
+        cov = np.diag(diagonal_prior_variances(q, shape))
+    omega = MaskDistribution(kind, q, R_omega, n_center, degree, shape)
+    lam = MaskDistribution(kind, q, R_lambda, n_center, degree, shape)
+    return MeasurementModel(cov, noise, omega, lam, shape=shape)
 
 
 def load_prior_cov(path) -> np.ndarray:

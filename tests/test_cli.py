@@ -974,3 +974,32 @@ def test_sweep_alpha_single_value(tmp_path):
         [["data", c] for c in cells] + [["train", " ".join(cells)]]
         + [["eval", c] for c in cells])
     assert all(float(row[2]) >= 0.0 for row in timings[1:])
+
+
+def _strict_json(text: str):
+    """``text`` parsed as strict JSON: a NaN or an infinity token is an error."""
+    def refuse(token):
+        raise ValueError(f"non-JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_verify_writes_a_non_finite_statistic_as_null_and_exits_3(tmp_path, capsys):
+    """At sigma_n 1e150 the Monte Carlo sums of squares overflow and four
+    standard errors are NaN: ``report.json`` is whole strict JSON with each
+    of them null, those reports fail and name the field, stdout prints a FAIL
+    line for each, and verify exits 3 rather than ending in a traceback."""
+    cfg = {"model": {"preset": "banded", "sigma_n": 1e150},
+           "verify": {"gradient_samples": 1000, "slope_samples": 1000, "mse_samples": 1000}}
+    code = main(["verify", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")])
+    assert code == 3
+    report = _strict_json((tmp_path / "out" / "report.json").read_text())
+    flagged = {r["name"]: r for r in report["reports"] if "non_finite" in r["notes"]}
+    claims = (M.NOISIER2FULL, M.ROBUST_SSDU)
+    assert sorted(flagged) == sorted(f"{check}[{claim}]" for check in
+                                     ("corrected_mse", "gradient_equivalence") for claim in claims)
+    for r in flagged.values():
+        assert r["notes"]["non_finite"] == ["standard_error"]
+        assert r["standard_error"] is None and r["passed"] is False
+    assert report["all_proof_backed_passed"] is False
+    out = capsys.readouterr().out
+    assert all(f"[FAIL] {name}:" in out for name in flagged)

@@ -781,3 +781,16 @@ def test_estimator_seed_is_one_64_bit_word(family, seed):
     [0, 2^64) would draw another seed's initialization: -1 that of 2^64 - 1."""
     with pytest.raises(ConfigError, match=rf"^seed must be an integer >= 0 and < {2 ** 64},"):
         make_estimator(family, 3, seed=seed)
+
+
+@pytest.mark.parametrize("call,exc,message", [
+    (lambda: AffinePerPattern(4).forward(np.zeros(4), full_mask(3)), DimensionError,
+     "mask length 3 != estimator q 4"),
+    (lambda: closed_form_affine_fit(model_preset("banded", sigma_n=0.3, alpha=1.0),
+                                    M.ROBUST_SSDU, np.ones((1, 3), dtype=bool)),
+     DimensionError, "pattern length does not match model"),
+], ids=["input_mask", "fit_patterns"])
+def test_estimator_guards_raise_their_errors(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message

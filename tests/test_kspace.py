@@ -10,6 +10,7 @@ from kslab.kspace import (
     SamplingMask,
     apply_mask,
     as_kspace,
+    as_kspace_rows,
     dft_matrix,
     full_mask,
     kspace_to_json,
@@ -186,3 +187,24 @@ def test_mask_is_immutable():
     mask = full_mask(3)
     with pytest.raises(ValueError):
         mask.probs[0] = 0.2
+
+
+@pytest.mark.parametrize("call,exc,message", [
+    (lambda: as_kspace(np.zeros((2, 2))), DimensionError, "expected a 1-D vector, got shape (2, 2)"),
+    (lambda: as_kspace(np.zeros(3), 4), DimensionError, "expected length 4, got 3"),
+    (lambda: as_kspace_rows(np.zeros(3)), DimensionError,
+     "expected a stack of vectors (n, q), got shape (3,)"),
+    (lambda: as_kspace_rows(np.zeros((2, 3)), 4), DimensionError, "expected length 4, got 3"),
+    (lambda: as_kspace_rows([[0.0, np.inf]]), ValidationError, "k-space vector contains NaN or Inf"),
+    (lambda: SamplingMask(np.ones((2, 2), dtype=bool), np.ones((2, 2))), DimensionError,
+     "mask member and probs must be 1-D"),
+    (lambda: mask_algebra(full_mask(2), full_mask(3)), DimensionError,
+     "mask length mismatch: 2 vs 3"),
+    (lambda: magnitude_image(np.zeros(6), shape=(2, 2)), DimensionError,
+     "shape (2, 2) does not flatten to length 6"),
+], ids=["as_kspace_ndim", "as_kspace_length", "rows_ndim", "rows_length", "rows_nonfinite",
+        "mask_ndim", "algebra_lengths", "image_shape"])
+def test_kspace_guards_raise_their_errors(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message

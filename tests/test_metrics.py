@@ -179,3 +179,22 @@ def test_magnitude_image_rows_equal_per_item_bit_for_bit(q, shape):
         fx = np.conj(dft_matrix(shape[0]))
         expected = np.stack([np.abs(fx @ v.reshape(shape) @ fx.T) for v in k])
     assert np.array_equal(rows, expected)
+
+
+@pytest.mark.parametrize("call,exc,message", [
+    (lambda: ssim_rows(np.zeros((1, 4)), np.zeros((1, 5))), DimensionError,
+     "shape mismatch: (1, 4) vs (1, 5)"),
+    (lambda: ssim_rows(np.zeros(4), np.zeros(4)), DimensionError,
+     "ssim_rows expects a stack of 1-D or 2-D real arrays"),
+    (lambda: ssim(np.zeros((1, 1, 1)), np.zeros((1, 1, 1))), DimensionError,
+     "ssim expects a 1-D or 2-D real array"),
+    (lambda: mean_and_se([]), ValidationError, "no values to aggregate"),
+], ids=["rows_shapes", "rows_ndim", "ssim_ndim", "no_values"])
+def test_metrics_guards_raise_their_errors(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_mean_and_se_of_one_value_has_no_spread():
+    assert mean_and_se([2.5]) == (2.5, 0.0)

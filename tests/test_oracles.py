@@ -1202,3 +1202,31 @@ def test_brute_force_impossible_observation():
     model = two_atom_model(noise_sigma=0.0, further_sigma=0.0)
     with pytest.raises(ValidationError):
         brute_force_conditional(model, np.array([5.0 + 0j, 0.0 + 0j]), TARGET_Y0)
+
+
+@pytest.mark.parametrize("pattern", [np.ones((1, 3), dtype=bool), full_mask(3), np.ones(8, dtype=bool)],
+                         ids=["rows", "mask", "one_dimensional"])
+def test_posterior_rejects_a_pattern_of_another_length(pattern):
+    with pytest.raises(ValidationError) as info:
+        Posterior(model_preset("banded", sigma_n=0.3, alpha=1.0), pattern)
+    assert str(info.value) == "pattern length does not match model"
+
+
+def test_suite_fails_a_report_with_a_non_finite_number(monkeypatch):
+    """A check whose tolerance and standard error are infinite passes its own
+    comparison; the suite fails it and names the fields, and its JSON holds
+    null for them and strict JSON only."""
+    import kslab.oracles as oracles_mod
+
+    monkeypatch.setattr(oracles_mod, "check_appendix_identity", lambda *args: OracleReport(
+        name="appendix_identity_P_times_one_minus_k", estimate=0.0, reference=0.0,
+        tolerance=math.inf, standard_error=math.inf).finalize())
+    reports = run_oracle_suite(model_preset("scalar", sigma_n=0.3, alpha=0.5), seed=0,
+                               mse_samples=1000, slope_samples=1000, gradient_samples=1000)
+    [report] = [r for r in reports if r.name == "appendix_identity_P_times_one_minus_k"]
+    assert report.passed is False
+    assert report.notes["non_finite"] == ["tolerance", "standard_error"]
+    data = report.to_json()
+    assert data["tolerance"] is None and data["standard_error"] is None
+    json.dumps(data, allow_nan=False)
+    assert [r.name for r in reports if r.non_finite()] == [report.name]

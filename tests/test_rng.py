@@ -59,3 +59,12 @@ def test_streams_long_fanout():
     gens = streams(5, "epoch", 2, "item", count=300)
     assert [g.random() for g in gens] == [stream(5, "epoch", 2, "item", i).random()
                                           for i in range(300)]
+
+
+@pytest.mark.parametrize("count", [-1, (1 << 32) + 1])
+def test_streams_rejects_a_count_outside_its_range(count):
+    """The bound is checked when the first substream is asked for, before
+    any is keyed."""
+    with pytest.raises(ValueError) as info:
+        next(streams(0, "x", count=count))
+    assert str(info.value) == f"count must be in [0, 2^32], got {count}"

@@ -186,3 +186,15 @@ def test_mask_distribution_checks_its_numbers_by_the_config_rules(field, value):
             **{field: value}}
     with pytest.raises(ConfigError, match=rf"^{field} must be "):
         MaskDistribution(**args)
+
+
+@pytest.mark.parametrize("call,exc,message", [
+    (lambda: MaskDistribution("bernoulli2d_polynomial", 16, 2.0, 2, 8.0, (3, 3)), ConfigError,
+     "shape (3, 3) does not flatten to q=16"),
+    (lambda: validate_mask_conditions([0.5, 0.5], [0.5]), ValidationError,
+     "probability vectors disagree in length: (2,) vs (1,)"),
+], ids=["shape", "lengths"])
+def test_sampling_guards_raise_their_errors(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message

@@ -117,3 +117,16 @@ def test_diagonal_variances_decay_from_center():
     center = np.argmax(v)
     assert center == 4
     assert v[0] < v[4] and v[-1] < v[4]
+
+
+@pytest.mark.parametrize("call,exc,message", [
+    (lambda: small_model(np.ones((2, 3), dtype=complex)), ValidationError,
+     "prior covariance must be square, got (2, 3)"),
+    (lambda: MeasurementModel(np.eye(4, dtype=complex), NoiseSpec(0.2, 1.0),
+                              *(MaskDistribution("column_polynomial", 3, r, 0) for r in (1.5, 2.0))),
+     ValidationError, "mask distributions disagree with prior dimension"),
+], ids=["not_square", "mask_length"])
+def test_measurement_model_guards_raise_their_errors(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message

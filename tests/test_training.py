@@ -798,3 +798,10 @@ def test_validation_nmse_adds_item_scores_in_order():
         total += nmse(reconstruct(spec.method, est, data[i].y, data[i].omega, model.noise),
                       data.y0[i])
     assert history[0]["val_nmse"] == total / len(data)
+
+
+@pytest.mark.parametrize("n_items", [0, -1])
+def test_build_dataset_rejects_no_items(n_items):
+    with pytest.raises(ConfigError) as info:
+        build_dataset(model_preset("scalar", sigma_n=0.3, alpha=1.0), n_items, 0)
+    assert str(info.value) == "dataset must be nonempty"

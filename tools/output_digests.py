@@ -22,6 +22,14 @@ Runs, in a temporary directory and in this process:
 * ``train`` then ``reconstruct`` for ``toy_cascade`` at ``train.batch_size``
   2 in each mode, so a step sums two items' gradients over the pullback's
   pieces;
+* ``train`` then ``reconstruct`` in practical mode under ``model.prior_file``:
+  four times the banded prior, written to the temporary root and named by a
+  path relative to it (the runs read it from there), so the embedded config
+  is the same from run to run;
+* ``reconstruct`` of the ``tiny_net`` practical-mode checkpoint, trained with
+  ``q``, ``R_omega`` and ``R_lambda`` null, under a config that writes out
+  the banded preset's values of those fields, so the run resolves the
+  checkpoint's fields to compare them;
 * ``verify`` on two seeds, on the ``scalar`` preset, whose q = 1 gives
   the stacked closed-form oracles an empty and a full support, and on
   ``banded`` at ``sigma_n`` 0, where the noise draws are signed zeros and
@@ -63,6 +71,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from kslab import methods as M  # noqa: E402
 from kslab.cli import main  # noqa: E402
+from kslab.synthetic import banded_prior_cov  # noqa: E402
 
 FAMILIES = ("affine_per_pattern", "tiny_net", "toy_cascade")
 NON_DEFAULT = {
@@ -134,6 +143,17 @@ def output_digests(root: Path) -> dict:
                   train={"batch_size": 2})
     for mode in MODES:
         _train_reconstruct(root, digests, "toy_cascade_batch2", cfg, mode)
+    with contextlib.chdir(root):  # the config names the prior relative to the root
+        prior = 4.0 * banded_prior_cov(8)
+        (root / "prior_cov.json").write_text(
+            json.dumps([[[z.real, z.imag] for z in row] for row in prior.tolist()]))
+        cfg = _config(root, "prior", model={"prior_file": "prior_cov.json"})
+        _train_reconstruct(root, digests, "prior", cfg, "practical")
+    explicit = _config(root, "banded_explicit", estimator={"family": "tiny_net"},
+                       model={"q": 8, "R_omega": 2.0, "R_lambda": 2.0})
+    _run(root, digests, "reconstruct_banded_explicit",
+         ["reconstruct", "--config", str(explicit), "--checkpoint",
+          str(root / "train_tiny_net_practical" / "checkpoint.json")])
     diagonal = _config(root, "diagonal", model={"preset": "diagonal"},
                        estimator={"family": "tiny_net"})
     _run(root, digests, "compare_diagonal",
